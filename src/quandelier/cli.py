@@ -3,10 +3,11 @@
 File formats are 1-based, line oriented and diff-able; all internal
 indices are 0-based and converted only at parse/print time.  Exit
 codes: 0 success, 1 semantic failure (validation or check false),
-2 budget exceeded, 3 parse error.
+2 budget exceeded or group provably infinite, 3 parse error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -434,6 +435,10 @@ def cmd_cover(args, out) -> int:
     if ok:
         print("covering=true", file=out)
         return EXIT_OK
+    if witness is None:
+        y = min(set(range(target.n)) - set(mapping))
+        print(f"covering=false witness=not-surjective y={y + 1}", file=out)
+        return EXIT_SEMANTIC
     a, x, y = witness
     print(f"covering=false witness=a={a + 1} x={x + 1} y={y + 1}", file=out)
     return EXIT_SEMANTIC
@@ -485,13 +490,14 @@ def cmd_ext(args, out) -> int:
 # dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="quandelier",
         description="Finite quandles: validation, fundamental groups, "
                     "homology, coverings and extensions.")
-    parser.add_argument("--format", choices=["plain"], default="plain",
-                        help="output format (plain is the only one)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):

@@ -475,25 +475,24 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, homs,
                      budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> Cocycle2:
     """Cocycle of the extension classified by homs: pi_1 -> Lambda.
 
-    homs[i] maps deck-element indices of component i (in the order of
-    universal_cover(...).deck[i].elements) to Lambda_i elements.  The
-    value f(a,b) is the image of the deck element comparing the
-    canonical path to a*b with the path through a and b.
+    The quandle must be connected, so homs holds the one map: homs[0]
+    sends deck-element indices (in the order of
+    universal_cover(...).deck.elements) to Lambda elements.  The value
+    f(a,b) is the image of the deck element comparing the canonical
+    path to a*b with the path through a and b.
     """
     coeffs = graded_coefficients(quandle, coeffs)
     cover = fundamental.universal_cover(quandle, budget=budget)
-    n, gr = quandle.n, quandle.grading
+    table, hom = cover.table, homs[0]
+    canon = _canonical_cosets(table, cover.endpoints)
+    n = quandle.n
     rows = []
     for a in range(n):
-        i = gr[a]
-        table, ends = cover.tables[i], cover.endpoints[i]
-        canon = _canonical_cosets(table, ends)
         row = []
         for b in range(n):
             c = table.trace(canon[a], (-(a + 1), b + 1))
-            k = _deck_element_taking(cover.deck[i],
-                                     c, canon[quandle.op[a][b]])
-            row.append(homs[i][k])
+            k = _deck_element_taking(cover.deck, c, canon[quandle.op[a][b]])
+            row.append(hom[k])
         rows.append(tuple(row))
     f = Cocycle2(tuple(rows))
     ok, wit = is_cocycle(f, quandle, coeffs)

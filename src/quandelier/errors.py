@@ -14,6 +14,22 @@ class BudgetExceeded(QuandelierError):
         super().__init__(f"{what} exceeded budget at size {reached}")
 
 
+class InfiniteGroup(BudgetExceeded):
+    """The enumerated group is provably infinite, so no budget suffices.
+
+    Raised before any enumeration starts; components is the number of
+    connected components that certifies it.
+    """
+
+    def __init__(self, components):
+        self.components = components
+        self.reached = None
+        self.what = "degree-zero adjoint subgroup"
+        QuandelierError.__init__(
+            self, f"{self.what} is infinite: the quandle has {components} "
+                  f"connected components")
+
+
 class NotAQuandle(QuandelierError):
     """An operation table violates one of the quandle axioms.
 

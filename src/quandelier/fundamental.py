@@ -9,7 +9,7 @@ generator.  Both are exposed and cross-checked in the tests.
 from dataclasses import dataclass
 
 from . import fpgroup, permgroup, quandle as qmod
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InfiniteGroup
 from .fpgroup import CosetTable, Presentation
 from .permgroup import FiniteGroup
 from .quandle import FiniteQuandle, QuandleHom
@@ -141,9 +141,18 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     faithful model of the degree-zero subgroup with its right action.
     endpoint[c] is the image of the basepoint under the representative
     word, traced through the right translations.
+
+    H1(Q) is free abelian on the components, so with k >= 2 of them the
+    cosets map onto Z^(k-1): InfiniteGroup is raised before anything is
+    enumerated.  The components counted are the orbits of the right
+    translations, not the grading classes, which a grading pulled back
+    from a base can make coarser.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
+    parts, _ = qmod.components(quandle)
+    if len(parts) > 1:
+        raise InfiniteGroup(len(parts))
     pres = fpgroup.adjoint_presentation(quandle)
     table = fpgroup.todd_coxeter(pres, [(basepoint + 1,)], budget=budget)
     endpoints = []
@@ -195,30 +204,19 @@ def deck_group(table: CosetTable, endpoints, basepoint: int) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class UniversalCover:
-    """The universal covering quandle, assembled per component.
+    """The universal covering quandle of a connected quandle.
 
-    Component i contributes one cover element per coset of the
-    enumeration based at q_i; offsets[i] is where its block starts.
-    deck[i] is pi_1(Q, q_i) acting on the block's cosets.
+    Cover element c is coset c of the enumeration based at the base's
+    basepoint, lying over endpoints[c]; deck is pi_1(Q, q) acting on
+    the cosets.
     """
 
     base: FiniteQuandle
     cover: FiniteQuandle
     projection: QuandleHom
-    tables: tuple
+    table: CosetTable
     endpoints: tuple
-    offsets: tuple
-    deck: tuple
-
-    def element(self, component: int, coset: int) -> int:
-        return self.offsets[component] + coset
-
-    def component_of(self, element: int) -> int:
-        i = 0
-        while (i + 1 < len(self.offsets)
-               and element >= self.offsets[i + 1]):
-            i += 1
-        return i
+    deck: FiniteGroup
 
 
 def universal_cover(quandle: FiniteQuandle,
@@ -227,48 +225,19 @@ def universal_cover(quandle: FiniteQuandle,
     """Build the universal covering on pairs (endpoint, coset).
 
     The operation (a,g)*(b,h) = (a*b, g adj(a)^-1 adj(b)) becomes right
-    multiplication in the coset tables.  Fails with BudgetExceeded when
-    some degree-zero subgroup is infinite or too large.
+    multiplication in the coset table.  Raises InfiniteGroup for a
+    disconnected quandle and BudgetExceeded when the degree-zero
+    subgroup is too large.
     """
-    tables = []
-    endpoints = []
-    offsets = []
-    total = 0
-    for q in quandle.basepoints:
-        table, ends = adj0_enumeration(quandle, q, budget=budget)
-        tables.append(table)
-        endpoints.append(ends)
-        offsets.append(total)
-        total += table.coset_count
-
-    def op_entry(i, c, j, d, inverse=False):
-        a = endpoints[i][c]
-        b = endpoints[j][d]
-        t = tables[i]
-        if inverse:
-            word = (a + 1, -(b + 1))
-        else:
-            word = (-(a + 1), b + 1)
-        return offsets[i] + t.trace(c, word)
-
-    spans = [(i, c) for i, t in enumerate(tables)
-             for c in range(t.coset_count)]
-    table_op = []
-    for (i, c) in spans:
-        row = []
-        for (j, d) in spans:
-            row.append(op_entry(i, c, j, d))
-        table_op.append(row)
-    grading = tuple(i for (i, _) in spans)
-    basepoints = tuple(offsets[i] for i in range(len(tables)))
-    cover = qmod.validate(table_op, grading=grading, basepoints=basepoints)
-    projection = QuandleHom(cover, quandle,
-                            tuple(endpoints[i][c] for (i, c) in spans))
-    deck = tuple(deck_group(tables[i], endpoints[i], quandle.basepoints[i])
-                 for i in range(len(tables)))
-    return UniversalCover(base=quandle, cover=cover, projection=projection,
-                          tables=tuple(tables), endpoints=tuple(endpoints),
-                          offsets=tuple(offsets), deck=deck)
+    q = quandle.basepoints[0]
+    table, ends = adj0_enumeration(quandle, q, budget=budget)
+    cosets = range(table.coset_count)
+    cover = qmod.validate([[table.trace(c, (-(ends[c] + 1), ends[d] + 1))
+                            for d in cosets] for c in cosets])
+    return UniversalCover(base=quandle, cover=cover,
+                          projection=QuandleHom(cover, quandle, ends),
+                          table=table, endpoints=ends,
+                          deck=deck_group(table, ends, q))
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +249,21 @@ class FundamentalGroup:
     """pi_1(Q, q): a presentation always, a finite model when possible.
 
     finite_form is the deck permutation group on the cosets of the
-    adjoint enumeration; presentation_order is the index found by
-    enumerating the presentation itself.  When both terminated they
-    must agree, which the constructor path asserts.
+    adjoint enumeration, or None when that enumeration is infinite or
+    over budget.
     """
 
     basepoint: int
     presentation: Presentation
     finite_form: FiniteGroup
-    presentation_order: int
     table: CosetTable
     endpoints: tuple
 
     @property
     def order(self):
-        if self.finite_form is not None:
-            return self.finite_form.order
-        return self.presentation_order
+        if self.finite_form is None:
+            return None
+        return self.finite_form.order
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
         return fpgroup.abelian_invariants(self.presentation)
@@ -308,29 +275,16 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
     """Compute pi_1(Q, basepoint).
 
     The presentation is always returned; the finite form only when the
-    adjoint enumeration terminates within budget.  When both finite
-    descriptions exist their orders are cross-checked.
+    adjoint enumeration terminates within budget.
     """
     pres = pi1_presentation(quandle, basepoint)
-    finite_form = None
-    table = None
-    ends = None
-    pres_order = None
     try:
         table, ends = adj0_enumeration(quandle, basepoint, budget=budget)
     except BudgetExceeded:
-        pass
-    if table is not None:
-        finite_form = deck_group(table, ends, basepoint)
-        pres_table = fpgroup.todd_coxeter(pres, [], budget=budget)
-        pres_order = pres_table.coset_count
-        if pres_order != finite_form.order:
-            raise AssertionError(
-                f"pipelines disagree: presentation order {pres_order}, "
-                f"stabilizer order {finite_form.order}")
+        return FundamentalGroup(basepoint=basepoint, presentation=pres,
+                                finite_form=None, table=None, endpoints=None)
     return FundamentalGroup(basepoint=basepoint, presentation=pres,
-                            finite_form=finite_form,
-                            presentation_order=pres_order,
+                            finite_form=deck_group(table, ends, basepoint),
                             table=table, endpoints=ends)
 
 

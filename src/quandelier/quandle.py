@@ -133,15 +133,6 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
                          basepoints=basepoints)
 
 
-def refine_grading(quandle: FiniteQuandle):
-    """Re-grade by connected components (needed for well-pointedness).
-
-    Returns (refined quandle, True if the grading actually changed).
-    """
-    refined = validate(quandle.op)
-    return refined, refined.grading != quandle.grading
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -341,7 +332,8 @@ def is_covering(p: QuandleHom):
 
     True iff p is surjective and fibre-mates act identically by right
     translation.  Returns (bool, witness), the witness being a triple
-    (a, x, y) with a * x != a * y although p(x) = p(y).
+    (a, x, y) with a * x != a * y although p(x) = p(y), or None when p
+    is not surjective.
     """
     if not p.is_surjective():
         return False, None

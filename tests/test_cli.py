@@ -85,6 +85,32 @@ def test_pi1_budget_exit(tmp_path):
     assert out == "pi1 order=unknown(budget) ab=rank 1 torsion 2\n"
 
 
+def test_disconnected_exits_at_once_at_default_budget(tmp_path):
+    # certified infinite: no enumeration runs up the default budget
+    path = write_quandle(tmp_path, "d4.txt", qmod.dihedral(4))
+    code, out, err = run(["pi1", path])
+    assert code == 2
+    assert out.startswith("pi1 order=unknown(budget) ab=")
+    assert err == ""
+    code, out, err = run(["cover", path, "--universal"])
+    assert code == 2
+    assert out == ""
+    assert err == ("budget exceeded: degree-zero adjoint subgroup is "
+                   "infinite: the quandle has 2 connected components\n")
+
+
+def test_parser_keeps_no_state_between_runs(tmp_path):
+    path = write_quandle(tmp_path, "t1.txt", qmod.trivial(1))
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run(["pi1", path, "--base", "2"])
+    assert code == 3
+    assert "basepoint 2" in err
+    # the second run falls back to the default basepoint
+    code, out, _ = run(["pi1", path])
+    assert code == 0
+    assert out == "pi1 order=1 ab=rank 0 torsion -\n"
+
+
 def test_pi1_explicit_base(tmp_path):
     path = write_quandle(tmp_path, "q22.txt", qmod.q_mn(2, 2))
     code, out, _ = run(["pi1", path, "--base", "3", "--budget", "3000"])
@@ -192,6 +218,21 @@ def test_cover_check_true_and_false(tmp_path):
     assert out.startswith("covering=false witness=")
 
 
+def test_cover_check_not_surjective(tmp_path):
+    d3 = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    d4 = write_quandle(tmp_path, "d4.txt", qmod.dihedral(4))
+    # a constant map is a homomorphism that misses every other element
+    const = tmp_path / "const.txt"
+    const.write_text("map 3\n2 2 2\n")
+    code, out, _ = run(["cover", d3, "--check", str(const), "--target", d4])
+    assert code == 1
+    assert out == "covering=false witness=not-surjective y=1\n"
+    const.write_text("map 3\n1 1 1\n")
+    code, out, _ = run(["cover", d3, "--check", str(const), "--target", d4])
+    assert code == 1
+    assert out == "covering=false witness=not-surjective y=2\n"
+
+
 def test_cover_check_needs_target(tmp_path):
     d8 = write_quandle(tmp_path, "d8.txt", qmod.dihedral(8))
     code, _, err = run(["cover", d8, "--check", d8])
@@ -214,7 +255,7 @@ def test_ext_from_cocycle_and_extract(tmp_path):
     quandle = transposition_quandle(4)
     base = write_quandle(tmp_path, "s4.txt", quandle)
     cover = fund.universal_cover(quandle)
-    deck = cover.deck[0]
+    deck = cover.deck
     hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
     z2 = coh.Coeff.from_invariants([2])
     f = coh.cocycle_from_hom(quandle, z2, [hom])

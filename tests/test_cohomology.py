@@ -157,7 +157,7 @@ def test_are_cohomologous_returns_valid_rescaling():
 def _nontrivial_s4_cocycle():
     quandle = transposition_quandle(4)
     cover = fund.universal_cover(quandle)
-    deck = cover.deck[0]
+    deck = cover.deck
     hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
     return quandle, coh.cocycle_from_hom(quandle, Z2, [hom]), [hom]
 

@@ -1,8 +1,8 @@
 import pytest
 
-from quandelier import (fpgroup, fundamental as fund, permgroup,
-                        quandle as qmod)
-from quandelier.errors import BudgetExceeded
+from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
+                        permgroup, quandle as qmod)
+from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
 
 
@@ -76,6 +76,55 @@ def test_adj0_enumeration_infinite_is_budgeted():
         fund.adj0_enumeration(qmod.trivial(2), 0, budget=3000)
 
 
+def test_disconnected_is_certified_without_enumerating(monkeypatch):
+    # Adj(Q)^ab = Z^k, so k >= 2 components make the cosets infinite;
+    # no budget is large enough and none is spent
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started on a certified input")
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter", no_enumeration)
+    monkeypatch.setattr(fpgroup, "adjoint_presentation", no_enumeration)
+    for quandle, k in ((qmod.trivial(2), 2), (qmod.q_mn(2, 2), 2),
+                       (qmod.dihedral(4), 2)):
+        for q in range(quandle.n):
+            with pytest.raises(InfiniteGroup) as info:
+                fund.adj0_enumeration(quandle, q, budget=10**9)
+            assert info.value.components == k
+            assert f"{k} connected components" in str(info.value)
+
+
+def test_certificate_counts_orbits_not_grading_classes():
+    # the trivial Z2 extension of dihedral(3) is two copies of it; the
+    # grading pulled back from the base has one class
+    z2 = coh.Coeff.from_invariants([2])
+    base = qmod.dihedral(3)
+    total = coh.extension_from_cocycle(
+        base, z2, coh.trivial_cocycle(base, z2)).total
+    assert total.component_count == 1
+    assert len(qmod.components(total)[0]) == 2
+    with pytest.raises(InfiniteGroup):
+        fund.adj0_enumeration(total, total.basepoints[0], budget=10**9)
+
+
+def test_corpus_pi1_pipelines_agree(corpus):
+    # the certificate fires exactly on the disconnected quandles; on
+    # the connected ones the stabilizer order equals the index found by
+    # enumerating the spanning-tree presentation
+    connected = 0
+    for name, quandle in corpus:
+        q = quandle.basepoints[0]
+        if len(qmod.components(quandle)[0]) > 1:
+            with pytest.raises(InfiniteGroup):
+                fund.adj0_enumeration(quandle, q)
+            continue
+        connected += 1
+        fg = fund.fundamental_group(quandle, q, budget=20000)
+        assert fg.order is not None, name
+        table = fpgroup.todd_coxeter(fg.presentation, [], budget=20000)
+        assert table.coset_count == fg.order, name
+    assert connected >= 30
+
+
 def test_endpoints_cover_the_component():
     quandle = transposition_quandle(4)
     table, ends = fund.adj0_enumeration(quandle, 0)
@@ -92,7 +141,7 @@ def test_fundamental_group_two_pipelines_agree():
         fg = fund.fundamental_group(quandle, 0)
         assert fg.order == order
         assert fg.finite_form.order == order
-        assert fg.presentation_order == order
+        assert fpgroup.todd_coxeter(fg.presentation, []).coset_count == order
 
 
 def test_fundamental_group_s5_abelianization():
@@ -129,11 +178,12 @@ def test_universal_cover_of_s4_quandle():
 
 
 def test_universal_cover_element_bookkeeping():
+    # cover element c is coset c of the enumeration, over its endpoint
     cover = fund.universal_cover(transposition_quandle(4))
+    assert cover.cover.n == cover.table.coset_count
+    assert cover.projection.map == cover.endpoints
     for x in range(cover.cover.n):
-        i = cover.component_of(x)
-        assert cover.element(i, x - cover.offsets[i]) == x
-        assert cover.base.grading[cover.projection.map[x]] == i
+        assert cover.base.grading[cover.projection.map[x]] == 0
 
 
 def test_disconnected_quandle_has_infinite_enumeration():
@@ -145,7 +195,7 @@ def test_disconnected_quandle_has_infinite_enumeration():
 
 def test_deck_group_acts_freely_on_fibres():
     cover = fund.universal_cover(transposition_quandle(4))
-    deck = cover.deck[0]
+    deck = cover.deck
     fibre = cover.projection.fibre(cover.base.basepoints[0])
     for g in deck.elements:
         if g == deck.elements[deck.identity_index]:
@@ -159,7 +209,7 @@ def test_deck_commutes_with_inner_action():
     # with every right translation of the cover
     cover = fund.universal_cover(transposition_quandle(4))
     op = cover.cover.op
-    for g in cover.deck[0].elements:
+    for g in cover.deck.elements:
         for x in range(cover.cover.n):
             for b in range(cover.cover.n):
                 assert g[op[x][b]] == op[g[x]][b]
