@@ -7,6 +7,7 @@ codes: 0 success, 1 semantic failure (validation or check false),
 """
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -551,10 +552,14 @@ COMMANDS = {
 }
 
 
-def run(argv, out=sys.stdout, err=sys.stderr) -> int:
+def run(argv, out=None, err=None) -> int:
+    """Run one command line; argparse's help and errors go to out/err."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

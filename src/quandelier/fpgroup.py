@@ -55,16 +55,18 @@ class Presentation:
 def adjoint_presentation(quandle) -> Presentation:
     """Presentation of the adjoint group of a finite quandle.
 
-    One generator per element; one relator per ordered pair (a, b) with
-    a != b, forcing conjugation by b to send a to a*b.  The diagonal
-    pair reduces to the empty word and is omitted; duplicate relators
-    after free reduction are removed.
+    One generator per element; one relator per pair (a, b) with a != b
+    and b in the generating set S, forcing conjugation by b to send a
+    to a*b: n*|S| relators, not n(n-1).  S suffices, as conjugation by
+    c*d = d^-1 c d then acts as rho_d rho_c rho_d^-1 = rho_{c*d} (Q3).
+    The diagonal pair reduces to the empty word and is omitted;
+    duplicate relators after free reduction are removed.
     """
     n = quandle.n
     relators = []
     seen = set()
     for a in range(n):
-        for b in range(n):
+        for b in quandle.generators:
             if a == b:
                 continue
             w = normalize((-(b + 1), a + 1, b + 1, -(quandle.op[a][b] + 1)))

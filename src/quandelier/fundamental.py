@@ -231,9 +231,9 @@ def universal_cover(quandle: FiniteQuandle,
     """
     q = quandle.basepoints[0]
     table, ends = adj0_enumeration(quandle, q, budget=budget)
-    cosets = range(table.coset_count)
-    cover = qmod.validate([[table.trace(c, (-(ends[c] + 1), ends[d] + 1))
-                            for d in cosets] for c in cosets])
+    step = tuple(zip(*table.action))  # step[c][g]: coset c times gen g
+    cover = qmod.validate([[step[table.action_inv[e][c]][d] for d in ends]
+                           for c, e in enumerate(ends)])
     return UniversalCover(base=quandle, cover=cover,
                           projection=QuandleHom(cover, quandle, ends),
                           table=table, endpoints=ends,

@@ -6,6 +6,7 @@ the CLI boundary.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import permgroup
 from .errors import (EmptyUnion, NotAHomomorphism, NotAQuandle,
@@ -18,6 +19,8 @@ class FiniteQuandle:
     """An n-element quandle as validated operation tables.
 
     op[a][b] = a * b and inv_op[a][b] is the unique x with x * b = a.
+    generators is validate's generating set S: the rho_s with s in S
+    generate Inn(Q), so Q3, homomorphisms and Adj(Q) are checked on S.
     grading maps each element to a component index (default: its
     connected component); basepoints picks one element per grading
     class (default: the minimum of each class).
@@ -28,6 +31,7 @@ class FiniteQuandle:
     inv_op: tuple
     grading: tuple
     basepoints: tuple
+    generators: tuple
 
     @property
     def component_count(self) -> int:
@@ -40,34 +44,55 @@ class FiniteQuandle:
         return self.component_count == 1
 
 
-def _component_partition(op):
-    """Orbits of the right translations, without building the group."""
-    n = len(op)
-    parent = list(range(n))
+def _generating_set(op):
+    """Greedy generating set S: the least element not yet generated
+    joins S, then the generated set is closed under x -> x * s, s in S
+    (enough, as / is a power of *), visiting each (x, s) once."""
+    reached = [False] * len(op)
+    members, gens = [], []
+    for g in range(len(op)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        old = len(members)
+        members.append(g)
+        for i, x in enumerate(members):  # grows while it is read
+            for s in (gens if i >= old else (g,)):
+                if not reached[op[x][s]]:
+                    reached[op[x][s]] = True
+                    members.append(op[x][s])
+    return tuple(gens)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for b in range(n):
-        for a in range(n):
-            ra, rb = find(a), find(op[a][b])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    orbit = {}
-    for a in range(n):
-        orbit.setdefault(find(a), []).append(a)
-    return [tuple(sorted(v)) for _, v in sorted(orbit.items())]
+def _orbits(op, gens):
+    """Orbits of the right translations by gens, ordered by their
+    least element, with an element -> orbit-index map."""
+    index = [None] * len(op)
+    parts = []
+    for a in range(len(op)):
+        if index[a] is not None:
+            continue
+        orbit = [a]
+        index[a] = len(parts)
+        for x in orbit:
+            for s in gens:
+                if index[op[x][s]] is None:
+                    index[op[x][s]] = len(parts)
+                    orbit.append(op[x][s])
+        parts.append(tuple(sorted(orbit)))
+    return parts, tuple(index)
 
 
 def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
     """Check the quandle axioms and build a FiniteQuandle.
 
-    Reports the first violated axiom with a witness.  inv_op is derived
-    by inverting each right-translation column; the default grading is
-    the component partition with minimum-element basepoints.
+    Reports the first violated axiom with a witness.  inv_op inverts
+    each right-translation column.  Q3 is checked as "rho_s is an
+    endomorphism" for s in the generating set S: if rho_c and rho_d are
+    automorphisms, so is rho_{c*d} = rho_d rho_c rho_d^-1, so the c with
+    rho_c automorphic form a subquandle containing S.  The default
+    grading is the components, with minimum-element basepoints.
     """
     op = tuple(tuple(row) for row in op_table)
     n = len(op)
@@ -76,46 +101,46 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
     for a, row in enumerate(op):
         if len(row) != n:
             raise NotAQuandle("Q1", (a,), f"row {a} has wrong length")
-        for b, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotAQuandle("Q1", (a, b), f"entry {v} out of range")
+        if min(row) < 0 or max(row) >= n:
+            b = next(b for b, v in enumerate(row) if not 0 <= v < n)
+            raise NotAQuandle("Q1", (a, b), f"entry {row[b]} out of range")
+    # one int object per element keeps the row gathers below in cache
+    elements = tuple(range(n))
+    op = tuple(tuple(map(elements.__getitem__, row)) for row in op)
     for a in range(n):
         if op[a][a] != a:
             raise NotAQuandle("Q1", (a,))
+    columns = tuple(zip(*op))
     inv = []
-    for b in range(n):
-        column = [op[a][b] for a in range(n)]
-        if sorted(column) != list(range(n)):
+    for b, column in enumerate(columns):
+        back = dict(zip(column, elements))
+        if len(back) != n:
             raise NotRightInvertible(b)
-        back = [0] * n
-        for a in range(n):
-            back[column[a]] = a
-        inv.append(back)
-    inv_op = tuple(tuple(inv[b][a] for b in range(n)) for a in range(n))
+        inv.append(tuple(map(back.__getitem__, elements)))
+    inv_op = tuple(zip(*inv))
+    gens = _generating_set(op)
+    # (a*b)*s against (a*s)*(b*s) for a whole row of b at a time
+    at_rho = [itemgetter(*columns[s]) for s in gens]
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if op[op[a][b]][c] != op[op[a][c]][op[b][c]]:
-                    raise NotAQuandle("Q3", (a, b, c))
+        at_row_a = itemgetter(*op[a])
+        for s, at_rho_s in zip(gens, at_rho):
+            rho = columns[s]
+            if at_row_a(rho) != at_rho_s(op[rho[a]]):
+                b = next(b for b in range(n)
+                         if rho[op[a][b]] != op[rho[a]][rho[b]])
+                raise NotAQuandle("Q3", (a, b, s))
 
-    parts = _component_partition(op)
-    part_index = {}
-    for i, part in enumerate(parts):
-        for a in part:
-            part_index[a] = i
+    parts, part_index = _orbits(op, gens)
     if grading is None:
-        grading = tuple(part_index[a] for a in range(n))
+        grading = part_index
     else:
         grading = tuple(grading)
         if len(grading) != n:
             raise ValueError("grading length mismatch")
+        # constant on components, so preserved: a*b lies in a's
         for part in parts:
             if len({grading[a] for a in part}) != 1:
                 raise ValueError(f"grading splits the component {part}")
-        for a in range(n):
-            for b in range(n):
-                if grading[op[a][b]] != grading[a]:
-                    raise ValueError("grading not preserved by the operation")
     classes = sorted(set(grading))
     if grading is not None and classes != list(range(len(classes))):
         raise ValueError("grading indices must be 0..k-1")
@@ -130,7 +155,7 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
             if grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
     return FiniteQuandle(n=n, op=op, inv_op=inv_op, grading=grading,
-                         basepoints=basepoints)
+                         basepoints=basepoints, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +280,9 @@ def inn_generators(quandle: FiniteQuandle):
 
 
 def components(quandle: FiniteQuandle):
-    """Connected components with an element -> component-index map."""
-    parts = _component_partition(quandle.op)
-    index = [0] * quandle.n
-    for i, part in enumerate(parts):
-        for a in part:
-            index[a] = i
-    return parts, tuple(index)
+    """Connected components with an element -> component-index map:
+    the orbits of the right translations by the generating set."""
+    return _orbits(quandle.op, quandle.generators)
 
 
 def inner_group(quandle: FiniteQuandle, variant: str = "full",
@@ -300,11 +321,13 @@ class QuandleHom:
         for v in self.map:
             if not 0 <= v < self.target.n:
                 raise NotAHomomorphism(("range", v))
+        # on the generating set: the s with f(x*s) = f(x)*f(s) for all
+        # x form a subquandle
         src, tgt, f = self.source.op, self.target.op, self.map
-        for a in range(self.source.n):
-            for b in range(self.source.n):
-                if f[src[a][b]] != tgt[f[a]][f[b]]:
-                    raise NotAHomomorphism((a, b))
+        for s in self.source.generators:
+            for a in range(self.source.n):
+                if f[src[a][s]] != tgt[f[a]][f[s]]:
+                    raise NotAHomomorphism((a, s))
 
     def __call__(self, a: int) -> int:
         return self.map[a]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from quandelier import permgroup, quandle as qmod
+from oracles import q3_violation
 
 
 def symmetric_group(n):
@@ -83,19 +84,7 @@ def random_quandle(rng, sizes=(1, 2, 3, 4, 5, 6), attempts=5000):
                     col[a] = v
                 cols.append(col)
             op = [[cols[b][a] for b in range(n)] for a in range(n)]
-            ok = True
-            for a in range(n):
-                for b in range(n):
-                    ab = op[a][b]
-                    for c in range(n):
-                        if op[ab][c] != op[op[a][c]][op[b][c]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
+            if q3_violation(op) is None:
                 return qmod.validate(op)
 
 

@@ -111,6 +111,33 @@ def test_parser_keeps_no_state_between_runs(tmp_path):
     assert out == "pi1 order=1 ab=rank 0 torsion -\n"
 
 
+def test_usage_error_goes_to_the_given_err_stream(capsys):
+    code, out, err = run(["pi1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: quandelier pi1")
+    assert "the following arguments are required: quandle" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_out_stream(capsys):
+    code, out, err = run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: quandelier")
+    assert "universal cover, covering census" in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_default_streams_are_read_at_call_time(tmp_path, capsys):
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    assert cli.run(["validate", path]) == 0
+    assert cli.run(["pi1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "ok n=3 components=1 connected=true\n"
+    assert captured.err.startswith("usage: quandelier pi1")
+
+
 def test_pi1_explicit_base(tmp_path):
     path = write_quandle(tmp_path, "q22.txt", qmod.q_mn(2, 2))
     code, out, _ = run(["pi1", path, "--base", "3", "--budget", "3000"])

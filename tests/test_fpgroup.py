@@ -7,6 +7,7 @@ from quandelier import fpgroup, quandle as qmod
 from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
 from conftest import cyclic_group
+from oracles import full_adjoint_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,29 @@ def test_adjoint_presentation_shape():
     quandle = qmod.dihedral(3)
     pres = fpgroup.adjoint_presentation(quandle)
     assert pres.generator_count == 3
-    # one relator per ordered pair with a != b
-    assert len(pres.relators) == 6
+    # one relator per pair (a, b) with b in the generating set, a != b
+    assert quandle.generators == (0, 1)
+    assert len(pres.relators) == 3 * 2 - 2
     # modding out <x_0> leaves index |Adj degree-zero| = 3 for D3
     table = fpgroup.todd_coxeter(pres, [(1,)])
     assert table.coset_count == 3
+
+
+def test_adjoint_presentation_matches_the_full_one(corpus):
+    # the relators for b in the generating set present the same group
+    # as all n(n-1) of them: same index of <x_q> on every connected
+    # corpus quandle
+    connected = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        connected += 1
+        pres = fpgroup.adjoint_presentation(quandle)
+        full = full_adjoint_presentation(quandle)
+        assert set(pres.relators) <= set(full.relators), name
+        assert len(pres.relators) <= quandle.n * len(quandle.generators)
+        q = quandle.basepoints[0] + 1
+        small = fpgroup.todd_coxeter(pres, [(q,)], budget=20000)
+        large = fpgroup.todd_coxeter(full, [(q,)], budget=20000)
+        assert small.coset_count == large.coset_count, name
+    assert connected >= 30

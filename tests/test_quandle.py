@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from quandelier import permgroup, quandle as qmod
+import oracles
+from quandelier import fundamental as fund, permgroup, quandle as qmod
 from quandelier.errors import (EmptyUnion, NotAHomomorphism, NotAQuandle,
                                NotRightInvertible)
 from conftest import cyclic_group, symmetric_group, transposition_quandle
@@ -34,6 +36,54 @@ def test_validate_q3_witness_is_concrete():
     a, b, c = info.value.witness
     op = table
     assert op[op[a][b]][c] != op[op[a][c]][op[b][c]]
+
+
+def perturbed_tables(corpus, count, seed):
+    """Relabelled corpus tables, most with entries swapped inside a
+    column away from the diagonal, so Q1 and Q2 still hold."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        _, quandle = rng.choice(corpus)
+        n = quandle.n
+        swaps = rng.choice((0, 1, 1, 2, 3))
+        if swaps and n < 3:
+            continue
+        op = [list(row) for row in quandle.op]
+        for _ in range(swaps):
+            b = rng.randrange(n)
+            x, y = rng.sample([a for a in range(n) if a != b], 2)
+            op[x][b], op[y][b] = op[y][b], op[x][b]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabelled[perm[a]][perm[b]] = perm[op[a][b]]
+        tables.append(relabelled)
+    return tables
+
+
+def test_q3_verdict_matches_the_full_check(corpus):
+    # Q3 on the generating set accepts exactly the tables the n^3 check
+    # accepts, and every witness it reports is a real violation
+    tables = [quandle.op for _, quandle in corpus]
+    tables += perturbed_tables(corpus, 1200, seed=3)
+    verdicts = Counter()
+    for op in tables:
+        expected = oracles.q3_violation(op)
+        try:
+            qmod.validate(op)
+        except NotAQuandle as exc:
+            assert exc.axiom == "Q3"
+            assert expected is not None
+            a, b, c = exc.witness
+            assert op[op[a][b]][c] != op[op[a][c]][op[b][c]]
+            verdicts["broken"] += 1
+        else:
+            assert expected is None
+            verdicts["quandle"] += 1
+    assert verdicts["broken"] >= 300 and verdicts["quandle"] >= 300
 
 
 def test_inv_op_inverts_columns():
@@ -153,8 +203,86 @@ def test_components_match_grading_default():
     assert index == quandle.grading
 
 
+def test_components_match_union_find(corpus):
+    for name, quandle in corpus:
+        parts, index = qmod.components(quandle)
+        assert parts == oracles.component_partition(quandle.op), name
+        assert index == quandle.grading, name
+
+
+def test_generators_generate_the_quandle(corpus):
+    for name, quandle in corpus:
+        gens = quandle.generators
+        assert gens[0] == 0 and list(gens) == sorted(gens), name
+        assert oracles.generated_subquandle(
+            quandle.op, quandle.inv_op, gens) == set(range(quandle.n)), name
+        # greedy: no generator lies in what the earlier ones generate
+        for i, g in enumerate(gens[1:], 1):
+            assert g not in oracles.generated_subquandle(
+                quandle.op, quandle.inv_op, gens[:i]), name
+
+
+def test_generating_set_sizes_of_benchmark_inputs():
+    assert len(qmod.dihedral(31).generators) == 2
+    s6 = transposition_quandle(6)
+    assert len(s6.generators) == 5
+    cover = fund.universal_cover(s6).cover
+    assert cover.n == 360
+    assert len(cover.generators) == 5
+
+
+def test_grading_may_merge_components_but_not_split_them():
+    d4 = qmod.dihedral(4)  # components {0, 2} and {1, 3}
+    merged = qmod.validate(d4.op, grading=(0, 0, 0, 0))
+    assert merged.basepoints == (0,)
+    swapped = qmod.validate(d4.op, grading=(1, 0, 1, 0), basepoints=(1, 0))
+    assert swapped.basepoints == (1, 0)
+    with pytest.raises(ValueError, match="grading splits the component"):
+        qmod.validate(d4.op, grading=(0, 0, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms and coverings
+
+
+def test_hom_verdict_matches_the_full_check(corpus):
+    # checking f(x * s) = f(x) * f(s) for s in the generating set accepts
+    # exactly the maps the n^2 check accepts; witnesses are violations
+    rng = random.Random(5)
+    quandles = [quandle for _, quandle in corpus]
+    dihedral = {q.n: q for name, q in corpus if name.startswith("dihedral")}
+    verdicts = Counter()
+    for _ in range(1500):
+        source, target = rng.choice(quandles), rng.choice(quandles)
+        kind = rng.randrange(5)
+        if kind == 0:  # random map
+            f = [rng.randrange(target.n) for _ in range(source.n)]
+        elif kind == 1:  # constant map: a homomorphism
+            f = [rng.randrange(target.n)] * source.n
+        elif kind == 2:  # dihedral(k m) -> dihedral(m): a homomorphism
+            m = rng.choice([m for m in dihedral if 12 // m >= 2])
+            source, target = dihedral[m * rng.randint(2, 12 // m)], dihedral[m]
+            f = [a % m for a in range(source.n)]
+        else:  # an inner automorphism, then maybe one value changed
+            target = source
+            f = list(range(source.n))
+            for _ in range(rng.randint(1, 3)):
+                c = rng.randrange(source.n)
+                f = [source.op[v][c] for v in f]
+            if kind == 4:
+                f[rng.randrange(source.n)] = rng.randrange(source.n)
+        expected = oracles.hom_violation(f, source.op, target.op)
+        try:
+            qmod.QuandleHom(source, target, tuple(f))
+        except NotAHomomorphism as exc:
+            assert expected is not None
+            a, b = exc.witness
+            assert f[source.op[a][b]] != target.op[f[a]][f[b]]
+            verdicts["broken"] += 1
+        else:
+            assert expected is None
+            verdicts["hom"] += 1
+    assert verdicts["broken"] >= 250 and verdicts["hom"] >= 250
 
 
 def test_hom_rejects_non_homomorphism():
