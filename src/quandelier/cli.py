@@ -367,8 +367,7 @@ def cmd_h2c(args, out) -> int:
             raise ParseError("class counting needs an abelian group")
         factors = _table_group_invariants(coeff)
         coeff = Coeff.from_invariants(factors)
-    counts = [c for _, c in coh.h2_with_coefficients(quandle, coeff,
-                                                     budget=args.budget)]
+    counts = [c for _, c in coh.h2_with_coefficients(quandle, coeff)]
     if quandle.is_connected():
         print(f"classes={counts[0]}", file=out)
     else:
@@ -408,10 +407,11 @@ def cmd_cover(args, out) -> int:
         q = quandle.basepoints[0]
         coverings = fund.enumerate_connected_coverings(quandle, q,
                                                        budget=args.budget)
+        # the last subgroup is the whole of pi_1, the deck group
+        deck = coverings[-1][0]
         for j, (sub, projection) in enumerate(coverings):
             fibre = len(projection.fibre(q))
-            galois = "true" if _is_normal_in_deck(sub, quandle, q,
-                                                  args.budget) else "false"
+            galois = "true" if _is_normal(sub, deck) else "false"
             print(f"covering {j + 1}: fibre={fibre} galois={galois}",
                   file=out)
         return EXIT_OK
@@ -445,11 +445,9 @@ def cmd_cover(args, out) -> int:
     return EXIT_SEMANTIC
 
 
-def _is_normal_in_deck(sub, quandle, basepoint, budget) -> bool:
-    table, ends = fund.adj0_enumeration(quandle, basepoint, budget=budget)
-    deck = fund.deck_group(table, ends, basepoint)
+def _is_normal(sub, group) -> bool:
     members = set(sub.elements)
-    for g in deck.elements:
+    for g in group.elements:
         gi = permgroup.inverse(g)
         for k in sub.elements:
             if permgroup.mul(permgroup.mul(gi, k), g) not in members:

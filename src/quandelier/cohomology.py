@@ -1,9 +1,9 @@
 """Second homology and cohomology of finite quandles.
 
-H2 comes from the path 2-complex; H^2 with (possibly non-abelian,
-graded) coefficients is handled through 2-cocycles, coboundary
-rescaling, and the correspondence with principal coverings and with
-homomorphisms out of the fundamental group.
+H2 of a component is the abelianised fundamental group (Hurewicz);
+H^2 with (possibly non-abelian, graded) coefficients is handled through
+2-cocycles, coboundary rescaling, and the correspondence with principal
+coverings and with homomorphisms out of the fundamental group.
 """
 
 from dataclasses import dataclass
@@ -105,41 +105,21 @@ def graded_coefficients(quandle: FiniteQuandle, coeff):
 
 
 # ---------------------------------------------------------------------------
-# integral H2 via the path complex
+# integral H2 by the Hurewicz theorem
 
 
 def h2_integral(quandle: FiniteQuandle):
-    """H2 per component, as the first homology of the path complex.
+    """H2 per component, as the abelianised fundamental group.
 
-    Boundary matrices: edges to vertices, cells to edges; the quotient
-    ker/im is read off Smith normal form invariants.
+    The spanning-tree presentation of pi_1(Q, q) is the quotient of the
+    component's path 2-complex by a tree, so its abelianisation is the
+    complex's first homology: H2 of the component (Hurewicz).  A
+    grading class that merges several components reports the one of
+    its basepoint.
     """
-    complex_ = fundamental.build_complex(quandle)
-    src, tgt = complex_.edge_src, complex_.edge_tgt
-    out = []
-    for comp in range(quandle.component_count):
-        edges = [e for e in range(complex_.edge_count)
-                 if quandle.grading[src[e]] == comp]
-        eindex = {e: k for k, e in enumerate(edges)}
-        d1 = {}
-        for k, e in enumerate(edges):
-            d1[(src[e], k)] = d1.get((src[e], k), 0) - 1
-            d1[(tgt[e], k)] = d1.get((tgt[e], k), 0) + 1
-        rank_d1 = len([d for d in fpgroup._snf_invariants_sparse(
-            d1, quandle.n, len(edges)) if d])
-        d2 = {}
-        cells = fundamental.component_cells(complex_, comp)
-        for col, word in enumerate(cells):
-            for signed in word:
-                row = eindex[abs(signed) - 1]
-                d2[(row, col)] = d2.get((row, col), 0) + (
-                    1 if signed > 0 else -1)
-        factors = fpgroup._snf_invariants_sparse(d2, len(edges), len(cells))
-        rank_d2 = len([d for d in factors if d])
-        free_rank = len(edges) - rank_d1 - rank_d2
-        torsion = tuple(d for d in factors if d >= 2)
-        out.append(AbelianInvariants(free_rank=free_rank, torsion=torsion))
-    return out
+    return [fpgroup.abelian_invariants(
+                fundamental.pi1_presentation(quandle, q))
+            for q in quandle.basepoints]
 
 
 # ---------------------------------------------------------------------------
@@ -258,58 +238,17 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
     return tuple(g)
 
 
-def enumerate_cocycles(quandle: FiniteQuandle, coeffs,
-                       budget: int = 1 << 20):
-    """Brute-force list of all 2-cocycles (off-diagonal value tuples).
+def h2_with_coefficients(quandle: FiniteQuandle, coeffs):
+    """Class count per component, via Hom(H2, Lambda) = Hom(pi_1, Lambda).
 
-    Only usable for tiny quandles; the trilogy tests lean on it as the
-    independent route to |H^2|.
+    Returns (H2 invariants, class count) per component.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    n, gr = quandle.n, quandle.grading
-    slots = [(a, b) for a in range(n) for b in range(n) if a != b]
-    count = 1
-    for (a, _) in slots:
-        count *= coeffs[gr[a]].order
-        if count > budget:
-            raise BudgetExceeded(count, "cocycle enumeration")
-    out = []
-    for choice in product(*(range(coeffs[gr[a]].order) for (a, _) in slots)):
-        values = [[coeffs[gr[a]].identity] * n for a in range(n)]
-        for (a, b), v in zip(slots, choice):
-            values[a][b] = v
-        ok, _ = is_cocycle(values, quandle, coeffs)
-        if ok:
-            out.append(Cocycle2(tuple(tuple(r) for r in values)))
-    return out
-
-
-def cohomology_classes(quandle: FiniteQuandle, coeffs,
-                       budget: int = 1 << 20):
-    """Representatives of H^2 classes from the brute-force cocycle list."""
-    cocycles = enumerate_cocycles(quandle, coeffs, budget=budget)
-    reps = []
-    for f in cocycles:
-        if all(are_cohomologous(f, r, quandle, coeffs) is None
-               for r in reps):
-            reps.append(f)
-    return reps, cocycles
-
-
-def h2_with_coefficients(quandle: FiniteQuandle, coeffs,
-                         budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """Class count per component, via Hom(pi_1 abelianized, Lambda)."""
-    coeffs = graded_coefficients(quandle, coeffs)
-    out = []
-    for comp, q in enumerate(quandle.basepoints):
-        lam = coeffs[comp]
-        if not lam.invariants:
-            raise ValueError("counting needs abelian invariant-factor groups")
-        pres = fundamental.pi1_presentation(quandle, q)
-        inv = fpgroup.abelian_invariants(pres)
-        count = fpgroup.count_homs_to_abelian(inv, lam.abelian_invariants())
-        out.append((inv, count))
-    return out
+    if any(not lam.invariants for lam in coeffs):
+        raise ValueError("counting needs abelian invariant-factor groups")
+    return [(inv, fpgroup.count_homs_to_abelian(inv,
+                                                 lam.abelian_invariants()))
+            for inv, lam in zip(h2_integral(quandle), coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +467,8 @@ def hom_from_extension(ext: Extension,
         lift = min(ext.projection.fibre(q))
         images = []
         for c in stabilizer:
-            word = fundamental._adjusted_word(table, q, c)
-            moved = fundamental.right_action_on_cover(ext.projection,
-                                                      lift, word)
+            moved = fundamental.right_action_on_cover(
+                ext.projection, lift, table.representative_word[c])
             found = None
             for k in range(lam.order):
                 if ext.action[i][k][lift] == moved:

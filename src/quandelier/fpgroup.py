@@ -35,11 +35,6 @@ def inverse_word(word) -> Word:
     return tuple(-letter for letter in reversed(word))
 
 
-def word_degree(word) -> int:
-    """Exponent sum of all letters (the degree map on adjoint words)."""
-    return sum(1 if letter > 0 else -1 for letter in word)
-
-
 @dataclass(frozen=True)
 class Presentation:
     generator_count: int

@@ -1,9 +1,10 @@
 """Fundamental groups and coverings of finite quandles.
 
-Two independent pipelines compute pi_1: a spanning-tree presentation
-read off the path 2-complex, and the stabilizer of the basepoint inside
-the coset enumeration of the adjoint group modulo the basepoint
-generator.  Both are exposed and cross-checked in the tests.
+pi_1 has a spanning-tree presentation read off the path 2-complex,
+whose abelianisation is H2, and a finite model: the stabilizer of the
+basepoint inside the coset enumeration of the adjoint group modulo the
+basepoint generator, which acts as the deck group of the universal
+cover.
 """
 
 from dataclasses import dataclass
@@ -62,32 +63,22 @@ def build_complex(quandle: FiniteQuandle) -> PathComplex:
                        cells_h1=h1, cells_h3=tuple(h3))
 
 
-def component_cells(complex_: PathComplex, component: int):
-    """Cell boundary words whose edges all live in one component."""
-    gr = complex_.quandle.grading
-    src = complex_.edge_src
-    cells = []
-    for word in complex_.cells_h1 + complex_.cells_h3:
-        if gr[src[abs(word[0]) - 1]] == component:
-            cells.append(word)
-    return cells
-
-
 def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
     """Spanning-tree presentation of pi_1 at the basepoint.
 
     BFS over edges in index order builds the tree inside the
-    basepoint's component; non-tree edges become generators and cell
-    boundaries become relators, free-reduced and deduplicated.
+    basepoint's connected component, the orbit of the right
+    translations (which a coarse grading may merge with others);
+    non-tree edges become generators and cell boundaries become
+    relators, free-reduced and deduplicated.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
     complex_ = build_complex(quandle)
-    comp = quandle.grading[basepoint]
-    n = quandle.n
+    _, orbit_of = qmod.components(quandle)
+    comp = orbit_of[basepoint]
     src, tgt = complex_.edge_src, complex_.edge_tgt
-    comp_edges = [e for e in range(len(src))
-                  if quandle.grading[src[e]] == comp]
+    comp_edges = [e for e in range(len(src)) if orbit_of[src[e]] == comp]
 
     in_tree = set()
     visited = {basepoint}
@@ -113,7 +104,9 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
 
     relators = []
     seen = set()
-    for word in component_cells(complex_, comp):
+    for word in complex_.cells_h1 + complex_.cells_h3:
+        if orbit_of[src[abs(word[0]) - 1]] != comp:
+            continue
         letters = []
         for signed in word:
             e = abs(signed) - 1
@@ -165,23 +158,16 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     return table, tuple(endpoints)
 
 
-def _adjusted_word(table: CosetTable, basepoint: int, coset: int):
-    """Word of the degree-zero representative of a coset.
+def _deck_perm(table: CosetTable, stab_coset: int):
+    """Left multiplication by a stabilizer coset's element g, as a
+    permutation of all cosets: <adj(q)> w goes to <adj(q)> g w.
 
-    The representative of the coset of w is adj(q)^-deg(w) * w; the
-    prefix keeps the degree at zero.
+    g ends at the basepoint q, so it commutes with adj(q): a power of
+    adj(q) in front of g or of w leaves the coset unchanged, and no
+    degree adjustment is needed.
     """
-    w = table.representative_word[coset]
-    deg = fpgroup.word_degree(w)
-    letter = -(basepoint + 1) if deg > 0 else (basepoint + 1)
-    return (letter,) * abs(deg) + w
-
-
-def _deck_perm(table: CosetTable, basepoint: int, stab_coset: int):
-    """Left multiplication by a stabilizer coset's degree-zero element,
-    as a permutation of all cosets."""
-    return tuple(table.trace(stab_coset, _adjusted_word(table, basepoint, c))
-                 for c in range(table.coset_count))
+    return tuple(table.trace(stab_coset, w)
+                 for w in table.representative_word)
 
 
 def deck_group(table: CosetTable, endpoints, basepoint: int) -> FiniteGroup:
@@ -192,7 +178,7 @@ def deck_group(table: CosetTable, endpoints, basepoint: int) -> FiniteGroup:
     """
     stabilizer = [c for c in range(table.coset_count)
                   if endpoints[c] == basepoint]
-    perms = tuple(_deck_perm(table, basepoint, c) for c in stabilizer)
+    perms = tuple(_deck_perm(table, c) for c in stabilizer)
     identity_index = stabilizer.index(0)
     return FiniteGroup(degree=table.coset_count, elements=perms,
                        generators=perms, identity_index=identity_index)
@@ -426,7 +412,7 @@ def monodromy(p: QuandleHom, basepoint: int,
     pos = {x: i for i, x in enumerate(fibre)}
     perms = []
     for c in stabilizer:
-        word = _adjusted_word(table, basepoint, c)
+        word = table.representative_word[c]
         images = tuple(pos[right_action_on_cover(p, x, word)] for x in fibre)
         perms.append(images)
     return deck, fibre, tuple(perms)

@@ -1,8 +1,13 @@
-"""Brute-force versions of the checks the package makes on a generating
-set.  They use no generating set and no part of the package, so the
-tests can compare the package's answers against them."""
+"""Second, independent computations of what the package computes one
+way: brute-force versions of the checks it makes on a generating set,
+H2 from the path 2-complex, the brute-force route to |H^2|, and the
+degree-adjusted deck permutations.  The tests compare the package's
+answers against them."""
 
-from quandelier import fpgroup
+from itertools import product
+
+from quandelier import cohomology as coh, fpgroup
+from quandelier.errors import BudgetExceeded
 
 
 def q3_violation(op):
@@ -84,3 +89,81 @@ def full_adjoint_presentation(quandle):
                 seen.add(w)
                 relators.append(w)
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
+
+
+def path_complex_h2(op, grading):
+    """H2 per grading class, as H1 of the path 2-complex.
+
+    Vertices are the elements of the class, edge (a, b) runs from a to
+    a*b, and the 2-cells are the loops (a, a) and the squares
+    (a,b) (a*b,c) (a*c,b*c)^-1 (a,c)^-1.  The classes must be the
+    connected components, so the rank of d1 is the class size minus
+    one; d2 goes through Smith normal form.
+    """
+    n = len(op)
+    out = []
+    for comp in range(max(grading) + 1):
+        members = [a for a in range(n) if grading[a] == comp]
+        edges = [(a, b) for a in members for b in range(n)]
+        row = {e: k for k, e in enumerate(edges)}
+        cells = [((1, (a, a)),) for a in members]
+        cells += [((1, (a, b)), (1, (op[a][b], c)),
+                   (-1, (op[a][c], op[b][c])), (-1, (a, c)))
+                  for a in members for b in range(n) for c in range(n)]
+        d2 = {}
+        for col, cell in enumerate(cells):
+            for sign, e in cell:
+                d2[(row[e], col)] = d2.get((row[e], col), 0) + sign
+        factors = fpgroup._snf_invariants_sparse(d2, len(edges), len(cells))
+        rank_d2 = len([d for d in factors if d])
+        out.append(fpgroup.AbelianInvariants(
+            free_rank=len(edges) - (len(members) - 1) - rank_d2,
+            torsion=tuple(d for d in factors if d >= 2)))
+    return out
+
+
+def enumerate_cocycles(quandle, coeffs, budget=1 << 20):
+    """Every 2-cocycle, by trying all off-diagonal values.
+
+    Only usable for tiny quandles; the independent route to |H^2|.
+    """
+    coeffs = coh.graded_coefficients(quandle, coeffs)
+    n, gr = quandle.n, quandle.grading
+    slots = [(a, b) for a in range(n) for b in range(n) if a != b]
+    count = 1
+    for (a, _) in slots:
+        count *= coeffs[gr[a]].order
+        if count > budget:
+            raise BudgetExceeded(count, "cocycle enumeration")
+    out = []
+    for choice in product(*(range(coeffs[gr[a]].order) for (a, _) in slots)):
+        values = [[coeffs[gr[a]].identity] * n for a in range(n)]
+        for (a, b), v in zip(slots, choice):
+            values[a][b] = v
+        if coh.is_cocycle(values, quandle, coeffs)[0]:
+            out.append(coh.Cocycle2(tuple(tuple(r) for r in values)))
+    return out
+
+
+def cohomology_classes(quandle, coeffs, budget=1 << 20):
+    """Representatives of the H^2 classes, and every cocycle."""
+    cocycles = enumerate_cocycles(quandle, coeffs, budget=budget)
+    reps = []
+    for f in cocycles:
+        if all(coh.are_cohomologous(f, r, quandle, coeffs) is None
+               for r in reps):
+            reps.append(f)
+    return reps, cocycles
+
+
+def adjusted_deck_perm(table, basepoint, stab_coset):
+    """Left multiplication by a stabilizer coset's degree-zero element,
+    traced on each coset's degree-zero word adj(q)^-deg(w) w."""
+    q = basepoint + 1
+
+    def degree_zero(w):
+        deg = sum(1 if letter > 0 else -1 for letter in w)
+        return (-q if deg > 0 else q,) * abs(deg) + w
+
+    return tuple(table.trace(stab_coset, degree_zero(w))
+                 for w in table.representative_word)

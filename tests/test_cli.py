@@ -4,6 +4,7 @@ import pytest
 
 from quandelier import cli, cohomology as coh, fundamental as fund, quandle as qmod
 from conftest import transposition_quandle
+from oracles import cohomology_classes
 
 
 def write_quandle(tmp_path, name, quandle):
@@ -225,6 +226,23 @@ def test_cover_enumerate_s5(tmp_path):
     assert out.count("galois=false") == 3
 
 
+def test_cover_enumerate_enumerates_once(tmp_path, monkeypatch):
+    # the normality checks reuse the census's deck group
+    calls = []
+    enumerate_ = fund.adj0_enumeration
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(fund, "adj0_enumeration", counted)
+    path = write_quandle(tmp_path, "s5.txt", transposition_quandle(5))
+    code, out, _ = run(["cover", path, "--enumerate"])
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    assert len(calls) == 1
+
+
 def test_cover_check_true_and_false(tmp_path):
     d8 = write_quandle(tmp_path, "d8.txt", qmod.dihedral(8))
     d4 = write_quandle(tmp_path, "d4.txt", qmod.dihedral(4))
@@ -309,7 +327,7 @@ def test_ext_equiv(tmp_path):
     base = write_quandle(tmp_path, "d3.txt", quandle)
     z2 = coh.Coeff.from_invariants([2])
     coeffs = coh.graded_coefficients(quandle, z2)
-    _, cocycles = coh.cohomology_classes(quandle, z2)
+    _, cocycles = cohomology_classes(quandle, z2)
     paths = []
     for i, f in enumerate(cocycles[:2]):
         cpath = _cocycle_file(tmp_path, quandle, f, coeffs, f"c{i}.txt")

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import BudgetExceeded
 from conftest import transposition_quandle
+from oracles import cohomology_classes, enumerate_cocycles, path_complex_h2
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -74,12 +77,52 @@ def test_h2_of_q_mn_family():
             assert inv.torsion == ((want,) if want > 1 else ())
 
 
+def _disjoint_union(first, second):
+    """The two quandles side by side, each acting trivially on the
+    other."""
+    n, m = first.n, second.n
+    op = [list(first.op[x]) + [x] * m for x in range(n)]
+    op += [[n + x] * n + [n + y for y in second.op[x]] for x in range(m)]
+    return qmod.validate(op)
+
+
 def test_h2_matches_hurewicz_on_small_cases():
+    # criterion 4 makes the same comparison over the whole corpus
     for quandle in (qmod.dihedral(4), qmod.trivial(3), qmod.q_mn(2, 1)):
-        h2 = coh.h2_integral(quandle)
+        assert coh.h2_integral(quandle) == path_complex_h2(
+            quandle.op, quandle.grading)
+    # components with different H2: each must be read at its own
+    # basepoint
+    quandle = _disjoint_union(transposition_quandle(4), qmod.dihedral(3))
+    h2 = coh.h2_integral(quandle)
+    assert h2 == [fpgroup.AbelianInvariants(free_rank=1, torsion=(2,)),
+                  fpgroup.AbelianInvariants(free_rank=1, torsion=())]
+    assert h2 == path_complex_h2(quandle.op, quandle.grading)
+
+
+def test_h2_and_pi1_order_survive_relabelling(corpus):
+    # the spanning tree depends on the labels; the invariants may not
+    rng = random.Random(20261018)
+    for name, quandle in corpus:
+        n = quandle.n
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        op = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                op[sigma[a]][sigma[b]] = sigma[quandle.op[a][b]]
+        relabelled = qmod.validate(op)
+        h2, h2_relabelled = (coh.h2_integral(quandle),
+                             coh.h2_integral(relabelled))
+        assert len(h2_relabelled) == len(h2), name
         for i, q in enumerate(quandle.basepoints):
-            pres = fund.pi1_presentation(quandle, q)
-            assert h2[i] == fpgroup.abelian_invariants(pres)
+            component = relabelled.grading[sigma[q]]
+            assert h2_relabelled[component] == h2[i], name
+        orders = [fund.fundamental_group(x, x.basepoints[0],
+                                         budget=20000).order
+                  for x in (quandle, relabelled)]
+        assert orders[0] == orders[1], name
+        assert (orders[0] is None) == (len(h2) > 1), name
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +156,7 @@ def test_coboundaries_are_cocycles():
 
 def test_dihedral3_z2_trilogy_counts():
     quandle = qmod.dihedral(3)
-    reps, cocycles = coh.cohomology_classes(quandle, Z2)
+    reps, cocycles = cohomology_classes(quandle, Z2)
     assert len(cocycles) == 4
     assert len(reps) == 1
     triv = coh.trivial_cocycle(quandle, Z2)
@@ -125,7 +168,7 @@ def test_dihedral3_z2_trilogy_counts():
 def test_class_count_equals_hom_count():
     for quandle, lam in ((qmod.dihedral(3), Z2), (qmod.dihedral(3), Z3),
                          (qmod.dihedral(3), Z4)):
-        reps, _ = coh.cohomology_classes(quandle, lam)
+        reps, _ = cohomology_classes(quandle, lam)
         ((_, count),) = coh.h2_with_coefficients(quandle, lam)
         assert len(reps) == count
 
@@ -137,12 +180,12 @@ def test_s4_quandle_has_two_classes_over_z2():
 
 def test_enumerate_cocycles_budget():
     with pytest.raises(BudgetExceeded):
-        coh.enumerate_cocycles(transposition_quandle(4), Z2, budget=1000)
+        enumerate_cocycles(transposition_quandle(4), Z2, budget=1000)
 
 
 def test_are_cohomologous_returns_valid_rescaling():
     quandle = qmod.dihedral(3)
-    _, cocycles = coh.cohomology_classes(quandle, Z2)
+    _, cocycles = cohomology_classes(quandle, Z2)
     triv = coh.trivial_cocycle(quandle, Z2)
     for f in cocycles:
         g = coh.are_cohomologous(f, triv, quandle, Z2)
@@ -199,7 +242,7 @@ def test_hom_extension_roundtrip():
 
 def test_equivalence_respects_cohomology_classes():
     quandle = qmod.dihedral(3)
-    _, cocycles = coh.cohomology_classes(quandle, Z3)
+    _, cocycles = cohomology_classes(quandle, Z3)
     exts = [coh.extension_from_cocycle(quandle, Z3, f) for f in cocycles]
     # every pair is cohomologous over D3/Z3 (one class), hence equivalent
     for other in exts[1:]:
@@ -217,7 +260,7 @@ def test_inequivalent_extensions_detected():
 def test_pullback_cocycle_naturality():
     d8, d4 = qmod.dihedral(8), qmod.dihedral(4)
     p = qmod.QuandleHom(d8, d4, tuple(a % 4 for a in range(8)))
-    _, cocycles = coh.cohomology_classes(d4, Z2)
+    _, cocycles = cohomology_classes(d4, Z2)
     for f in cocycles:
         back, coeffs = coh.pullback_cocycle(p, f, Z2)
         assert coh.is_cocycle(back, d8, coeffs)[0]

@@ -26,11 +26,6 @@ def test_inverse_word():
     assert fpgroup.normalize(w + fpgroup.inverse_word(w)) == ()
 
 
-def test_word_degree():
-    assert fpgroup.word_degree((1, 2, -3)) == 1
-    assert fpgroup.word_degree(()) == 0
-
-
 # ---------------------------------------------------------------------------
 # Todd-Coxeter; oracles are groups of known order
 

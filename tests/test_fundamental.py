@@ -4,6 +4,7 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
+from oracles import adjusted_deck_perm
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,23 @@ def test_certificate_counts_orbits_not_grading_classes():
     assert len(qmod.components(total)[0]) == 2
     with pytest.raises(InfiniteGroup):
         fund.adj0_enumeration(total, total.basepoints[0], budget=10**9)
+
+
+def test_pi1_presentation_stays_in_the_basepoint_orbit():
+    # one grading class holding two copies of dihedral(3): pi_1 at a
+    # point, and so H2, sees only the point's own copy
+    z2 = coh.Coeff.from_invariants([2])
+    base = qmod.dihedral(3)
+    total = coh.extension_from_cocycle(
+        base, z2, coh.trivial_cocycle(base, z2)).total
+    regraded = qmod.validate(total.op)
+    assert (total.component_count, regraded.component_count) == (1, 2)
+    for q in range(total.n):
+        assert (fund.pi1_presentation(total, q)
+                == fund.pi1_presentation(regraded, q))
+    q = total.basepoints[0]
+    assert coh.h2_integral(total) == [
+        coh.h2_integral(regraded)[regraded.grading[q]]]
 
 
 def test_corpus_pi1_pipelines_agree(corpus):
@@ -213,6 +231,27 @@ def test_deck_commutes_with_inner_action():
         for x in range(cover.cover.n):
             for b in range(cover.cover.n):
                 assert g[op[x][b]] == op[g[x]][b]
+
+
+def test_deck_elements_need_no_degree_adjustment(corpus):
+    # a word ending at q commutes with adj(q), so tracing it as it is
+    # gives the permutation of its degree-zero element
+    checked = nonzero_degree = 0
+    for name, quandle in corpus:
+        if len(qmod.components(quandle)[0]) > 1:
+            continue
+        q = quandle.basepoints[0]
+        table, ends = fund.adj0_enumeration(quandle, q, budget=20000)
+        stabilizer = [c for c in range(table.coset_count) if ends[c] == q]
+        deck = fund.deck_group(table, ends, q)
+        assert deck.elements == tuple(adjusted_deck_perm(table, q, c)
+                                      for c in stabilizer), name
+        nonzero_degree += sum(
+            1 for w in table.representative_word
+            if sum(1 if letter > 0 else -1 for letter in w))
+        checked += 1
+    assert checked >= 30
+    assert nonzero_degree > 0
 
 
 # ---------------------------------------------------------------------------
