@@ -259,104 +259,58 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
 
 
 def smith_normal_form(matrix):
-    """Smith normal form S = U*M*V with unimodular U, V.
+    """Nonzero diagonal entries d1 | d2 | ... of the Smith normal form.
 
-    S is diagonal with d1 | d2 | ..., all entries >= 0.  Exact big-int
-    arithmetic; pivots are chosen by minimal absolute value.
+    Exact big-int arithmetic; no unimodular transforms are kept.  Zero
+    rows are dropped first.  The entry of least absolute value is the
+    pivot; the other rows are reduced by its row, and once its column
+    is clear, its row by its column.  A remainder becomes the next,
+    smaller pivot; a clean pivot leaves the matrix with its row and
+    column.  The diagonal so found is then brought into a divisibility
+    chain by gcd/lcm pairs, as Z_a + Z_b = Z_gcd + Z_lcm.
     """
-    s = [list(row) for row in matrix]
-    rows = len(s)
-    cols = len(s[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in s:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # pivot: nonzero entry of minimal absolute value in the block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = abs(s[i][j])
-                if a and (best is None or a < best):
-                    best, pivot = a, (i, j)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            if s[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j]:
-                        dirty = True
-            if not dirty:
-                # force divisibility of the remaining block
-                bad = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if s[i][j] % s[t][t]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                row_op(t, bad, -1)  # pivot row absorbs the offending row
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    a = abs(s[i][j])
-                    if a and (best is None or a < best):
-                        best, pivot = a, (i, j)
-        t += 1
-    return s, u, v
+    rows = [list(row) for row in matrix if any(row)]
+    diagonal = []
+    while rows:
+        _, pi, pj = min((abs(a), i, j) for i, row in enumerate(rows)
+                        for j, a in enumerate(row) if a)
+        prow = rows[pi]
+        p = prow[pj]
+        clean = True
+        for row in rows:
+            if row is not prow and row[pj]:
+                q = row[pj] // p
+                row[:] = [a - q * b for a, b in zip(row, prow)]
+                clean = clean and not row[pj]
+        if clean:
+            # column pj is zero off the pivot: column operations touch
+            # the pivot row only
+            for j, a in enumerate(prow):
+                if a and j != pj:
+                    prow[j] = a % p
+                    clean = clean and not prow[j]
+        if clean:
+            diagonal.append(abs(p))
+            rows = [row[:pj] + row[pj + 1:] for row in rows
+                    if row is not prow]
+        rows = [row for row in rows if any(row)]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return diagonal
 
 
-def _snf_invariants_sparse(entries, nrows, ncols):
+def _snf_invariants_sparse(entries):
     """Invariant factors (nonzero, d1 | d2 | ...) of a sparse matrix.
 
-    entries is a dict (i, j) -> value.  Unit pivots are eliminated with
-    cheap sparse sweeps; whatever remains goes through the dense SNF.
-    Boundary matrices are nearly all +-1 so the dense leftover is tiny.
+    entries is a dict (i, j) -> value.  Unit pivots are eliminated by
+    sparse row operations.  A row whose one entry is +-1 goes first:
+    clearing its column kills one generator and creates no fill (an
+    abelian Tietze move).  Only when there is none does the pivot fall
+    back to the column with the fewest rows that holds a +-1, and within
+    it the shortest row.  Whatever has no unit left goes through the
+    dense smith_normal_form.
     """
     row_cols = {}
     col_rows = {}
@@ -364,58 +318,56 @@ def _snf_invariants_sparse(entries, nrows, ncols):
         if val:
             row_cols.setdefault(i, {})[j] = val
             col_rows.setdefault(j, set()).add(i)
+    singles = [i for i, cols in row_cols.items() if len(cols) == 1]
     ones = 0
     while True:
         pivot = None
-        for i in sorted(row_cols):
-            for j, val in row_cols[i].items():
+        while singles and pivot is None:
+            i = singles.pop()
+            if len(row_cols.get(i, ())) == 1:
+                (j, val), = row_cols[i].items()
                 if abs(val) == 1:
                     pivot = (i, j, val)
-                    break
-            if pivot:
-                break
         if pivot is None:
-            break
+            for j in sorted(col_rows, key=lambda j: (len(col_rows[j]), j)):
+                units = [(len(row_cols[i]), i, row_cols[i][j])
+                         for i in col_rows[j] if abs(row_cols[i][j]) == 1]
+                if units:
+                    _, i, val = min(units)
+                    pivot = (i, j, val)
+                    break
+            else:
+                break
         pi, pj, pval = pivot
-        prow = dict(row_cols[pi])
-        for i in list(col_rows.get(pj, ())):
-            if i == pi:
-                continue
+        prow = row_cols.pop(pi)
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in col_rows.pop(pj):
             q = row_cols[i][pj] * pval  # pval in {1,-1}: row_i -= q * prow
             target = row_cols[i]
             for j, val in prow.items():
                 newval = target.get(j, 0) - q * val
                 if newval:
                     target[j] = newval
-                    col_rows.setdefault(j, set()).add(i)
+                    col_rows[j].add(i)
                 elif j in target:
                     del target[j]
-                    col_rows[j].discard(i)
+                    if j != pj:
+                        col_rows[j].discard(i)
             if not target:
                 del row_cols[i]
+            elif len(target) == 1:
+                singles.append(i)
         for j in prow:
-            col_rows[j].discard(pi)
-            if not col_rows[j]:
+            if j != pj and not col_rows[j]:
                 del col_rows[j]
-        del row_cols[pi]
-        for i in list(col_rows.get(pj, ())):
-            del row_cols[i][pj]
-            if not row_cols[i]:
-                del row_cols[i]
-        col_rows.pop(pj, None)
         ones += 1
     factors = [1] * ones
     if row_cols:
-        rows_left = sorted(row_cols)
-        cols_left = sorted({j for cols in row_cols.values() for j in cols})
-        cindex = {j: k for k, j in enumerate(cols_left)}
-        dense = [[0] * len(cols_left) for _ in rows_left]
-        for k, i in enumerate(rows_left):
-            for j, val in row_cols[i].items():
-                dense[k][cindex[j]] = val
-        s, _, _ = smith_normal_form(dense)
-        factors.extend(s[k][k] for k in range(min(len(s), len(s[0]) if s else 0))
-                       if s[k][k])
+        cols_left = sorted(col_rows)
+        factors.extend(smith_normal_form(
+            [[row_cols[i].get(j, 0) for j in cols_left]
+             for i in sorted(row_cols)]))
     return factors
 
 
@@ -460,8 +412,7 @@ def abelian_invariants(presentation: Presentation) -> AbelianInvariants:
         for letter in r:
             j = abs(letter) - 1
             entries[(i, j)] = entries.get((i, j), 0) + (1 if letter > 0 else -1)
-    factors = _snf_invariants_sparse(entries, len(presentation.relators),
-                                     presentation.generator_count)
+    factors = _snf_invariants_sparse(entries)
     return invariants_from_factors(presentation.generator_count, factors)
 
 

@@ -158,27 +158,34 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     return table, tuple(endpoints)
 
 
-def _deck_perm(table: CosetTable, stab_coset: int):
-    """Left multiplication by a stabilizer coset's element g, as a
-    permutation of all cosets: <adj(q)> w goes to <adj(q)> g w.
-
-    g ends at the basepoint q, so it commutes with adj(q): a power of
-    adj(q) in front of g or of w leaves the coset unchanged, and no
-    degree adjustment is needed.
-    """
-    return tuple(table.trace(stab_coset, w)
-                 for w in table.representative_word)
-
-
 def deck_group(table: CosetTable, endpoints, basepoint: int) -> FiniteGroup:
     """pi_1 as a permutation group acting on the cosets from the left.
 
     Elements correspond to cosets whose endpoint is the basepoint,
     listed in coset order; the action is free, so it is faithful.
+    Stabilizer coset g acts as <adj(q)> w -> <adj(q)> g w: g ends at q,
+    so it commutes with adj(q) and no degree adjustment is needed.  The
+    cosets are visited along the Schreier tree of the representative
+    words, parents first: if coset d is c.x, g sends d to (g c).x, with
+    one table lookup per coset.
     """
+    words = table.representative_word
+    tree = []
+    for d in sorted(range(1, table.coset_count), key=lambda d: len(words[d])):
+        g = abs(words[d][-1]) - 1
+        step, back = table.action[g], table.action_inv[g]
+        if words[d][-1] < 0:
+            step, back = back, step
+        tree.append((d, back[d], step))
     stabilizer = [c for c in range(table.coset_count)
                   if endpoints[c] == basepoint]
-    perms = tuple(_deck_perm(table, c) for c in stabilizer)
+    perms = []
+    for s in stabilizer:
+        perm = [s] * table.coset_count
+        for d, c, step in tree:
+            perm[d] = step[perm[c]]
+        perms.append(tuple(perm))
+    perms = tuple(perms)
     identity_index = stabilizer.index(0)
     return FiniteGroup(degree=table.coset_count, elements=perms,
                        generators=perms, identity_index=identity_index)

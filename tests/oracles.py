@@ -1,8 +1,8 @@
 """Second, independent computations of what the package computes one
 way: brute-force versions of the checks it makes on a generating set,
-H2 from the path 2-complex, the brute-force route to |H^2|, and the
-degree-adjusted deck permutations.  The tests compare the package's
-answers against them."""
+the Smith normal form with its unimodular transforms, H2 from the path
+2-complex, the brute-force route to |H^2|, and the degree-adjusted deck
+permutations.  The tests compare the package's answers against them."""
 
 from itertools import product
 
@@ -91,6 +91,100 @@ def full_adjoint_presentation(quandle):
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
 
 
+def smith_normal_form_with_transforms(matrix):
+    """Smith normal form S = U*M*V with unimodular U, V, tracked
+    through every row and column operation.
+
+    S is diagonal with d1 | d2 | ..., all entries >= 0.  Exact big-int
+    arithmetic; pivots are chosen by minimal absolute value.
+    """
+    s = [list(row) for row in matrix]
+    rows = len(s)
+    cols = len(s[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in s:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(i):
+        s[i] = [-a for a in s[i]]
+        u[i] = [-a for a in u[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        # pivot: nonzero entry of minimal absolute value in the block
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = abs(s[i][j])
+                if a and (best is None or a < best):
+                    best, pivot = a, (i, j)
+        if pivot is None:
+            break
+        while True:
+            i, j = pivot
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            if s[t][t] < 0:
+                negate_row(t)
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    row_op(i, t, q)
+                    if s[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    col_op(j, t, q)
+                    if s[t][j]:
+                        dirty = True
+            if not dirty:
+                # force divisibility of the remaining block
+                bad = None
+                for i in range(t + 1, rows):
+                    for j in range(t + 1, cols):
+                        if s[i][j] % s[t][t]:
+                            bad = i
+                            break
+                    if bad is not None:
+                        break
+                if bad is None:
+                    break
+                row_op(t, bad, -1)  # pivot row absorbs the offending row
+            pivot = None
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    a = abs(s[i][j])
+                    if a and (best is None or a < best):
+                        best, pivot = a, (i, j)
+        t += 1
+    return s, u, v
+
+
 def path_complex_h2(op, grading):
     """H2 per grading class, as H1 of the path 2-complex.
 
@@ -114,7 +208,7 @@ def path_complex_h2(op, grading):
         for col, cell in enumerate(cells):
             for sign, e in cell:
                 d2[(row[e], col)] = d2.get((row[e], col), 0) + sign
-        factors = fpgroup._snf_invariants_sparse(d2, len(edges), len(cells))
+        factors = fpgroup._snf_invariants_sparse(d2)
         rank_d2 = len([d for d in factors if d])
         out.append(fpgroup.AbelianInvariants(
             free_rank=len(edges) - (len(members) - 1) - rank_d2,

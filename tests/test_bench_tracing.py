@@ -3,9 +3,11 @@ checks fail when a rename or deletion in the package would break it."""
 
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 from quandelier import cli
+from conftest import transposition_quandle
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,3 +27,23 @@ def test_every_traced_function_exists():
 
 def test_traced_commands_match_the_command_table():
     assert set(_tracing().COMMAND_SPANS) == set(cli.COMMANDS)
+
+
+def test_traced_counters_read_the_snf_arguments(tmp_path):
+    # the tracer's counters read the first argument of the sparse and
+    # the dense SNF: the (i, j) -> value dict and the list of rows
+    path = tmp_path / "s4.txt"
+    text = io.StringIO()
+    cli.emit_quandle(transposition_quandle(4), text)
+    path.write_text(text.getvalue())
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.run(["h2", str(path)], out=io.StringIO(),
+                       err=io.StringIO())
+    finally:
+        tracer.remove()
+    assert code == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["fpgroup.snf_nnz"] > 0
+    assert metrics["fpgroup.snf_dense_cells"] > 0

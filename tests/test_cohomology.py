@@ -91,13 +91,20 @@ def test_h2_matches_hurewicz_on_small_cases():
     for quandle in (qmod.dihedral(4), qmod.trivial(3), qmod.q_mn(2, 1)):
         assert coh.h2_integral(quandle) == path_complex_h2(
             quandle.op, quandle.grading)
-    # components with different H2: each must be read at its own
-    # basepoint
+    # components with different H2, which the corpus lacks: each must
+    # be read at its own basepoint
     quandle = _disjoint_union(transposition_quandle(4), qmod.dihedral(3))
-    h2 = coh.h2_integral(quandle)
-    assert h2 == [fpgroup.AbelianInvariants(free_rank=1, torsion=(2,)),
-                  fpgroup.AbelianInvariants(free_rank=1, torsion=())]
-    assert h2 == path_complex_h2(quandle.op, quandle.grading)
+    assert coh.h2_integral(quandle) == [
+        fpgroup.AbelianInvariants(free_rank=1, torsion=(2,)),
+        fpgroup.AbelianInvariants(free_rank=1, torsion=())]
+    for first, second in ((transposition_quandle(4), qmod.dihedral(3)),
+                          (transposition_quandle(4), qmod.dihedral(5)),
+                          (qmod.q_mn(2, 2), qmod.dihedral(5)),
+                          (qmod.dihedral(5), qmod.q_mn(2, 2))):
+        quandle = _disjoint_union(first, second)
+        h2 = coh.h2_integral(quandle)
+        assert len(set(h2)) > 1
+        assert h2 == path_complex_h2(quandle.op, quandle.grading)
 
 
 def test_h2_and_pi1_order_survive_relabelling(corpus):

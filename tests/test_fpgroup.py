@@ -7,7 +7,8 @@ from quandelier import fpgroup, quandle as qmod
 from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
 from conftest import cyclic_group
-from oracles import full_adjoint_presentation
+from oracles import (full_adjoint_presentation,
+                     smith_normal_form_with_transforms)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,8 @@ def test_representative_words_reach_their_cosets():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form; the oracle is the gcd-of-minors formula
+# Smith normal form; the oracles are the gcd-of-minors formula and the
+# Smith normal form with its unimodular transforms
 
 
 def _minor_gcd_invariants(matrix):
@@ -116,8 +118,33 @@ def _minor_gcd_invariants(matrix):
 
 
 def test_snf_known_example():
-    s, u, v = fpgroup.smith_normal_form([[6, 4], [0, 4]])
+    assert fpgroup.smith_normal_form([[6, 4], [0, 4]]) == [2, 12]
+    s, u, v = smith_normal_form_with_transforms([[6, 4], [0, 4]])
     assert (s[0][0], s[1][1]) == (2, 12)
+
+
+def _check_transforms(m):
+    """The oracle's nonzero diagonal, after checking U*M*V == S, S
+    diagonal and nonnegative, and the divisibility chain."""
+    rows, cols = len(m), len(m[0])
+    s, u, v = smith_normal_form_with_transforms(m)
+    # u * m * v == s, exactly
+    um = [[sum(u[i][k] * m[k][j] for k in range(rows))
+           for j in range(cols)] for i in range(rows)]
+    umv = [[sum(um[i][k] * v[k][j] for k in range(cols))
+            for j in range(cols)] for i in range(rows)]
+    assert umv == [list(r) for r in s]
+    # diagonal, nonnegative, divisibility chain
+    diag = [s[i][i] for i in range(min(rows, cols))]
+    for i in range(rows):
+        for j in range(cols):
+            if i != j:
+                assert s[i][j] == 0
+    nonzero = [d for d in diag if d]
+    assert all(d > 0 for d in nonzero)
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    return nonzero
 
 
 def test_snf_transform_roundtrip_random():
@@ -126,25 +153,10 @@ def test_snf_transform_roundtrip_random():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        s, u, v = fpgroup.smith_normal_form(m)
-        # u * m * v == s, exactly
-        um = [[sum(u[i][k] * m[k][j] for k in range(rows))
-               for j in range(cols)] for i in range(rows)]
-        umv = [[sum(um[i][k] * v[k][j] for k in range(cols))
-                for j in range(cols)] for i in range(rows)]
-        assert umv == [list(r) for r in s]
-        # diagonal, nonnegative, divisibility chain
-        diag = [s[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert s[i][j] == 0
-        nonzero = [d for d in diag if d]
-        assert all(d > 0 for d in nonzero)
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
+        nonzero = _check_transforms(m)
         # agree with the independent minor-gcd computation
         assert nonzero == _minor_gcd_invariants(m)
+        assert fpgroup.smith_normal_form(m) == nonzero
 
 
 def test_snf_sparse_agrees_with_dense():
@@ -156,8 +168,59 @@ def test_snf_sparse_agrees_with_dense():
              for _ in range(rows)]
         entries = {(i, j): m[i][j] for i in range(rows)
                    for j in range(cols) if m[i][j]}
-        sparse = fpgroup._snf_invariants_sparse(entries, rows, cols)
+        sparse = fpgroup._snf_invariants_sparse(entries)
         assert list(sparse) == _minor_gcd_invariants(m)
+
+
+def test_snf_pivot_paths(monkeypatch):
+    # sparse integer matrices up to 30x30 (a third up to 5x5), mostly
+    # +-1 with some 2, 3 and 6, against the transform-tracking oracle
+    # and, up to 5x5, the minor gcds; every pivot path must be reached
+    dense_shapes = []
+    dense = fpgroup.smith_normal_form
+
+    def recording(matrix):
+        dense_shapes.append((len(matrix), len(matrix[0])))
+        return dense(matrix)
+
+    monkeypatch.setattr(fpgroup, "smith_normal_form", recording)
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(("single", "fallback", "no unit", "zero row",
+                          "wide remainder", "minors"), 0)
+    for k in range(300):
+        size = 5 if k % 3 == 0 else 30
+        rows, cols = rng.randint(1, size), rng.randint(1, size)
+        units = 0.0 if k % 5 == 0 else rng.choice((0.5, 0.8, 0.95))
+        density = rng.uniform(0.05, 0.3)
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            if rng.random() < 0.1:
+                continue  # zero row
+            for j in range(cols):
+                if rng.random() < density:
+                    row[j] = (rng.choice((1, -1)) if rng.random() < units
+                              else rng.choice((2, 3, 6)) * rng.choice((1, -1)))
+        nonzero = [[a for a in row if a] for row in m]
+        unit_rows = [[abs(a) == 1 for a in row] for row in nonzero]
+        if any(flags == [True] for flags in unit_rows):
+            seen["single"] += 1
+        elif any(any(flags) for flags in unit_rows):
+            seen["fallback"] += 1  # the first pivot is the fallback
+        elif any(nonzero):
+            seen["no unit"] += 1
+        seen["zero row"] += any(not row for row in nonzero)
+
+        want = _check_transforms(m)
+        entries = {(i, j): m[i][j] for i in range(rows)
+                   for j in range(cols) if m[i][j]}
+        dense_shapes.clear()
+        assert fpgroup._snf_invariants_sparse(entries) == want, m
+        seen["wide remainder"] += any(c > 1 for _, c in dense_shapes)
+        assert dense(m) == want, m
+        if rows <= 5 and cols <= 5:
+            seen["minors"] += 1
+            assert want == _minor_gcd_invariants(m), m
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
