@@ -111,11 +111,13 @@ def graded_coefficients(quandle: FiniteQuandle, coeff):
 def h2_integral(quandle: FiniteQuandle):
     """H2 per component, as the abelianised fundamental group.
 
-    The spanning-tree presentation of pi_1(Q, q) is the quotient of the
-    component's path 2-complex by a tree, so its abelianisation is the
-    complex's first homology: H2 of the component (Hurewicz).  A
-    grading class that merges several components reports the one of
-    its basepoint.
+    The spanning-tree presentation of pi_1(Q, q) is the component's
+    2-complex on the generating set S modulo a tree, so its
+    abelianisation is H2 of the component (Hurewicz).  The squares on
+    S are the lifts of the adjoint relators on S, which already present
+    Adj(Q), so this complex has the pi_1, and the H1, of the full path
+    complex with its n^3 squares.  A grading class that merges several
+    components reports the one of its basepoint.
     """
     return [fpgroup.abelian_invariants(
                 fundamental.pi1_presentation(quandle, q))
@@ -440,54 +442,33 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, homs,
     return f
 
 
-def extension_from_hom(quandle: FiniteQuandle, coeffs, homs,
-                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
-                       ) -> Extension:
-    """Extension classified by per-component homomorphisms pi_1 -> Lambda."""
-    coeffs = graded_coefficients(quandle, coeffs)
-    return extension_from_cocycle(
-        quandle, coeffs, cocycle_from_hom(quandle, coeffs, homs,
-                                          budget=budget))
-
-
 def hom_from_extension(ext: Extension,
                        budget: int = fpgroup.DEFAULT_COSET_BUDGET):
     """Monodromy of an extension as per-component maps pi_1 -> Lambda.
 
     Returns one list per component, aligned with the deck-element order
     of the base's universal cover; entry k is the Lambda element by
-    which the k-th pi_1 element shifts the basepoint lift.
+    which the k-th pi_1 element shifts the basepoint's least lift, the
+    fibre's first element.
     """
-    base = ext.projection.target
     out = []
-    for i, q in enumerate(base.basepoints):
-        lam = ext.coeffs[i]
-        table, ends = fundamental.adj0_enumeration(base, q, budget=budget)
-        stabilizer = [c for c in range(table.coset_count) if ends[c] == q]
-        lift = min(ext.projection.fibre(q))
-        images = []
-        for c in stabilizer:
-            moved = fundamental.right_action_on_cover(
-                ext.projection, lift, table.representative_word[c])
-            found = None
-            for k in range(lam.order):
-                if ext.action[i][k][lift] == moved:
-                    found = k
-                    break
-            if found is None:
-                raise AssertionError("monodromy left the fibre")
-            images.append(found)
-        out.append(images)
+    for i, q in enumerate(ext.projection.target.basepoints):
+        _, fibre, perms = fundamental.monodromy(ext.projection, q,
+                                                budget=budget)
+        shift = {ext.action[i][k][fibre[0]]: k
+                 for k in range(ext.coeffs[i].order)}
+        out.append([shift[fibre[perm[0]]] for perm in perms])
     return out
 
 
 def are_equivalent_extensions(e1: Extension, e2: Extension,
                               budget: int = DEFAULT_SEARCH_BUDGET):
-    """Search for a projection-respecting equivariant isomorphism.
+    """A projection-respecting equivariant isomorphism, or None.
 
-    Fixing the image of one basepoint lift per component determines the
-    whole map by equivariant propagation, so the search is linear in
-    |Lambda| per component.  Returns the mapping tuple or None.
+    Two extensions are equivalent exactly when their cocycles, read off
+    the least-element sections s1 and s2, are cohomologous.  A rescaling
+    g with f1(a,b) = g(a)^-1 f2(a,b) g(a*b) gives the isomorphism
+    lambda s1(a) -> lambda g(a)^-1 s2(a).  Returns the mapping tuple.
     """
     base = e1.projection.target
     if e2.projection.target.op != base.op:
@@ -497,68 +478,20 @@ def are_equivalent_extensions(e1: Extension, e2: Extension,
         raise ValueError("extensions must share their coefficient groups")
     if e1.total.n != e2.total.n:
         return None
-    phi = [None] * e1.total.n
-    steps = 0
-    for i, q in enumerate(base.basepoints):
-        lam = e1.coeffs[i]
-        members = base.component_elements(i)
-        s1 = min(e1.projection.fibre(q))
-        lift2 = {}  # base element -> one chosen e2 preimage
-        for x in range(e2.total.n):
-            lift2.setdefault(e2.projection.map[x], x)
-        lift1 = {}
-        for x in range(e1.total.n):
-            lift1.setdefault(e1.projection.map[x], x)
-        matched = False
-        for mu in e2.projection.fibre(q):
-            assign = {q: (s1, mu)}  # base elt -> (anchor in e1, image)
-            queue = [q]
-            consistent = True
-            while queue and consistent:
-                a = queue.pop(0)
-                x1, x2 = assign[a]
-                for b in range(base.n):
-                    steps += 1
-                    if steps > budget:
-                        raise BudgetExceeded(steps, "equivalence search")
-                    c = base.op[a][b]
-                    y1 = e1.total.op[x1][lift1[b]]
-                    y2 = e2.total.op[x2][lift2[b]]
-                    if c not in assign:
-                        assign[c] = (y1, y2)
-                        queue.append(c)
-                    else:
-                        z1, z2 = assign[c]
-                        # compare via the free Lambda shift from z1 to y1
-                        k = None
-                        for kk in range(lam.order):
-                            if e1.action[i][kk][z1] == y1:
-                                k = kk
-                                break
-                        if k is None or e2.action[i][k][z2] != y2:
-                            consistent = False
-                            break
-            if consistent and len(assign) == len(members):
-                for a in members:
-                    x1, x2 = assign[a]
-                    for k in range(lam.order):
-                        phi[e1.action[i][k][x1]] = e2.action[i][k][x2]
-                matched = True
-                break
-        if not matched:
-            return None
-    mapping = tuple(phi)
-    # final global verification of the candidate
-    if any(v is None for v in mapping):
+    g = are_cohomologous(cocycle_from_extension(e1),
+                         cocycle_from_extension(e2), base, e1.coeffs,
+                         budget=budget)
+    if g is None:
         return None
-    for x in range(e1.total.n):
-        if e2.projection.map[mapping[x]] != e1.projection.map[x]:
-            return None
-        for y in range(e1.total.n):
-            if mapping[e1.total.op[x][y]] != \
-                    e2.total.op[mapping[x]][mapping[y]]:
-                return None
-    return mapping
+    phi = [None] * e1.total.n
+    for a in range(base.n):
+        i = base.grading[a]
+        lam = e1.coeffs[i]
+        s1, s2 = min(e1.projection.fibre(a)), min(e2.projection.fibre(a))
+        g_inv = lam.inv(g[a])
+        for k in range(lam.order):
+            phi[e1.action[i][k][s1]] = e2.action[i][lam.mul(k, g_inv)][s2]
+    return tuple(phi)
 
 
 def pullback_cocycle(f_hom: QuandleHom, f, coeffs):

@@ -1,10 +1,14 @@
 """Fundamental groups and coverings of finite quandles.
 
-pi_1 has a spanning-tree presentation read off the path 2-complex,
-whose abelianisation is H2, and a finite model: the stabilizer of the
-basepoint inside the coset enumeration of the adjoint group modulo the
-basepoint generator, which acts as the deck group of the universal
-cover.
+pi_1 has a spanning-tree presentation read off a 2-complex on the
+quandle, whose abelianisation is H2, and a finite model: the
+stabilizer of the basepoint inside the coset enumeration of the
+adjoint group modulo the basepoint generator, which acts as the deck
+group of the universal cover.  The complex has one vertex per element,
+one edge per pair and a 2-cell for each loop (a, a) and each square
+(a, b, s) with s in the generating set S: these are the lifts of the
+relators of the adjoint presentation on S, which presents Adj(Q) as
+the full n^3 squares do, so both complexes have the same pi_1.
 """
 
 from dataclasses import dataclass
@@ -17,95 +21,69 @@ from .quandle import FiniteQuandle, QuandleHom
 
 
 # ---------------------------------------------------------------------------
-# the path 2-complex
+# the 2-complex on the generating set
 
 
-@dataclass(frozen=True)
-class PathComplex:
-    """2-complex with one vertex per element and one edge per pair.
+def build_complex(quandle: FiniteQuandle) -> tuple:
+    """Boundary words of the 2-cells, n + n(n-1)|S| of them.
 
-    Edge (a, b) runs from a to a*b and is numbered a*n + b.  Each cell
-    is stored as its boundary word: a tuple of signed 1-based edge
-    numbers forming a closed edge path.  H1 cells kill the loops (a, a);
-    H3 cells glue the two ways around the self-distributivity square.
+    Edge (a, b) runs from a to a*b and is numbered a*n + b; a word is a
+    tuple of signed 1-based edge numbers forming a closed edge path.
+    The loops (a, a) come first, then the squares
+    (a,b) (a*b,s) (a*s,b*s)^-1 (a,s)^-1 for s in S and b != s (b = s
+    reduces to the empty word).
     """
-
-    quandle: FiniteQuandle
-    edge_src: tuple
-    edge_tgt: tuple
-    cells_h1: tuple
-    cells_h3: tuple
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_src)
-
-
-def build_complex(quandle: FiniteQuandle) -> PathComplex:
     n = quandle.n
     op = quandle.op
-
-    def edge(a, b):
-        return a * n + b
-
-    src = tuple(a for a in range(n) for _ in range(n))
-    tgt = tuple(op[a][b] for a in range(n) for b in range(n))
-    h1 = tuple((edge(a, a) + 1,) for a in range(n))
-    h3 = []
+    cells = [(a * n + a + 1,) for a in range(n)]
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                h3.append((edge(a, b) + 1,
-                           edge(op[a][b], c) + 1,
-                           -(edge(op[a][c], op[b][c]) + 1),
-                           -(edge(a, c) + 1)))
-    return PathComplex(quandle=quandle, edge_src=src, edge_tgt=tgt,
-                       cells_h1=h1, cells_h3=tuple(h3))
+            for s in quandle.generators:
+                if b != s:
+                    cells.append((a * n + b + 1, op[a][b] * n + s + 1,
+                                  -(op[a][s] * n + op[b][s] + 1),
+                                  -(a * n + s + 1)))
+    return tuple(cells)
 
 
 def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
     """Spanning-tree presentation of pi_1 at the basepoint.
 
-    BFS over edges in index order builds the tree inside the
-    basepoint's connected component, the orbit of the right
-    translations (which a coarse grading may merge with others);
-    non-tree edges become generators and cell boundaries become
-    relators, free-reduced and deduplicated.
+    A BFS over the vertices, following each vertex's edges in and out
+    through the op and inv_op rows, builds the tree and reaches the
+    basepoint's connected component: the orbit of the right
+    translations, which a coarse grading may merge with others.  The
+    component's non-tree edges become generators and the boundaries of
+    its cells relators, free-reduced and deduplicated.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    complex_ = build_complex(quandle)
-    _, orbit_of = qmod.components(quandle)
-    comp = orbit_of[basepoint]
-    src, tgt = complex_.edge_src, complex_.edge_tgt
-    comp_edges = [e for e in range(len(src)) if orbit_of[src[e]] == comp]
-
+    n, op, inv_op = quandle.n, quandle.op, quandle.inv_op
     in_tree = set()
     visited = {basepoint}
     frontier = [basepoint]
     while frontier:
         nxt = []
         for v in frontier:
-            for e in comp_edges:
-                if src[e] == v and tgt[e] not in visited:
-                    visited.add(tgt[e])
-                    in_tree.add(e)
-                    nxt.append(tgt[e])
-                elif tgt[e] == v and src[e] not in visited:
-                    visited.add(src[e])
-                    in_tree.add(e)
-                    nxt.append(src[e])
+            for b in range(n):
+                for e, w in ((v * n + b, op[v][b]),
+                             (inv_op[v][b] * n + b, inv_op[v][b])):
+                    if w not in visited:
+                        visited.add(w)
+                        in_tree.add(e)
+                        nxt.append(w)
         frontier = nxt
 
     gen_of_edge = {}
-    for e in comp_edges:
-        if e not in in_tree:
-            gen_of_edge[e] = len(gen_of_edge) + 1
+    for a in sorted(visited):
+        for e in range(a * n, a * n + n):
+            if e not in in_tree:
+                gen_of_edge[e] = len(gen_of_edge) + 1
 
     relators = []
     seen = set()
-    for word in complex_.cells_h1 + complex_.cells_h3:
-        if orbit_of[src[abs(word[0]) - 1]] != comp:
+    for word in build_complex(quandle):
+        if (abs(word[0]) - 1) // n not in visited:
             continue
         letters = []
         for signed in word:

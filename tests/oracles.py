@@ -1,8 +1,9 @@
 """Second, independent computations of what the package computes one
 way: brute-force versions of the checks it makes on a generating set,
-the Smith normal form with its unimodular transforms, H2 from the path
-2-complex, the brute-force route to |H^2|, and the degree-adjusted deck
-permutations.  The tests compare the package's answers against them."""
+the Smith normal form with its unimodular transforms, the full path
+2-complex and H2 from it, the brute-force route to |H^2|, the
+degree-adjusted deck permutations and the search for an equivalence of
+extensions.  The tests compare the package's answers against them."""
 
 from itertools import product
 
@@ -185,33 +186,50 @@ def smith_normal_form_with_transforms(matrix):
     return s, u, v
 
 
+def path_complex_cells(op):
+    """The 2-cells of the full path complex as boundary words: the n
+    loops (a, a), then all n^3 squares (a,b) (a*b,c) (a*c,b*c)^-1
+    (a,c)^-1.  Edge (a, b) runs from a to a*b; a word holds signed
+    1-based edge numbers a*n + b + 1."""
+    n = len(op)
+
+    def edge(a, b):
+        return a * n + b + 1
+
+    cells = [(edge(a, a),) for a in range(n)]
+    cells += [(edge(a, b), edge(op[a][b], c), -edge(op[a][c], op[b][c]),
+               -edge(a, c))
+              for a in range(n) for b in range(n) for c in range(n)]
+    return cells
+
+
 def path_complex_h2(op, grading):
     """H2 per grading class, as H1 of the path 2-complex.
 
-    Vertices are the elements of the class, edge (a, b) runs from a to
-    a*b, and the 2-cells are the loops (a, a) and the squares
-    (a,b) (a*b,c) (a*c,b*c)^-1 (a,c)^-1.  The classes must be the
-    connected components, so the rank of d1 is the class size minus
+    Vertices are the elements of the class, edges the pairs starting
+    there and 2-cells those of path_complex_cells.  The classes must be
+    the connected components, so the rank of d1 is the class size minus
     one; d2 goes through Smith normal form.
     """
     n = len(op)
+    cells = path_complex_cells(op)
     out = []
     for comp in range(max(grading) + 1):
         members = [a for a in range(n) if grading[a] == comp]
-        edges = [(a, b) for a in members for b in range(n)]
-        row = {e: k for k, e in enumerate(edges)}
-        cells = [((1, (a, a)),) for a in members]
-        cells += [((1, (a, b)), (1, (op[a][b], c)),
-                   (-1, (op[a][c], op[b][c])), (-1, (a, c)))
-                  for a in members for b in range(n) for c in range(n)]
+        row = {a * n + b: k
+               for k, (a, b) in enumerate((a, b) for a in members
+                                          for b in range(n))}
         d2 = {}
         for col, cell in enumerate(cells):
-            for sign, e in cell:
-                d2[(row[e], col)] = d2.get((row[e], col), 0) + sign
+            if grading[(abs(cell[0]) - 1) // n] != comp:
+                continue
+            for signed in cell:
+                key = (row[abs(signed) - 1], col)
+                d2[key] = d2.get(key, 0) + (1 if signed > 0 else -1)
         factors = fpgroup._snf_invariants_sparse(d2)
         rank_d2 = len([d for d in factors if d])
         out.append(fpgroup.AbelianInvariants(
-            free_rank=len(edges) - (len(members) - 1) - rank_d2,
+            free_rank=len(row) - (len(members) - 1) - rank_d2,
             torsion=tuple(d for d in factors if d >= 2)))
     return out
 
@@ -261,3 +279,66 @@ def adjusted_deck_perm(table, basepoint, stab_coset):
 
     return tuple(table.trace(stab_coset, degree_zero(w))
                  for w in table.representative_word)
+
+
+def equivalence_by_propagation(e1, e2, budget=1_000_000):
+    """A projection-respecting equivariant isomorphism e1 -> e2, or None,
+    by search: fixing the image of one basepoint lift per component
+    determines the whole map by equivariant propagation, so each of the
+    |Lambda| images of the lift is tried.  The candidate is checked on
+    every pair."""
+    base = e1.projection.target
+    phi = [None] * e1.total.n
+    lift1, lift2 = {}, {}  # base element -> one chosen preimage
+    for x in range(e1.total.n):
+        lift1.setdefault(e1.projection.map[x], x)
+    for x in range(e2.total.n):
+        lift2.setdefault(e2.projection.map[x], x)
+    steps = 0
+    for i, q in enumerate(base.basepoints):
+        lam = e1.coeffs[i]
+        members = base.component_elements(i)
+        s1 = min(e1.projection.fibre(q))
+        matched = False
+        for mu in e2.projection.fibre(q):
+            assign = {q: (s1, mu)}  # base element -> (anchor in e1, image)
+            queue = [q]
+            consistent = True
+            while queue and consistent:
+                a = queue.pop(0)
+                x1, x2 = assign[a]
+                for b in range(base.n):
+                    steps += 1
+                    if steps > budget:
+                        raise BudgetExceeded(steps, "equivalence search")
+                    c = base.op[a][b]
+                    y1 = e1.total.op[x1][lift1[b]]
+                    y2 = e2.total.op[x2][lift2[b]]
+                    if c not in assign:
+                        assign[c] = (y1, y2)
+                        queue.append(c)
+                        continue
+                    # compare via the free Lambda shift from z1 to y1
+                    z1, z2 = assign[c]
+                    shift = next((k for k in range(lam.order)
+                                  if e1.action[i][k][z1] == y1), None)
+                    if shift is None or e2.action[i][shift][z2] != y2:
+                        consistent = False
+                        break
+            if consistent and len(assign) == len(members):
+                for x1, x2 in assign.values():
+                    for k in range(lam.order):
+                        phi[e1.action[i][k][x1]] = e2.action[i][k][x2]
+                matched = True
+                break
+        if not matched:
+            return None
+    if None in phi:
+        return None
+    for x in range(e1.total.n):
+        if e2.projection.map[phi[x]] != e1.projection.map[x]:
+            return None
+        for y in range(e1.total.n):
+            if phi[e1.total.op[x][y]] != e2.total.op[phi[x]][phi[y]]:
+                return None
+    return tuple(phi)

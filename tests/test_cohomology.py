@@ -5,8 +5,9 @@ import pytest
 from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import BudgetExceeded
-from conftest import transposition_quandle
-from oracles import cohomology_classes, enumerate_cocycles, path_complex_h2
+from conftest import symmetric_group, transposition_quandle
+from oracles import (cohomology_classes, enumerate_cocycles,
+                     equivalence_by_propagation, path_complex_h2)
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -55,7 +56,7 @@ def test_coeff_nonabelian_table():
 
 
 def test_h2_trivial_for_odd_dihedral():
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 91):
         (inv,) = coh.h2_integral(qmod.dihedral(n))
         assert inv.free_rank == 0
         assert inv.torsion == ()
@@ -88,7 +89,8 @@ def _disjoint_union(first, second):
 
 def test_h2_matches_hurewicz_on_small_cases():
     # criterion 4 makes the same comparison over the whole corpus
-    for quandle in (qmod.dihedral(4), qmod.trivial(3), qmod.q_mn(2, 1)):
+    for quandle in (qmod.dihedral(4), qmod.trivial(3), qmod.q_mn(2, 1),
+                    transposition_quandle(6)):
         assert coh.h2_integral(quandle) == path_complex_h2(
             quandle.op, quandle.grading)
     # components with different H2, which the corpus lacks: each must
@@ -262,6 +264,107 @@ def test_inequivalent_extensions_detected():
     e0 = coh.extension_from_cocycle(quandle, Z2,
                                     coh.trivial_cocycle(quandle, Z2))
     assert coh.are_equivalent_extensions(e0, e1) is None
+
+
+def _is_equivalence(mapping, e1, e2):
+    """A bijection over the base that respects the operation and the
+    Lambda action."""
+    n = e1.total.n
+    if sorted(mapping) != list(range(n)):
+        return False
+    if any(e2.projection.map[mapping[x]] != e1.projection.map[x]
+           for x in range(n)):
+        return False
+    if any(mapping[e1.total.op[x][y]] != e2.total.op[mapping[x]][mapping[y]]
+           for x in range(n) for y in range(n)):
+        return False
+    return all(mapping[perm[x]] == e2.action[i][k][mapping[x]]
+               for i, perms in enumerate(e1.action)
+               for k, perm in enumerate(perms) for x in range(n))
+
+
+def _compare_equivalence_searches(pairs):
+    """The class computation and the propagation search agree, and
+    each map they return is an equivalence; returns the verdicts."""
+    verdicts = []
+    for e1, e2 in pairs:
+        found = coh.are_equivalent_extensions(e1, e2)
+        searched = equivalence_by_propagation(e1, e2)
+        assert (found is None) == (searched is None)
+        for mapping in (found, searched):
+            if mapping is not None:
+                assert _is_equivalence(mapping, e1, e2)
+        verdicts.append(found is not None)
+    return verdicts
+
+
+def _rescaled(quandle, lam, f, g):
+    """The cocycle g(a) f(a,b) g(a*b)^-1, cohomologous to f."""
+    return coh.Cocycle2(tuple(
+        tuple(lam.mul(lam.mul(g[a], f[a, b]),
+                      lam.inv(g[quandle.op[a][b]]))
+              for b in range(quandle.n))
+        for a in range(quandle.n)))
+
+
+def test_equivalence_matches_the_propagation_search(corpus):
+    # criterion 5 inputs: each cocycle against each class
+    # representative, exactly one pair equivalent
+    checked = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        for lam in (Z2, Z3, Z4):
+            if lam.order ** (quandle.n * quandle.n - quandle.n) > 1 << 14:
+                continue
+            reps, cocycles = cohomology_classes(quandle, lam)
+            exts = [coh.extension_from_cocycle(quandle, lam, f)
+                    for f in reps]
+            for f in cocycles:
+                ext = coh.extension_from_cocycle(quandle, lam, f)
+                verdicts = _compare_equivalence_searches(
+                    [(ext, e) for e in exts])
+                assert verdicts.count(True) == 1, name
+            checked += 1
+    assert checked >= 3
+
+    # criterion 7 inputs: the two homs pi_1 = Z2 -> Z2 of the S4
+    # transposition quandle, each also with a rescaled cocycle
+    quandle = transposition_quandle(4)
+    deck = fund.universal_cover(quandle).deck
+    exts = []
+    for image in range(2):
+        hom = [0 if k == deck.identity_index else image
+               for k in range(deck.order)]
+        f = coh.cocycle_from_hom(quandle, Z2, [hom])
+        exts.append(coh.extension_from_cocycle(quandle, Z2, f))
+        exts.append(coh.extension_from_cocycle(
+            quandle, Z2, _rescaled(quandle, Z2, f, (1, 0, 0, 1, 1, 0))))
+    verdicts = _compare_equivalence_searches(
+        [(e1, e2) for e1 in exts for e2 in exts])
+    assert verdicts == [i // 2 == j // 2 for i in range(4) for j in range(4)]
+
+    # non-abelian coefficients: pi_1 = Z2 sent to a transposition of
+    # S3; conjugate homs and a rescaled cocycle give equivalent
+    # extensions, the trivial hom not
+    group = symmetric_group(3)
+    s3 = coh.Coeff.from_table(
+        [[group.mul_idx(i, j) for j in range(6)] for i in range(6)],
+        group.identity_index)
+    e = s3.identity
+    involutions = [x for x in range(6) if x != e and s3.mul(x, x) == e]
+    cocycles = []
+    for image in [e] + involutions[:2]:
+        hom = [e if k == deck.identity_index else image
+               for k in range(deck.order)]
+        cocycles.append(coh.cocycle_from_hom(quandle, s3, [hom]))
+    g = tuple(involutions[0] if a % 2 else e for a in range(quandle.n))
+    cocycles.append(_rescaled(quandle, s3, cocycles[1], g))
+    exts = [coh.extension_from_cocycle(quandle, s3, f) for f in cocycles]
+    verdicts = _compare_equivalence_searches(
+        [(exts[0], exts[1]), (exts[1], exts[2]), (exts[1], exts[3]),
+         (exts[2], exts[3]), (exts[0], exts[0])])
+    assert verdicts == [False, True, True, True, True]
 
 
 def test_pullback_cocycle_naturality():

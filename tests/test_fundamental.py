@@ -4,47 +4,40 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
-from oracles import adjusted_deck_perm
+from oracles import adjusted_deck_perm, path_complex_cells
 
 
 # ---------------------------------------------------------------------------
-# the path complex
+# the 2-complex on the generating set, and the full path complex
 
 
 def test_complex_counts():
     quandle = qmod.dihedral(3)
-    complex_ = fund.build_complex(quandle)
-    assert complex_.edge_count == 9
-    assert len(complex_.cells_h1) == 3
-    assert len(complex_.cells_h3) == 27
-
-
-def test_edges_follow_the_operation():
-    quandle = qmod.dihedral(4)
-    complex_ = fund.build_complex(quandle)
-    for a in range(4):
-        for b in range(4):
-            e = a * 4 + b
-            assert complex_.edge_src[e] == a
-            assert complex_.edge_tgt[e] == quandle.op[a][b]
+    assert len(quandle.generators) == 2
+    # the full complex: 3 loops and 27 squares
+    assert len(path_complex_cells(quandle.op)) == 3 + 27
+    # the complex on S: n + n(n-1)|S| cells
+    assert len(fund.build_complex(quandle)) == 3 + 3 * 2 * 2 == 15
 
 
 def test_cell_boundaries_are_closed_loops():
-    # each 2-cell boundary word traces back to its starting vertex
-    quandle = qmod.dihedral(5)
-    complex_ = fund.build_complex(quandle)
-    for word in complex_.cells_h1 + complex_.cells_h3:
-        start = complex_.edge_src[abs(word[0]) - 1]
-        at = start
-        for signed in word:
-            e = abs(signed) - 1
-            if signed > 0:
-                assert complex_.edge_src[e] == at
-                at = complex_.edge_tgt[e]
-            else:
-                assert complex_.edge_tgt[e] == at
-                at = complex_.edge_src[e]
-        assert at == start
+    # each 2-cell boundary word traces back to its starting vertex;
+    # edge e runs from e // n to (e // n) * (e % n)
+    for quandle in (qmod.dihedral(5), transposition_quandle(4)):
+        n, op = quandle.n, quandle.op
+        for cells in (path_complex_cells(op), fund.build_complex(quandle)):
+            for word in cells:
+                start = at = (abs(word[0]) - 1) // n
+                for signed in word:
+                    e = abs(signed) - 1
+                    src, tgt = e // n, op[e // n][e % n]
+                    if signed > 0:
+                        assert src == at
+                        at = tgt
+                    else:
+                        assert tgt == at
+                        at = src
+                assert at == start
 
 
 # ---------------------------------------------------------------------------
