@@ -6,7 +6,7 @@ H^2 with (possibly non-abelian, graded) coefficients is handled through
 coverings and with homomorphisms out of the fundamental group.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import fpgroup, fundamental, quandle as qmod
@@ -27,13 +27,19 @@ class Coeff:
 
     Abelian groups built from invariant factors carry labels that are
     exponent tuples; table groups label elements by index.  Identity is
-    always element 0 for invariant-factor groups.
+    always element 0 for invariant-factor groups.  inverses[a] is the
+    inverse of a, read off the table once.
     """
 
     table: tuple
     identity: int
     labels: tuple
     invariants: tuple  # () for non-abelian table groups
+    inverses: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inverses", tuple(
+            row.index(self.identity) for row in self.table))
 
     @classmethod
     def from_invariants(cls, factors):
@@ -82,10 +88,7 @@ class Coeff:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == self.identity:
-                return b
-        raise AssertionError("no inverse found")
+        return self.inverses[a]
 
     def abelian_invariants(self) -> AbelianInvariants:
         if not self.invariants:

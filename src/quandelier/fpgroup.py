@@ -47,28 +47,60 @@ class Presentation:
                     raise ValueError(f"letter {letter} out of range")
 
 
-def adjoint_presentation(quandle) -> Presentation:
-    """Presentation of the adjoint group of a finite quandle.
+def adjoint_words(quandle):
+    """A word over the generating set S for each element's generator.
 
-    One generator per element; one relator per pair (a, b) with a != b
-    and b in the generating set S, forcing conjugation by b to send a
-    to a*b: n*|S| relators, not n(n-1).  S suffices, as conjugation by
-    c*d = d^-1 c d then acts as rho_d rho_c rho_d^-1 = rho_{c*d} (Q3).
-    The diagonal pair reduces to the empty word and is omitted;
-    duplicate relators after free reduction are removed.
+    Letter k is e_s for s = S[k-1].  A BFS from S, in order, along the
+    right translations x -> x*s with s in S reaches every element, as S
+    generates Q; each element x*s it reaches first gets the free
+    reduction of w_{x*s} = s^-1 w_x s, as e_{x*s} = e_s^-1 e_x e_s in
+    Adj(Q).  Returns (words, tree): words[x] is w_x, and tree lists the
+    definitions (x*s, x, s) in BFS order.
     """
-    n = quandle.n
+    op = quandle.op
+    words = [None] * quandle.n
+    for k, s in enumerate(quandle.generators, 1):
+        words[s] = (k,)
+    tree = []
+    frontier = list(quandle.generators)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for k, s in enumerate(quandle.generators, 1):
+                y = op[x][s]
+                if words[y] is None:
+                    words[y] = normalize((-k,) + words[x] + (k,))
+                    tree.append((y, x, s))
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(words), tuple(tree)
+
+
+def adjoint_presentation(quandle) -> Presentation:
+    """Presentation of the adjoint group of a finite quandle on S.
+
+    Adj(Q) is presented by one generator e_x per element and the
+    relators e_s^-1 e_a e_s e_{a*s}^-1 for a in Q and s in the
+    generating set S: conjugation by c*d = d^-1 c d acts as
+    rho_d rho_c rho_d^-1 = rho_{c*d} (Q3), so the pairs with s in S
+    suffice.  Tietze moves then eliminate every e_x with x not in S by
+    its word w_x from adjoint_words.  What is left has |S| generators
+    and the relators s^-1 w_a s w_{a*s}^-1, free-reduced and
+    deduplicated; the pairs used as definitions, and a = s, reduce to
+    the empty word and are omitted.
+    """
+    words, _ = adjoint_words(quandle)
     relators = []
     seen = set()
-    for a in range(n):
-        for b in quandle.generators:
-            if a == b:
-                continue
-            w = normalize((-(b + 1), a + 1, b + 1, -(quandle.op[a][b] + 1)))
+    for a in range(quandle.n):
+        for k, s in enumerate(quandle.generators, 1):
+            w = normalize((-k,) + words[a] + (k,)
+                          + inverse_word(words[quandle.op[a][s]]))
             if w and w not in seen:
                 seen.add(w)
                 relators.append(w)
-    return Presentation(generator_count=n, relators=tuple(relators))
+    return Presentation(generator_count=len(quandle.generators),
+                        relators=tuple(relators))
 
 
 @dataclass(frozen=True)
@@ -105,27 +137,35 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
     Cosets are numbered in definition order and relators scanned in a
     fixed order, so the result is deterministic.  Raises BudgetExceeded
     with the live-coset count if the table grows past the budget.
+
+    The table is stored by column: table[x][c] is coset c times column
+    x, where column 2g is generator g and 2g + 1 its inverse, and all
+    columns grow together by doubling.  Each relator is resolved once
+    to the columns its letters read forwards and backwards.  A relator
+    whose forward scan already closes at a coset is passed over
+    without the full scan, which would change nothing there.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     ngens = presentation.generator_count
     ncols = 2 * ngens
-
-    def col(letter):
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
-
-    def inv_col(c):
-        return c ^ 1
-
-    relator_cols = [tuple(col(letter) for letter in r)
-                    for r in presentation.relators]
-    subgroup_cols = [tuple(col(letter) for letter in w)
-                     for w in subgroup_generators]
-
-    table = [[None] * ncols]
+    table = [[None] for _ in range(ncols)]
+    capacity = 1
+    size = 1  # cosets defined, dead ones included
     parent = [0]
     live = 1
+
+    def scans(words):
+        out = []
+        for w in words:
+            cols = tuple(2 * (abs(letter) - 1) + (letter < 0)
+                         for letter in w)
+            out.append((cols, tuple(table[x] for x in cols),
+                        tuple(table[x ^ 1] for x in cols)))
+        return out
+
+    relator_scans = scans(presentation.relators)
+    subgroup_scans = scans(subgroup_generators)
 
     def rep(c):
         r = c
@@ -136,15 +176,19 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
         return r
 
     def define(alpha, x):
-        nonlocal live
+        nonlocal live, size, capacity
         if live >= budget:
             raise BudgetExceeded(live, "coset enumeration")
-        beta = len(table)
-        table.append([None] * ncols)
+        beta = size
+        if beta == capacity:
+            for column in table:
+                column.extend([None] * capacity)
+            capacity *= 2
+        size += 1
         parent.append(beta)
         live += 1
-        table[alpha][x] = beta
-        table[beta][inv_col(x)] = alpha
+        table[x][alpha] = beta
+        table[x ^ 1][beta] = alpha
         return beta
 
     def merge(a, b, queue):
@@ -158,78 +202,87 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
         live -= 1
         queue.append(b)
 
+    pairs = [(table[x], table[x ^ 1]) for x in range(ncols)]
+
     def coincidence(a, b):
         queue = []
         merge(a, b, queue)
-        while queue:
-            gamma = queue.pop(0)
-            for x in range(ncols):
-                delta = table[gamma][x]
+        head = 0
+        while head < len(queue):
+            gamma = queue[head]
+            head += 1
+            for column, back in pairs:
+                delta = column[gamma]
                 if delta is None:
                     continue
-                table[delta][inv_col(x)] = None
+                back[delta] = None
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][inv_col(x)] is not None:
-                    merge(mu, table[nu][inv_col(x)], queue)
+                if column[mu] is not None:
+                    merge(nu, column[mu], queue)
+                elif back[nu] is not None:
+                    merge(mu, back[nu], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][inv_col(x)] = mu
+                    column[mu] = nu
+                    back[nu] = mu
 
-    def scan_and_fill(alpha, cols):
-        if not cols:
-            return
+    def scan_and_fill(alpha, cols, forward, backward):
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
+            while i <= j and forward[i][f] is not None:
+                f = forward[i][f]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][inv_col(cols[j])] is not None:
-                b = table[b][inv_col(cols[j])]
+            while j >= i and backward[j][b] is not None:
+                b = backward[j][b]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][cols[i]] = b
-                table[b][inv_col(cols[i])] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
             define(f, cols[i])
 
-    for w in subgroup_cols:
-        scan_and_fill(0, w)
+    for cols, forward, backward in subgroup_scans:
+        scan_and_fill(0, cols, forward, backward)
     alpha = 0
-    while alpha < len(table):
-        if rep(alpha) != alpha:
+    while alpha < size:
+        if parent[alpha] != alpha:
             alpha += 1
             continue
-        for r in relator_cols:
-            scan_and_fill(alpha, r)
-            if rep(alpha) != alpha:
+        for cols, forward, backward in relator_scans:
+            f = alpha
+            try:
+                for column in forward:
+                    f = column[f]
+            except TypeError:  # a list indexed by None: a gap
+                pass
+            else:
+                if f == alpha:
+                    continue
+            scan_and_fill(alpha, cols, forward, backward)
+            if parent[alpha] != alpha:
                 break
-        if rep(alpha) == alpha:
+        if parent[alpha] == alpha:
             for x in range(ncols):
-                if table[alpha][x] is None:
+                if table[x][alpha] is None:
                     define(alpha, x)
         alpha += 1
 
     # compact to live cosets, keeping definition order
-    old_live = [c for c in range(len(table)) if rep(c) == c]
-    renumber = {c: i for i, c in enumerate(old_live)}
+    old_live = [c for c in range(size) if parent[c] == c]
+    renumber = [None] * size
+    for i, c in enumerate(old_live):
+        renumber[c] = i
     n = len(old_live)
-    action = [[None] * n for _ in range(ngens)]
-    action_inv = [[None] * n for _ in range(ngens)]
-    for c in old_live:
-        i = renumber[c]
-        for g in range(ngens):
-            action[g][i] = renumber[rep(table[c][2 * g])]
-            action_inv[g][i] = renumber[rep(table[c][2 * g + 1])]
+    columns = [tuple(renumber[rep(column[c])] for c in old_live)
+               for column in table]
+    action, action_inv = columns[0::2], columns[1::2]
 
     # Schreier representative words by BFS over generators in order
     reps = [None] * n
@@ -249,8 +302,7 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
         raise AssertionError("coset table is not transitive")
 
     return CosetTable(generator_count=ngens, coset_count=n,
-                      action=tuple(tuple(row) for row in action),
-                      action_inv=tuple(tuple(row) for row in action_inv),
+                      action=tuple(action), action_inv=tuple(action_inv),
                       representative_word=tuple(reps))
 
 

@@ -24,19 +24,20 @@ from .quandle import FiniteQuandle, QuandleHom
 # the 2-complex on the generating set
 
 
-def build_complex(quandle: FiniteQuandle) -> tuple:
-    """Boundary words of the 2-cells, n + n(n-1)|S| of them.
+def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
+    """Boundary words of the 2-cells at the given vertices, n + n(n-1)|S|
+    of them for the whole quandle.
 
     Edge (a, b) runs from a to a*b and is numbered a*n + b; a word is a
     tuple of signed 1-based edge numbers forming a closed edge path.
     The loops (a, a) come first, then the squares
     (a,b) (a*b,s) (a*s,b*s)^-1 (a,s)^-1 for s in S and b != s (b = s
-    reduces to the empty word).
+    reduces to the empty word), each in the order of the vertices.
     """
     n = quandle.n
     op = quandle.op
-    cells = [(a * n + a + 1,) for a in range(n)]
-    for a in range(n):
+    cells = [(a * n + a + 1,) for a in vertices]
+    for a in vertices:
         for b in range(n):
             for s in quandle.generators:
                 if b != s:
@@ -54,7 +55,8 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
     basepoint's connected component: the orbit of the right
     translations, which a coarse grading may merge with others.  The
     component's non-tree edges become generators and the boundaries of
-    its cells relators, free-reduced and deduplicated.
+    its cells, the only ones built, relators, free-reduced and
+    deduplicated.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -82,9 +84,7 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
 
     relators = []
     seen = set()
-    for word in build_complex(quandle):
-        if (abs(word[0]) - 1) // n not in visited:
-            continue
+    for word in build_complex(quandle, sorted(visited)):
         letters = []
         for signed in word:
             e = abs(signed) - 1
@@ -110,8 +110,15 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
 
     Each coset holds exactly one degree-zero element, so the table is a
     faithful model of the degree-zero subgroup with its right action.
-    endpoint[c] is the image of the basepoint under the representative
-    word, traced through the right translations.
+    The enumeration runs on the |S| generators of
+    fpgroup.adjoint_presentation, modulo the word w_q, so the budget
+    counts the live cosets of that enumeration.  The table is then
+    filled in for every other element in BFS order of its definition
+    x = y*s, by c.e_x = ((c.e_s^-1).e_y).e_s, one lookup per coset.
+    The returned table has one generator per element, and its
+    representative words are written in element letters.  endpoint[c]
+    is the image of the basepoint under the representative word,
+    traced through the right translations.
 
     H1(Q) is free abelian on the components, so with k >= 2 of them the
     cosets map onto Z^(k-1): InfiniteGroup is raised before anything is
@@ -125,9 +132,27 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     if len(parts) > 1:
         raise InfiniteGroup(len(parts))
     pres = fpgroup.adjoint_presentation(quandle)
-    table = fpgroup.todd_coxeter(pres, [(basepoint + 1,)], budget=budget)
+    words, tree = fpgroup.adjoint_words(quandle)
+    small = fpgroup.todd_coxeter(pres, [words[basepoint]], budget=budget)
+    gens = quandle.generators
+    action = [None] * quandle.n
+    action_inv = [None] * quandle.n
+    for s, step, back in zip(gens, small.action, small.action_inv):
+        action[s], action_inv[s] = step, back
+    for x, y, s in tree:  # e_x = e_s^-1 e_y e_s
+        step, back = action[s], action_inv[s]
+        action[x] = tuple(map(step.__getitem__,
+                              map(action[y].__getitem__, back)))
+        action_inv[x] = tuple(map(step.__getitem__,
+                                  map(action_inv[y].__getitem__, back)))
+    letters = [None] + [s + 1 for s in gens]
+    reps = tuple(tuple(letters[k] if k > 0 else -letters[-k] for k in word)
+                 for word in small.representative_word)
+    table = CosetTable(generator_count=quandle.n,
+                       coset_count=small.coset_count, action=tuple(action),
+                       action_inv=tuple(action_inv), representative_word=reps)
     endpoints = []
-    for word in table.representative_word:
+    for word in reps:
         x = basepoint
         for letter in word:
             g = abs(letter) - 1
@@ -196,15 +221,16 @@ def universal_cover(quandle: FiniteQuandle,
     """Build the universal covering on pairs (endpoint, coset).
 
     The operation (a,g)*(b,h) = (a*b, g adj(a)^-1 adj(b)) becomes right
-    multiplication in the coset table.  Raises InfiniteGroup for a
+    multiplication in the coset table.  A word g ending at a has
+    adj(a) = g^-1 adj(q) g, which fixes the coset <adj(q)> g, so cell
+    (c, d) is coset c times adj(ends[d]).  Raises InfiniteGroup for a
     disconnected quandle and BudgetExceeded when the degree-zero
     subgroup is too large.
     """
     q = quandle.basepoints[0]
     table, ends = adj0_enumeration(quandle, q, budget=budget)
     step = tuple(zip(*table.action))  # step[c][g]: coset c times gen g
-    cover = qmod.validate([[step[table.action_inv[e][c]][d] for d in ends]
-                           for c, e in enumerate(ends)])
+    cover = qmod.validate([[row[e] for e in ends] for row in step])
     return UniversalCover(base=quandle, cover=cover,
                           projection=QuandleHom(cover, quandle, ends),
                           table=table, endpoints=ends,
@@ -271,10 +297,13 @@ def _cover_lift_tables(p: QuandleHom):
     return chosen
 
 
-def right_action_on_cover(p: QuandleHom, element: int, word) -> int:
+def right_action_on_cover(p: QuandleHom, element: int, word,
+                          lifts=None) -> int:
     """Apply an adjoint word (letters name base elements) to a cover
-    element; well defined because p is a covering."""
-    lifts = _cover_lift_tables(p)
+    element; well defined because p is a covering.  lifts is
+    _cover_lift_tables(p), built here unless given."""
+    if lifts is None:
+        lifts = _cover_lift_tables(p)
     x = element
     for letter in word:
         b = lifts[abs(letter) - 1]
@@ -362,13 +391,10 @@ def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
                 orbit_of[d] = rep
         orbit_reps.sort()
         idx = {rep: i for i, rep in enumerate(orbit_reps)}
-        rows = []
-        for c in orbit_reps:
-            row = []
-            for d in orbit_reps:
-                word = (-(ends[c] + 1), ends[d] + 1)
-                row.append(idx[orbit_of[table.trace(c, word)]])
-            rows.append(row)
+        # cell (c, d) is coset c times adj(ends[d]), as in the
+        # universal cover
+        rows = [[idx[orbit_of[table.action[ends[d]][c]]] for d in orbit_reps]
+                for c in orbit_reps]
         total = qmod.validate(rows)
         proj = QuandleHom(total, quandle,
                           tuple(ends[rep] for rep in orbit_reps))
@@ -395,9 +421,10 @@ def monodromy(p: QuandleHom, basepoint: int,
                   if ends[c] == basepoint]
     fibre = p.fibre(basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
+    lifts = _cover_lift_tables(p)
     perms = []
     for c in stabilizer:
         word = table.representative_word[c]
-        images = tuple(pos[right_action_on_cover(p, x, word)] for x in fibre)
-        perms.append(images)
+        perms.append(tuple(pos[right_action_on_cover(p, x, word, lifts)]
+                           for x in fibre))
     return deck, fibre, tuple(perms)

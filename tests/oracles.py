@@ -1,9 +1,10 @@
 """Second, independent computations of what the package computes one
 way: brute-force versions of the checks it makes on a generating set,
-the Smith normal form with its unimodular transforms, the full path
-2-complex and H2 from it, the brute-force route to |H^2|, the
-degree-adjusted deck permutations and the search for an equivalence of
-extensions.  The tests compare the package's answers against them."""
+the Todd-Coxeter kernel as first written, the Smith normal form with
+its unimodular transforms, the full path 2-complex and H2 from it, the
+brute-force route to |H^2|, the degree-adjusted deck permutations and
+the search for an equivalence of extensions.  The tests compare the
+package's answers against them."""
 
 from itertools import product
 
@@ -90,6 +91,165 @@ def full_adjoint_presentation(quandle):
                 seen.add(w)
                 relators.append(w)
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
+
+
+def todd_coxeter_reference(presentation, subgroup_generators=(),
+                           budget=fpgroup.DEFAULT_COSET_BUDGET):
+    """HLT coset enumeration with immediate coincidence processing, as
+    the package ran it on row-major rows before its kernel was tightened.
+
+    Enumerates the cosets of the subgroup generated by the given words.
+    Cosets are numbered in definition order and relators scanned in a
+    fixed order, so the result is deterministic.  Raises BudgetExceeded
+    with the live-coset count if the table grows past the budget.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    ngens = presentation.generator_count
+    ncols = 2 * ngens
+
+    def col(letter):
+        g = abs(letter) - 1
+        return 2 * g if letter > 0 else 2 * g + 1
+
+    def inv_col(c):
+        return c ^ 1
+
+    relator_cols = [tuple(col(letter) for letter in r)
+                    for r in presentation.relators]
+    subgroup_cols = [tuple(col(letter) for letter in w)
+                     for w in subgroup_generators]
+
+    table = [[None] * ncols]
+    parent = [0]
+    live = 1
+
+    def rep(c):
+        r = c
+        while parent[r] != r:
+            r = parent[r]
+        while parent[c] != r:
+            parent[c], c = r, parent[c]
+        return r
+
+    def define(alpha, x):
+        nonlocal live
+        if live >= budget:
+            raise BudgetExceeded(live, "coset enumeration")
+        beta = len(table)
+        table.append([None] * ncols)
+        parent.append(beta)
+        live += 1
+        table[alpha][x] = beta
+        table[beta][inv_col(x)] = alpha
+        return beta
+
+    def merge(a, b, queue):
+        nonlocal live
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        live -= 1
+        queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        while queue:
+            gamma = queue.pop(0)
+            for x in range(ncols):
+                delta = table[gamma][x]
+                if delta is None:
+                    continue
+                table[delta][inv_col(x)] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][inv_col(x)] is not None:
+                    merge(mu, table[nu][inv_col(x)], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][inv_col(x)] = mu
+
+    def scan_and_fill(alpha, cols):
+        if not cols:
+            return
+        f, i = alpha, 0
+        b, j = alpha, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][inv_col(cols[j])] is not None:
+                b = table[b][inv_col(cols[j])]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][inv_col(cols[i])] = f
+                return
+            define(f, cols[i])
+
+    for w in subgroup_cols:
+        scan_and_fill(0, w)
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) != alpha:
+            alpha += 1
+            continue
+        for r in relator_cols:
+            scan_and_fill(alpha, r)
+            if rep(alpha) != alpha:
+                break
+        if rep(alpha) == alpha:
+            for x in range(ncols):
+                if table[alpha][x] is None:
+                    define(alpha, x)
+        alpha += 1
+
+    # compact to live cosets, keeping definition order
+    old_live = [c for c in range(len(table)) if rep(c) == c]
+    renumber = {c: i for i, c in enumerate(old_live)}
+    n = len(old_live)
+    action = [[None] * n for _ in range(ngens)]
+    action_inv = [[None] * n for _ in range(ngens)]
+    for c in old_live:
+        i = renumber[c]
+        for g in range(ngens):
+            action[g][i] = renumber[rep(table[c][2 * g])]
+            action_inv[g][i] = renumber[rep(table[c][2 * g + 1])]
+
+    # Schreier representative words by BFS over generators in order
+    reps = [None] * n
+    reps[0] = ()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in range(ngens):
+                for letter, d in ((g + 1, action[g][c]),
+                                  (-(g + 1), action_inv[g][c])):
+                    if reps[d] is None:
+                        reps[d] = reps[c] + (letter,)
+                        nxt.append(d)
+        frontier = nxt
+    if any(r is None for r in reps):
+        raise AssertionError("coset table is not transitive")
+
+    return fpgroup.CosetTable(
+        generator_count=ngens, coset_count=n,
+        action=tuple(tuple(row) for row in action),
+        action_inv=tuple(tuple(row) for row in action_inv),
+        representative_word=tuple(reps))
 
 
 def smith_normal_form_with_transforms(matrix):

@@ -49,6 +49,10 @@ def test_coeff_nonabelian_table():
     assert not s3.abelian
     with pytest.raises(ValueError):
         s3.abelian_invariants()
+    # the inverses read off once agree with group inversion
+    for a in range(6):
+        assert s3.inv(a) == group.inv_idx(a)
+        assert s3.mul(a, s3.inv(a)) == s3.identity
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
 from conftest import cyclic_group
 from oracles import (full_adjoint_presentation,
-                     smith_normal_form_with_transforms)
+                     smith_normal_form_with_transforms,
+                     todd_coxeter_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +283,31 @@ def test_enumerate_homs_matches_count():
 
 def test_adjoint_presentation_shape():
     quandle = qmod.dihedral(3)
-    pres = fpgroup.adjoint_presentation(quandle)
-    assert pres.generator_count == 3
-    # one relator per pair (a, b) with b in the generating set, a != b
     assert quandle.generators == (0, 1)
-    assert len(pres.relators) == 3 * 2 - 2
-    # modding out <x_0> leaves index |Adj degree-zero| = 3 for D3
-    table = fpgroup.todd_coxeter(pres, [(1,)])
+    words, tree = fpgroup.adjoint_words(quandle)
+    # e_2 = e_1^-1 e_0 e_1, as 0*1 = 2
+    assert words == ((1,), (2,), (-2, 1, 2))
+    assert tree == ((2, 0, 1),)
+    pres = fpgroup.adjoint_presentation(quandle)
+    assert pres.generator_count == 2
+    # one relator per pair (a, s) with s in S, less the pairs a = s and
+    # the definition: n*|S| - |S| - (n - |S|) = 3*2 - 2 - 1
+    assert len(pres.relators) == 3
+    # modding out <e_0> leaves index |Adj degree-zero| = 3 for D3
+    table = fpgroup.todd_coxeter(pres, [words[0]])
     assert table.coset_count == 3
 
 
+def _element_letters(quandle, word):
+    """A word over S rewritten in element letters."""
+    return tuple(quandle.generators[abs(k) - 1] + 1 if k > 0
+                 else -(quandle.generators[abs(k) - 1] + 1) for k in word)
+
+
 def test_adjoint_presentation_matches_the_full_one(corpus):
-    # the relators for b in the generating set present the same group
-    # as all n(n-1) of them: same index of <x_q> on every connected
+    # the presentation on S presents the group of all n(n-1) relators:
+    # each e_x equals its word w_x and each relator on S holds in the
+    # full group, and the index of <e_q> is the same on every connected
     # corpus quandle
     connected = 0
     for name, quandle in corpus:
@@ -302,11 +315,72 @@ def test_adjoint_presentation_matches_the_full_one(corpus):
             continue
         connected += 1
         pres = fpgroup.adjoint_presentation(quandle)
+        words, _ = fpgroup.adjoint_words(quandle)
         full = full_adjoint_presentation(quandle)
-        assert set(pres.relators) <= set(full.relators), name
-        assert len(pres.relators) <= quandle.n * len(quandle.generators)
-        q = quandle.basepoints[0] + 1
-        small = fpgroup.todd_coxeter(pres, [(q,)], budget=20000)
-        large = fpgroup.todd_coxeter(full, [(q,)], budget=20000)
+        assert pres.generator_count == len(quandle.generators), name
+        assert len(pres.relators) <= quandle.n * (len(quandle.generators)
+                                                  - 1)
+        q = quandle.basepoints[0]
+        small = fpgroup.todd_coxeter(pres, [words[q]], budget=20000)
+        large = todd_coxeter_reference(full, [(q + 1,)], budget=20000)
         assert small.coset_count == large.coset_count, name
+        for c in range(large.coset_count):
+            for x in range(quandle.n):
+                assert (large.trace(c, (x + 1,))
+                        == large.trace(c, _element_letters(quandle,
+                                                           words[x]))), name
+            for r in pres.relators:
+                assert large.trace(c, _element_letters(quandle, r)) == c
     assert connected >= 30
+
+
+def _outcome(enumerate_, presentation, subgroup, budget):
+    try:
+        return enumerate_(presentation, subgroup, budget=budget)
+    except BudgetExceeded as exc:
+        return ("budget", exc.reached, exc.what)
+
+
+def _same_as_reference(presentation, subgroup, budget):
+    got = _outcome(fpgroup.todd_coxeter, presentation, subgroup, budget)
+    want = _outcome(todd_coxeter_reference, presentation, subgroup, budget)
+    assert got == want
+    return got
+
+
+def test_todd_coxeter_matches_the_reference_on_small_groups():
+    quaternion = Presentation(
+        generator_count=2,
+        relators=((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
+    cyclic = Presentation(generator_count=1, relators=((1,) * 12,))
+    free = Presentation(generator_count=2, relators=())
+    for pres, subgroup in ((S3_PRESENTATION, []), (S3_PRESENTATION, [(1,)]),
+                           (cyclic, []), (cyclic, [(1, 1, 1)]),
+                           (quaternion, []), (quaternion, [(1, 1)])):
+        for budget in (3000, 20000):
+            assert not isinstance(
+                _same_as_reference(pres, subgroup, budget), tuple)
+    for budget in (1, 100, 3000):
+        assert _same_as_reference(free, [], budget) == (
+            "budget", budget, "coset enumeration")
+
+
+def test_todd_coxeter_matches_the_reference_on_adjoint_groups(corpus):
+    # the same CosetTable, or the same BudgetExceeded, on the full and
+    # the S-only adjoint presentations modulo the basepoint generator.
+    # Every corpus quandle runs at budget 3000; at 20000 the connected
+    # ones and two disconnected ones do, as each disconnected input
+    # runs to the budget and all of them would take some 40 s
+    hits = 0
+    for name, quandle in corpus:
+        q = quandle.basepoints[0]
+        words, _ = fpgroup.adjoint_words(quandle)
+        budgets = ((3000, 20000) if quandle.is_connected()
+                   or name in ("trivial(2)", "dihedral(4)") else (3000,))
+        for pres, subgroup in (
+                (full_adjoint_presentation(quandle), [(q + 1,)]),
+                (fpgroup.adjoint_presentation(quandle), [words[q]])):
+            for budget in budgets:
+                got = _same_as_reference(pres, subgroup, budget)
+                hits += isinstance(got, tuple)
+    assert hits >= 2 * 51 + 2 * 2

@@ -4,7 +4,8 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
-from oracles import adjusted_deck_perm, path_complex_cells
+from oracles import (adjusted_deck_perm, full_adjoint_presentation,
+                     path_complex_cells, todd_coxeter_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -17,7 +18,7 @@ def test_complex_counts():
     # the full complex: 3 loops and 27 squares
     assert len(path_complex_cells(quandle.op)) == 3 + 27
     # the complex on S: n + n(n-1)|S| cells
-    assert len(fund.build_complex(quandle)) == 3 + 3 * 2 * 2 == 15
+    assert len(fund.build_complex(quandle, range(3))) == 3 + 3 * 2 * 2 == 15
 
 
 def test_cell_boundaries_are_closed_loops():
@@ -25,7 +26,8 @@ def test_cell_boundaries_are_closed_loops():
     # edge e runs from e // n to (e // n) * (e % n)
     for quandle in (qmod.dihedral(5), transposition_quandle(4)):
         n, op = quandle.n, quandle.op
-        for cells in (path_complex_cells(op), fund.build_complex(quandle)):
+        for cells in (path_complex_cells(op),
+                      fund.build_complex(quandle, range(n))):
             for word in cells:
                 start = at = (abs(word[0]) - 1) // n
                 for signed in word:
@@ -100,6 +102,27 @@ def test_certificate_counts_orbits_not_grading_classes():
         fund.adj0_enumeration(total, total.basepoints[0], budget=10**9)
 
 
+def test_pi1_presentation_builds_only_its_component(monkeypatch):
+    # h2_integral reads one presentation per component; each builds the
+    # cells of its own component, so every cell is built once
+    built = []
+    build = fund.build_complex
+
+    def recording(*args, **kwargs):
+        cells = build(*args, **kwargs)
+        built.extend(cells)
+        return cells
+
+    monkeypatch.setattr(fund, "build_complex", recording)
+    quandle = qmod.trivial(30)
+    h2 = coh.h2_integral(quandle)
+    assert len(h2) == 30
+    n = quandle.n
+    loops = sorted((abs(w[0]) - 1) // n for w in built if len(w) == 1)
+    assert loops == list(range(n))
+    assert sorted(built) == sorted(build(quandle, range(n)))
+
+
 def test_pi1_presentation_stays_in_the_basepoint_orbit():
     # one grading class holding two copies of dihedral(3): pi_1 at a
     # point, and so H2, sees only the point's own copy
@@ -133,6 +156,35 @@ def test_corpus_pi1_pipelines_agree(corpus):
         assert fg.order is not None, name
         table = fpgroup.todd_coxeter(fg.presentation, [], budget=20000)
         assert table.coset_count == fg.order, name
+    assert connected >= 30
+
+
+def test_expanded_table_is_the_full_adjoint_table(corpus):
+    # the enumeration on S, filled in for every element, satisfies every
+    # relator of the full adjoint presentation and has its index
+    connected = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        connected += 1
+        q = quandle.basepoints[0]
+        table, ends = fund.adj0_enumeration(quandle, q, budget=20000)
+        full = full_adjoint_presentation(quandle)
+        assert table.generator_count == quandle.n
+        assert table.coset_count == todd_coxeter_reference(
+            full, [(q + 1,)], budget=20000).coset_count, name
+        # e_q fixes coset 0, and e_a every coset ending at a
+        assert table.apply_letter(0, q + 1) == 0
+        for c, a in enumerate(ends):
+            assert table.action[a][c] == c, name
+        for x in range(quandle.n):
+            assert sorted(table.action[x]) == list(range(table.coset_count))
+            for c in range(table.coset_count):
+                assert table.action_inv[x][table.action[x][c]] == c
+        for c in range(table.coset_count):
+            assert table.trace(0, table.representative_word[c]) == c, name
+            for r in full.relators:
+                assert table.trace(c, r) == c, name
     assert connected >= 30
 
 
@@ -335,3 +387,50 @@ def test_monodromy_of_trivial_covering_is_trivial():
     deck, fibre, perms = fund.monodromy(qmod.identity_hom(quandle), 0)
     assert fibre == (0,)
     assert set(perms) == {(0,)}
+
+
+def test_monodromy_is_unchanged_on_corpus_covers(corpus, monkeypatch):
+    # the universal cover and every census covering of each connected
+    # corpus quandle: the lifts are chosen once per call, and the
+    # permutations are those of lifting each letter to its last
+    # preimage instead of its first, one cover element at a time
+    lift_calls = []
+    lift_tables = fund._cover_lift_tables
+
+    def counted(p):
+        lift_calls.append(p)
+        return lift_tables(p)
+
+    monkeypatch.setattr(fund, "_cover_lift_tables", counted)
+    checked = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        q = quandle.basepoints[0]
+        coverings = [fund.universal_cover(quandle).projection]
+        coverings += [p for _, p in
+                      fund.enumerate_connected_coverings(quandle, q)]
+        table, ends = fund.adj0_enumeration(quandle, q)
+        stabilizer = [w for w, e in zip(table.representative_word, ends)
+                      if e == q]
+        for p in coverings:
+            last = {p.map[x]: x for x in range(p.source.n)}
+            fibre = p.fibre(q)
+            pos = {x: i for i, x in enumerate(fibre)}
+            want = []
+            for word in stabilizer:
+                images = []
+                for x in fibre:
+                    for letter in word:
+                        b = last[abs(letter) - 1]
+                        x = (p.source.op[x][b] if letter > 0
+                             else p.source.inv_op[x][b])
+                    images.append(pos[x])
+                want.append(tuple(images))
+            lift_calls.clear()
+            deck, got_fibre, perms = fund.monodromy(p, q)
+            assert len(lift_calls) == 1
+            assert got_fibre == fibre
+            assert perms == tuple(want), name
+            checked += 1
+    assert checked >= 60
