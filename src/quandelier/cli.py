@@ -84,6 +84,8 @@ def _parse_table_block(lines, start):
     basepoints = None
     if pos < len(lines) and lines[pos][0] == "basepoints":
         basepoints = tuple(_int(t, "basepoint") - 1 for t in lines[pos][1:])
+        if any(not 0 <= q < n for q in basepoints):
+            raise ParseError(f"basepoint outside 1..{n}")
         pos += 1
     return table, basepoints, pos
 
@@ -157,6 +159,8 @@ def parse_group_spec(spec) -> Coeff:
     if lines[n + 1][0] != "identity" or len(lines[n + 1]) != 2:
         raise ParseError("expected an 'identity <k>' line")
     identity = _int(lines[n + 1][1], "identity") - 1
+    if not 0 <= identity < n:
+        raise ParseError(f"identity outside 1..{n}")
     try:
         return Coeff.from_table(table, identity)
     except ValueError as exc:
@@ -261,6 +265,8 @@ def _read(path) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not ASCII at byte {exc.start}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,9 @@ class Presentation:
     relators: tuple
 
     def __post_init__(self):
-        for r in self.relators:
-            for letter in r:
-                if letter == 0 or abs(letter) > self.generator_count:
-                    raise ValueError(f"letter {letter} out of range")
+        for i, r in enumerate(self.relators):
+            if 0 in r or max(map(abs, r), default=0) > self.generator_count:
+                raise ValueError(f"relator {i} has a letter out of range")
 
 
 def adjoint_words(quandle):

@@ -1,14 +1,11 @@
 """Fundamental groups and coverings of finite quandles.
 
-pi_1 has a spanning-tree presentation read off a 2-complex on the
-quandle, whose abelianisation is H2, and a finite model: the
-stabilizer of the basepoint inside the coset enumeration of the
-adjoint group modulo the basepoint generator, which acts as the deck
-group of the universal cover.  The complex has one vertex per element,
-one edge per pair and a 2-cell for each loop (a, a) and each square
-(a, b, s) with s in the generating set S: these are the lifts of the
-relators of the adjoint presentation on S, which presents Adj(Q) as
-the full n^3 squares do, so both complexes have the same pi_1.
+pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
+modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
+the adjoint presentation on S over the Schreier graph of q's component,
+and its abelianisation is H2.  Its finite model is the stabilizer in
+the coset enumeration of Adj(Q) modulo <e_q>, which acts as the deck
+group of the universal cover.
 """
 
 from dataclasses import dataclass
@@ -21,83 +18,84 @@ from .quandle import FiniteQuandle, QuandleHom
 
 
 # ---------------------------------------------------------------------------
-# the 2-complex on the generating set
+# the Schreier graph on the generating set
 
 
 def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
-    """Boundary words of the 2-cells at the given vertices, n + n(n-1)|S|
-    of them for the whole quandle.
+    """Boundary words of the 2-cells at the given vertices: the lift of
+    w_a at each vertex a, then the lift of each relator of the adjoint
+    presentation on S at every vertex.
 
-    Edge (a, b) runs from a to a*b and is numbered a*n + b; a word is a
-    tuple of signed 1-based edge numbers forming a closed edge path.
-    The loops (a, a) come first, then the squares
-    (a,b) (a*b,s) (a*s,b*s)^-1 (a,s)^-1 for s in S and b != s (b = s
-    reduces to the empty word), each in the order of the vertices.
+    Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
+    is a tuple of signed 1-based edge numbers forming a closed edge
+    path.  Letter +k crosses edge (x, k-1) forwards from the current
+    vertex x, letter -k the edge into x backwards.  The lift of w_a
+    closes as a*a = a; it kills e_a, which is conjugate to e_q.
     """
-    n = quandle.n
-    op = quandle.op
-    cells = [(a * n + a + 1,) for a in vertices]
-    for a in vertices:
-        for b in range(n):
-            for s in quandle.generators:
-                if b != s:
-                    cells.append((a * n + b + 1, op[a][b] * n + s + 1,
-                                  -(op[a][s] * n + op[b][s] + 1),
-                                  -(a * n + s + 1)))
+    m = len(quandle.generators)
+    # step[letter][x]: the signed edge that letter crosses from x, and
+    # the vertex it reaches
+    step = [None] * (2 * m + 1)
+    for k, s in enumerate(quandle.generators, 1):
+        step[k] = [(x * m + k, row[s]) for x, row in enumerate(quandle.op)]
+        step[-k] = [(-(row[s] * m + k), row[s]) for row in quandle.inv_op]
+    words, _ = fpgroup.adjoint_words(quandle)
+    relators = fpgroup.adjoint_presentation(quandle).relators
+
+    def lift(a, word):
+        path = []
+        for letter in word:
+            e, a = step[letter][a]
+            path.append(e)
+        return tuple(path)
+
+    cells = [lift(a, words[a]) for a in vertices]
+    cells += [lift(a, r) for r in relators for a in vertices]
     return tuple(cells)
 
 
 def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
-    """Spanning-tree presentation of pi_1 at the basepoint.
+    """Reidemeister-Schreier presentation of pi_1 at the basepoint.
 
-    A BFS over the vertices, following each vertex's edges in and out
-    through the op and inv_op rows, builds the tree and reaches the
-    basepoint's connected component: the orbit of the right
+    A BFS along the edges a -> a*s, s in S, crossed either way, builds a
+    spanning tree of the basepoint's component: the orbit of the right
     translations, which a coarse grading may merge with others.  The
-    component's non-tree edges become generators and the boundaries of
-    its cells, the only ones built, relators, free-reduced and
-    deduplicated.
+    non-tree edges, |C||S| - (|C| - 1) of them, are the generators; the
+    cells of build_complex, with the tree letters dropped, free-reduced
+    and deduplicated, are the relators.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    n, op, inv_op = quandle.n, quandle.op, quandle.inv_op
+    m = len(quandle.generators)
+    op, inv_op = quandle.op, quandle.inv_op
     in_tree = set()
     visited = {basepoint}
     frontier = [basepoint]
     while frontier:
         nxt = []
         for v in frontier:
-            for b in range(n):
-                for e, w in ((v * n + b, op[v][b]),
-                             (inv_op[v][b] * n + b, inv_op[v][b])):
+            for k, s in enumerate(quandle.generators):
+                for e, w in ((v * m + k, op[v][s]),
+                             (inv_op[v][s] * m + k, inv_op[v][s])):
                     if w not in visited:
                         visited.add(w)
                         in_tree.add(e)
                         nxt.append(w)
         frontier = nxt
 
-    gen_of_edge = {}
-    for a in sorted(visited):
-        for e in range(a * n, a * n + n):
-            if e not in in_tree:
-                gen_of_edge[e] = len(gen_of_edge) + 1
-
-    relators = []
-    seen = set()
-    for word in build_complex(quandle, sorted(visited)):
-        letters = []
-        for signed in word:
-            e = abs(signed) - 1
-            if e in in_tree:
-                continue
-            g = gen_of_edge[e]
-            letters.append(g if signed > 0 else -g)
-        reduced = fpgroup.normalize(tuple(letters))
-        if reduced and reduced not in seen:
-            seen.add(reduced)
-            relators.append(reduced)
-    return Presentation(generator_count=len(gen_of_edge),
-                        relators=tuple(relators))
+    vertices = sorted(visited)
+    # letter[e + 1] is the generator letter of edge e, 0 on the tree,
+    # and letter[-(e + 1)] its inverse
+    letter = [0] * (2 * quandle.n * m + 1)
+    count = 0
+    for e in (a * m + k for a in vertices for k in range(m)):
+        if e not in in_tree:
+            count += 1
+            letter[e + 1], letter[-(e + 1)] = count, -count
+    reduced = (fpgroup.normalize(filter(None, map(letter.__getitem__, w)))
+               for w in build_complex(quandle, vertices))
+    return Presentation(generator_count=count,
+                        relators=tuple(dict.fromkeys(r for r in reduced if r)))
 
 
 # ---------------------------------------------------------------------------

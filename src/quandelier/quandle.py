@@ -152,7 +152,7 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         if len(basepoints) != len(classes):
             raise ValueError("need exactly one basepoint per grading class")
         for i, q in enumerate(basepoints):
-            if grading[q] != i:
+            if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
     return FiniteQuandle(n=n, op=op, inv_op=inv_op, grading=grading,
                          basepoints=basepoints, generators=gens)

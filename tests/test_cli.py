@@ -61,6 +61,15 @@ def test_missing_file_is_parse_error():
     assert code == 3
 
 
+def test_non_ascii_file_is_parse_error(tmp_path):
+    # a decoding error is a parse error, not a semantic failure
+    path = tmp_path / "q.txt"
+    path.write_bytes("quandle 1\n1\n# café\n".encode("utf-8"))
+    code, out, err = run(["validate", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"parse error: {path} is not ASCII at byte 17\n"
+
+
 # ---------------------------------------------------------------------------
 # pi1 / h2 / h2c
 
@@ -365,3 +374,55 @@ def test_emitted_quandle_files_roundtrip(tmp_path, corpus):
         again, _ = cli.parse_quandle_lines(lines, 0)
         assert again.op == quandle.op
         assert again.basepoints == quandle.basepoints
+
+
+# ---------------------------------------------------------------------------
+# indices outside the table in input files
+
+D3_ROWS = "quandle 3\n1 3 2\n3 2 1\n2 1 3\n"
+
+
+def _z2_bundle(tmp_path):
+    quandle = qmod.dihedral(3)
+    z2 = coh.Coeff.from_invariants([2])
+    cpath = _cocycle_file(tmp_path, quandle, coh.trivial_cocycle(quandle, z2),
+                          coh.graded_coefficients(quandle, z2))
+    code, out, _ = run(["ext", write_quandle(tmp_path, "d3.txt", quandle),
+                        "--from-cocycle", cpath])
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("bad", ["7", "0"])
+def test_basepoint_outside_the_table_is_a_parse_error(tmp_path, bad):
+    # 7 lies past the table, and 0 must not be read as element -1
+    path = tmp_path / "q.txt"
+    path.write_text(D3_ROWS + f"basepoints {bad}\n")
+    for argv in (["validate"], ["pi1"], ["h2"], ["cover", "--universal"]):
+        code, out, err = run([argv[0], str(path)] + argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err == "parse error: basepoint outside 1..3\n", argv
+    bundle = _z2_bundle(tmp_path)
+    assert bundle.count("basepoints 1\n") == 2
+    broken = tmp_path / "broken.txt"
+    broken.write_text(bundle.replace("basepoints 1\n", f"basepoints {bad}\n",
+                                     1))
+    good = tmp_path / "good.txt"
+    good.write_text(bundle)
+    for first, second in ((broken, good), (good, broken)):
+        code, out, err = run(["ext", str(first), "--equiv", str(second)])
+        assert (code, out) == (3, "")
+        assert err == "parse error: basepoint outside 1..3\n"
+
+
+@pytest.mark.parametrize("bad", ["5", "0"])
+def test_group_identity_outside_the_table_is_a_parse_error(tmp_path, bad):
+    # Z2 with its identity second, so that 0 read as element -1 would
+    # name the identity
+    spec = tmp_path / "z2.txt"
+    spec.write_text(f"group 2\n2 1\n1 2\nidentity {bad}\n")
+    path = tmp_path / "d3.txt"
+    path.write_text(D3_ROWS)
+    code, out, err = run(["h2c", str(path), "--coeff", str(spec)])
+    assert (code, out) == (3, "")
+    assert err == "parse error: identity outside 1..2\n"

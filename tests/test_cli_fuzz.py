@@ -1,0 +1,136 @@
+"""Property tests of the command line's file inputs.
+
+Valid quandle, map, group, cocycle and extension-bundle files have
+their fields mutated: tokens replaced, swapped, dropped or added, lines
+dropped, repeated or inserted.  Whatever the text, `cli.run` must
+return exit code 0, 1, 2 or 3, let no exception escape and write at
+most one line to standard error.  The examples are derandomized, so
+the suite stays deterministic.
+"""
+
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from quandelier import cli, cohomology as coh, quandle as qmod
+
+D3 = qmod.dihedral(3)
+Z2 = coh.Coeff.from_invariants([2])
+
+
+def _emitted(emit, *args):
+    buf = io.StringIO()
+    emit(*args, buf)
+    return buf.getvalue()
+
+
+BUNDLE = _emitted(cli.emit_extension, coh.extension_from_cocycle(
+    D3, Z2, coh.coboundary(D3, Z2, (0, 1, 1))))
+VALID = {
+    "quandle": _emitted(cli.emit_quandle, D3),
+    "map": _emitted(cli.emit_map, (1, 0, 2)),
+    "group": "group 3\n1 2 3\n2 3 1\n3 1 2\nidentity 1\n",
+    "cocycle": _emitted(cli.emit_cocycle, coh.coboundary(D3, Z2, (1, 0, 0)),
+                        D3, (Z2,)),
+    "bundle": BUNDLE,
+}
+
+
+def _commands(kind, path, files):
+    """Command lines that read a file of the given kind at path."""
+    d3 = files["d3"]
+    if kind == "quandle":
+        return [["validate", path], ["pi1", path], ["pi1", path, "--base", "2"],
+                ["h2", path], ["h2c", path, "--coeff", "Z2"],
+                ["cover", path, "--universal"], ["cover", path, "--enumerate"],
+                ["cover", path, "--check", files["map"], "--target", d3]]
+    if kind == "map":
+        return [["cover", d3, "--check", path, "--target", d3]]
+    if kind == "group":
+        return [["h2c", d3, "--coeff", path]]
+    if kind == "cocycle":
+        return [["ext", d3, "--from-cocycle", path]]
+    return [["ext", path, "--extract"],
+            ["ext", path, "--equiv", files["bundle"]],
+            ["ext", files["bundle"], "--equiv", path]]
+
+
+SMALL = st.integers(0, 4).map(str)
+TOKENS = st.one_of(
+    SMALL, SMALL, SMALL, st.integers(-2, 12).map(str),
+    st.sampled_from(["quandle", "basepoints", "map", "group", "identity",
+                     "cocycle", "over", "extension", "coeff", "action",
+                     "Z1", "Z2", "Z3", "Z2xZ2", "Q8", "0,1", "1,", ",",
+                     "x", "#", "1.5", "-", "é"]))
+
+
+@st.composite
+def mutated(draw, text):
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        # most mutations keep the shape, so that they reach past parsing
+        kind = draw(st.sampled_from(["replace"] * 3 + ["swap"] * 2 + [
+            "drop token", "add token", "drop line", "repeat line",
+            "insert line"]))
+        if not lines:
+            lines.append([])
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if kind == "replace" and line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(TOKENS)
+        elif kind == "swap" and line:
+            other = lines[draw(st.integers(0, len(lines) - 1))]
+            if other:
+                j = draw(st.integers(0, len(line) - 1))
+                k = draw(st.integers(0, len(other) - 1))
+                line[j], other[k] = other[k], line[j]
+        elif kind == "drop token" and line:
+            del line[draw(st.integers(0, len(line) - 1))]
+        elif kind == "add token":
+            line.insert(draw(st.integers(0, len(line))), draw(TOKENS))
+        elif kind == "drop line":
+            del lines[i]
+        elif kind == "repeat line":
+            lines.insert(i, list(line))
+        elif kind == "insert line":
+            lines.insert(i, draw(st.lists(TOKENS, max_size=4)))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, text in (("d3", VALID["quandle"]), ("map", VALID["map"]),
+                       ("bundle", BUNDLE)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    paths["mutated"] = str(tmp_path / "mutated.txt")
+    return paths
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files_end_in_an_exit_code(files, kind, data):
+    text = data.draw(mutated(VALID[kind]))
+    path = files["mutated"]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    for argv in _commands(kind, path, files):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv + ["--budget", "2000"], out=out, err=err)
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert err.getvalue().count("\n") <= 1, (argv, text, err.getvalue())
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_unmutated_input_files_succeed(files, kind):
+    path = files["mutated"]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(VALID[kind])
+    for argv in _commands(kind, path, files):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(argv, out=out, err=err) == 0, (argv, err.getvalue())

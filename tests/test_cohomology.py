@@ -6,8 +6,9 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import BudgetExceeded
 from conftest import symmetric_group, transposition_quandle
-from oracles import (cohomology_classes, enumerate_cocycles,
-                     equivalence_by_propagation, path_complex_h2)
+from oracles import (cocycle_violation, cohomology_classes,
+                     enumerate_cocycles, equivalence_by_propagation,
+                     path_complex_h2)
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -38,6 +39,12 @@ def test_coeff_from_table_validates():
     z3 = coh.Coeff.from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
     assert z3.order == 3
     assert z3.abelian
+    # -1 would be read as the last element, which is the identity here
+    flipped = [[1, 0], [0, 1]]
+    assert coh.Coeff.from_table(flipped, 1).inverses == (0, 1)
+    for identity in (2, 5, -1):
+        with pytest.raises(ValueError, match="outside the group"):
+            coh.Coeff.from_table(flipped, identity)
 
 
 def test_coeff_nonabelian_table():
@@ -156,6 +163,57 @@ def test_is_cocycle_witness():
     ok, witness = coh.is_cocycle(values, quandle, Z2)
     assert not ok
     assert witness is not None
+
+
+def _s3():
+    group = symmetric_group(3)
+    return coh.Coeff.from_table(
+        [[group.mul_idx(i, j) for j in range(6)] for i in range(6)],
+        group.identity_index)
+
+
+def test_cocycle_verdict_on_s_matches_the_full_check(corpus):
+    # checking c in S accepts exactly the cochains the n^3 check
+    # accepts, with abelian, non-abelian and graded coefficients; a
+    # rejection names a real violation, with c in S off the diagonal
+    rng = random.Random(20261018)
+    s3 = _s3()
+    verdicts = set()
+    for name, quandle in corpus:
+        n, gr = quandle.n, quandle.grading
+        graded = [(Z2, s3, Z3)[i % 3] for i in range(quandle.component_count)]
+        for coeffs in (Z3, s3, graded):
+            coeffs = coh.graded_coefficients(quandle, coeffs)
+            orders = [coeffs[gr[a]].order for a in range(n)]
+            for _ in range(3):
+                bound = [list(row) for row in coh.coboundary(
+                    quandle, coeffs,
+                    [rng.randrange(k) for k in orders]).values]
+                noise = [[coeffs[gr[a]].identity if a == b
+                          else rng.randrange(orders[a]) for b in range(n)]
+                         for a in range(n)]
+                bent = [row[:] for row in bound]
+                a, b = rng.randrange(n), rng.randrange(n)
+                if a != b:
+                    bent[a][b] = (bent[a][b] + 1) % orders[a]
+                for values in (bound, noise, bent):
+                    ok, witness = coh.is_cocycle(values, quandle, coeffs)
+                    assert ok == (cocycle_violation(values, quandle, coeffs)
+                                  is None), name
+                    verdicts.add(ok)
+                    if ok:
+                        continue
+                    a, b, c = witness
+                    lam = coeffs[gr[a]]
+                    if a == b == c:
+                        assert values[a][a] != lam.identity, name
+                        continue
+                    assert c in quandle.generators, name
+                    op = quandle.op
+                    assert (lam.mul(values[a][b], values[op[a][b]][c])
+                            != lam.mul(values[a][c],
+                                       values[op[a][c]][op[b][c]])), name
+    assert verdicts == {True, False}
 
 
 def test_coboundaries_are_cocycles():
@@ -378,6 +436,41 @@ def test_pullback_cocycle_naturality():
     for f in cocycles:
         back, coeffs = coh.pullback_cocycle(p, f, Z2)
         assert coh.is_cocycle(back, d8, coeffs)[0]
+
+
+def test_check_extension_rejects_an_action_reversed_on_one_fibre():
+    # k acting as -k over one base element is still a free transitive
+    # Z3 action that keeps fibres, but it breaks left equivariance;
+    # checking y in S catches it as the full check would
+    quandle = qmod.dihedral(3)
+    for f in (coh.trivial_cocycle(quandle, Z3),
+              coh.coboundary(quandle, Z3, (0, 1, 2))):
+        ext = coh.extension_from_cocycle(quandle, Z3, f)
+        fibre = ext.projection.fibre(1)
+        action = tuple(
+            tuple(ext.action[0][Z3.inv(k) if x in fibre else k][x]
+                  for x in range(ext.total.n))
+            for k in range(Z3.order))
+        total = ext.total
+        assert any(total.op[perm[x]][y] != perm[total.op[x][y]]
+                   for perm in action for x in range(total.n)
+                   for y in range(total.n))
+        reversed_ = coh.Extension(total=total, projection=ext.projection,
+                                  coeffs=ext.coeffs, action=(action,))
+        assert coh.check_extension(reversed_) == (
+            False, "(E1) left equivariance fails")
+
+
+def test_cocycle_from_hom_builds_no_universal_cover(monkeypatch):
+    # the cocycle needs the coset enumeration and the deck group, not
+    # the cover's N x N table
+    quandle, f, homs = _nontrivial_s4_cocycle()
+
+    def no_cover(*args, **kwargs):
+        raise AssertionError("universal cover built")
+
+    monkeypatch.setattr(fund, "universal_cover", no_cover)
+    assert coh.cocycle_from_hom(quandle, Z2, homs) == f
 
 
 def test_check_extension_rejects_broken_action():

@@ -28,6 +28,13 @@ def test_inverse_word():
     assert fpgroup.normalize(w + fpgroup.inverse_word(w)) == ()
 
 
+def test_presentation_rejects_letters_out_of_range():
+    assert Presentation(generator_count=2, relators=((), (2, -1))).relators
+    for bad in ((1, 3), (-3,), (0,), (1, 0, -1)):
+        with pytest.raises(ValueError, match="relator 1 has a letter"):
+            Presentation(generator_count=2, relators=((1,), bad))
+
+
 # ---------------------------------------------------------------------------
 # Todd-Coxeter; oracles are groups of known order
 

@@ -17,22 +17,35 @@ def test_complex_counts():
     assert len(quandle.generators) == 2
     # the full complex: 3 loops and 27 squares
     assert len(path_complex_cells(quandle.op)) == 3 + 27
-    # the complex on S: n + n(n-1)|S| cells
-    assert len(fund.build_complex(quandle, range(3))) == 3 + 3 * 2 * 2 == 15
+    # the complex on S: the 3 relators of the adjoint presentation
+    # lifted at each of the 3 vertices, plus one loop per vertex
+    assert len(fpgroup.adjoint_presentation(quandle).relators) == 3
+    assert len(fund.build_complex(quandle, range(3))) == 3 * 3 + 3 == 12
+
+
+def _edge_ends(quandle, width, column):
+    """Edge e runs from e // width to (e // width) * column[e % width]."""
+    def ends(e):
+        return e // width, quandle.op[e // width][column[e % width]]
+    return ends
 
 
 def test_cell_boundaries_are_closed_loops():
-    # each 2-cell boundary word traces back to its starting vertex;
-    # edge e runs from e // n to (e // n) * (e % n)
+    # each 2-cell boundary word traces back to its starting vertex; in
+    # the full complex edge e is (e // n, e % n), on S it is
+    # (e // |S|, S[e % |S|])
     for quandle in (qmod.dihedral(5), transposition_quandle(4)):
-        n, op = quandle.n, quandle.op
-        for cells in (path_complex_cells(op),
-                      fund.build_complex(quandle, range(n))):
+        n, gens = quandle.n, quandle.generators
+        for cells, ends in (
+                (path_complex_cells(quandle.op),
+                 _edge_ends(quandle, n, range(n))),
+                (fund.build_complex(quandle, range(n)),
+                 _edge_ends(quandle, len(gens), gens))):
             for word in cells:
-                start = at = (abs(word[0]) - 1) // n
+                src, tgt = ends(abs(word[0]) - 1)
+                start = at = src if word[0] > 0 else tgt
                 for signed in word:
-                    e = abs(signed) - 1
-                    src, tgt = e // n, op[e // n][e % n]
+                    src, tgt = ends(abs(signed) - 1)
                     if signed > 0:
                         assert src == at
                         at = tgt
@@ -40,6 +53,19 @@ def test_cell_boundaries_are_closed_loops():
                         assert tgt == at
                         at = src
                 assert at == start
+
+
+def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
+    # the Schreier graph of a component C has |C||S| edges and a
+    # spanning tree of |C| - 1 of them
+    for name, quandle in corpus:
+        parts, index = qmod.components(quandle)
+        m = len(quandle.generators)
+        for b in range(quandle.n):
+            size = len(parts[index[b]])
+            assert (fund.pi1_presentation(quandle, b).generator_count
+                    == size * m - (size - 1)), name
+    assert fund.pi1_presentation(qmod.dihedral(91), 0).generator_count == 92
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +131,12 @@ def test_certificate_counts_orbits_not_grading_classes():
 def test_pi1_presentation_builds_only_its_component(monkeypatch):
     # h2_integral reads one presentation per component; each builds the
     # cells of its own component, so every cell is built once
-    built = []
+    built, calls = [], []
     build = fund.build_complex
 
-    def recording(*args, **kwargs):
-        cells = build(*args, **kwargs)
+    def recording(quandle, vertices):
+        cells = build(quandle, vertices)
+        calls.append(list(vertices))
         built.extend(cells)
         return cells
 
@@ -117,10 +144,14 @@ def test_pi1_presentation_builds_only_its_component(monkeypatch):
     quandle = qmod.trivial(30)
     h2 = coh.h2_integral(quandle)
     assert len(h2) == 30
-    n = quandle.n
-    loops = sorted((abs(w[0]) - 1) // n for w in built if len(w) == 1)
-    assert loops == list(range(n))
-    assert sorted(built) == sorted(build(quandle, range(n)))
+    assert calls == [[a] for a in range(quandle.n)]
+    # every cell starts at its own call's vertex: edge e leaves e // |S|
+    m = len(quandle.generators)
+    ends = _edge_ends(quandle, m, quandle.generators)
+    starts = [ends(abs(w[0]) - 1)[0 if w[0] > 0 else 1] for w in built]
+    per_vertex = len(fpgroup.adjoint_presentation(quandle).relators) + 1
+    assert starts == [a for a in range(quandle.n) for _ in range(per_vertex)]
+    assert sorted(built) == sorted(build(quandle, range(quandle.n)))
 
 
 def test_pi1_presentation_stays_in_the_basepoint_orbit():

@@ -241,6 +241,14 @@ def test_grading_may_merge_components_but_not_split_them():
         qmod.validate(d4.op, grading=(0, 0, 1, 1))
 
 
+def test_basepoint_outside_the_table_is_rejected():
+    # -1 would otherwise be read as the last element
+    op = qmod.dihedral(3).op
+    for q in (3, 7, -1):
+        with pytest.raises(ValueError, match=f"basepoint {q} not in class"):
+            qmod.validate(op, basepoints=(q,))
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms and coverings
 
