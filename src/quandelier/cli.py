@@ -24,16 +24,15 @@ EXIT_PARSE = 3
 
 
 def default_budget() -> int:
+    """QUANDELIER_BUDGET as an integer, or 1_000_000 when unset; run
+    checks that it is positive, as it does --budget."""
     value = os.environ.get("QUANDELIER_BUDGET")
     if value is None:
         return 1_000_000
     try:
-        parsed = int(value)
+        return int(value)
     except ValueError:
         raise ParseError(f"QUANDELIER_BUDGET is not an integer: {value!r}")
-    if parsed < 1:
-        raise ParseError("QUANDELIER_BUDGET must be positive")
-    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +339,17 @@ def cmd_validate(args, out) -> int:
 
 def cmd_pi1(args, out) -> int:
     quandle = parse_quandle_file(args.quandle)
+    q = quandle.basepoints[0]
     if args.base is not None:
         if not 1 <= args.base <= quandle.n:
             raise ParseError(f"basepoint {args.base} outside 1..{quandle.n}")
-        bases = [args.base - 1]
-    else:
-        bases = [quandle.basepoints[0]]
-    code = EXIT_OK
-    for q in bases:
-        fg = fund.fundamental_group(quandle, q, budget=args.budget)
-        order = fg.order
-        if order is None:
-            order = "unknown(budget)"
-            code = EXIT_BUDGET
-        print(f"pi1 order={order} "
-              f"ab={_invariants_text(fg.abelian_invariants())}", file=out)
+        q = args.base - 1
+    fg = fund.fundamental_group(quandle, q, budget=args.budget)
+    order, code = fg.order, EXIT_OK
+    if order is None:
+        order, code = "unknown(budget)", EXIT_BUDGET
+    print(f"pi1 order={order} "
+          f"ab={_invariants_text(fg.abelian_invariants())}", file=out)
     return code
 
 
@@ -569,6 +564,8 @@ def run(argv, out=None, err=None) -> int:
     try:
         if args.budget is None:
             args.budget = default_budget()
+        if args.budget < 1:
+            raise ParseError(f"budget must be positive, got {args.budget}")
         return COMMANDS[args.command](args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)

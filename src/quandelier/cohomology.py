@@ -193,23 +193,24 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
                      budget: int = DEFAULT_SEARCH_BUDGET):
     """Find a rescaling g with f = g^-1 f2 g, or report absence.
 
-    The relation propagates g along quandle edges, so only the value at
-    each component's basepoint is free; trying those finitely many seeds
-    is a complete search for any coefficient group.
+    The relation propagates g along quandle edges a -> a*b, which
+    reach exactly the orbit of the right translations, so only the
+    value at each orbit's least element is free; trying those finitely
+    many seeds, in the coefficient group of the orbit's grading class,
+    is a complete search for any coefficient group.  A grading class
+    may hold several orbits, each searched on its own.
     """
     coeffs = graded_coefficients(quandle, coeffs)
     va = f.values if isinstance(f, Cocycle2) else f
     vb = f2.values if isinstance(f2, Cocycle2) else f2
-    n, op, gr = quandle.n, quandle.op, quandle.grading
+    n, op = quandle.n, quandle.op
     g = [None] * n
     steps = 0
-    for comp, q in enumerate(quandle.basepoints):
-        lam = coeffs[comp]
-        members = quandle.component_elements(comp)
-        found = False
+    for part in qmod.components(quandle)[0]:
+        lam = coeffs[quandle.grading[part[0]]]
         for seed in range(lam.order):
-            assignment = {q: seed}
-            queue = [q]
+            assignment = {part[0]: seed}
+            queue = [part[0]]
             consistent = True
             while queue and consistent:
                 a = queue.pop(0)
@@ -228,13 +229,12 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
                         consistent = False
                         break
             # every pair (a, b) of the orbit was either defined or
-            # compared, so a complete assignment is a rescaling
-            if consistent and len(assignment) == len(members):
-                for a in members:
+            # compared, so a consistent assignment is a rescaling
+            if consistent:
+                for a in part:
                     g[a] = assignment[a]
-                found = True
                 break
-        if not found:
+        else:
             return None
     return tuple(g)
 
@@ -363,16 +363,11 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
                      coeffs=coeffs, action=tuple(action))
 
 
-def cocycle_from_extension(ext: Extension, section=None) -> Cocycle2:
-    """Read the cocycle off a section: s(a)*s(b) = f(a,b) s(a*b)."""
+def cocycle_from_extension(ext: Extension) -> Cocycle2:
+    """Read the cocycle off the projection's least-element section s:
+    s(a)*s(b) = f(a,b) s(a*b)."""
     base = ext.projection.target
-    if section is None:
-        section = tuple(min(ext.projection.fibre(a)) for a in range(base.n))
-    else:
-        section = tuple(section)
-        for a in range(base.n):
-            if ext.projection.map[section[a]] != a:
-                raise ValueError("not a section of the projection")
+    section = ext.projection.section
     rows = []
     for a in range(base.n):
         i = base.grading[a]
@@ -406,21 +401,21 @@ def _deck_element_taking(deck, target: int, source: int):
     raise AssertionError("deck action is not transitive on the fibre")
 
 
-def cocycle_from_hom(quandle: FiniteQuandle, coeffs, homs,
+def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
                      budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> Cocycle2:
-    """Cocycle of the extension classified by homs: pi_1 -> Lambda.
+    """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
-    The quandle must be connected, so homs holds the one map: homs[0]
-    sends deck-element indices (in the order of the deck group at the
-    first basepoint, as in universal_cover(...).deck.elements) to Lambda
-    elements.  The value f(a,b) is the image of the deck element
-    comparing the canonical path to a*b with the path through a and b;
-    only the coset enumeration is needed, not the cover's table.
+    The quandle must be connected.  hom sends deck-element indices (in
+    the order of the deck group at the basepoint, as in
+    universal_cover(...).deck.elements) to Lambda elements.  The value
+    f(a,b) is the image of the deck element comparing the canonical
+    path to a*b with the path through a and b; only the coset
+    enumeration is needed, not the cover's table.
     """
     coeffs = graded_coefficients(quandle, coeffs)
     q = quandle.basepoints[0]
     table, ends = fundamental.adj0_enumeration(quandle, q, budget=budget)
-    deck, hom = fundamental.deck_group(table, ends, q), homs[0]
+    deck = fundamental.deck_group(table, ends, q)
     canon = {}  # the least coset over each element
     for c in range(table.coset_count):
         canon.setdefault(ends[c], c)
@@ -442,21 +437,19 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, homs,
 
 def hom_from_extension(ext: Extension,
                        budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """Monodromy of an extension as per-component maps pi_1 -> Lambda.
+    """Monodromy of an extension as the map pi_1 -> Lambda.
 
-    Returns one list per component, aligned with the deck-element order
-    of the base's universal cover; entry k is the Lambda element by
-    which the k-th pi_1 element shifts the basepoint's least lift, the
+    The base must be connected (monodromy raises InfiniteGroup
+    otherwise).  Returns a list aligned with the deck-element order of
+    the base's universal cover; entry k is the Lambda element by which
+    the k-th pi_1 element shifts the basepoint's least lift, the
     fibre's first element.
     """
-    out = []
-    for i, q in enumerate(ext.projection.target.basepoints):
-        _, fibre, perms = fundamental.monodromy(ext.projection, q,
-                                                budget=budget)
-        shift = {ext.action[i][k][fibre[0]]: k
-                 for k in range(ext.coeffs[i].order)}
-        out.append([shift[fibre[perm[0]]] for perm in perms])
-    return out
+    q = ext.projection.target.basepoints[0]
+    _, fibre, perms = fundamental.monodromy(ext.projection, q, budget=budget)
+    shift = {ext.action[0][k][fibre[0]]: k
+             for k in range(ext.coeffs[0].order)}
+    return [shift[fibre[perm[0]]] for perm in perms]
 
 
 def are_equivalent_extensions(e1: Extension, e2: Extension,
@@ -485,7 +478,7 @@ def are_equivalent_extensions(e1: Extension, e2: Extension,
     for a in range(base.n):
         i = base.grading[a]
         lam = e1.coeffs[i]
-        s1, s2 = min(e1.projection.fibre(a)), min(e2.projection.fibre(a))
+        s1, s2 = e1.projection.section[a], e2.projection.section[a]
         g_inv = lam.inv(g[a])
         for k in range(lam.order):
             phi[e1.action[i][k][s1]] = e2.action[i][lam.mul(k, g_inv)][s2]

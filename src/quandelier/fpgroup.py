@@ -46,36 +46,17 @@ class Presentation:
                 raise ValueError(f"relator {i} has a letter out of range")
 
 
-def adjoint_words(quandle):
-    """A word over the generating set S for each element's generator.
+@dataclass(frozen=True)
+class AdjointPresentation(Presentation):
+    """Adj(Q) on the generating set S, with the words that eliminated
+    the other generators: words[x] is w_x, and tree lists the
+    definitions (x*s, x, s) in BFS order."""
 
-    Letter k is e_s for s = S[k-1].  A BFS from S, in order, along the
-    right translations x -> x*s with s in S reaches every element, as S
-    generates Q; each element x*s it reaches first gets the free
-    reduction of w_{x*s} = s^-1 w_x s, as e_{x*s} = e_s^-1 e_x e_s in
-    Adj(Q).  Returns (words, tree): words[x] is w_x, and tree lists the
-    definitions (x*s, x, s) in BFS order.
-    """
-    op = quandle.op
-    words = [None] * quandle.n
-    for k, s in enumerate(quandle.generators, 1):
-        words[s] = (k,)
-    tree = []
-    frontier = list(quandle.generators)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, s in enumerate(quandle.generators, 1):
-                y = op[x][s]
-                if words[y] is None:
-                    words[y] = normalize((-k,) + words[x] + (k,))
-                    tree.append((y, x, s))
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(words), tuple(tree)
+    words: tuple
+    tree: tuple
 
 
-def adjoint_presentation(quandle) -> Presentation:
+def adjoint_presentation(quandle) -> AdjointPresentation:
     """Presentation of the adjoint group of a finite quandle on S.
 
     Adj(Q) is presented by one generator e_x per element and the
@@ -83,23 +64,43 @@ def adjoint_presentation(quandle) -> Presentation:
     generating set S: conjugation by c*d = d^-1 c d acts as
     rho_d rho_c rho_d^-1 = rho_{c*d} (Q3), so the pairs with s in S
     suffice.  Tietze moves then eliminate every e_x with x not in S by
-    its word w_x from adjoint_words.  What is left has |S| generators
-    and the relators s^-1 w_a s w_{a*s}^-1, free-reduced and
+    a word w_x over S: letter k is e_s for s = S[k-1].  A BFS from S,
+    in order, along the right translations x -> x*s with s in S reaches
+    every element, as S generates Q; each element x*s it reaches first
+    gets the free reduction of w_{x*s} = s^-1 w_x s, as
+    e_{x*s} = e_s^-1 e_x e_s in Adj(Q).  What is left has |S|
+    generators and the relators s^-1 w_a s w_{a*s}^-1, free-reduced and
     deduplicated; the pairs used as definitions, and a = s, reduce to
     the empty word and are omitted.
     """
-    words, _ = adjoint_words(quandle)
+    op, gens = quandle.op, quandle.generators
+    words = [None] * quandle.n
+    for k, s in enumerate(gens, 1):
+        words[s] = (k,)
+    tree = []
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for k, s in enumerate(gens, 1):
+                y = op[x][s]
+                if words[y] is None:
+                    words[y] = normalize((-k,) + words[x] + (k,))
+                    tree.append((y, x, s))
+                    nxt.append(y)
+        frontier = nxt
     relators = []
     seen = set()
     for a in range(quandle.n):
-        for k, s in enumerate(quandle.generators, 1):
+        for k, s in enumerate(gens, 1):
             w = normalize((-k,) + words[a] + (k,)
-                          + inverse_word(words[quandle.op[a][s]]))
+                          + inverse_word(words[op[a][s]]))
             if w and w not in seen:
                 seen.add(w)
                 relators.append(w)
-    return Presentation(generator_count=len(quandle.generators),
-                        relators=tuple(relators))
+    return AdjointPresentation(generator_count=len(gens),
+                               relators=tuple(relators),
+                               words=tuple(words), tree=tuple(tree))
 
 
 @dataclass(frozen=True)

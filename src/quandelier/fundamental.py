@@ -24,7 +24,7 @@ from .quandle import FiniteQuandle, QuandleHom
 def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
     """Boundary words of the 2-cells at the given vertices: the lift of
     w_a at each vertex a, then the lift of each relator of the adjoint
-    presentation on S at every vertex.
+    presentation on S, quandle.adjoint, at every vertex.
 
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
@@ -39,8 +39,7 @@ def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
     for k, s in enumerate(quandle.generators, 1):
         step[k] = [(x * m + k, row[s]) for x, row in enumerate(quandle.op)]
         step[-k] = [(-(row[s] * m + k), row[s]) for row in quandle.inv_op]
-    words, _ = fpgroup.adjoint_words(quandle)
-    relators = fpgroup.adjoint_presentation(quandle).relators
+    adjoint = quandle.adjoint
 
     def lift(a, word):
         path = []
@@ -49,8 +48,8 @@ def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
             path.append(e)
         return tuple(path)
 
-    cells = [lift(a, words[a]) for a in vertices]
-    cells += [lift(a, r) for r in relators for a in vertices]
+    cells = [lift(a, adjoint.words[a]) for a in vertices]
+    cells += [lift(a, r) for r in adjoint.relators for a in vertices]
     return tuple(cells)
 
 
@@ -108,11 +107,11 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
 
     Each coset holds exactly one degree-zero element, so the table is a
     faithful model of the degree-zero subgroup with its right action.
-    The enumeration runs on the |S| generators of
-    fpgroup.adjoint_presentation, modulo the word w_q, so the budget
-    counts the live cosets of that enumeration.  The table is then
-    filled in for every other element in BFS order of its definition
-    x = y*s, by c.e_x = ((c.e_s^-1).e_y).e_s, one lookup per coset.
+    The enumeration runs on the |S| generators of quandle.adjoint,
+    modulo the word w_q, so the budget counts the live cosets of that
+    enumeration.  The table is then filled in for every other element
+    in BFS order of its definition x = y*s, by
+    c.e_x = ((c.e_s^-1).e_y).e_s, one lookup per coset.
     The returned table has one generator per element, and its
     representative words are written in element letters.  endpoint[c]
     is the image of the basepoint under the representative word,
@@ -129,15 +128,15 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     parts, _ = qmod.components(quandle)
     if len(parts) > 1:
         raise InfiniteGroup(len(parts))
-    pres = fpgroup.adjoint_presentation(quandle)
-    words, tree = fpgroup.adjoint_words(quandle)
-    small = fpgroup.todd_coxeter(pres, [words[basepoint]], budget=budget)
+    adjoint = quandle.adjoint
+    small = fpgroup.todd_coxeter(adjoint, [adjoint.words[basepoint]],
+                                 budget=budget)
     gens = quandle.generators
     action = [None] * quandle.n
     action_inv = [None] * quandle.n
     for s, step, back in zip(gens, small.action, small.action_inv):
         action[s], action_inv[s] = step, back
-    for x, y, s in tree:  # e_x = e_s^-1 e_y e_s
+    for x, y, s in adjoint.tree:  # e_x = e_s^-1 e_y e_s
         step, back = action[s], action_inv[s]
         action[x] = tuple(map(step.__getitem__,
                               map(action[y].__getitem__, back)))
@@ -287,24 +286,13 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
 # lifting, Galois correspondence, monodromy
 
 
-def _cover_lift_tables(p: QuandleHom):
-    """One chosen lift per base element, for tracing the right action."""
-    chosen = {}
-    for a in range(p.source.n):
-        chosen.setdefault(p.map[a], a)
-    return chosen
-
-
-def right_action_on_cover(p: QuandleHom, element: int, word,
-                          lifts=None) -> int:
+def right_action_on_cover(p: QuandleHom, element: int, word) -> int:
     """Apply an adjoint word (letters name base elements) to a cover
-    element; well defined because p is a covering.  lifts is
-    _cover_lift_tables(p), built here unless given."""
-    if lifts is None:
-        lifts = _cover_lift_tables(p)
+    element, lifting each letter to its section element; well defined
+    because p is a covering."""
     x = element
     for letter in word:
-        b = lifts[abs(letter) - 1]
+        b = p.section[abs(letter) - 1]
         x = p.source.op[x][b] if letter > 0 else p.source.inv_op[x][b]
     return x
 
@@ -313,9 +301,13 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     """Lifting criterion: try to lift f through the covering p.
 
     f must start from a connected pointed quandle (X, x) with
-    f(x) = p(lift_basepoint).  Returns ("lift", QuandleHom) with the
-    unique lift, or ("witness", (word1, word2)) where the two adjoint
-    words reach the same element of X but force different lifts.
+    f(x) = p(lift_basepoint), by default the section element over f(x).
+    The lift is propagated by BFS along the right translations by the
+    generating set S of X, which reach all of the connected X, and is
+    checked on the same edges: the b for which it respects rho_b form a
+    subquandle.  Returns ("lift", QuandleHom) with the unique lift, or
+    ("witness", (word1, word2)) where the two adjoint words reach the
+    same element of X but force different lifts.
     """
     x_side = f.source
     if not x_side.is_connected():
@@ -325,24 +317,21 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     if not ok:
         raise ValueError("p is not a covering")
     if lift_basepoint is None:
-        lift_basepoint = min(a for a in range(p.source.n)
-                             if p.map[a] == f.map[x0])
+        lift_basepoint = p.section[f.map[x0]]
     if p.map[lift_basepoint] != f.map[x0]:
         raise ValueError("basepoint lift does not sit over f(x)")
 
-    cover_lifts = _cover_lift_tables(p)
+    cover = p.source
     lift = {x0: lift_basepoint}
     path = {x0: ()}
     queue = [x0]
     while queue:
         u = queue.pop(0)
-        for b in range(x_side.n):
-            for sign, v in ((1, x_side.op[u][b]), (-1, x_side.inv_op[u][b])):
-                fb = cover_lifts[f.map[b]]
-                if sign > 0:
-                    w = p.source.op[lift[u]][fb]
-                else:
-                    w = p.source.inv_op[lift[u]][fb]
+        for b in x_side.generators:
+            fb = p.section[f.map[b]]
+            for sign, v, w in ((1, x_side.op[u][b], cover.op[lift[u]][fb]),
+                               (-1, x_side.inv_op[u][b],
+                                cover.inv_op[lift[u]][fb])):
                 if v not in lift:
                     lift[v] = w
                     path[v] = path[u] + (sign * (b + 1),)
@@ -354,48 +343,33 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
 
 
 def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
-                                  budget: int = fpgroup.DEFAULT_COSET_BUDGET,
-                                  subgroup_budget: int = 2_000):
+                                  budget: int = fpgroup.DEFAULT_COSET_BUDGET):
     """All pointed connected coverings, one per subgroup of pi_1.
 
     Requires a connected base.  Each subgroup K yields the quotient of
-    the universal cover by the left K-action; the list is ordered like
-    the subgroup enumeration (by order, then element indices).
-    Returns pairs (K, covering projection).
+    the universal cover by the left K-action, whose elements are the
+    K-orbits on the cosets, ordered by least element; the list is
+    ordered like the subgroup enumeration (by order, then element
+    indices).  Returns pairs (K, covering projection).
     """
     if not quandle.is_connected():
         raise ValueError("base quandle must be connected")
     table, ends = adj0_enumeration(quandle, basepoint, budget=budget)
     deck = deck_group(table, ends, basepoint)
     out = []
-    for sub in permgroup.subgroups(deck, budget=subgroup_budget):
-        orbit_of = {}
-        orbit_reps = []
-        for c in range(table.coset_count):
-            if c in orbit_of:
-                continue
-            orbit = {c}
-            stack = [c]
-            while stack:
-                d = stack.pop()
-                for perm in sub.elements:
-                    e = perm[d]
-                    if e not in orbit:
-                        orbit.add(e)
-                        stack.append(e)
-            rep = min(orbit)
-            orbit_reps.append(rep)
-            for d in orbit:
-                orbit_of[d] = rep
-        orbit_reps.sort()
-        idx = {rep: i for i, rep in enumerate(orbit_reps)}
+    for sub in permgroup.subgroups(deck):
+        orbits = permgroup.orbits(sub)
+        orbit_of = [None] * table.coset_count
+        for i, orbit in enumerate(orbits):
+            for c in orbit:
+                orbit_of[c] = i
+        reps = [orbit[0] for orbit in orbits]
         # cell (c, d) is coset c times adj(ends[d]), as in the
         # universal cover
-        rows = [[idx[orbit_of[table.action[ends[d]][c]]] for d in orbit_reps]
-                for c in orbit_reps]
+        rows = [[orbit_of[table.action[ends[d]][c]] for d in reps]
+                for c in reps]
         total = qmod.validate(rows)
-        proj = QuandleHom(total, quandle,
-                          tuple(ends[rep] for rep in orbit_reps))
+        proj = QuandleHom(total, quandle, tuple(ends[c] for c in reps))
         out.append((sub, proj))
     return out
 
@@ -406,8 +380,11 @@ def monodromy(p: QuandleHom, basepoint: int,
 
     Returns (pi1 finite form, fibre tuple, permutations) where
     permutations[k] describes how the k-th pi_1 element permutes the
-    fibre (as images indexed like the fibre tuple).  Needs the finite
-    form, so it propagates BudgetExceeded for infinite pi_1.
+    fibre (as images indexed like the fibre tuple): its stabilizer
+    coset, perm[0] of its deck permutation, has a representative word
+    that right_action_on_cover traces from each fibre element.  Needs
+    the finite form, so it propagates BudgetExceeded for infinite pi_1
+    and InfiniteGroup for a disconnected base.
     """
     ok, _ = qmod.is_covering(p)
     if not ok:
@@ -415,14 +392,10 @@ def monodromy(p: QuandleHom, basepoint: int,
     base = p.target
     table, ends = adj0_enumeration(base, basepoint, budget=budget)
     deck = deck_group(table, ends, basepoint)
-    stabilizer = [c for c in range(table.coset_count)
-                  if ends[c] == basepoint]
     fibre = p.fibre(basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
-    lifts = _cover_lift_tables(p)
-    perms = []
-    for c in stabilizer:
-        word = table.representative_word[c]
-        perms.append(tuple(pos[right_action_on_cover(p, x, word, lifts)]
-                           for x in fibre))
-    return deck, fibre, tuple(perms)
+    perms = tuple(
+        tuple(pos[right_action_on_cover(
+            p, x, table.representative_word[perm[0]])] for x in fibre)
+        for perm in deck.elements)
+    return deck, fibre, perms

@@ -5,10 +5,11 @@ Elements are always 0-based indices; 1-based indexing exists only at
 the CLI boundary.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
-from . import permgroup
+from . import fpgroup, permgroup
 from .errors import (EmptyUnion, NotAHomomorphism, NotAQuandle,
                      NotRightInvertible)
 from .permgroup import FiniteGroup, Perm
@@ -23,7 +24,8 @@ class FiniteQuandle:
     generate Inn(Q), so Q3, homomorphisms and Adj(Q) are checked on S.
     grading maps each element to a component index (default: its
     connected component); basepoints picks one element per grading
-    class (default: the minimum of each class).
+    class (default: the minimum of each class).  adjoint is Adj(Q)
+    presented on S with its words w_x, built on first use.
     """
 
     n: int
@@ -42,6 +44,10 @@ class FiniteQuandle:
 
     def is_connected(self) -> bool:
         return self.component_count == 1
+
+    @cached_property
+    def adjoint(self) -> fpgroup.AdjointPresentation:
+        return fpgroup.adjoint_presentation(self)
 
 
 def _generating_set(op):
@@ -308,11 +314,17 @@ def inner_group(quandle: FiniteQuandle, variant: str = "full",
 
 @dataclass(frozen=True)
 class QuandleHom:
-    """A quandle homomorphism given by its value table."""
+    """A quandle homomorphism given by its value table.
+
+    section[y] is the least preimage of target element y, or None off
+    the image: the one lift of each base element that coverings,
+    lifting and extensions read.
+    """
 
     source: FiniteQuandle
     target: FiniteQuandle
     map: tuple
+    section: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
@@ -328,12 +340,16 @@ class QuandleHom:
             for a in range(self.source.n):
                 if f[src[a][s]] != tgt[f[a]][f[s]]:
                     raise NotAHomomorphism((a, s))
+        section = [None] * self.target.n
+        for a in reversed(range(self.source.n)):
+            section[f[a]] = a
+        object.__setattr__(self, "section", tuple(section))
 
     def __call__(self, a: int) -> int:
         return self.map[a]
 
     def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.n
+        return None not in self.section
 
     def fibre(self, q: int):
         return tuple(a for a in range(self.source.n) if self.map[a] == q)
@@ -354,22 +370,20 @@ def is_covering(p: QuandleHom):
     """Covering test with a witness.
 
     True iff p is surjective and fibre-mates act identically by right
-    translation.  Returns (bool, witness), the witness being a triple
-    (a, x, y) with a * x != a * y although p(x) = p(y), or None when p
-    is not surjective.
+    translation.  Each y is compared with its fibre's section element
+    x on the generating set only: the a with a * x = a * y form a
+    subquandle, as rho_x and rho_y are automorphisms.  Returns (bool,
+    witness), the witness being a triple (a, x, y) with a * x != a * y
+    although p(x) = p(y), or None when p is not surjective.
     """
     if not p.is_surjective():
         return False, None
-    src = p.source
-    by_fibre = {}
-    for x in range(src.n):
-        by_fibre.setdefault(p.map[x], []).append(x)
-    for mates in by_fibre.values():
-        x = mates[0]
-        for y in mates[1:]:
-            for a in range(src.n):
-                if src.op[a][x] != src.op[a][y]:
-                    return False, (a, x, y)
+    op = p.source.op
+    for y in range(p.source.n):
+        x = p.section[p.map[y]]
+        for a in p.source.generators:
+            if op[a][x] != op[a][y]:
+                return False, (a, x, y)
     return True, None
 
 
@@ -405,8 +419,9 @@ def union_coverings(coverings):
     """Disjoint union of coverings of one base quandle.
 
     Acting by (b, j) on (a, i) means acting by any lift of p_j(b) in
-    summand i; that is well defined precisely because each summand is a
-    covering.  Returns the covering projection of the union.
+    summand i, here its section element; that is well defined precisely
+    because each summand is a covering.  Returns the covering
+    projection of the union.
     """
     coverings = list(coverings)
     if not coverings:
@@ -421,19 +436,11 @@ def union_coverings(coverings):
     elements = [(i, a) for i, p in enumerate(coverings)
                 for a in range(p.source.n)]
     index = {e: k for k, e in enumerate(elements)}
-    lifts = []  # per summand: one chosen preimage of each base element
-    for p in coverings:
-        chosen = {}
-        for a in range(p.source.n):
-            chosen.setdefault(p.map[a], a)
-        lifts.append(chosen)
     table = []
     for (i, a) in elements:
-        row = []
-        for (j, b) in elements:
-            q = coverings[j].map[b]
-            row.append(index[(i, coverings[i].source.op[a][lifts[i][q]])])
-        table.append(row)
+        row, lift = coverings[i].source.op[a], coverings[i].section
+        table.append([index[(i, row[lift[coverings[j].map[b]]])]
+                      for (j, b) in elements])
     total = validate(table)
     flat = tuple(coverings[i].map[a] for (i, a) in elements)
     return QuandleHom(total, base, flat)

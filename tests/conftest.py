@@ -96,3 +96,17 @@ def random_corpus(count=50, seed=20260824):
 @pytest.fixture(scope="session")
 def corpus():
     return constructor_corpus() + random_corpus()
+
+
+@pytest.fixture(scope="session")
+def corpus_coverings(corpus):
+    """(name, projection) for the universal cover and every census
+    covering of each connected corpus quandle."""
+    from quandelier import fundamental as fund
+    out = []
+    for name, quandle in corpus:
+        if quandle.is_connected():
+            out.append((name, fund.universal_cover(quandle).projection))
+            out += [(name, p) for _, p in fund.enumerate_connected_coverings(
+                quandle, quandle.basepoints[0])]
+    return out

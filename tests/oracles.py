@@ -3,8 +3,9 @@ way: brute-force versions of the checks it makes on a generating set
 (quandle axioms, homomorphisms, components and 2-cocycles), the
 Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
-brute-force route to |H^2|, the degree-adjusted deck permutations and
-the search for an equivalence of extensions.  The tests compare the
+brute-force route to |H^2|, the degree-adjusted deck permutations, the
+least preimages of a map, the covering check on all pairs and the
+search for an equivalence of extensions.  The tests compare the
 package's answers against them."""
 
 from itertools import product
@@ -74,6 +75,27 @@ def generated_subquandle(op, inv_op, generators):
                         new.append(z)
         frontier = new
     return reached
+
+
+def least_preimages(mapping, target_size):
+    """The least preimage of each target element, or None off the
+    image: one scan of the whole map per target element."""
+    return tuple(min((a for a, v in enumerate(mapping) if v == y),
+                     default=None)
+                 for y in range(target_size))
+
+
+def covering_violation(p):
+    """The first triple (a, x, y) with p(x) = p(y) and a*x != a*y, or
+    None: every pair of fibre-mates against every element a."""
+    op, n = p.source.op, p.source.n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if p.map[x] == p.map[y]:
+                for a in range(n):
+                    if op[a][x] != op[a][y]:
+                        return a, x, y
+    return None
 
 
 def full_adjoint_presentation(quandle):
@@ -463,9 +485,10 @@ def adjusted_deck_perm(table, basepoint, stab_coset):
 
 def equivalence_by_propagation(e1, e2, budget=1_000_000):
     """A projection-respecting equivariant isomorphism e1 -> e2, or None,
-    by search: fixing the image of one basepoint lift per component
-    determines the whole map by equivariant propagation, so each of the
-    |Lambda| images of the lift is tried.  The candidate is checked on
+    by search: fixing the image of one lift of the least element of
+    each orbit of the base's right translations determines the map on
+    that orbit by equivariant propagation, so each of the |Lambda|
+    images of the lift is tried.  The candidate is checked on
     every pair."""
     base = e1.projection.target
     phi = [None] * e1.total.n
@@ -475,9 +498,10 @@ def equivalence_by_propagation(e1, e2, budget=1_000_000):
     for x in range(e2.total.n):
         lift2.setdefault(e2.projection.map[x], x)
     steps = 0
-    for i, q in enumerate(base.basepoints):
+    for members in component_partition(base.op):
+        q = members[0]
+        i = base.grading[q]
         lam = e1.coeffs[i]
-        members = base.component_elements(i)
         s1 = min(e1.projection.fibre(q))
         matched = False
         for mu in e2.projection.fibre(q):

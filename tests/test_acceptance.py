@@ -175,11 +175,11 @@ def test_criterion_7_roundtrips():
             all_homs.append(hom)
         assert len(all_homs) == 2
         for hom in all_homs:
-            f = coh.cocycle_from_hom(quandle, Z2, [hom])
+            f = coh.cocycle_from_hom(quandle, Z2, hom)
             ext = coh.extension_from_cocycle(quandle, Z2, f)
             back = coh.cocycle_from_extension(ext)
             assert coh.are_cohomologous(f, back, quandle, Z2) is not None
-            assert coh.hom_from_extension(ext) == [hom]
+            assert coh.hom_from_extension(ext) == hom
 
 
 def test_criterion_8_universal_cover_axioms(corpus):

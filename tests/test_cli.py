@@ -312,7 +312,7 @@ def test_ext_from_cocycle_and_extract(tmp_path):
     deck = cover.deck
     hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
     z2 = coh.Coeff.from_invariants([2])
-    f = coh.cocycle_from_hom(quandle, z2, [hom])
+    f = coh.cocycle_from_hom(quandle, z2, hom)
     coeffs = coh.graded_coefficients(quandle, z2)
     cpath = _cocycle_file(tmp_path, quandle, f, coeffs)
 
@@ -364,6 +364,18 @@ def test_budget_env_override(tmp_path, monkeypatch):
     code, out, _ = run(["pi1", path])
     assert code == 2
     assert "unknown(budget)" in out
+
+
+def test_non_positive_budget_is_a_parse_error(tmp_path, monkeypatch):
+    # one rule for --budget and QUANDELIER_BUDGET, whichever command
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    for command in ("pi1", "h2"):
+        assert run([command, path, "--budget", "0"]) == (
+            3, "", "parse error: budget must be positive, got 0\n")
+    monkeypatch.setenv("QUANDELIER_BUDGET", "-2")
+    assert run(["h2", path]) == (
+        3, "", "parse error: budget must be positive, got -2\n")
+    assert run(["h2", path, "--budget", "5"])[0] == 0
 
 
 def test_emitted_quandle_files_roundtrip(tmp_path, corpus):

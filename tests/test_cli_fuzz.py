@@ -4,8 +4,9 @@ Valid quandle, map, group, cocycle and extension-bundle files have
 their fields mutated: tokens replaced, swapped, dropped or added, lines
 dropped, repeated or inserted.  Whatever the text, `cli.run` must
 return exit code 0, 1, 2 or 3, let no exception escape and write at
-most one line to standard error.  The examples are derandomized, so
-the suite stays deterministic.
+most one line to standard error.  The --budget and --base values and
+the QUANDELIER_BUDGET variable are drawn the same way.  The examples
+are derandomized, so the suite stays deterministic.
 """
 
 import io
@@ -134,3 +135,52 @@ def test_unmutated_input_files_succeed(files, kind):
     for argv in _commands(kind, path, files):
         out, err = io.StringIO(), io.StringIO()
         assert cli.run(argv, out=out, err=err) == 0, (argv, err.getvalue())
+
+
+NUMBERS = st.one_of(
+    st.integers(-3, 5).map(str), st.integers(-3, 5).map(str),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["", " ", "x", "1e3", "0x10", " 7 ", "+4", "1_000",
+                     "٣", "--", "-x", "é", "2.0"]))
+
+
+def _as_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_budget_and_base_values_end_in_an_exit_code(files, data):
+    # argparse's usage errors keep their own format (test_cli pins it);
+    # any other failure is one line, and a budget below 1 from either
+    # source is a parse error
+    argv = list(data.draw(st.sampled_from(
+        _commands("quandle", files["d3"], files))))
+    budget = data.draw(st.none() | NUMBERS)
+    if budget is not None:
+        argv += ["--budget", budget]
+    if argv[0] == "pi1" and data.draw(st.booleans()):
+        argv += ["--base", data.draw(NUMBERS)]
+    env = data.draw(st.none() | NUMBERS)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if env is None:
+            patch.delenv("QUANDELIER_BUDGET", raising=False)
+        else:
+            patch.setenv("QUANDELIER_BUDGET", env)
+        code = cli.run(argv, out=out, err=err)
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, env)
+    if message.startswith("usage: "):
+        assert code == 3
+        return
+    assert message.count("\n") <= 1, (argv, env, message)
+    assert code != 3 or message, (argv, env)
+    effective = _as_int(budget) if budget is not None else (
+        1 if env is None else _as_int(env))
+    if effective is not None and effective < 1:
+        assert code == 3 and "budget must be positive" in message

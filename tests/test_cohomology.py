@@ -273,7 +273,7 @@ def _nontrivial_s4_cocycle():
     cover = fund.universal_cover(quandle)
     deck = cover.deck
     hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
-    return quandle, coh.cocycle_from_hom(quandle, Z2, [hom]), [hom]
+    return quandle, coh.cocycle_from_hom(quandle, Z2, hom), hom
 
 
 def test_extension_from_trivial_cocycle_splits():
@@ -306,9 +306,9 @@ def test_cocycle_extension_roundtrip():
 
 
 def test_hom_extension_roundtrip():
-    quandle, f, homs = _nontrivial_s4_cocycle()
+    quandle, f, hom = _nontrivial_s4_cocycle()
     ext = coh.extension_from_cocycle(quandle, Z2, f)
-    assert coh.hom_from_extension(ext) == homs
+    assert coh.hom_from_extension(ext) == hom
 
 
 def test_equivalence_respects_cohomology_classes():
@@ -398,7 +398,7 @@ def test_equivalence_matches_the_propagation_search(corpus):
     for image in range(2):
         hom = [0 if k == deck.identity_index else image
                for k in range(deck.order)]
-        f = coh.cocycle_from_hom(quandle, Z2, [hom])
+        f = coh.cocycle_from_hom(quandle, Z2, hom)
         exts.append(coh.extension_from_cocycle(quandle, Z2, f))
         exts.append(coh.extension_from_cocycle(
             quandle, Z2, _rescaled(quandle, Z2, f, (1, 0, 0, 1, 1, 0))))
@@ -419,7 +419,7 @@ def test_equivalence_matches_the_propagation_search(corpus):
     for image in [e] + involutions[:2]:
         hom = [e if k == deck.identity_index else image
                for k in range(deck.order)]
-        cocycles.append(coh.cocycle_from_hom(quandle, s3, [hom]))
+        cocycles.append(coh.cocycle_from_hom(quandle, s3, hom))
     g = tuple(involutions[0] if a % 2 else e for a in range(quandle.n))
     cocycles.append(_rescaled(quandle, s3, cocycles[1], g))
     exts = [coh.extension_from_cocycle(quandle, s3, f) for f in cocycles]
@@ -427,6 +427,36 @@ def test_equivalence_matches_the_propagation_search(corpus):
         [(exts[0], exts[1]), (exts[1], exts[2]), (exts[1], exts[3]),
          (exts[2], exts[3]), (exts[0], exts[0])])
     assert verdicts == [False, True, True, True, True]
+
+
+def test_cohomology_search_covers_every_orbit_of_a_grading_class():
+    # the total of the split Z2 extension of D3 is two copies of D3 in
+    # one grading class; a rescaling is searched on each orbit
+    d3 = qmod.dihedral(3)
+    total = coh.extension_from_cocycle(d3, Z2,
+                                       coh.trivial_cocycle(d3, Z2)).total
+    assert total.component_count == 1
+    assert len(qmod.components(total)[0]) == 2
+    triv = coh.trivial_cocycle(total, Z3)
+    assert coh.are_cohomologous(triv, triv, total, Z3) == (0,) * total.n
+    rescaled = _rescaled(total, Z3, triv, (1, 2, 0, 0, 1, 1))
+    g = coh.are_cohomologous(rescaled, triv, total, Z3)
+    assert coh.coboundary(total, Z3, g).values == rescaled.values
+    # 1 on the pairs across the two orbits: a cocycle, as a*b stays in
+    # a's orbit, but no coboundary, as a*a' = a for a' the copy of a
+    orbit = qmod.components(total)[1]
+    across = coh.Cocycle2(tuple(
+        tuple(int(orbit[a] != orbit[b]) for b in range(total.n))
+        for a in range(total.n)))
+    assert coh.is_cocycle(across, total, Z3)[0]
+    assert coh.are_cohomologous(across, triv, total, Z3) is None
+    exts = [coh.extension_from_cocycle(total, Z3, f)
+            for f in (triv, rescaled, across)]
+    verdicts = _compare_equivalence_searches(
+        [(e1, e2) for e1 in exts for e2 in exts])
+    assert verdicts == [i // 2 == j // 2 for i in range(3) for j in range(3)]
+    assert coh.are_equivalent_extensions(exts[0], exts[0]) == tuple(
+        range(exts[0].total.n))
 
 
 def test_pullback_cocycle_naturality():
@@ -464,13 +494,13 @@ def test_check_extension_rejects_an_action_reversed_on_one_fibre():
 def test_cocycle_from_hom_builds_no_universal_cover(monkeypatch):
     # the cocycle needs the coset enumeration and the deck group, not
     # the cover's N x N table
-    quandle, f, homs = _nontrivial_s4_cocycle()
+    quandle, f, hom = _nontrivial_s4_cocycle()
 
     def no_cover(*args, **kwargs):
         raise AssertionError("universal cover built")
 
     monkeypatch.setattr(fund, "universal_cover", no_cover)
-    assert coh.cocycle_from_hom(quandle, Z2, homs) == f
+    assert coh.cocycle_from_hom(quandle, Z2, hom) == f
 
 
 def test_check_extension_rejects_broken_action():

@@ -291,11 +291,11 @@ def test_enumerate_homs_matches_count():
 def test_adjoint_presentation_shape():
     quandle = qmod.dihedral(3)
     assert quandle.generators == (0, 1)
-    words, tree = fpgroup.adjoint_words(quandle)
+    pres = fpgroup.adjoint_presentation(quandle)
+    words = pres.words
     # e_2 = e_1^-1 e_0 e_1, as 0*1 = 2
     assert words == ((1,), (2,), (-2, 1, 2))
-    assert tree == ((2, 0, 1),)
-    pres = fpgroup.adjoint_presentation(quandle)
+    assert pres.tree == ((2, 0, 1),)
     assert pres.generator_count == 2
     # one relator per pair (a, s) with s in S, less the pairs a = s and
     # the definition: n*|S| - |S| - (n - |S|) = 3*2 - 2 - 1
@@ -322,7 +322,7 @@ def test_adjoint_presentation_matches_the_full_one(corpus):
             continue
         connected += 1
         pres = fpgroup.adjoint_presentation(quandle)
-        words, _ = fpgroup.adjoint_words(quandle)
+        words = pres.words
         full = full_adjoint_presentation(quandle)
         assert pres.generator_count == len(quandle.generators), name
         assert len(pres.relators) <= quandle.n * (len(quandle.generators)
@@ -381,12 +381,12 @@ def test_todd_coxeter_matches_the_reference_on_adjoint_groups(corpus):
     hits = 0
     for name, quandle in corpus:
         q = quandle.basepoints[0]
-        words, _ = fpgroup.adjoint_words(quandle)
+        adjoint = fpgroup.adjoint_presentation(quandle)
         budgets = ((3000, 20000) if quandle.is_connected()
                    or name in ("trivial(2)", "dihedral(4)") else (3000,))
         for pres, subgroup in (
                 (full_adjoint_presentation(quandle), [(q + 1,)]),
-                (fpgroup.adjoint_presentation(quandle), [words[q]])):
+                (adjoint, [adjoint.words[q]])):
             for budget in budgets:
                 got = _same_as_reference(pres, subgroup, budget)
                 hits += isinstance(got, tuple)

@@ -23,6 +23,27 @@ def test_complex_counts():
     assert len(fund.build_complex(quandle, range(3))) == 3 * 3 + 3 == 12
 
 
+def test_the_adjoint_presentation_is_built_once_per_quandle(monkeypatch):
+    # the quandles are built here, so that no earlier test has cached
+    # their presentation: one build serves every component's pi_1 and
+    # both pipelines of fundamental_group
+    calls = []
+    build = fpgroup.adjoint_presentation
+
+    def counted(quandle):
+        calls.append(quandle)
+        return build(quandle)
+
+    monkeypatch.setattr(fpgroup, "adjoint_presentation", counted)
+    trivial = qmod.trivial(30)
+    assert len(coh.h2_integral(trivial)) == 30
+    assert calls == [trivial]
+    calls.clear()
+    dihedral = qmod.dihedral(91)
+    assert fund.fundamental_group(dihedral, 0).order == 1
+    assert calls == [dihedral]
+
+
 def _edge_ends(quandle, width, column):
     """Edge e runs from e // width to (e // width) * column[e % width]."""
     def ends(e):
@@ -420,19 +441,11 @@ def test_monodromy_of_trivial_covering_is_trivial():
     assert set(perms) == {(0,)}
 
 
-def test_monodromy_is_unchanged_on_corpus_covers(corpus, monkeypatch):
+def test_monodromy_is_unchanged_on_corpus_covers(corpus):
     # the universal cover and every census covering of each connected
-    # corpus quandle: the lifts are chosen once per call, and the
-    # permutations are those of lifting each letter to its last
-    # preimage instead of its first, one cover element at a time
-    lift_calls = []
-    lift_tables = fund._cover_lift_tables
-
-    def counted(p):
-        lift_calls.append(p)
-        return lift_tables(p)
-
-    monkeypatch.setattr(fund, "_cover_lift_tables", counted)
+    # corpus quandle: the permutations are those of lifting each letter
+    # to its last preimage instead of its first, one cover element at a
+    # time
     checked = 0
     for name, quandle in corpus:
         if not quandle.is_connected():
@@ -458,9 +471,7 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus, monkeypatch):
                              else p.source.inv_op[x][b])
                     images.append(pos[x])
                 want.append(tuple(images))
-            lift_calls.clear()
             deck, got_fibre, perms = fund.monodromy(p, q)
-            assert len(lift_calls) == 1
             assert got_fibre == fibre
             assert perms == tuple(want), name
             checked += 1

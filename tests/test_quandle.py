@@ -293,6 +293,87 @@ def test_hom_verdict_matches_the_full_check(corpus):
     assert verdicts["broken"] >= 250 and verdicts["hom"] >= 250
 
 
+def _random_homs(rng, corpus, count):
+    """Seeded homomorphisms between corpus quandles: constant maps,
+    affine maps dihedral(k m) -> dihedral(m), inner automorphisms, and
+    component indices sent into a trivial quandle."""
+    quandles = [quandle for _, quandle in corpus]
+    dihedral = {q.n: q for name, q in corpus if name.startswith("dihedral")}
+    out = []
+    for _ in range(count):
+        source, target = rng.choice(quandles), rng.choice(quandles)
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = [rng.randrange(target.n)] * source.n
+        elif kind == 1:  # x -> u x + v is a homomorphism for any u
+            m = rng.choice([m for m in dihedral if 12 // m >= 2])
+            source, target = dihedral[m * rng.randint(2, 12 // m)], dihedral[m]
+            u, v = rng.randrange(m), rng.randrange(m)
+            f = [(u * a + v) % m for a in range(source.n)]
+        elif kind == 2:
+            target = source
+            f = list(range(source.n))
+            for _ in range(rng.randint(1, 3)):
+                c = rng.randrange(source.n)
+                f = [source.op[v][c] for v in f]
+        else:  # a*b lies in a's component
+            target = qmod.trivial(source.component_count + rng.randrange(3))
+            slots = rng.sample(range(target.n), source.component_count)
+            f = [slots[i] for i in source.grading]
+        out.append(qmod.QuandleHom(source, target, tuple(f)))
+    return out
+
+
+def test_section_is_the_least_preimage(corpus, corpus_coverings):
+    homs = [p for _, p in corpus_coverings]
+    homs += _random_homs(random.Random(11), corpus, 400)
+    surjective = Counter()
+    for p in homs:
+        assert p.section == oracles.least_preimages(p.map, p.target.n)
+        onto = set(p.map) == set(range(p.target.n))
+        assert p.is_surjective() == onto == (None not in p.section)
+        surjective[onto] += 1
+    assert surjective[True] >= 100 and surjective[False] >= 100
+
+
+def _covering_verdict(p):
+    """is_covering's verdict, checked against the check on all pairs;
+    a witness it reports is a real violation."""
+    ok, witness = qmod.is_covering(p)
+    onto = set(p.map) == set(range(p.target.n))
+    assert ok == (onto and oracles.covering_violation(p) is None)
+    if witness is None:
+        assert ok or not onto
+    else:
+        a, x, y = witness
+        assert p.map[x] == p.map[y]
+        assert p.source.op[a][x] != p.source.op[a][y]
+    return ok
+
+
+def test_covering_verdict_matches_the_full_check(corpus, corpus_coverings):
+    # a covering compared on the generating set against all pairs of
+    # fibre-mates and every a: corpus universal covers and census
+    # coverings, each also followed by an inner automorphism (still a
+    # covering) or by a homomorphism that merges base elements
+    # (rarely one), the d8 -> d4 -> d2 composite and random maps
+    rng = random.Random(13)
+    d8, d4 = qmod.dihedral(8), qmod.dihedral(4)
+    maps = [qmod.compose_homs(
+        qmod.QuandleHom(d8, d4, tuple(a % 4 for a in range(8))),
+        qmod.QuandleHom(d4, qmod.dihedral(2), tuple(a % 2 for a in range(4))))]
+    maps += _random_homs(rng, corpus, 300)
+    for _, p in corpus_coverings:
+        base = p.target
+        c = rng.randrange(base.n)
+        inner = qmod.QuandleHom(base, base, tuple(row[c] for row in base.op))
+        merge = qmod.QuandleHom(base, qmod.trivial(1), (0,) * base.n)
+        maps += [p, qmod.compose_homs(p, inner), qmod.compose_homs(p, merge)]
+    verdicts = Counter(_covering_verdict(p) for p in maps)
+    assert verdicts[True] >= 2 * len(corpus_coverings)
+    assert verdicts[False] >= 200
+
+
 def test_hom_rejects_non_homomorphism():
     d3 = qmod.dihedral(3)
     with pytest.raises(NotAHomomorphism):
