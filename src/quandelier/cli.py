@@ -9,6 +9,7 @@ codes: 0 success, 1 semantic failure (validation or check false),
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 
@@ -21,6 +22,10 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_BUDGET = 2
 EXIT_PARSE = 3
+
+# the largest coefficient group, by spec or by group file, whose k x k
+# table is built before anything reads it
+MAX_GROUP_ORDER = 64
 
 
 def default_budget() -> int:
@@ -124,29 +129,48 @@ def parse_map_lines(lines, start, source_size):
 
 
 def parse_abelian_spec(spec) -> Coeff:
-    """'Z<d1>x...xZ<dk>' -> the corresponding finite abelian group."""
-    parts = spec.split("x")
+    """'Z<d1>x...xZ<dk>' -> the corresponding finite abelian group.
+
+    Each factor is ASCII digits and at least 2, and their product is
+    at most MAX_GROUP_ORDER, checked before the group is built.
+    """
     factors = []
-    for part in parts:
+    for part in spec.split("x"):
         if not part.startswith("Z"):
             raise ParseError(f"bad group spec {spec!r}")
-        d = _int(part[1:], "group order")
+        digits = part[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"expected group order, got {digits!r}")
+        d = _int(digits, "group order")
         if d < 2:
             raise ParseError("group spec factors must be >= 2")
         factors.append(d)
+    if math.prod(factors) > MAX_GROUP_ORDER:
+        raise ParseError(
+            f"group specs are limited to {MAX_GROUP_ORDER} elements")
     return Coeff.from_invariants(factors)
 
 
 def parse_group_spec(spec) -> Coeff:
-    """Abelian spec string, or a path to a 'group <n>' table file."""
+    """Abelian spec string, or a path to a 'group <n>' table file.
+
+    A spec string must be a divisibility chain (each factor divides the
+    next), as class counting reads its factors as invariant factors.
+    """
     if spec.startswith("Z") and not os.path.exists(spec):
-        return parse_abelian_spec(spec)
+        coeff = parse_abelian_spec(spec)
+        factors = coeff.invariants
+        if any(b % a for a, b in zip(factors, factors[1:])):
+            raise ParseError(f"group spec {spec!r} is not a divisibility "
+                             f"chain: each factor must divide the next")
+        return coeff
     lines = _tokens(_read(spec))
     if not lines or lines[0][0] != "group" or len(lines[0]) != 2:
         raise ParseError("expected a 'group <n>' header")
     n = _int(lines[0][1], "size")
-    if n > 64:
-        raise ParseError("group tables are limited to 64 elements")
+    if n > MAX_GROUP_ORDER:
+        raise ParseError(
+            f"group tables are limited to {MAX_GROUP_ORDER} elements")
     if len(lines) != n + 2:
         raise ParseError(f"expected {n} rows plus an identity line")
     table = []
@@ -273,9 +297,10 @@ def _read(path) -> str:
 
 
 def emit_quandle(quandle: qmod.FiniteQuandle, out):
+    labels = [str(v + 1) for v in range(quandle.n)]
     print(f"quandle {quandle.n}", file=out)
-    for a in range(quandle.n):
-        print(" ".join(str(v + 1) for v in quandle.op[a]), file=out)
+    for row in quandle.op:
+        print(" ".join(map(labels.__getitem__, row)), file=out)
     print("basepoints",
           " ".join(str(q + 1) for q in quandle.basepoints), file=out)
 
@@ -297,10 +322,11 @@ def emit_extension(ext: coh.Extension, out):
     emit_quandle(ext.total, out)
     emit_map(ext.projection.map, out)
     print("coeff", " ".join(_coeff_spec(c) for c in ext.coeffs), file=out)
+    labels = [str(v + 1) for v in range(ext.total.n)]
     for i, perms in enumerate(ext.action):
         print(f"action {i + 1}", file=out)
         for perm in perms:
-            print(" ".join(str(v + 1) for v in perm), file=out)
+            print(" ".join(map(labels.__getitem__, perm)), file=out)
 
 
 def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):

@@ -328,17 +328,14 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
     if not ok:
         raise ValueError(f"not a cocycle, witness {wit}")
     values = f.values if isinstance(f, Cocycle2) else f
-    n, gr = quandle.n, quandle.grading
+    n, op, gr = quandle.n, quandle.op, quandle.grading
     elements = [(u, a) for a in range(n)
                 for u in range(coeffs[gr[a]].order)]
     index = {e: i for i, e in enumerate(elements)}
-    table = []
-    for (u, a) in elements:
-        lam = coeffs[gr[a]]
-        row = []
-        for (v, b) in elements:
-            row.append(index[(lam.mul(u, values[a][b]), quandle.op[a][b])])
-        table.append(row)
+    # (u,a)*(v,b) does not read v: one column per base element b
+    columns = [tuple(index[(coeffs[gr[a]].mul(u, values[a][b]), op[a][b])]
+                     for (u, a) in elements) for b in range(n)]
+    table = tuple(zip(*(columns[b] for _, b in elements)))
     grading = tuple(gr[a] for (_, a) in elements)
     basepoints = []
     for i, q in enumerate(quandle.basepoints):

@@ -9,6 +9,7 @@ group of the universal cover.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import fpgroup, permgroup, quandle as qmod
 from .errors import BudgetExceeded, InfiniteGroup
@@ -201,7 +202,7 @@ class UniversalCover:
 
     Cover element c is coset c of the enumeration based at the base's
     basepoint, lying over endpoints[c]; deck is pi_1(Q, q) acting on
-    the cosets.
+    the cosets, built on first use.
     """
 
     base: FiniteQuandle
@@ -209,7 +210,10 @@ class UniversalCover:
     projection: QuandleHom
     table: CosetTable
     endpoints: tuple
-    deck: FiniteGroup
+
+    @cached_property
+    def deck(self) -> FiniteGroup:
+        return deck_group(self.table, self.endpoints, self.base.basepoints[0])
 
 
 def universal_cover(quandle: FiniteQuandle,
@@ -220,18 +224,17 @@ def universal_cover(quandle: FiniteQuandle,
     The operation (a,g)*(b,h) = (a*b, g adj(a)^-1 adj(b)) becomes right
     multiplication in the coset table.  A word g ending at a has
     adj(a) = g^-1 adj(q) g, which fixes the coset <adj(q)> g, so cell
-    (c, d) is coset c times adj(ends[d]).  Raises InfiniteGroup for a
-    disconnected quandle and BudgetExceeded when the degree-zero
-    subgroup is too large.
+    (c, d) is coset c times adj(ends[d]): column d is the action of
+    ends[d], and there are at most n distinct columns.  Raises
+    InfiniteGroup for a disconnected quandle and BudgetExceeded when
+    the degree-zero subgroup is too large.
     """
     q = quandle.basepoints[0]
     table, ends = adj0_enumeration(quandle, q, budget=budget)
-    step = tuple(zip(*table.action))  # step[c][g]: coset c times gen g
-    cover = qmod.validate([[row[e] for e in ends] for row in step])
+    cover = qmod.validate(tuple(zip(*map(table.action.__getitem__, ends))))
     return UniversalCover(base=quandle, cover=cover,
                           projection=QuandleHom(cover, quandle, ends),
-                          table=table, endpoints=ends,
-                          deck=deck_group(table, ends, q))
+                          table=table, endpoints=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +245,29 @@ def universal_cover(quandle: FiniteQuandle,
 class FundamentalGroup:
     """pi_1(Q, q): a presentation always, a finite model when possible.
 
-    finite_form is the deck permutation group on the cosets of the
-    adjoint enumeration, or None when that enumeration is infinite or
-    over budget.
+    table and endpoints are the adjoint enumeration, or None when it is
+    infinite or over budget.  finite_form is then the deck permutation
+    group on its cosets, built on first use, or None.  The order needs
+    no permutations: pi_1 acts freely, and its elements are the cosets
+    that end at the basepoint.
     """
 
     basepoint: int
     presentation: Presentation
-    finite_form: FiniteGroup
     table: CosetTable
     endpoints: tuple
 
+    @cached_property
+    def finite_form(self) -> FiniteGroup:
+        if self.table is None:
+            return None
+        return deck_group(self.table, self.endpoints, self.basepoint)
+
     @property
     def order(self):
-        if self.finite_form is None:
+        if self.endpoints is None:
             return None
-        return self.finite_form.order
+        return self.endpoints.count(self.basepoint)
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
         return fpgroup.abelian_invariants(self.presentation)
@@ -275,10 +285,8 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
     try:
         table, ends = adj0_enumeration(quandle, basepoint, budget=budget)
     except BudgetExceeded:
-        return FundamentalGroup(basepoint=basepoint, presentation=pres,
-                                finite_form=None, table=None, endpoints=None)
+        table = ends = None
     return FundamentalGroup(basepoint=basepoint, presentation=pres,
-                            finite_form=deck_group(table, ends, basepoint),
                             table=table, endpoints=ends)
 
 
@@ -365,10 +373,10 @@ def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
                 orbit_of[c] = i
         reps = [orbit[0] for orbit in orbits]
         # cell (c, d) is coset c times adj(ends[d]), as in the
-        # universal cover
-        rows = [[orbit_of[table.action[ends[d]][c]] for d in reps]
-                for c in reps]
-        total = qmod.validate(rows)
+        # universal cover, so column d depends on ends[d] only
+        column = {e: tuple(orbit_of[table.action[e][c]] for c in reps)
+                  for e in {ends[d] for d in reps}}
+        total = qmod.validate(tuple(zip(*(column[ends[d]] for d in reps))))
         proj = QuandleHom(total, quandle, tuple(ends[c] for c in reps))
         out.append((sub, proj))
     return out

@@ -90,51 +90,80 @@ def _orbits(op, gens):
     return parts, tuple(index)
 
 
-def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
-    """Check the quandle axioms and build a FiniteQuandle.
-
-    Reports the first violated axiom with a witness.  inv_op inverts
-    each right-translation column.  Q3 is checked as "rho_s is an
-    endomorphism" for s in the generating set S: if rho_c and rho_d are
-    automorphisms, so is rho_{c*d} = rho_d rho_c rho_d^-1, so the c with
-    rho_c automorphic form a subquandle containing S.  The default
-    grading is the components, with minimum-element basepoints.
-    """
-    op = tuple(tuple(row) for row in op_table)
+def _raise_bad_entry(op):
+    """Raise Q1 at the first row of wrong length or with an entry out
+    of range, at its least such column."""
     n = len(op)
-    if n < 1:
-        raise NotAQuandle("Q1", (), "empty quandle rejected")
     for a, row in enumerate(op):
         if len(row) != n:
             raise NotAQuandle("Q1", (a,), f"row {a} has wrong length")
         if min(row) < 0 or max(row) >= n:
             b = next(b for b, v in enumerate(row) if not 0 <= v < n)
             raise NotAQuandle("Q1", (a, b), f"entry {row[b]} out of range")
-    # one int object per element keeps the row gathers below in cache
-    elements = tuple(range(n))
-    op = tuple(tuple(map(elements.__getitem__, row)) for row in op)
-    for a in range(n):
-        if op[a][a] != a:
-            raise NotAQuandle("Q1", (a,))
-    columns = tuple(zip(*op))
-    inv = []
-    for b, column in enumerate(columns):
-        back = dict(zip(column, elements))
-        if len(back) != n:
-            raise NotRightInvertible(b)
-        inv.append(tuple(map(back.__getitem__, elements)))
-    inv_op = tuple(zip(*inv))
-    gens = _generating_set(op)
-    # (a*b)*s against (a*s)*(b*s) for a whole row of b at a time
+
+
+def _raise_q3(op, columns, gens):
+    """Raise Q3 at the first a, then s in S order, then the least b
+    with (a*b)*s != (a*s)*(b*s), comparing a whole row of b at a time."""
     at_rho = [itemgetter(*columns[s]) for s in gens]
-    for a in range(n):
+    for a in range(len(op)):
         at_row_a = itemgetter(*op[a])
         for s, at_rho_s in zip(gens, at_rho):
             rho = columns[s]
             if at_row_a(rho) != at_rho_s(op[rho[a]]):
-                b = next(b for b in range(n)
+                b = next(b for b in range(len(op))
                          if rho[op[a][b]] != op[rho[a]][rho[b]])
                 raise NotAQuandle("Q3", (a, b, s))
+
+
+def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
+    """Check the quandle axioms and build a FiniteQuandle.
+
+    Each check runs once per distinct right-translation column
+    C_b: a -> a*b, of which a covering of an n-element quandle has at
+    most n.  inv_op inverts each distinct column.  Q3 is checked as
+    "rho_s is an endomorphism" for s in the generating set S (if rho_c
+    and rho_d are automorphisms, so is rho_{c*d} = rho_d rho_c rho_d^-1,
+    so the c with rho_c automorphic form a subquandle containing S),
+    that is rho_s C_b = C_{b*s} rho_s once per distinct pair of columns.
+    A violation is reported at its first witness in row order.  The
+    default grading is the components, with minimum-element basepoints.
+    """
+    op = tuple(tuple(row) for row in op_table)
+    n = len(op)
+    if n < 1:
+        raise NotAQuandle("Q1", (), "empty quandle rejected")
+    if any(len(row) != n for row in op):
+        _raise_bad_entry(op)
+    number = {}  # distinct column -> id, in order of first occurrence
+    column_id = [number.setdefault(c, len(number)) for c in zip(*op)]
+    if any(min(c) < 0 or max(c) >= n for c in number):
+        _raise_bad_entry(op)
+    # one int object per element keeps the gathers below in cache
+    elements = tuple(range(n))
+    distinct = [tuple(map(elements.__getitem__, c)) for c in number]
+    columns = tuple(map(distinct.__getitem__, column_id))
+    op = tuple(zip(*columns))
+    for a in range(n):
+        if op[a][a] != a:
+            raise NotAQuandle("Q1", (a,))
+    inverses = []
+    for k, column in enumerate(distinct):
+        back = dict(zip(column, elements))
+        if len(back) != n:
+            raise NotRightInvertible(column_id.index(k))
+        inverses.append(tuple(map(back.__getitem__, elements)))
+    inv_op = tuple(zip(*map(inverses.__getitem__, column_id)))
+    gens = _generating_set(op)
+    # rho_s C_i against C_j rho_s, for the pairs i, j of column ids
+    # of b and b*s
+    gather = [itemgetter(*column) for column in distinct]
+    for s in gens:
+        rho = columns[s]
+        at_rho = itemgetter(*rho)
+        for i, j in set(zip(column_id, map(column_id.__getitem__, rho))):
+            if gather[i](rho) != at_rho(distinct[j]):
+                _raise_q3(op, columns, gens)
 
     parts, part_index = _orbits(op, gens)
     if grading is None:

@@ -4,14 +4,15 @@ way: brute-force versions of the checks it makes on a generating set
 Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
 brute-force route to |H^2|, the degree-adjusted deck permutations, the
-least preimages of a map, the covering check on all pairs and the
-search for an equivalence of extensions.  The tests compare the
-package's answers against them."""
+least preimages of a map, the covering check on all pairs, table
+validation row by row and the search for an equivalence of
+extensions.  The tests compare the package's answers against them."""
 
 from itertools import product
+from operator import itemgetter
 
-from quandelier import cohomology as coh, fpgroup
-from quandelier.errors import BudgetExceeded
+from quandelier import cohomology as coh, fpgroup, quandle as qmod
+from quandelier.errors import BudgetExceeded, NotAQuandle, NotRightInvertible
 
 
 def q3_violation(op):
@@ -96,6 +97,70 @@ def covering_violation(p):
                     if op[a][x] != op[a][y]:
                         return a, x, y
     return None
+
+
+def validate_rowwise(op_table, grading=None, basepoints=None):
+    """quandle.validate with every check made on all n rows and all n
+    columns, repeated or not: range by row, each column inverted, and
+    Q3 for each a and s in S as one comparison of a whole row of b."""
+    op = tuple(tuple(row) for row in op_table)
+    n = len(op)
+    if n < 1:
+        raise NotAQuandle("Q1", (), "empty quandle rejected")
+    for a, row in enumerate(op):
+        if len(row) != n:
+            raise NotAQuandle("Q1", (a,), f"row {a} has wrong length")
+        if min(row) < 0 or max(row) >= n:
+            b = next(b for b, v in enumerate(row) if not 0 <= v < n)
+            raise NotAQuandle("Q1", (a, b), f"entry {row[b]} out of range")
+    elements = tuple(range(n))
+    op = tuple(tuple(map(elements.__getitem__, row)) for row in op)
+    for a in range(n):
+        if op[a][a] != a:
+            raise NotAQuandle("Q1", (a,))
+    columns = tuple(zip(*op))
+    inv = []
+    for b, column in enumerate(columns):
+        back = dict(zip(column, elements))
+        if len(back) != n:
+            raise NotRightInvertible(b)
+        inv.append(tuple(map(back.__getitem__, elements)))
+    inv_op = tuple(zip(*inv))
+    gens = qmod._generating_set(op)
+    at_rho = [itemgetter(*columns[s]) for s in gens]
+    for a in range(n):
+        at_row_a = itemgetter(*op[a])
+        for s, at_rho_s in zip(gens, at_rho):
+            rho = columns[s]
+            if at_row_a(rho) != at_rho_s(op[rho[a]]):
+                b = next(b for b in range(n)
+                         if rho[op[a][b]] != op[rho[a]][rho[b]])
+                raise NotAQuandle("Q3", (a, b, s))
+    parts, part_index = qmod._orbits(op, gens)
+    if grading is None:
+        grading = part_index
+    else:
+        grading = tuple(grading)
+        if len(grading) != n:
+            raise ValueError("grading length mismatch")
+        for part in parts:
+            if len({grading[a] for a in part}) != 1:
+                raise ValueError(f"grading splits the component {part}")
+    classes = sorted(set(grading))
+    if classes != list(range(len(classes))):
+        raise ValueError("grading indices must be 0..k-1")
+    if basepoints is None:
+        basepoints = tuple(min(a for a in range(n) if grading[a] == i)
+                           for i in classes)
+    else:
+        basepoints = tuple(basepoints)
+        if len(basepoints) != len(classes):
+            raise ValueError("need exactly one basepoint per grading class")
+        for i, q in enumerate(basepoints):
+            if not 0 <= q < n or grading[q] != i:
+                raise ValueError(f"basepoint {q} not in class {i}")
+    return qmod.FiniteQuandle(n=n, op=op, inv_op=inv_op, grading=grading,
+                              basepoints=basepoints, generators=gens)
 
 
 def full_adjoint_presentation(quandle):

@@ -6,7 +6,8 @@ import importlib.util
 import io
 from pathlib import Path
 
-from quandelier import cli
+from quandelier import (cli, cohomology as coh, fundamental as fund,
+                        quandle as qmod)
 from conftest import transposition_quandle
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -47,3 +48,25 @@ def test_traced_counters_read_the_snf_arguments(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["fpgroup.snf_nnz"] > 0
     assert metrics["fpgroup.snf_dense_cells"] > 0
+
+
+def test_validate_gets_a_sized_table(monkeypatch):
+    # the tracer counts Q3 triples from len(args[0]) of every validate
+    # call, so the builders of covers, quotients and extensions must
+    # hand validate a sequence of rows, never a bare iterator
+    counts = _tracing()._counts
+    validate = qmod.validate
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(counts("quandle.validate", args, None, None))
+        return validate(*args, **kwargs)
+
+    base = transposition_quandle(4)
+    z2 = coh.Coeff.from_invariants([2])
+    monkeypatch.setattr(qmod, "validate", counted)
+    fund.universal_cover(base)
+    fund.enumerate_connected_coverings(base, 0)
+    coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
+    assert [c["quandle.q3_triples"] for c in sizes] == [
+        12 ** 3, 12 ** 3, 6 ** 3, 12 ** 3]

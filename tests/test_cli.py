@@ -201,6 +201,44 @@ def test_h2c_bad_spec(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("Z99999999999999", "group specs are limited to 64 elements"),
+    ("Z4000", "group specs are limited to 64 elements"),
+    ("Z65", "group specs are limited to 64 elements"),
+    ("Z4xZ32", "group specs are limited to 64 elements"),
+    ("Z2xZ3", "group spec 'Z2xZ3' is not a divisibility chain: "
+              "each factor must divide the next"),
+    ("Z4xZ2", "group spec 'Z4xZ2' is not a divisibility chain: "
+              "each factor must divide the next"),
+    ("Z+2", "expected group order, got '+2'"),
+    ("Z 2", "expected group order, got ' 2'"),
+    ("Z2_0", "expected group order, got '2_0'"),
+    ("Z\u0663", "expected group order, got '\u0663'"),
+])
+def test_bad_coeff_specs_are_parse_errors(tmp_path, spec, message):
+    # the order is checked before the group's table is built, and the
+    # factors are ASCII digits forming a divisibility chain
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    assert run(["h2c", path, "--coeff", spec]) == (
+        3, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, classes", [("Z64", 1), ("Z2xZ32", 1)])
+def test_coeff_specs_up_to_the_limit_are_read(tmp_path, spec, classes):
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    assert run(["h2c", path, "--coeff", spec]) == (
+        0, f"classes={classes}\n", "")
+
+
+def test_cocycle_file_specs_share_the_limit(tmp_path):
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    cocycle = tmp_path / "c.txt"
+    cocycle.write_text("cocycle 3 over Z99999999999999\n"
+                       "0 0 0\n0 0 0\n0 0 0\n")
+    assert run(["ext", path, "--from-cocycle", str(cocycle)]) == (
+        3, "", "parse error: group specs are limited to 64 elements\n")
+
+
 # ---------------------------------------------------------------------------
 # cover
 

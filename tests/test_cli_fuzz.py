@@ -5,11 +5,14 @@ their fields mutated: tokens replaced, swapped, dropped or added, lines
 dropped, repeated or inserted.  Whatever the text, `cli.run` must
 return exit code 0, 1, 2 or 3, let no exception escape and write at
 most one line to standard error.  The --budget and --base values and
-the QUANDELIER_BUDGET variable are drawn the same way.  The examples
-are derandomized, so the suite stays deterministic.
+the QUANDELIER_BUDGET variable are drawn the same way, and so are
+mutated --coeff specs.  The examples are derandomized, so the suite
+stays deterministic.
 """
 
 import io
+import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -184,3 +187,59 @@ def test_budget_and_base_values_end_in_an_exit_code(files, data):
         1 if env is None else _as_int(env))
     if effective is not None and effective < 1:
         assert code == 3 and "budget must be positive" in message
+
+
+SPEC_PIECES = st.sampled_from(list("Zx0123456789") + [
+    "Z", "x", "+", " ", "_", "-", ",", "٣", "é", "99999999999999"])
+
+
+@st.composite
+def coeff_specs(draw):
+    """A valid invariant-factor spec with characters replaced, inserted
+    or deleted."""
+    chars = list(draw(st.sampled_from(
+        ["Z2", "Z4", "Z2xZ2", "Z2xZ4", "Z3xZ6", "Z2xZ2xZ2", "Z64"])))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        i = draw(st.integers(0, len(chars)))
+        if kind == "insert":
+            chars.insert(i, draw(SPEC_PIECES))
+        elif i < len(chars):
+            if kind == "replace":
+                chars[i] = draw(SPEC_PIECES)
+            else:
+                del chars[i]
+    return "".join(chars)
+
+
+def _readable_spec(spec):
+    """Whether spec is a chain Z<d1>x...xZ<dk> of ASCII-digit factors,
+    each at least 2 and dividing the next, of order at most 64."""
+    if not re.fullmatch(r"Z[0-9]+(xZ[0-9]+)*", spec):
+        return False
+    factors = [int(part) for part in spec[1:].split("xZ")]
+    return (min(factors) >= 2 and math.prod(factors) <= 64
+            and all(b % a == 0 for a, b in zip(factors, factors[1:])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_coeff_specs_end_in_an_exit_code(files, tmp_path, data):
+    # a spec that is not a readable chain is a one-line parse error; a
+    # spec not starting with Z names a group file, here a missing one
+    spec = data.draw(coeff_specs())
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path)
+        code = cli.run(["h2c", files["d3"], "--coeff", spec], out=out,
+                       err=err)
+    message = err.getvalue()
+    if message.startswith("usage: "):
+        assert code == 3 and spec.startswith("-"), spec
+        return
+    assert message.count("\n") <= 1, (spec, message)
+    if _readable_spec(spec):
+        assert (code, message) == (0, ""), spec
+    else:
+        assert code == 3 and message.startswith("parse error: "), spec

@@ -1,6 +1,8 @@
+import io
+
 import pytest
 
-from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
+from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
@@ -259,6 +261,35 @@ def test_fundamental_group_two_pipelines_agree():
         assert fpgroup.todd_coxeter(fg.presentation, []).coset_count == order
 
 
+def test_order_counts_the_cosets_ending_at_the_basepoint(corpus):
+    for name, quandle in corpus:
+        if quandle.is_connected():
+            fg = fund.fundamental_group(quandle, quandle.basepoints[0])
+            assert fg.order == fg.finite_form.order, name
+
+
+def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
+    calls = []
+    deck_group = fund.deck_group
+    monkeypatch.setattr(fund, "deck_group",
+                        lambda *args: calls.append(args) or deck_group(*args))
+    quandle = transposition_quandle(5)
+    path = tmp_path / "s5.txt"
+    text = io.StringIO()
+    cli.emit_quandle(quandle, text)
+    path.write_text(text.getvalue())
+    for argv in (["pi1", str(path)], ["cover", str(path), "--universal"]):
+        out = io.StringIO()
+        assert cli.run(argv, out=out, err=io.StringIO()) == 0
+    assert out.getvalue().startswith("quandle 60\n")
+    assert calls == []
+    cover = fund.universal_cover(quandle)
+    fg = fund.fundamental_group(quandle, 0)
+    assert fg.order == 6 and calls == []
+    assert cover.deck is cover.deck and fg.finite_form.order == 6
+    assert len(calls) == 2
+
+
 def test_fundamental_group_s5_abelianization():
     fg = fund.fundamental_group(transposition_quandle(5), 0)
     inv = fg.abelian_invariants()
@@ -290,6 +321,14 @@ def test_universal_cover_of_s4_quandle():
     assert cover.cover.n == 12
     assert qmod.is_covering(cover.projection)[0]
     assert cover.cover.is_connected()
+
+
+def test_universal_cover_of_s7_quandle_has_one_column_per_base_element():
+    base = transposition_quandle(7)
+    cover = fund.universal_cover(base)
+    assert cover.cover.n == 2520
+    assert len(set(zip(*cover.cover.op))) <= base.n == 21
+    assert qmod.is_covering(cover.projection)[0]
 
 
 def test_universal_cover_element_bookkeeping():

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 import oracles
-from quandelier import fundamental as fund, permgroup, quandle as qmod
+from quandelier import (cohomology as coh, fundamental as fund, permgroup,
+                        quandle as qmod)
 from quandelier.errors import (EmptyUnion, NotAHomomorphism, NotAQuandle,
                                NotRightInvertible)
 from conftest import cyclic_group, symmetric_group, transposition_quandle
@@ -84,6 +85,93 @@ def test_q3_verdict_matches_the_full_check(corpus):
             assert expected is None
             verdicts["quandle"] += 1
     assert verdicts["broken"] >= 300 and verdicts["quandle"] >= 300
+
+
+def _outcome(check, table, **kwargs):
+    """The quandle a validator builds, or the class, axiom, witness and
+    message of what it raises."""
+    try:
+        return check(table, **kwargs)
+    except NotAQuandle as exc:
+        return type(exc), exc.axiom, exc.witness, str(exc)
+
+
+@pytest.fixture(scope="module")
+def covering_tables(corpus, corpus_coverings):
+    """(table, validate keywords, base size) for the universal cover,
+    every census quotient, and a Z2 and a Z3 extension total of each
+    connected corpus quandle."""
+    out = [(p.source.op, {}, p.target.n) for _, p in corpus_coverings]
+    for _, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        for k in (2, 3):
+            lam = coh.Coeff.from_invariants([k])
+            g = tuple(a % k for a in range(quandle.n))
+            total = coh.extension_from_cocycle(
+                quandle, lam, coh.coboundary(quandle, lam, g)).total
+            out.append((total.op, {"grading": total.grading,
+                                   "basepoints": total.basepoints},
+                        quandle.n))
+    return out
+
+
+def test_validate_matches_the_rowwise_reference(corpus, covering_tables):
+    # checking each distinct column once builds the same quandle as
+    # checking every row and column
+    tables = [(quandle.op, {}) for _, quandle in corpus]
+    tables += [(op, kwargs) for op, kwargs, _ in covering_tables]
+    for op, kwargs in tables:
+        built = qmod.validate(op, **kwargs)
+        assert built == oracles.validate_rowwise(op, **kwargs)
+    for op, _, base_size in covering_tables:
+        assert len(set(zip(*op))) <= base_size
+
+
+def broken_covering_tables(op, rng):
+    """Copies of a covering table with one defect each: a swap inside
+    one copy of a repeated column, the same swap in every copy, an
+    entry out of range either way, a short row, or a value repeated
+    inside a column."""
+    n = len(op)
+    columns = list(zip(*op))
+    copies = [b for b, column in enumerate(columns)
+              if columns.index(column) != b]
+    a, b = rng.randrange(n), rng.randrange(n)
+    out = []
+    for bad in (n, -1):
+        out.append([list(row) for row in op])
+        out[-1][a][b] = bad
+    out.append([list(row) for row in op])
+    del out[-1][a][-1]
+    if n >= 2:
+        out.append([list(row) for row in op])
+        out[-1][a][b] = op[(a + 1) % n][b]
+    if copies:
+        b = rng.choice(copies)
+        same = [c for c in range(n) if columns[c] == columns[b]]
+        # rows off the diagonal of every copy, so that Q1 still holds
+        rows = [r for r in range(n) if r not in same]
+        x, y = rng.sample(rows, 2) if len(rows) >= 2 else rng.sample(same, 2)
+        for targets in ([b], same):
+            out.append([list(row) for row in op])
+            for c in targets:
+                out[-1][x][c], out[-1][y][c] = out[-1][y][c], out[-1][x][c]
+    return out
+
+
+def test_validate_finds_the_rowwise_witness_on_broken_coverings(
+        covering_tables):
+    # once a check fails, the witness is the one the row-by-row scan
+    # finds first, as `quandelier validate` prints it
+    rng = random.Random(11)
+    axioms = Counter()
+    for op, _, _ in covering_tables:
+        for broken in broken_covering_tables(op, rng):
+            got = _outcome(qmod.validate, broken)
+            assert got == _outcome(oracles.validate_rowwise, broken)
+            axioms[got[1] if isinstance(got, tuple) else "quandle"] += 1
+    assert min(axioms[k] for k in ("Q1", "Q2", "Q3")) >= 30, axioms
 
 
 def test_inv_op_inverts_columns():
