@@ -481,23 +481,3 @@ def are_equivalent_extensions(e1: Extension, e2: Extension,
             phi[e1.action[i][k][s1]] = e2.action[i][lam.mul(k, g_inv)][s2]
     return tuple(phi)
 
-
-def pullback_cocycle(f_hom: QuandleHom, f, coeffs):
-    """Pull a cocycle on the target back along a homomorphism.
-
-    Returns (values, coefficient groups) regraded over the source's
-    components via the induced map on components.
-    """
-    target = f_hom.target
-    source = f_hom.source
-    coeffs = graded_coefficients(target, coeffs)
-    values = f.values if isinstance(f, Cocycle2) else f
-    rows = tuple(tuple(values[f_hom.map[x]][f_hom.map[y]]
-                       for y in range(source.n))
-                 for x in range(source.n))
-    comp_map = [None] * source.component_count
-    for x in range(source.n):
-        comp_map[source.grading[x]] = target.grading[f_hom.map[x]]
-    new_coeffs = tuple(coeffs[comp_map[i]]
-                       for i in range(source.component_count))
-    return Cocycle2(rows), new_coeffs

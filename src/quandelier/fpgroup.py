@@ -8,12 +8,11 @@ construction; relator scans need the raw letters.
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .errors import BudgetExceeded
-from .permgroup import FiniteGroup
 
 DEFAULT_COSET_BUDGET = 1_000_000
-DEFAULT_HOM_BUDGET = 1 << 20
 
 Word = tuple
 
@@ -44,6 +43,79 @@ class Presentation:
         for i, r in enumerate(self.relators):
             if 0 in r or max(map(abs, r), default=0) > self.generator_count:
                 raise ValueError(f"relator {i} has a letter out of range")
+
+
+def _cyclically_reduce(word) -> Word:
+    """Free and cyclic reduction; a reduced word is returned as it is."""
+    if (len(word) < 2 or word[0] + word[-1]) and 0 not in map(
+            add, word, word[1:]):
+        return word
+    word = normalize(word)
+    i, j = 0, len(word)
+    while j - i > 1 and word[i] == -word[j - 1]:
+        i, j = i + 1, j - 1
+    return word[i:j]
+
+
+def simplify(presentation: Presentation):
+    """Tietze moves until nothing changes; returns (Presentation, images).
+
+    The relators are read in order, again and again until a reading
+    eliminates nothing.  A relator of length 1 kills its generator, and
+    a relator a b in two distinct generators eliminates the later one
+    as the other's inverse; the relator then goes.  An elimination
+    takes effect at once: a relator is rewritten, cyclically reduced,
+    when it holds a generator eliminated since its last reading, and
+    the first reading reduces them all.  Duplicates go after each
+    reading, and at the end so do relators equal up to rotation and
+    inversion: each is kept as the least rotation of it or of its
+    inverse, shorter relators first, as coset enumeration fares better
+    so.  The survivors are renumbered in order; images[g] is the
+    signed letter old generator g (letter g + 1) became, or 0 if it
+    was killed.
+    """
+    count = presentation.generator_count
+    # letter -> the letter it now reads as, or 0
+    sub = list(range(count + 1)) + list(range(-count, 0))
+    relators = presentation.relators
+    recent = set(range(1, count + 1))
+    while recent:
+        eliminated = set()
+        kept = []
+        for w in relators:
+            if not recent.isdisjoint(map(abs, w)):
+                w = _cyclically_reduce(
+                    tuple(filter(None, map(sub.__getitem__, w))))
+            if len(w) == 1 or len(w) == 2 and abs(w[0]) != abs(w[1]):
+                a, b = sorted(w, key=abs) if len(w) == 2 else (0, w[0])
+                into, b = (-a if b > 0 else a), abs(b)
+                for g in range(1, count + 1):  # letters that read b
+                    if abs(sub[g]) == b:
+                        sub[g] = into if sub[g] > 0 else -into
+                        sub[-g] = -sub[g]
+                recent.add(b)
+                eliminated.add(b)
+            elif w:
+                kept.append(w)
+        relators = tuple(dict.fromkeys(kept))
+        recent = eliminated
+    survivors = [g for g in range(1, count + 1) if sub[g] == g]
+    number = [0] * (count + 1)
+    for k, g in enumerate(survivors, 1):
+        number[g] = k
+    final = [0] + [number[v] if v > 0 else -number[-v]
+                   for v in sub[1:count + 1]]
+    final += [-v for v in reversed(final[1:])]  # letters -count .. -1
+
+    def canonical(w):
+        w = tuple(map(final.__getitem__, w))
+        return min(v[i:] + v[:i] for v in (w, inverse_word(w))
+                   for i in range(len(v)))
+
+    return (Presentation(generator_count=len(survivors),
+                         relators=tuple(sorted(dict.fromkeys(
+                             map(canonical, relators)), key=len))),
+            tuple(final[1:count + 1]))
 
 
 @dataclass(frozen=True)
@@ -483,31 +555,3 @@ def count_homs_to_abelian(src: AbelianInvariants,
             total *= gcd(d, e)
     return total
 
-
-def enumerate_homs(presentation: Presentation, target: FiniteGroup,
-                   budget: int = DEFAULT_HOM_BUDGET):
-    """All homomorphisms into a finite group, as element-index tuples.
-
-    Brute force over generator images in lexicographic order of element
-    indices; a relator check filters non-homomorphisms.
-    """
-    from itertools import product
-
-    ngens = presentation.generator_count
-    if target.order ** ngens > budget:
-        raise BudgetExceeded(target.order ** ngens, "homomorphism search")
-    inv = [target.inv_idx(i) for i in range(target.order)]
-    out = []
-    for images in product(range(target.order), repeat=ngens):
-        ok = True
-        for r in presentation.relators:
-            acc = target.identity_index
-            for letter in r:
-                g = images[abs(letter) - 1]
-                acc = target.mul_idx(acc, g if letter > 0 else inv[g])
-            if acc != target.identity_index:
-                ok = False
-                break
-        if ok:
-            out.append(images)
-    return out

@@ -3,9 +3,9 @@
 pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
 modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
 the adjoint presentation on S over the Schreier graph of q's component,
-and its abelianisation is H2.  Its finite model is the stabilizer in
-the coset enumeration of Adj(Q) modulo <e_q>, which acts as the deck
-group of the universal cover.
+Tietze-simplified; its abelianisation is H2, and its enumeration over
+the trivial subgroup its finite model.  The stabilizer of q in the
+enumeration of Adj(Q) modulo <e_q> is the universal cover's deck group.
 """
 
 from dataclasses import dataclass
@@ -54,7 +54,8 @@ def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
     return tuple(cells)
 
 
-def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
+def reidemeister_schreier(quandle: FiniteQuandle,
+                          basepoint: int) -> Presentation:
     """Reidemeister-Schreier presentation of pi_1 at the basepoint.
 
     A BFS along the edges a -> a*s, s in S, crossed either way, builds a
@@ -98,8 +99,21 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
                         relators=tuple(dict.fromkeys(r for r in reduced if r)))
 
 
+def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
+    """The Reidemeister-Schreier presentation of pi_1 at the basepoint,
+    Tietze-simplified by fpgroup.simplify."""
+    return fpgroup.simplify(reidemeister_schreier(quandle, basepoint))[0]
+
+
 # ---------------------------------------------------------------------------
 # coset enumeration of Adj(Q) modulo the basepoint generator
+
+
+def _certify_finite(quandle: FiniteQuandle):
+    """Raise InfiniteGroup if the quandle has several components."""
+    parts, _ = qmod.components(quandle)
+    if len(parts) > 1:
+        raise InfiniteGroup(len(parts))
 
 
 def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
@@ -126,9 +140,7 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    parts, _ = qmod.components(quandle)
-    if len(parts) > 1:
-        raise InfiniteGroup(len(parts))
+    _certify_finite(quandle)
     adjoint = quandle.adjoint
     small = fpgroup.todd_coxeter(adjoint, [adjoint.words[basepoint]],
                                  budget=budget)
@@ -238,36 +250,34 @@ def universal_cover(quandle: FiniteQuandle,
 
 
 # ---------------------------------------------------------------------------
-# the fundamental group, both pipelines
+# the fundamental group
 
 
 @dataclass(frozen=True)
 class FundamentalGroup:
     """pi_1(Q, q): a presentation always, a finite model when possible.
 
-    table and endpoints are the adjoint enumeration, or None when it is
-    infinite or over budget.  finite_form is then the deck permutation
-    group on its cosets, built on first use, or None.  The order needs
-    no permutations: pi_1 acts freely, and its elements are the cosets
-    that end at the basepoint.
+    regular is the coset enumeration of the presentation over the
+    trivial subgroup, pi_1's right regular representation, or None
+    when pi_1 is infinite or over budget.  Its coset count is the
+    order, and finite_form is pi_1 acting on those cosets, each of
+    which ends at the basepoint, from the left, built on first use.
     """
 
     basepoint: int
     presentation: Presentation
-    table: CosetTable
-    endpoints: tuple
+    regular: CosetTable
 
     @cached_property
     def finite_form(self) -> FiniteGroup:
-        if self.table is None:
+        if self.regular is None:
             return None
-        return deck_group(self.table, self.endpoints, self.basepoint)
+        return deck_group(self.regular, (self.basepoint,) * self.order,
+                          self.basepoint)
 
     @property
     def order(self):
-        if self.endpoints is None:
-            return None
-        return self.endpoints.count(self.basepoint)
+        return None if self.regular is None else self.regular.coset_count
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
         return fpgroup.abelian_invariants(self.presentation)
@@ -278,16 +288,19 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       ) -> FundamentalGroup:
     """Compute pi_1(Q, basepoint).
 
-    The presentation is always returned; the finite form only when the
-    adjoint enumeration terminates within budget.
+    The presentation is always returned; the finite model only when pi_1
+    is finite and its enumeration stays within the budget of live
+    cosets.  A disconnected quandle has infinite pi_1 and is not
+    enumerated.
     """
     pres = pi1_presentation(quandle, basepoint)
     try:
-        table, ends = adj0_enumeration(quandle, basepoint, budget=budget)
-    except BudgetExceeded:
-        table = ends = None
+        _certify_finite(quandle)
+        regular = fpgroup.todd_coxeter(pres, [], budget=budget)
+    except BudgetExceeded:  # InfiniteGroup included
+        regular = None
     return FundamentalGroup(basepoint=basepoint, presentation=pres,
-                            table=table, endpoints=ends)
+                            regular=regular)
 
 
 # ---------------------------------------------------------------------------

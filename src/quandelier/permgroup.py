@@ -139,14 +139,6 @@ def orbits(group: FiniteGroup, points=None):
     return result
 
 
-def is_central(element: Perm, group: FiniteGroup) -> bool:
-    """True iff element commutes with every generator of the group."""
-    element = tuple(element)
-    if element not in group:
-        raise ValueError("element does not belong to the group")
-    return all(mul(element, g) == mul(g, element) for g in group.generators)
-
-
 def _close_set(seed, group: FiniteGroup) -> frozenset:
     """Subgroup (as an index set) generated by the seed indices."""
     members = set(seed)

@@ -39,9 +39,6 @@ class FiniteQuandle:
     def component_count(self) -> int:
         return len(self.basepoints)
 
-    def component_elements(self, i: int):
-        return tuple(a for a in range(self.n) if self.grading[a] == i)
-
     def is_connected(self) -> bool:
         return self.component_count == 1
 
@@ -308,37 +305,10 @@ def alexander(table, automorphism) -> FiniteQuandle:
 # structure
 
 
-def inn_generators(quandle: FiniteQuandle):
-    """The right translations rho_a as permutations, one per element."""
-    return tuple(tuple(quandle.op[x][a] for x in range(quandle.n))
-                 for a in range(quandle.n))
-
-
 def components(quandle: FiniteQuandle):
     """Connected components with an element -> component-index map:
     the orbits of the right translations by the generating set."""
     return _orbits(quandle.op, quandle.generators)
-
-
-def inner_group(quandle: FiniteQuandle, variant: str = "full",
-                budget: int = permgroup.DEFAULT_GROUP_BUDGET):
-    """Inner automorphism group Inn(Q) or its degree-zero part.
-
-    Returns (group, inn) where inn[a] is the right translation by a.
-    For the degree-zero variant the generators are rho_{q0}^-1 rho_b
-    with q0 the global minimum element.
-    """
-    gens = inn_generators(quandle)
-    if variant == "full":
-        group = permgroup.closure(gens, budget=budget, degree=quandle.n)
-    elif variant == "degree_zero":
-        base_inv = permgroup.inverse(gens[0])
-        transvections = tuple(permgroup.mul(base_inv, g) for g in gens[1:])
-        group = permgroup.closure(transvections, budget=budget,
-                                  degree=quandle.n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return group, gens
 
 
 @dataclass(frozen=True)
@@ -432,13 +402,12 @@ def pullback(p: QuandleHom, f: QuandleHom):
     elements = [(x, a) for x in range(x_side.n) for a in range(cover.n)
                 if f.map[x] == p.map[a]]
     index = {e: i for i, e in enumerate(elements)}
-    table = []
-    for (x, a) in elements:
-        row = []
-        for (y, b) in elements:
-            row.append(index[(x_side.op[x][y], cover.op[a][b])])
-        table.append(row)
-    total = validate(table)
+    # (x, a)*(y, b) = (x*y, a*b), and a*b reads b only through
+    # p(b) = f(y), so column (y, b) is column y
+    column = [tuple(index[(x_side.op[x][y], cover.op[a][lift])]
+                    for x, a in elements)
+              for y, lift in enumerate(p.section[v] for v in f.map)]
+    total = validate(tuple(zip(*(column[y] for y, _ in elements))))
     projection = QuandleHom(total, x_side, tuple(x for (x, _) in elements))
     leg = QuandleHom(total, cover, tuple(a for (_, a) in elements))
     return projection, leg
@@ -465,11 +434,12 @@ def union_coverings(coverings):
     elements = [(i, a) for i, p in enumerate(coverings)
                 for a in range(p.source.n)]
     index = {e: k for k, e in enumerate(elements)}
-    table = []
-    for (i, a) in elements:
-        row, lift = coverings[i].source.op[a], coverings[i].section
-        table.append([index[(i, row[lift[coverings[j].map[b]]])]
-                      for (j, b) in elements])
-    total = validate(table)
+    # column (j, b) reads b only through p_j(b): one column per base
+    # element y, acting by y's section element in each summand
+    column = [tuple(index[(i, coverings[i].source.op[a][
+                        coverings[i].section[y]])] for i, a in elements)
+              for y in range(base.n)]
+    total = validate(tuple(zip(*(column[coverings[j].map[b]]
+                                 for j, b in elements))))
     flat = tuple(coverings[i].map[a] for (i, a) in elements)
     return QuandleHom(total, base, flat)

@@ -5,8 +5,11 @@ Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
 brute-force route to |H^2|, the degree-adjusted deck permutations, the
 least preimages of a map, the covering check on all pairs, table
-validation row by row and the search for an equivalence of
-extensions.  The tests compare the package's answers against them."""
+validation row by row, the search for an equivalence of extensions,
+pullbacks and unions of coverings cell by cell, the right
+translations as permutations, cocycles pulled back along a map and
+homomorphisms into a finite group by brute force.  The tests compare
+the package's answers against them."""
 
 from itertools import product
 from operator import itemgetter
@@ -611,3 +614,82 @@ def equivalence_by_propagation(e1, e2, budget=1_000_000):
             if phi[e1.total.op[x][y]] != e2.total.op[phi[x]][phi[y]]:
                 return None
     return tuple(phi)
+
+
+def pullback_cellwise(p, f):
+    """The pullback of the covering p along f, one cell at a time:
+    (table, projection map, leg map) on the fibred product
+    {(x, a) | f(x) = p(a)}, ordered lexicographically."""
+    x_side, cover = f.source, p.source
+    elements = [(x, a) for x in range(x_side.n) for a in range(cover.n)
+                if f.map[x] == p.map[a]]
+    index = {e: i for i, e in enumerate(elements)}
+    table = tuple(tuple(index[(x_side.op[x][y], cover.op[a][b])]
+                        for (y, b) in elements)
+                  for (x, a) in elements)
+    return (table, tuple(x for x, _ in elements),
+            tuple(a for _, a in elements))
+
+
+def union_cellwise(coverings):
+    """The disjoint union of coverings of one base, one cell at a time:
+    (table, projection map); (a, i) times (b, j) acts by the section
+    element of p_j(b) in summand i."""
+    elements = [(i, a) for i, p in enumerate(coverings)
+                for a in range(p.source.n)]
+    index = {e: k for k, e in enumerate(elements)}
+    table = tuple(
+        tuple(index[(i, coverings[i].source.op[a][
+            coverings[i].section[coverings[j].map[b]]])]
+              for (j, b) in elements)
+        for (i, a) in elements)
+    return table, tuple(coverings[i].map[a] for (i, a) in elements)
+
+
+def inn_generators(quandle):
+    """The right translations rho_a as permutations, one per element."""
+    return tuple(tuple(quandle.op[x][a] for x in range(quandle.n))
+                 for a in range(quandle.n))
+
+
+def pullback_cocycle(f_hom, f, coeffs):
+    """Pull a cocycle on the target back along a homomorphism.
+
+    Returns (values, coefficient groups) regraded over the source's
+    components via the induced map on components.
+    """
+    target, source = f_hom.target, f_hom.source
+    coeffs = coh.graded_coefficients(target, coeffs)
+    values = f.values if isinstance(f, coh.Cocycle2) else f
+    rows = tuple(tuple(values[f_hom.map[x]][f_hom.map[y]]
+                       for y in range(source.n))
+                 for x in range(source.n))
+    comp_map = [None] * source.component_count
+    for x in range(source.n):
+        comp_map[source.grading[x]] = target.grading[f_hom.map[x]]
+    return coh.Cocycle2(rows), tuple(coeffs[comp_map[i]]
+                                     for i in range(source.component_count))
+
+
+def enumerate_homs(presentation, target, budget=1 << 20):
+    """All homomorphisms into a finite permutation group, as
+    element-index tuples: brute force over the generator images in
+    lexicographic order, filtered by every relator."""
+    ngens = presentation.generator_count
+    if target.order ** ngens > budget:
+        raise BudgetExceeded(target.order ** ngens, "homomorphism search")
+    inv = [target.inv_idx(i) for i in range(target.order)]
+    out = []
+    for images in product(range(target.order), repeat=ngens):
+        ok = True
+        for r in presentation.relators:
+            acc = target.identity_index
+            for letter in r:
+                g = images[abs(letter) - 1]
+                acc = target.mul_idx(acc, g if letter > 0 else inv[g])
+            if acc != target.identity_index:
+                ok = False
+                break
+        if ok:
+            out.append(images)
+    return out

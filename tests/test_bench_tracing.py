@@ -30,24 +30,39 @@ def test_traced_commands_match_the_command_table():
     assert set(_tracing().COMMAND_SPANS) == set(cli.COMMANDS)
 
 
-def test_traced_counters_read_the_snf_arguments(tmp_path):
-    # the tracer's counters read the first argument of the sparse and
-    # the dense SNF: the (i, j) -> value dict and the list of rows
-    path = tmp_path / "s4.txt"
+def _traced_run(tmp_path, command, quandle):
+    """Layer metrics of one traced command on a quandle file."""
+    path = tmp_path / "quandle.txt"
     text = io.StringIO()
-    cli.emit_quandle(transposition_quandle(4), text)
+    cli.emit_quandle(quandle, text)
     path.write_text(text.getvalue())
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        code = cli.run(["h2", str(path)], out=io.StringIO(),
+        code = cli.run([command, str(path)], out=io.StringIO(),
                        err=io.StringIO())
     finally:
         tracer.remove()
     assert code == 0
-    metrics = tracer.layer_metrics()
+    return tracer.layer_metrics()
+
+
+def test_traced_counters_read_the_snf_arguments(tmp_path):
+    # the tracer's counters read the first argument of the sparse and
+    # the dense SNF: the (i, j) -> value dict and the list of rows
+    metrics = _traced_run(tmp_path, "h2", transposition_quandle(4))
     assert metrics["fpgroup.snf_nnz"] > 0
     assert metrics["fpgroup.snf_dense_cells"] > 0
+
+
+def test_traced_counters_read_the_pi1_presentation(tmp_path):
+    # the pi1_presentation span counts the generator_count and the
+    # relators of the presentation it returns, the simplified one
+    quandle = transposition_quandle(5)
+    metrics = _traced_run(tmp_path, "pi1", quandle)
+    pres = fund.pi1_presentation(quandle, 0)
+    assert metrics["fundamental.pi1_generators"] == pres.generator_count == 3
+    assert metrics["fundamental.pi1_relators"] == len(pres.relators) > 0
 
 
 def test_validate_gets_a_sized_table(monkeypatch):

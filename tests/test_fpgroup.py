@@ -7,7 +7,7 @@ from quandelier import fpgroup, quandle as qmod
 from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
 from conftest import cyclic_group
-from oracles import (full_adjoint_presentation,
+from oracles import (enumerate_homs, full_adjoint_presentation,
                      smith_normal_form_with_transforms,
                      todd_coxeter_reference)
 
@@ -42,6 +42,39 @@ def test_presentation_rejects_letters_out_of_range():
 S3_PRESENTATION = Presentation(
     generator_count=2,
     relators=((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
+
+
+def test_simplify_kills_and_eliminates():
+    # x1 = 1 kills generator 1; x2 x3^-1 = 1 eliminates the later x3 as
+    # x2, and x3^3 becomes x2^3, renumbered x1^3 and kept as its least
+    # rotation or inverse, x1^-3
+    pres = Presentation(generator_count=3,
+                        relators=((1,), (2, -3), (3, 3, 3)))
+    assert fpgroup.simplify(pres) == (
+        Presentation(generator_count=1, relators=((-1, -1, -1),)),
+        (0, 1, 1))
+    # x1 x2 x1^-1 reduces cyclically to x2, which dies; x2 x1 x3^-1 then
+    # reads x1 x3^-1, and a second pass sets x3 = x1; duplicates go
+    pres = Presentation(generator_count=3,
+                        relators=((1, 2, -1), (2, 1, -3), (3, 3, 3),
+                                  (3, 3, 3)))
+    assert fpgroup.simplify(pres) == (
+        Presentation(generator_count=1, relators=((-1, -1, -1),)),
+        (1, 0, 1))
+    # a longer relator eliminates nothing, and its rotations and its
+    # inverse are one relator
+    pres = Presentation(generator_count=2,
+                        relators=((1, 2, 2), (2, 1, 2), (-2, -2, -1)))
+    assert fpgroup.simplify(pres) == (
+        Presentation(generator_count=2, relators=((-2, -2, -1),)), (1, 2))
+
+
+def test_simplify_keeps_squares_and_s3():
+    # a relator g g names one generator: it eliminates nothing
+    assert fpgroup.simplify(S3_PRESENTATION) == (
+        Presentation(generator_count=2,
+                     relators=((-1, -1), (-2, -2), (-2, -1) * 3)),
+        (1, 2))
 
 
 def test_todd_coxeter_s3_trivial_subgroup():
@@ -282,10 +315,13 @@ def test_count_homs_to_abelian():
 
 
 def test_enumerate_homs_matches_count():
-    # homs S3 -> Z6 as a permutation group; only the sign map survives
+    # homs S3 -> Z6 as a permutation group; only the sign map survives,
+    # as the count through S3^ab = Z2 says
     target = cyclic_group(6)
-    homs = fpgroup.enumerate_homs(S3_PRESENTATION, target)
-    assert len(homs) == 2
+    homs = enumerate_homs(S3_PRESENTATION, target)
+    assert len(homs) == 2 == fpgroup.count_homs_to_abelian(
+        fpgroup.abelian_invariants(S3_PRESENTATION),
+        AbelianInvariants(free_rank=0, torsion=(6,)))
 
 
 def test_adjoint_presentation_shape():

@@ -86,9 +86,10 @@ def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
         m = len(quandle.generators)
         for b in range(quandle.n):
             size = len(parts[index[b]])
-            assert (fund.pi1_presentation(quandle, b).generator_count
+            assert (fund.reidemeister_schreier(quandle, b).generator_count
                     == size * m - (size - 1)), name
-    assert fund.pi1_presentation(qmod.dihedral(91), 0).generator_count == 92
+    assert fund.reidemeister_schreier(qmod.dihedral(91),
+                                      0).generator_count == 92
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +97,12 @@ def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
 
 
 def test_pi1_presentation_of_odd_dihedral_is_trivial():
+    # the Tietze moves kill every generator of the rewrite
     for n in (3, 5, 7, 9):
-        pres = fund.pi1_presentation(qmod.dihedral(n), 0)
-        table = fpgroup.todd_coxeter(pres, [])
+        quandle = qmod.dihedral(n)
+        assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
+            generator_count=0, relators=())
+        table = fpgroup.todd_coxeter(fund.reidemeister_schreier(quandle, 0))
         assert table.coset_count == 1
 
 
@@ -196,21 +200,90 @@ def test_pi1_presentation_stays_in_the_basepoint_orbit():
 
 def test_corpus_pi1_pipelines_agree(corpus):
     # the certificate fires exactly on the disconnected quandles; on
-    # the connected ones the stabilizer order equals the index found by
-    # enumerating the spanning-tree presentation
+    # the connected ones pi_1's own enumeration has 1/n of the cosets
+    # of Adj(Q) modulo <e_q>, enumerated by the reference kernel on the
+    # full adjoint presentation
     connected = 0
     for name, quandle in corpus:
         q = quandle.basepoints[0]
         if len(qmod.components(quandle)[0]) > 1:
             with pytest.raises(InfiniteGroup):
                 fund.adj0_enumeration(quandle, q)
+            assert fund.fundamental_group(quandle, q).order is None, name
             continue
         connected += 1
         fg = fund.fundamental_group(quandle, q, budget=20000)
-        assert fg.order is not None, name
-        table = fpgroup.todd_coxeter(fg.presentation, [], budget=20000)
-        assert table.coset_count == fg.order, name
+        index = todd_coxeter_reference(full_adjoint_presentation(quandle),
+                                       [(q + 1,)], budget=20000).coset_count
+        assert fg.order * quandle.n == index, name
     assert connected >= 30
+
+
+def test_simplify_keeps_pi1(corpus):
+    # on every basepoint's rewrite: the same abelianisation; on the
+    # connected quandles the same order, and every relator of the
+    # rewrite, carried over by the images, is trivial in the result
+    inputs = corpus + [(f"conj(S{m},transposition)", transposition_quandle(m))
+                       for m in (5, 6)]
+    for name, quandle in inputs:
+        connected = quandle.is_connected()
+        for q in quandle.basepoints:
+            rewrite = fund.reidemeister_schreier(quandle, q)
+            pres, images = fpgroup.simplify(rewrite)
+            assert len(images) == rewrite.generator_count, name
+            assert (fpgroup.abelian_invariants(pres)
+                    == fpgroup.abelian_invariants(rewrite)), name
+            if not connected:
+                continue
+            table = fpgroup.todd_coxeter(pres, [], budget=20000)
+            assert table.coset_count == fpgroup.todd_coxeter(
+                rewrite, [], budget=20000).coset_count, name
+            for r in rewrite.relators:
+                word = [images[abs(x) - 1] * (1 if x > 0 else -1) for x in r]
+                assert table.trace(0, filter(None, word)) == 0, name
+
+
+def test_pi1_of_s7_enumerates_its_own_cosets():
+    # 120 cosets at a peak of 174 live: the adjoint enumeration of
+    # 2520 cosets would not fit this budget
+    fg = fund.fundamental_group(transposition_quandle(7), 0, budget=1000)
+    assert fg.order == 120
+    assert fg.finite_form.degree == 120
+
+
+def _transpositions_on_pairs(m):
+    """The transposition quandle of S_m on the pairs i < j: (i j)
+    conjugated by (k l) swaps k and l among its points."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def conj(a, b):
+        swap = {b[0]: b[1], b[1]: b[0]}
+        return index[tuple(sorted(swap.get(x, x) for x in a))]
+
+    return qmod.validate([[conj(a, b) for b in pairs] for a in pairs])
+
+
+def test_pi1_of_the_s8_transposition_quandle():
+    quandle = _transpositions_on_pairs(8)
+    assert quandle.n == 28 and quandle.is_connected()
+    fg = fund.fundamental_group(quandle, 0)
+    assert fg.order == 720
+    assert fg.abelian_invariants() == fpgroup.AbelianInvariants(
+        free_rank=0, torsion=(2,))
+
+
+def test_fundamental_group_of_a_disconnected_quandle_enumerates_nothing(
+        monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started on a certified input")
+
+    quandle = qmod.trivial(2)
+    quandle.adjoint  # the presentation may be built, not enumerated
+    monkeypatch.setattr(fpgroup, "todd_coxeter", no_enumeration)
+    fg = fund.fundamental_group(quandle, 0, budget=10**9)
+    assert fg.order is None and fg.finite_form is None
+    assert fg.abelian_invariants() == coh.h2_integral(quandle)[0]
 
 
 def test_expanded_table_is_the_full_adjoint_table(corpus):
@@ -257,15 +330,19 @@ def test_fundamental_group_two_pipelines_agree():
                            (transposition_quandle(5), 6)):
         fg = fund.fundamental_group(quandle, 0)
         assert fg.order == order
-        assert fg.finite_form.order == order
-        assert fpgroup.todd_coxeter(fg.presentation, []).coset_count == order
+        assert fg.finite_form.order == fg.finite_form.degree == order
+        # the adjoint enumeration: the cosets that end at the basepoint
+        _, ends = fund.adj0_enumeration(quandle, 0)
+        assert ends.count(0) == order
 
 
 def test_order_counts_the_cosets_ending_at_the_basepoint(corpus):
     for name, quandle in corpus:
         if quandle.is_connected():
-            fg = fund.fundamental_group(quandle, quandle.basepoints[0])
-            assert fg.order == fg.finite_form.order, name
+            q = quandle.basepoints[0]
+            fg = fund.fundamental_group(quandle, q)
+            _, ends = fund.adj0_enumeration(quandle, q)
+            assert fg.order == ends.count(q) == fg.finite_form.order, name
 
 
 def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
@@ -287,7 +364,9 @@ def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
     fg = fund.fundamental_group(quandle, 0)
     assert fg.order == 6 and calls == []
     assert cover.deck is cover.deck and fg.finite_form.order == 6
-    assert len(calls) == 2
+    # the deck group acts on the 60 cosets of the adjoint enumeration,
+    # the finite form on pi_1's own 6
+    assert [args[0].coset_count for args in calls] == [60, 6]
 
 
 def test_fundamental_group_s5_abelianization():

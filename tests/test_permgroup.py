@@ -69,16 +69,6 @@ def test_orbits_sorted_by_minimum():
     assert permgroup.orbits(group) == [(0,), (1,), (2, 3)]
 
 
-def test_is_central():
-    group = symmetric_group(3)
-    assert permgroup.is_central((0, 1, 2), group)
-    assert not permgroup.is_central((1, 0, 2), group)
-    # the rotation is central in the cyclic group but the group is abelian
-    cyc = cyclic_group(4)
-    for e in cyc.elements:
-        assert permgroup.is_central(e, cyc)
-
-
 def test_subgroups_of_prime_cyclic():
     # a cyclic group of prime order has exactly two subgroups
     for p in (2, 3, 5, 7):

@@ -262,26 +262,13 @@ def test_alexander_rejects_non_automorphism():
 def test_inn_conjugation_identity(corpus):
     # rho_{a*b} = rho_b^-1 rho_a rho_b for every a, b
     for _, quandle in corpus:
-        rho = qmod.inn_generators(quandle)
+        rho = oracles.inn_generators(quandle)
         for a in range(quandle.n):
             for b in range(quandle.n):
                 lhs = rho[quandle.op[a][b]]
                 rhs = permgroup.mul(
                     permgroup.mul(permgroup.inverse(rho[b]), rho[a]), rho[b])
                 assert lhs == rhs
-
-
-def test_inner_group_of_dihedral_3():
-    group, _ = qmod.inner_group(qmod.dihedral(3))
-    assert group.order == 6
-
-
-def test_inner_group_degree_zero_variant():
-    full, _ = qmod.inner_group(qmod.dihedral(5))
-    deg0, _ = qmod.inner_group(qmod.dihedral(5), variant="degree_zero")
-    assert deg0.order == 5
-    assert full.order == 10
-    assert all(e in full for e in deg0.elements)
 
 
 def test_components_match_grading_default():
@@ -534,6 +521,25 @@ def test_union_of_coverings():
 def test_union_of_nothing_is_an_error():
     with pytest.raises(EmptyUnion):
         qmod.union_coverings([])
+
+
+def test_pullbacks_and_unions_match_the_cell_by_cell_builders(
+        corpus_coverings):
+    # each corpus covering pulled back along its base's universal cover,
+    # and the union of all the coverings of each base
+    by_base = {}
+    for name, p in corpus_coverings:
+        by_base.setdefault(name, []).append(p)
+    for name, coverings in by_base.items():
+        universal = coverings[0]
+        for p in coverings:
+            projection, leg = qmod.pullback(p, universal)
+            assert (projection.source.op, projection.map, leg.map) == (
+                oracles.pullback_cellwise(p, universal)), name
+        union = qmod.union_coverings(coverings)
+        assert (union.source.op, union.map) == (
+            oracles.union_cellwise(coverings)), name
+    assert len(by_base) >= 30
 
 
 def test_random_tables_revalidate(corpus):
