@@ -45,10 +45,14 @@ def default_budget() -> int:
 
 
 def _tokens(text):
-    """Nonempty lines as token lists, comments (#) stripped."""
+    """Nonempty lines as token lists, comments (#) stripped; no field
+    takes the '+' or '_' that int() would read in '+3' and '0_3'."""
     out = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
+        if "+" in line or "_" in line:
+            bad = next(t for t in line.split() if "+" in t or "_" in t)
+            raise ParseError(f"line {number}: no field takes {bad!r}")
         if line:
             out.append(line.split())
     return out

@@ -57,27 +57,31 @@ def _cyclically_reduce(word) -> Word:
     return word[i:j]
 
 
-def simplify(presentation: Presentation):
+def simplify(generator_count: int, relators, killed=frozenset()):
     """Tietze moves until nothing changes; returns (Presentation, images).
 
-    The relators are read in order, again and again until a reading
-    eliminates nothing.  A relator of length 1 kills its generator, and
-    a relator a b in two distinct generators eliminates the later one
-    as the other's inverse; the relator then goes.  An elimination
-    takes effect at once: a relator is rewritten, cyclically reduced,
-    when it holds a generator eliminated since its last reading, and
-    the first reading reduces them all.  Duplicates go after each
-    reading, and at the end so do relators equal up to rotation and
-    inversion: each is kept as the least rotation of it or of its
+    The relators, any iterable, are read once as they come and then
+    again and again until a reading eliminates nothing; the generators
+    in the set killed (letters) are dead on entry.  A relator of length
+    1 kills its generator, and a relator a b in two distinct generators
+    eliminates the later one as the other's inverse; the relator then
+    goes.  An elimination takes effect at once: a relator is rewritten,
+    cyclically reduced, when it holds a generator eliminated since its
+    last reading, and the first reading reduces them all.  Once no
+    generator survives, no more relators are read.  Duplicates go after
+    each reading, and at the end so do relators equal up to rotation
+    and inversion: each is kept as the least rotation of it or of its
     inverse, shorter relators first, as coset enumeration fares better
     so.  The survivors are renumbered in order; images[g] is the
-    signed letter old generator g (letter g + 1) became, or 0 if it
-    was killed.
+    signed letter old generator g (letter g + 1) became, or 0.
     """
-    count = presentation.generator_count
+    count = generator_count
     # letter -> the letter it now reads as, or 0
     sub = list(range(count + 1)) + list(range(-count, 0))
-    relators = presentation.relators
+    for g in killed:
+        sub[g] = sub[-g] = 0
+    alive = count - len(killed)
+    readers = {}  # a -> the generators that read as +-a, where not just a
     recent = set(range(1, count + 1))
     while recent:
         eliminated = set()
@@ -89,15 +93,19 @@ def simplify(presentation: Presentation):
             if len(w) == 1 or len(w) == 2 and abs(w[0]) != abs(w[1]):
                 a, b = sorted(w, key=abs) if len(w) == 2 else (0, w[0])
                 into, b = (-a if b > 0 else a), abs(b)
-                for g in range(1, count + 1):  # letters that read b
-                    if abs(sub[g]) == b:
-                        sub[g] = into if sub[g] > 0 else -into
-                        sub[-g] = -sub[g]
+                group = readers.pop(b, [b])
+                for g in group:
+                    sub[g] = into if sub[g] > 0 else -into
+                    sub[-g] = -sub[g]
+                readers.setdefault(abs(into), [abs(into)]).extend(group)
                 recent.add(b)
                 eliminated.add(b)
+                alive -= 1
+                if not alive:
+                    break
             elif w:
                 kept.append(w)
-        relators = tuple(dict.fromkeys(kept))
+        relators = tuple(dict.fromkeys(kept)) if alive else ()
         recent = eliminated
     survivors = [g for g in range(1, count + 1) if sub[g] == g]
     number = [0] * (count + 1)

@@ -3,7 +3,8 @@
 pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
 modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
 the adjoint presentation on S over the Schreier graph of q's component,
-Tietze-simplified; its abelianisation is H2, and its enumeration over
+Tietze-simplified while the cells are lifted, up to the point where no
+generator survives; its abelianisation is H2, and its enumeration over
 the trivial subgroup its finite model.  The stabilizer of q in the
 enumeration of Adj(Q) modulo <e_q> is the universal cover's deck group.
 """
@@ -22,10 +23,10 @@ from .quandle import FiniteQuandle, QuandleHom
 # the Schreier graph on the generating set
 
 
-def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
-    """Boundary words of the 2-cells at the given vertices: the lift of
-    w_a at each vertex a, then the lift of each relator of the adjoint
-    presentation on S, quandle.adjoint, at every vertex.
+def build_complex(quandle: FiniteQuandle, vertices):
+    """Boundary words of the 2-cells at the given vertices, each lifted
+    when read: the lift of w_a at each vertex a, then the lift of each
+    relator of quandle.adjoint, the presentation on S, at every vertex.
 
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
@@ -49,60 +50,47 @@ def build_complex(quandle: FiniteQuandle, vertices) -> tuple:
             path.append(e)
         return tuple(path)
 
-    cells = [lift(a, adjoint.words[a]) for a in vertices]
-    cells += [lift(a, r) for r in adjoint.relators for a in vertices]
-    return tuple(cells)
+    for a in vertices:
+        yield lift(a, adjoint.words[a])
+    for r in adjoint.relators:
+        for a in vertices:
+            yield lift(a, r)
 
 
-def reidemeister_schreier(quandle: FiniteQuandle,
-                          basepoint: int) -> Presentation:
-    """Reidemeister-Schreier presentation of pi_1 at the basepoint.
+def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
+    """pi_1 at the basepoint: the Reidemeister-Schreier rewrite of the
+    adjoint presentation on S, Tietze-simplified as it is built.
 
     A BFS along the edges a -> a*s, s in S, crossed either way, builds a
-    spanning tree of the basepoint's component: the orbit of the right
+    spanning tree of the basepoint's component C: the orbit of the right
     translations, which a coarse grading may merge with others.  The
-    non-tree edges, |C||S| - (|C| - 1) of them, are the generators; the
-    cells of build_complex, with the tree letters dropped, free-reduced
-    and deduplicated, are the relators.
+    generators are the edges of build_complex; fpgroup.simplify kills
+    the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
+    then reads the cells at C's vertices as they are lifted, and stops
+    once no generator survives (half-way on odd dihedral quandles).
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
     m = len(quandle.generators)
     op, inv_op = quandle.op, quandle.inv_op
-    in_tree = set()
+    killed = set()  # 1-based edge letters
     visited = {basepoint}
     frontier = [basepoint]
     while frontier:
         nxt = []
         for v in frontier:
-            for k, s in enumerate(quandle.generators):
+            for k, s in enumerate(quandle.generators, 1):
                 for e, w in ((v * m + k, op[v][s]),
                              (inv_op[v][s] * m + k, inv_op[v][s])):
                     if w not in visited:
                         visited.add(w)
-                        in_tree.add(e)
+                        killed.add(e)
                         nxt.append(w)
         frontier = nxt
-
-    vertices = sorted(visited)
-    # letter[e + 1] is the generator letter of edge e, 0 on the tree,
-    # and letter[-(e + 1)] its inverse
-    letter = [0] * (2 * quandle.n * m + 1)
-    count = 0
-    for e in (a * m + k for a in vertices for k in range(m)):
-        if e not in in_tree:
-            count += 1
-            letter[e + 1], letter[-(e + 1)] = count, -count
-    reduced = (fpgroup.normalize(filter(None, map(letter.__getitem__, w)))
-               for w in build_complex(quandle, vertices))
-    return Presentation(generator_count=count,
-                        relators=tuple(dict.fromkeys(r for r in reduced if r)))
-
-
-def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
-    """The Reidemeister-Schreier presentation of pi_1 at the basepoint,
-    Tietze-simplified by fpgroup.simplify."""
-    return fpgroup.simplify(reidemeister_schreier(quandle, basepoint))[0]
+    killed.update(e for a in set(range(quandle.n)) - visited
+                  for e in range(a * m + 1, a * m + m + 1))
+    cells = build_complex(quandle, sorted(visited))
+    return fpgroup.simplify(quandle.n * m, cells, killed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ way: brute-force versions of the checks it makes on a generating set
 (quandle axioms, homomorphisms, components and 2-cocycles), the
 Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
+Reidemeister-Schreier rewrite of pi_1 before Tietze moves, the
 brute-force route to |H^2|, the degree-adjusted deck permutations, the
 least preimages of a map, the covering check on all pairs, table
 validation row by row, the search for an equivalence of extensions,
@@ -14,7 +15,7 @@ the package's answers against them."""
 from itertools import product
 from operator import itemgetter
 
-from quandelier import cohomology as coh, fpgroup, quandle as qmod
+from quandelier import cohomology as coh, fpgroup, fundamental, quandle as qmod
 from quandelier.errors import BudgetExceeded, NotAQuandle, NotRightInvertible
 
 
@@ -182,6 +183,51 @@ def full_adjoint_presentation(quandle):
                 seen.add(w)
                 relators.append(w)
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
+
+
+def reidemeister_schreier(quandle, basepoint):
+    """The Reidemeister-Schreier presentation of pi_1 at the basepoint
+    before any Tietze move; fundamental.pi1_presentation must equal
+    fpgroup.simplify of it.
+
+    A BFS along the edges a -> a*s, s in S, crossed either way, builds
+    a spanning tree of the basepoint's component.  The non-tree edges,
+    |C||S| - (|C| - 1) of them, are numbered in edge order and are the
+    generators; the cells of build_complex, with the tree letters
+    dropped, free-reduced and deduplicated, are the relators.
+    """
+    if not 0 <= basepoint < quandle.n:
+        raise ValueError("basepoint out of range")
+    m = len(quandle.generators)
+    op, inv_op = quandle.op, quandle.inv_op
+    in_tree = set()
+    visited = {basepoint}
+    frontier = [basepoint]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for k, s in enumerate(quandle.generators):
+                for e, w in ((v * m + k, op[v][s]),
+                             (inv_op[v][s] * m + k, inv_op[v][s])):
+                    if w not in visited:
+                        visited.add(w)
+                        in_tree.add(e)
+                        nxt.append(w)
+        frontier = nxt
+    vertices = sorted(visited)
+    # letter[e + 1] is the generator letter of edge e, 0 on the tree,
+    # and letter[-(e + 1)] its inverse
+    letter = [0] * (2 * quandle.n * m + 1)
+    count = 0
+    for e in (a * m + k for a in vertices for k in range(m)):
+        if e not in in_tree:
+            count += 1
+            letter[e + 1], letter[-(e + 1)] = count, -count
+    reduced = (fpgroup.normalize(filter(None, map(letter.__getitem__, w)))
+               for w in fundamental.build_complex(quandle, vertices))
+    return fpgroup.Presentation(
+        generator_count=count,
+        relators=tuple(dict.fromkeys(r for r in reduced if r)))
 
 
 def todd_coxeter_reference(presentation, subgroup_generators=(),

@@ -476,3 +476,68 @@ def test_group_identity_outside_the_table_is_a_parse_error(tmp_path, bad):
     code, out, err = run(["h2c", str(path), "--coeff", str(spec)])
     assert (code, out) == (3, "")
     assert err == "parse error: identity outside 1..2\n"
+
+
+_INTEGER_FILES = {
+    # kind: (valid text, command line with {path} and {d3})
+    "quandle": (D3_ROWS, ["validate", "{path}"]),
+    "map": ("map 3\n1 2 3\n",
+            ["cover", "{d3}", "--check", "{path}", "--target", "{d3}"]),
+    "group": ("group 2\n1 2\n2 1\nidentity 1\n",
+              ["h2c", "{d3}", "--coeff", "{path}"]),
+    "cocycle": ("cocycle 3 over Z2\n0 0 0\n0 0 0\n0 0 0\n",
+                ["ext", "{d3}", "--from-cocycle", "{path}"]),
+    "bundle": (None, ["ext", "{path}", "--extract"]),
+}
+
+
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("quandle", "quandle 3", "quandle 0_3", "line 1: no field takes '0_3'"),
+    ("quandle", "1 3 2", "1 +3 2", "line 2: no field takes '+3'"),
+    ("quandle", "3 2 1", "0_3 2 1", "line 3: no field takes '0_3'"),
+    ("quandle", "2 1 3\n", "2 1 3\nbasepoints +1\n",
+     "line 5: no field takes '+1'"),
+    ("map", "map 3", "map +3", "line 1: no field takes '+3'"),
+    ("map", "1 2 3", "+1 0_1 1", "line 2: no field takes '+1'"),
+    ("group", "group 2", "group 0_2", "line 1: no field takes '0_2'"),
+    ("group", "2 1\n", "+2 1\n", "line 3: no field takes '+2'"),
+    ("group", "identity 1", "identity +1", "line 4: no field takes '+1'"),
+    ("cocycle", "cocycle 3", "cocycle +3", "line 1: no field takes '+3'"),
+    ("cocycle", "0 0 0\n0 0 0\n0 0 0", "0 0 0\n0 0 0\n0 0_0 0",
+     "line 4: no field takes '0_0'"),
+    ("bundle", "map 6", "map 0_6", "line 15: no field takes '0_6'"),
+    ("bundle", "2 1 4 3 6 5", "2 1 4 3 6 +5",
+     "line 20: no field takes '+5'"),
+    # a '-' still reaches the range checks, and a comment is not read
+    ("quandle", "1 3 2", "1 -3 2", "table entry -3 outside 1..3"),
+    ("quandle", "2 1 3\n", "2 1 3 # 0_1 +1\n0\n",
+     "trailing content after the quandle block"),
+])
+def test_integers_in_files_are_ascii_digits(tmp_path, kind, old, new,
+                                            message):
+    # int() alone reads '+3' and '0_3'; an integer in a file is an
+    # optional '-' then ASCII digits, and no other field takes '+' or '_'
+    d3 = tmp_path / "d3.txt"
+    d3.write_text(D3_ROWS)
+    text, argv = _INTEGER_FILES[kind]
+    if text is None:
+        text = _z2_bundle(tmp_path)
+    path = tmp_path / "input.txt"
+    argv = [a.format(path=path, d3=d3) for a in argv]
+    path.write_text(text)
+    assert run(argv)[0] == 0
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert run(argv) == (3, "", f"parse error: {message}\n")
+
+
+def test_negative_cocycle_exponents_are_read_modulo_the_order(tmp_path):
+    d3 = tmp_path / "d3.txt"
+    d3.write_text(D3_ROWS)
+    outs = []
+    for row in ("0 0 0", "0 -2 0"):
+        path = tmp_path / "c.txt"
+        path.write_text(f"cocycle 3 over Z2\n{row}\n0 0 0\n0 0 0\n")
+        outs.append(run(["ext", str(d3), "--from-cocycle", str(path)]))
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]

@@ -50,7 +50,7 @@ def test_simplify_kills_and_eliminates():
     # rotation or inverse, x1^-3
     pres = Presentation(generator_count=3,
                         relators=((1,), (2, -3), (3, 3, 3)))
-    assert fpgroup.simplify(pres) == (
+    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
         Presentation(generator_count=1, relators=((-1, -1, -1),)),
         (0, 1, 1))
     # x1 x2 x1^-1 reduces cyclically to x2, which dies; x2 x1 x3^-1 then
@@ -58,20 +58,39 @@ def test_simplify_kills_and_eliminates():
     pres = Presentation(generator_count=3,
                         relators=((1, 2, -1), (2, 1, -3), (3, 3, 3),
                                   (3, 3, 3)))
-    assert fpgroup.simplify(pres) == (
+    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
         Presentation(generator_count=1, relators=((-1, -1, -1),)),
         (1, 0, 1))
     # a longer relator eliminates nothing, and its rotations and its
     # inverse are one relator
     pres = Presentation(generator_count=2,
                         relators=((1, 2, 2), (2, 1, 2), (-2, -2, -1)))
-    assert fpgroup.simplify(pres) == (
+    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
         Presentation(generator_count=2, relators=((-2, -2, -1),)), (1, 2))
+
+
+def test_simplify_kills_on_entry_and_stops_reading():
+    # x2 is dead on entry, so x1 x2 kills x1 and x2 x3 kills x3; no
+    # generator survives, and the stream is not read further
+    read = []
+
+    def stream():
+        for w in ((1, 2), (2, 3), (1, 1, 1)):
+            read.append(w)
+            yield w
+
+    assert fpgroup.simplify(3, stream(), killed={2}) == (
+        Presentation(generator_count=0, relators=()), (0, 0, 0))
+    assert read == [(1, 2), (2, 3)]
+    # the survivors of a dead x1 are renumbered from 1
+    assert fpgroup.simplify(3, [(1, 2, 3, 3)], killed={1}) == (
+        Presentation(generator_count=2, relators=((-2, -2, -1),)),
+        (0, 1, 2))
 
 
 def test_simplify_keeps_squares_and_s3():
     # a relator g g names one generator: it eliminates nothing
-    assert fpgroup.simplify(S3_PRESENTATION) == (
+    assert fpgroup.simplify(2, S3_PRESENTATION.relators) == (
         Presentation(generator_count=2,
                      relators=((-1, -1), (-2, -2), (-2, -1) * 3)),
         (1, 2))

@@ -5,9 +5,10 @@ import pytest
 from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
-from conftest import transposition_quandle
+from conftest import symmetric_group, transposition_quandle
 from oracles import (adjusted_deck_perm, full_adjoint_presentation,
-                     path_complex_cells, todd_coxeter_reference)
+                     path_complex_cells, reidemeister_schreier,
+                     todd_coxeter_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -20,9 +21,11 @@ def test_complex_counts():
     # the full complex: 3 loops and 27 squares
     assert len(path_complex_cells(quandle.op)) == 3 + 27
     # the complex on S: the 3 relators of the adjoint presentation
-    # lifted at each of the 3 vertices, plus one loop per vertex
+    # lifted at each of the 3 vertices, plus one loop per vertex, as
+    # they are read
     assert len(fpgroup.adjoint_presentation(quandle).relators) == 3
-    assert len(fund.build_complex(quandle, range(3))) == 3 * 3 + 3 == 12
+    assert len(tuple(fund.build_complex(quandle, range(3)))) == 3 * 3 + 3
+
 
 
 def test_the_adjoint_presentation_is_built_once_per_quandle(monkeypatch):
@@ -86,10 +89,9 @@ def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
         m = len(quandle.generators)
         for b in range(quandle.n):
             size = len(parts[index[b]])
-            assert (fund.reidemeister_schreier(quandle, b).generator_count
+            assert (reidemeister_schreier(quandle, b).generator_count
                     == size * m - (size - 1)), name
-    assert fund.reidemeister_schreier(qmod.dihedral(91),
-                                      0).generator_count == 92
+    assert reidemeister_schreier(qmod.dihedral(91), 0).generator_count == 92
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_pi1_presentation_of_odd_dihedral_is_trivial():
         quandle = qmod.dihedral(n)
         assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
             generator_count=0, relators=())
-        table = fpgroup.todd_coxeter(fund.reidemeister_schreier(quandle, 0))
+        table = fpgroup.todd_coxeter(reidemeister_schreier(quandle, 0))
         assert table.coset_count == 1
 
 
@@ -162,7 +164,7 @@ def test_pi1_presentation_builds_only_its_component(monkeypatch):
     build = fund.build_complex
 
     def recording(quandle, vertices):
-        cells = build(quandle, vertices)
+        cells = tuple(build(quandle, vertices))
         calls.append(list(vertices))
         built.extend(cells)
         return cells
@@ -228,8 +230,9 @@ def test_simplify_keeps_pi1(corpus):
     for name, quandle in inputs:
         connected = quandle.is_connected()
         for q in quandle.basepoints:
-            rewrite = fund.reidemeister_schreier(quandle, q)
-            pres, images = fpgroup.simplify(rewrite)
+            rewrite = reidemeister_schreier(quandle, q)
+            pres, images = fpgroup.simplify(rewrite.generator_count,
+                                            rewrite.relators)
             assert len(images) == rewrite.generator_count, name
             assert (fpgroup.abelian_invariants(pres)
                     == fpgroup.abelian_invariants(rewrite)), name
@@ -241,6 +244,51 @@ def test_simplify_keeps_pi1(corpus):
             for r in rewrite.relators:
                 word = [images[abs(x) - 1] * (1 if x > 0 else -1) for x in r]
                 assert table.trace(0, filter(None, word)) == 0, name
+
+
+def test_pi1_presentation_is_the_simplified_rewrite(corpus):
+    # lifting and Tietze moves in one pass give the simplified
+    # Reidemeister-Schreier rewrite exactly: pi_1's coset peak, and so
+    # the pi1 budget, depends on the presentation
+    inputs = [(name, quandle, range(quandle.n)) for name, quandle in corpus]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m), (0,))
+               for m in (5, 6, 7)]
+    inputs.append(("conj(S5,3-cycle)",
+                   qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4)),
+                   (0,)))
+    inputs += [(f"dihedral({n})", qmod.dihedral(n), (0,))
+               for n in (15, 21, 31, 45, 91)]
+    for name, quandle, basepoints in inputs:
+        for q in basepoints:
+            rewrite = reidemeister_schreier(quandle, q)
+            assert fund.pi1_presentation(quandle, q) == fpgroup.simplify(
+                rewrite.generator_count, rewrite.relators)[0], (name, q)
+
+
+def test_pi1_presentation_stops_reading_once_no_generator_survives(
+        monkeypatch):
+    # cells are lifted as they are read: on dihedral(45) every
+    # generator is dead within the lifts of the 22nd of its 45 relators
+    read = []
+    build = fund.build_complex
+
+    def counting(quandle, vertices):
+        for cell in build(quandle, vertices):
+            read.append(cell)
+            yield cell
+
+    monkeypatch.setattr(fund, "build_complex", counting)
+    quandle = qmod.dihedral(45)
+    assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
+        generator_count=0, relators=())
+    assert len(quandle.adjoint.relators) == 45
+    assert len(read) == 45 + 21 * 45 + 22 <= 45 + 22 * 45
+    # pi_1 of S7 is not trivial: every cell is read
+    read.clear()
+    quandle = transposition_quandle(7)
+    assert fund.pi1_presentation(quandle, 0).generator_count == 10
+    assert len(quandle.adjoint.relators) == 105
+    assert len(read) == 21 + 105 * 21
 
 
 def test_pi1_of_s7_enumerates_its_own_cosets():
