@@ -28,6 +28,16 @@ EXIT_PARSE = 3
 MAX_GROUP_ORDER = 64
 
 
+def integer(text: str) -> int:
+    """ASCII digits with an optional leading '-' as an integer, else
+    ValueError; int() alone would also read '+1', '1_000', ' 7 ' and
+    non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def default_budget() -> int:
     """QUANDELIER_BUDGET as an integer, or 1_000_000 when unset; run
     checks that it is positive, as it does --budget."""
@@ -35,7 +45,7 @@ def default_budget() -> int:
     if value is None:
         return 1_000_000
     try:
-        return int(value)
+        return integer(value)
     except ValueError:
         raise ParseError(f"QUANDELIER_BUDGET is not an integer: {value!r}")
 
@@ -533,14 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quandle", help="input file")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=integer, default=None,
                        help="enumeration budget override")
         return p
 
     add("validate", "check the quandle axioms")
 
     p = add("pi1", "fundamental group at a basepoint")
-    p.add_argument("--base", type=int, default=None,
+    p.add_argument("--base", type=integer, default=None,
                    help="1-based basepoint (default: first component's)")
 
     add("h2", "integral second homology per component")

@@ -118,7 +118,7 @@ def simplify(generator_count: int, relators, killed=frozenset()):
     def canonical(w):
         w = tuple(map(final.__getitem__, w))
         return min(v[i:] + v[:i] for v in (w, inverse_word(w))
-                   for i in range(len(v)))
+                   for low in (min(v),) for i in range(len(v)) if v[i] == low)
 
     return (Presentation(generator_count=len(survivors),
                          relators=tuple(sorted(dict.fromkeys(

@@ -3,7 +3,7 @@
 pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
 modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
 the adjoint presentation on S over the Schreier graph of q's component,
-Tietze-simplified while the cells are lifted, up to the point where no
+Tietze-simplified while the cells are lifted shortest first, until no
 generator survives; its abelianisation is H2, and its enumeration over
 the trivial subgroup its finite model.  The stabilizer of q in the
 enumeration of Adj(Q) modulo <e_q> is the universal cover's deck group.
@@ -24,9 +24,9 @@ from .quandle import FiniteQuandle, QuandleHom
 
 
 def build_complex(quandle: FiniteQuandle, vertices):
-    """Boundary words of the 2-cells at the given vertices, each lifted
-    when read: the lift of w_a at each vertex a, then the lift of each
-    relator of quandle.adjoint, the presentation on S, at every vertex.
+    """Boundary words of the 2-cells at the given vertices, lifted when
+    read, shortest word first (a stable sort): the lift of w_a at each
+    vertex a and of each relator of quandle.adjoint at every vertex.
 
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
@@ -50,11 +50,11 @@ def build_complex(quandle: FiniteQuandle, vertices):
             path.append(e)
         return tuple(path)
 
-    for a in vertices:
-        yield lift(a, adjoint.words[a])
-    for r in adjoint.relators:
-        for a in vertices:
-            yield lift(a, r)
+    cells = [(adjoint.words[a], (a,)) for a in vertices]
+    cells += [(r, vertices) for r in adjoint.relators]
+    for word, starts in sorted(cells, key=lambda cell: len(cell[0])):
+        for a in starts:
+            yield lift(a, word)
 
 
 def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
@@ -66,8 +66,8 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
     translations, which a coarse grading may merge with others.  The
     generators are the edges of build_complex; fpgroup.simplify kills
     the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
-    then reads the cells at C's vertices as they are lifted, and stops
-    once no generator survives (half-way on odd dihedral quandles).
+    then reads C's cells, shortest first, as they are lifted, and stops
+    once no generator survives (dihedral(91): after 144 of 8372 cells).
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")

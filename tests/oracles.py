@@ -185,6 +185,31 @@ def full_adjoint_presentation(quandle):
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
 
 
+def complex_cells_in_adjoint_order(quandle, vertices):
+    """The cells of fundamental.build_complex in the adjoint
+    presentation's order: the lift of w_a at each vertex a, then the
+    lift of each relator at every vertex, each traced letter by letter
+    through the quandle's table."""
+    gens = quandle.generators
+    m = len(gens)
+    adjoint = fpgroup.adjoint_presentation(quandle)
+
+    def lift(a, word):
+        path = []
+        for letter in word:
+            k = abs(letter)
+            if letter > 0:
+                path.append(a * m + k)
+                a = quandle.op[a][gens[k - 1]]
+            else:
+                a = quandle.inv_op[a][gens[k - 1]]
+                path.append(-(a * m + k))
+        return tuple(path)
+
+    cells = [lift(a, adjoint.words[a]) for a in vertices]
+    return cells + [lift(a, r) for r in adjoint.relators for a in vertices]
+
+
 def reidemeister_schreier(quandle, basepoint):
     """The Reidemeister-Schreier presentation of pi_1 at the basepoint
     before any Tietze move; fundamental.pi1_presentation must equal

@@ -416,6 +416,28 @@ def test_non_positive_budget_is_a_parse_error(tmp_path, monkeypatch):
     assert run(["h2", path, "--budget", "5"])[0] == 0
 
 
+def test_integers_are_ascii_digits_with_an_optional_minus(tmp_path,
+                                                         monkeypatch):
+    # --base, --budget and QUANDELIER_BUDGET read integers as the input
+    # files do: no '+', '_', surrounding space or non-ASCII digit
+    path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
+    usage = ("usage: quandelier pi1 [-h] [--budget BUDGET] [--base BASE] "
+             "quandle\nquandelier pi1: error: argument ")
+    for option, value in (("--base", "\u0661"), ("--base", "+1"),
+                          ("--budget", "1_000"), ("--budget", " 7 ")):
+        assert run(["pi1", path, option, value]) == (
+            3, "", f"{usage}{option}: invalid integer value: {value!r}\n")
+    assert run(["pi1", path, "--budget", "-5"]) == (
+        3, "", "parse error: budget must be positive, got -5\n")
+    for value in ("+3000", "1_000", "\u0663"):
+        monkeypatch.setenv("QUANDELIER_BUDGET", value)
+        assert run(["h2", path]) == (
+            3, "", f"parse error: QUANDELIER_BUDGET is not an integer: "
+                   f"{value!r}\n")
+    monkeypatch.setenv("QUANDELIER_BUDGET", "3000")
+    assert run(["pi1", path, "--base", "2"])[0] == 0
+
+
 def test_emitted_quandle_files_roundtrip(tmp_path, corpus):
     for name, quandle in corpus[:20]:
         buf = io.StringIO()

@@ -153,10 +153,10 @@ NUMBERS = st.one_of(
 
 
 def _as_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        return None
+    """The integer the command line reads: ASCII digits with an
+    optional leading '-', or None."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None,

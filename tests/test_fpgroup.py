@@ -69,6 +69,28 @@ def test_simplify_kills_and_eliminates():
         Presentation(generator_count=2, relators=((-2, -2, -1),)), (1, 2))
 
 
+def test_simplify_keeps_the_least_rotation_or_inverse():
+    # against every rotation of the word and of its inverse, on random
+    # cyclically reduced words of length >= 3, which eliminate nothing
+    rng = random.Random(7)
+    letters = [1, 2, 3, -1, -2, -3]
+    words = []
+    while len(words) < 300:
+        w = fpgroup.normalize(rng.choice(letters)
+                              for _ in range(rng.randint(3, 9)))
+        if len(w) >= 3 and w[0] != -w[-1]:
+            words.append(w)
+
+    def least(w):
+        return min(v[i:] + v[:i] for v in (w, fpgroup.inverse_word(w))
+                   for i in range(len(v)))
+
+    assert fpgroup.simplify(3, words) == (
+        Presentation(generator_count=3, relators=tuple(
+            sorted(dict.fromkeys(map(least, words)), key=len))),
+        (1, 2, 3))
+
+
 def test_simplify_kills_on_entry_and_stops_reading():
     # x2 is dead on entry, so x1 x2 kills x1 and x2 x3 kills x3; no
     # generator survives, and the stream is not read further

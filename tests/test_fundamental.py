@@ -6,9 +6,9 @@ from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import symmetric_group, transposition_quandle
-from oracles import (adjusted_deck_perm, full_adjoint_presentation,
-                     path_complex_cells, reidemeister_schreier,
-                     todd_coxeter_reference)
+from oracles import (adjusted_deck_perm, complex_cells_in_adjoint_order,
+                     full_adjoint_presentation, path_complex_cells,
+                     reidemeister_schreier, todd_coxeter_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,19 @@ def _edge_ends(quandle, width, column):
     def ends(e):
         return e // width, quandle.op[e // width][column[e % width]]
     return ends
+
+
+def test_build_complex_yields_every_cell_once_shortest_first(corpus):
+    # the same cells as the lift in the adjoint presentation's order,
+    # read in order of length
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        vertices = range(quandle.n)
+        cells = list(fund.build_complex(quandle, vertices))
+        assert sorted(cells) == sorted(
+            complex_cells_in_adjoint_order(quandle, vertices)), name
+        assert all(len(a) <= len(b) for a, b in zip(cells, cells[1:])), name
 
 
 def test_cell_boundaries_are_closed_loops():
@@ -267,8 +280,9 @@ def test_pi1_presentation_is_the_simplified_rewrite(corpus):
 
 def test_pi1_presentation_stops_reading_once_no_generator_survives(
         monkeypatch):
-    # cells are lifted as they are read: on dihedral(45) every
-    # generator is dead within the lifts of the 22nd of its 45 relators
+    # cells are lifted as they are read, shortest first: on dihedral(45)
+    # every generator is dead after 75 of its 45 + 45 * 45 cells, on
+    # dihedral(91) after 144 of 91 + 91 * 91
     read = []
     build = fund.build_complex
 
@@ -282,13 +296,33 @@ def test_pi1_presentation_stops_reading_once_no_generator_survives(
     assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
         generator_count=0, relators=())
     assert len(quandle.adjoint.relators) == 45
-    assert len(read) == 45 + 21 * 45 + 22 <= 45 + 22 * 45
+    assert len(read) == 75
+    read.clear()
+    quandle = qmod.dihedral(91)
+    assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
+        generator_count=0, relators=())
+    assert len(quandle.adjoint.relators) == 91
+    assert len(read) == 144
     # pi_1 of S7 is not trivial: every cell is read
     read.clear()
     quandle = transposition_quandle(7)
     assert fund.pi1_presentation(quandle, 0).generator_count == 10
     assert len(quandle.adjoint.relators) == 105
     assert len(read) == 21 + 105 * 21
+
+
+def test_pi1_coset_peak_is_pinned():
+    # the smallest budget that gives pi_1's finite model: a change to
+    # the presentation that moves the peak moves what the pi1 budget
+    # admits
+    inputs = [(transposition_quandle(m), peak)
+              for m, peak in ((5, 7), (6, 36), (7, 174))]
+    inputs.append((qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4)), 7))
+    for quandle, peak in inputs:
+        assert fund.fundamental_group(
+            quandle, 0, budget=peak).regular is not None, peak
+        assert fund.fundamental_group(
+            quandle, 0, budget=peak - 1).regular is None, peak
 
 
 def test_pi1_of_s7_enumerates_its_own_cosets():
