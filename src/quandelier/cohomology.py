@@ -389,43 +389,19 @@ def cocycle_from_extension(ext: Extension) -> Cocycle2:
 # the correspondence with Hom(pi_1, Lambda)
 
 
-def _deck_element_taking(deck, target: int, source: int):
-    """Index of the deck element whose permutation sends source to
-    target; unique because the action is free."""
-    for k, perm in enumerate(deck.elements):
-        if perm[source] == target:
-            return k
-    raise AssertionError("deck action is not transitive on the fibre")
-
-
 def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
                      budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> Cocycle2:
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
-    The quandle must be connected.  hom sends deck-element indices (in
-    the order of the deck group at the basepoint, as in
-    universal_cover(...).deck.elements) to Lambda elements.  The value
-    f(a,b) is the image of the deck element comparing the canonical
-    path to a*b with the path through a and b; only the coset
-    enumeration is needed, not the cover's table.
+    The quandle must be connected.  hom sends pi_1's element indices
+    (the order of universal_cover(...).deck.elements) to Lambda
+    elements, and the cocycle is hom(f(a,b)) for pi_1's own cocycle f,
+    with no cover table built.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    q = quandle.basepoints[0]
-    table, ends = fundamental.adj0_enumeration(quandle, q, budget=budget)
-    deck = fundamental.deck_group(table, ends, q)
-    canon = {}  # the least coset over each element
-    for c in range(table.coset_count):
-        canon.setdefault(ends[c], c)
-    n = quandle.n
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            c = table.trace(canon[a], (-(a + 1), b + 1))
-            k = _deck_element_taking(deck, c, canon[quandle.op[a][b]])
-            row.append(hom[k])
-        rows.append(tuple(row))
-    f = Cocycle2(tuple(rows))
+    pi1 = fundamental.pi1_model(quandle, quandle.basepoints[0], budget)
+    f = Cocycle2(tuple(tuple(map(hom.__getitem__, row))
+                       for row in pi1.cocycle))
     ok, wit = is_cocycle(f, quandle, coeffs)
     if not ok:
         raise ValueError(f"hom was not relator-consistent, witness {wit}")

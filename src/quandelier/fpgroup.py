@@ -203,11 +203,6 @@ class CosetTable:
             return self.action[letter - 1][coset]
         return self.action_inv[-letter - 1][coset]
 
-    def trace(self, coset: int, word) -> int:
-        for letter in word:
-            coset = self.apply_letter(coset, letter)
-        return coset
-
 
 def todd_coxeter(presentation: Presentation, subgroup_generators=(),
                  budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:

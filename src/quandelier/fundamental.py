@@ -5,8 +5,11 @@ modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
 the adjoint presentation on S over the Schreier graph of q's component,
 Tietze-simplified while the cells are lifted shortest first, until no
 generator survives; its abelianisation is H2, and its enumeration over
-the trivial subgroup its finite model.  The stabilizer of q in the
-enumeration of Adj(Q) modulo <e_q> is the universal cover's deck group.
+the trivial subgroup its finite model, from which come pi_1's Cayley
+table and a pi_1-valued cocycle f on Q.  Every covering reads that
+model: the universal cover is Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b))
+and deck group pi_1 acting from the left, and the connected coverings
+are its quotients by the subgroups of pi_1.
 """
 
 from dataclasses import dataclass
@@ -57,7 +60,20 @@ def build_complex(quandle: FiniteQuandle, vertices):
             yield lift(a, word)
 
 
-def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
+@dataclass(frozen=True)
+class Pi1Presentation(Presentation):
+    """pi_1 on the Schreier graph's edges that survive the Tietze moves:
+    images[e - 1] is the signed letter edge e became, or 0, and paths[a]
+    the adjoint word (letter +-(b+1) is rho_b^+-1) along the spanning
+    tree from the basepoint to a, None off its component; edge (a, s)
+    is the loop paths[a], s, paths[a*s]^-1."""
+
+    images: tuple
+    paths: tuple
+
+
+def pi1_presentation(quandle: FiniteQuandle, basepoint: int
+                     ) -> Pi1Presentation:
     """pi_1 at the basepoint: the Reidemeister-Schreier rewrite of the
     adjoint presentation on S, Tietze-simplified as it is built.
 
@@ -74,27 +90,32 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int) -> Presentation:
     m = len(quandle.generators)
     op, inv_op = quandle.op, quandle.inv_op
     killed = set()  # 1-based edge letters
-    visited = {basepoint}
+    paths = [None] * quandle.n
+    paths[basepoint] = ()
     frontier = [basepoint]
     while frontier:
         nxt = []
         for v in frontier:
             for k, s in enumerate(quandle.generators, 1):
-                for e, w in ((v * m + k, op[v][s]),
-                             (inv_op[v][s] * m + k, inv_op[v][s])):
-                    if w not in visited:
-                        visited.add(w)
+                for e, w, letter in ((v * m + k, op[v][s], s + 1),
+                                     (inv_op[v][s] * m + k, inv_op[v][s],
+                                      -s - 1)):
+                    if paths[w] is None:
+                        paths[w] = paths[v] + (letter,)
                         killed.add(e)
                         nxt.append(w)
         frontier = nxt
-    killed.update(e for a in set(range(quandle.n)) - visited
+    killed.update(e for a, path in enumerate(paths) if path is None
                   for e in range(a * m + 1, a * m + m + 1))
-    cells = build_complex(quandle, sorted(visited))
-    return fpgroup.simplify(quandle.n * m, cells, killed)[0]
+    cells = build_complex(quandle, [a for a, path in enumerate(paths)
+                                    if path is not None])
+    pres, images = fpgroup.simplify(quandle.n * m, cells, killed)
+    return Pi1Presentation(pres.generator_count, pres.relators, images,
+                           tuple(paths))
 
 
 # ---------------------------------------------------------------------------
-# coset enumeration of Adj(Q) modulo the basepoint generator
+# Adj(Q) modulo the basepoint generator: a reference the tracer names
 
 
 def _certify_finite(quandle: FiniteQuandle):
@@ -159,109 +180,82 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     return table, tuple(endpoints)
 
 
-def deck_group(table: CosetTable, endpoints, basepoint: int) -> FiniteGroup:
-    """pi_1 as a permutation group acting on the cosets from the left.
-
-    Elements correspond to cosets whose endpoint is the basepoint,
-    listed in coset order; the action is free, so it is faithful.
-    Stabilizer coset g acts as <adj(q)> w -> <adj(q)> g w: g ends at q,
-    so it commutes with adj(q) and no degree adjustment is needed.  The
-    cosets are visited along the Schreier tree of the representative
-    words, parents first: if coset d is c.x, g sends d to (g c).x, with
-    one table lookup per coset.
-    """
-    words = table.representative_word
-    tree = []
-    for d in sorted(range(1, table.coset_count), key=lambda d: len(words[d])):
-        g = abs(words[d][-1]) - 1
-        step, back = table.action[g], table.action_inv[g]
-        if words[d][-1] < 0:
-            step, back = back, step
-        tree.append((d, back[d], step))
-    stabilizer = [c for c in range(table.coset_count)
-                  if endpoints[c] == basepoint]
-    perms = []
-    for s in stabilizer:
-        perm = [s] * table.coset_count
-        for d, c, step in tree:
-            perm[d] = step[perm[c]]
-        perms.append(tuple(perm))
-    perms = tuple(perms)
-    identity_index = stabilizer.index(0)
-    return FiniteGroup(degree=table.coset_count, elements=perms,
-                       generators=perms, identity_index=identity_index)
-
-
 # ---------------------------------------------------------------------------
-# universal covering
+# the fundamental group and its finite model
 
 
-@dataclass(frozen=True)
-class UniversalCover:
-    """The universal covering quandle of a connected quandle.
-
-    Cover element c is coset c of the enumeration based at the base's
-    basepoint, lying over endpoints[c]; deck is pi_1(Q, q) acting on
-    the cosets, built on first use.
-    """
-
-    base: FiniteQuandle
-    cover: FiniteQuandle
-    projection: QuandleHom
-    table: CosetTable
-    endpoints: tuple
-
-    @cached_property
-    def deck(self) -> FiniteGroup:
-        return deck_group(self.table, self.endpoints, self.base.basepoints[0])
+def _right_action(table: CosetTable, step, start):
+    """The image of start under each element of the group that table
+    enumerates over the trivial subgroup, given step[x], the action of
+    letter x: element c is its parent times the last letter x of its
+    representative word, so its image is its parent's under step[x]."""
+    words, images = table.representative_word, [start] * table.coset_count
+    for c in sorted(range(1, table.coset_count), key=lambda c: len(words[c])):
+        x = words[c][-1]
+        parent = images[table.apply_letter(c, -x)]
+        images[c] = tuple(map(step[x].__getitem__, parent))
+    return images
 
 
-def universal_cover(quandle: FiniteQuandle,
-                    budget: int = fpgroup.DEFAULT_COSET_BUDGET
-                    ) -> UniversalCover:
-    """Build the universal covering on pairs (endpoint, coset).
-
-    The operation (a,g)*(b,h) = (a*b, g adj(a)^-1 adj(b)) becomes right
-    multiplication in the coset table.  A word g ending at a has
-    adj(a) = g^-1 adj(q) g, which fixes the coset <adj(q)> g, so cell
-    (c, d) is coset c times adj(ends[d]): column d is the action of
-    ends[d], and there are at most n distinct columns.  Raises
-    InfiniteGroup for a disconnected quandle and BudgetExceeded when
-    the degree-zero subgroup is too large.
-    """
-    q = quandle.basepoints[0]
-    table, ends = adj0_enumeration(quandle, q, budget=budget)
-    cover = qmod.validate(tuple(zip(*map(table.action.__getitem__, ends))))
-    return UniversalCover(base=quandle, cover=cover,
-                          projection=QuandleHom(cover, quandle, ends),
-                          table=table, endpoints=ends)
-
-
-# ---------------------------------------------------------------------------
-# the fundamental group
+def left_translations(cayley, copies: int = 1) -> FiniteGroup:
+    """pi_1 acting from the left on copies of itself: g sends element
+    h copies + c to (gh) copies + c.  The action is free, so faithful."""
+    perms = tuple(tuple(x * copies + c for x in row for c in range(copies))
+                  for row in cayley)
+    return FiniteGroup(degree=copies * len(cayley), elements=perms,
+                       generators=perms, identity_index=0)
 
 
 @dataclass(frozen=True)
 class FundamentalGroup:
     """pi_1(Q, q): a presentation always, a finite model when possible.
 
-    regular is the coset enumeration of the presentation over the
-    trivial subgroup, pi_1's right regular representation, or None
-    when pi_1 is infinite or over budget.  Its coset count is the
-    order, and finite_form is pi_1 acting on those cosets, each of
-    which ends at the basepoint, from the left, built on first use.
+    regular, pi_1's right regular representation, is the enumeration of
+    the presentation over the trivial subgroup, or None when pi_1 is
+    infinite or over budget; coset g is the element its representative
+    word reads.  Built from it on first use: cayley[g][h] = gh, the
+    finite_form of its rows, pi_1 acting on itself from the left, and
+    the cocycle f of the universal cover Q x pi_1.
     """
 
+    quandle: FiniteQuandle
     basepoint: int
-    presentation: Presentation
+    presentation: Pi1Presentation
     regular: CosetTable
 
     @cached_property
+    def cayley(self) -> tuple:
+        table = self.regular
+        step = (None, *table.action, *reversed(table.action_inv))
+        return tuple(zip(*_right_action(table, step,
+                                        tuple(range(table.coset_count)))))
+
+    @cached_property
     def finite_form(self) -> FiniteGroup:
-        if self.regular is None:
-            return None
-        return deck_group(self.regular, (self.basepoint,) * self.order,
-                          self.basepoint)
+        return None if self.regular is None else left_translations(
+            self.cayley)
+
+    @cached_property
+    def cocycle(self) -> tuple:
+        """f(a, s) for s in S is the element of edge (a, s)'s letter, 1 on
+        the tree.  For each definition y = x*s of quandle.adjoint.tree,
+        rho_y = rho_s^-1 rho_x rho_s in the cover, so with a' = a/s,
+        f(a, y) = f(a', s)^-1 f(a', x) f(a'*x, s)."""
+        quandle, table, mul = self.quandle, self.regular, self.cayley
+        op, inv_op, n = quandle.op, quandle.inv_op, quandle.n
+        images, m = self.presentation.images, len(quandle.generators)
+        inverse = [row.index(0) for row in mul]
+        label = (0, *(g[0] for g in table.action),
+                 *(g[0] for g in reversed(table.action_inv)))
+        f = [[0] * n for _ in range(n)]
+        for k, s in enumerate(quandle.generators):
+            for a in range(n):
+                f[a][s] = label[images[a * m + k]]
+        for y, x, s in quandle.adjoint.tree:
+            for a in range(n):
+                b = inv_op[a][s]
+                f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[op[b][x]][s]]
+        return tuple(map(tuple, f))
 
     @property
     def order(self):
@@ -274,36 +268,83 @@ class FundamentalGroup:
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
                       ) -> FundamentalGroup:
-    """Compute pi_1(Q, basepoint).
-
-    The presentation is always returned; the finite model only when pi_1
-    is finite and its enumeration stays within the budget of live
-    cosets.  A disconnected quandle has infinite pi_1 and is not
-    enumerated.
-    """
+    """pi_1(Q, basepoint): the presentation always, the finite model when
+    pi_1 is finite within the budget of live cosets; a disconnected
+    quandle has infinite pi_1 and is not enumerated."""
     pres = pi1_presentation(quandle, basepoint)
     try:
         _certify_finite(quandle)
         regular = fpgroup.todd_coxeter(pres, [], budget=budget)
     except BudgetExceeded:  # InfiniteGroup included
         regular = None
-    return FundamentalGroup(basepoint=basepoint, presentation=pres,
-                            regular=regular)
+    return FundamentalGroup(quandle, basepoint, pres, regular)
+
+
+def pi1_model(quandle: FiniteQuandle, basepoint: int,
+              budget: int = fpgroup.DEFAULT_COSET_BUDGET
+              ) -> FundamentalGroup:
+    """pi_1 with the finite model every covering reads.  Raises
+    InfiniteGroup for a disconnected quandle before anything is built,
+    and BudgetExceeded, as todd_coxeter does, past the budget."""
+    _certify_finite(quandle)
+    pi1 = fundamental_group(quandle, basepoint, budget=budget)
+    if pi1.regular is None:
+        raise BudgetExceeded(budget, "coset enumeration")
+    return pi1
+
+
+# ---------------------------------------------------------------------------
+# coverings: Q x pi_1 and its quotients
+
+
+def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
+    """Q x pi_1 modulo a subgroup K acting from the left, given by its
+    right cosets K g, least element first.  Element i n + a is (a, K g)
+    for the i-th coset, over a: numbered so, the first n lie over
+    distinct base elements, and validate's greedy generating set stays
+    as small as the base's.  Column b sends (a, K g) to
+    (a*b, K g f(a,b)), the same for every element over b."""
+    quandle, mul, f, n = pi1.quandle, pi1.cayley, pi1.cocycle, pi1.quandle.n
+    coset_of = {g: i for i, coset in enumerate(cosets) for g in coset}
+    columns = []
+    for b in range(n):
+        ends = [(f[a][b], quandle.op[a][b]) for a in range(n)]
+        columns.append(tuple(coset_of[row[t]] * n + c
+                             for row in (mul[coset[0]] for coset in cosets)
+                             for t, c in ends))
+    total = qmod.validate(tuple(zip(*columns * len(cosets))))
+    return QuandleHom(total, quandle, tuple(range(n)) * len(cosets))
+
+
+@dataclass(frozen=True)
+class UniversalCover:
+    """The universal covering quandle of a connected quandle: element
+    g n + a is (a, g) in Q x pi_1, over a; deck is pi_1 acting from the
+    left, (a, h) -> (a, gh), built on first use."""
+
+    base: FiniteQuandle
+    cover: FiniteQuandle
+    projection: QuandleHom
+    pi1: FundamentalGroup
+
+    @cached_property
+    def deck(self) -> FiniteGroup:
+        return left_translations(self.pi1.cayley, self.base.n)
+
+
+def universal_cover(quandle: FiniteQuandle,
+                    budget: int = fpgroup.DEFAULT_COSET_BUDGET
+                    ) -> UniversalCover:
+    """Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b)), f the cocycle of pi_1
+    at the first basepoint; raises as pi1_model does."""
+    pi1 = pi1_model(quandle, quandle.basepoints[0], budget=budget)
+    projection = _quotient(pi1, [(g,) for g in range(pi1.order)])
+    return UniversalCover(base=quandle, cover=projection.source,
+                          projection=projection, pi1=pi1)
 
 
 # ---------------------------------------------------------------------------
 # lifting, Galois correspondence, monodromy
-
-
-def right_action_on_cover(p: QuandleHom, element: int, word) -> int:
-    """Apply an adjoint word (letters name base elements) to a cover
-    element, lifting each letter to its section element; well defined
-    because p is a covering."""
-    x = element
-    for letter in word:
-        b = p.section[abs(letter) - 1]
-        x = p.source.op[x][b] if letter > 0 else p.source.inv_op[x][b]
-    return x
 
 
 def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
@@ -353,58 +394,48 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
 
 def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
                                   budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """All pointed connected coverings, one per subgroup of pi_1.
-
-    Requires a connected base.  Each subgroup K yields the quotient of
-    the universal cover by the left K-action, whose elements are the
-    K-orbits on the cosets, ordered by least element; the list is
-    ordered like the subgroup enumeration (by order, then element
-    indices).  Returns pairs (K, covering projection).
+    """All pointed connected coverings of a connected base: pairs
+    (K, covering projection), for each subgroup K of pi_1's finite form
+    in the order of permgroup.subgroups, with the quotient of the
+    universal cover by K, on the pairs (a, K g): the orbits of K.
     """
     if not quandle.is_connected():
         raise ValueError("base quandle must be connected")
-    table, ends = adj0_enumeration(quandle, basepoint, budget=budget)
-    deck = deck_group(table, ends, basepoint)
-    out = []
-    for sub in permgroup.subgroups(deck):
-        orbits = permgroup.orbits(sub)
-        orbit_of = [None] * table.coset_count
-        for i, orbit in enumerate(orbits):
-            for c in orbit:
-                orbit_of[c] = i
-        reps = [orbit[0] for orbit in orbits]
-        # cell (c, d) is coset c times adj(ends[d]), as in the
-        # universal cover, so column d depends on ends[d] only
-        column = {e: tuple(orbit_of[table.action[e][c]] for c in reps)
-                  for e in {ends[d] for d in reps}}
-        total = qmod.validate(tuple(zip(*(column[ends[d]] for d in reps))))
-        proj = QuandleHom(total, quandle, tuple(ends[c] for c in reps))
-        out.append((sub, proj))
-    return out
+    pi1 = pi1_model(quandle, basepoint, budget=budget)
+    return [(sub, _quotient(pi1, permgroup.orbits(sub)))
+            for sub in permgroup.subgroups(pi1.finite_form)]
 
 
 def monodromy(p: QuandleHom, basepoint: int,
               budget: int = fpgroup.DEFAULT_COSET_BUDGET):
     """Action of pi_1(Q, basepoint) on the fibre over the basepoint.
 
-    Returns (pi1 finite form, fibre tuple, permutations) where
-    permutations[k] describes how the k-th pi_1 element permutes the
-    fibre (as images indexed like the fibre tuple): its stabilizer
-    coset, perm[0] of its deck permutation, has a representative word
-    that right_action_on_cover traces from each fibre element.  Needs
-    the finite form, so it propagates BudgetExceeded for infinite pi_1
-    and InfiniteGroup for a disconnected base.
+    Returns (pi1 finite form, fibre tuple, permutations): permutations[k]
+    sends fibre position i to that of fibre[i] times the k-th element.
+    A generator of pi_1 is an edge (a, s), whose loop runs along the tree
+    to a, across the edge and back, each base element lifting to its
+    section element.  Raises as pi1_model does.
     """
     ok, _ = qmod.is_covering(p)
     if not ok:
         raise ValueError("p is not a covering")
-    base = p.target
-    table, ends = adj0_enumeration(base, basepoint, budget=budget)
-    deck = deck_group(table, ends, basepoint)
+    base, op, inv_op = p.target, p.source.op, p.source.inv_op
+    pi1 = pi1_model(base, basepoint, budget=budget)
+    pres, m = pi1.presentation, len(base.generators)
     fibre = p.fibre(basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
-    perms = tuple(
-        tuple(pos[right_action_on_cover(
-            p, x, table.representative_word[perm[0]])] for x in fibre)
-        for perm in deck.elements)
-    return deck, fibre, perms
+    step = []
+    for j in range(1, pres.generator_count + 1):
+        a, k = divmod(pres.images.index(j), m)
+        s = base.generators[k]
+        loop = (pres.paths[a] + (s + 1,)
+                + fpgroup.inverse_word(pres.paths[base.op[a][s]]))
+        images = list(fibre)
+        for letter in loop:
+            b = p.section[abs(letter) - 1]
+            images = [op[x][b] if letter > 0 else inv_op[x][b]
+                      for x in images]
+        step.append(tuple(map(pos.__getitem__, images)))
+    step = (None, *step, *map(permgroup.inverse, reversed(step)))
+    perms = _right_action(pi1.regular, step, tuple(range(len(fibre))))
+    return pi1.finite_form, fibre, tuple(perms)

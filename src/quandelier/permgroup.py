@@ -58,9 +58,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index(self, p: Perm) -> int:
-        return self._index[p]
-
     def __contains__(self, p) -> bool:
         return p in self._index
 

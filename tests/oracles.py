@@ -4,8 +4,12 @@ way: brute-force versions of the checks it makes on a generating set
 Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
 Reidemeister-Schreier rewrite of pi_1 before Tietze moves, the
-brute-force route to |H^2|, the degree-adjusted deck permutations, the
-least preimages of a map, the covering check on all pairs, table
+brute-force route to |H^2|, the universal cover and the covering
+census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
+deck group on its cosets, the right action of adjoint words on a
+cover, a word traced through a coset table and the degree-adjusted
+deck permutations, the least preimages
+of a map, the covering check on all pairs, table
 validation row by row, the search for an equivalence of extensions,
 pullbacks and unions of coverings cell by cell, the right
 translations as permutations, cocycles pulled back along a map and
@@ -15,7 +19,8 @@ the package's answers against them."""
 from itertools import product
 from operator import itemgetter
 
-from quandelier import cohomology as coh, fpgroup, fundamental, quandle as qmod
+from quandelier import (cohomology as coh, fpgroup, fundamental, permgroup,
+                        quandle as qmod)
 from quandelier.errors import BudgetExceeded, NotAQuandle, NotRightInvertible
 
 
@@ -609,6 +614,101 @@ def cohomology_classes(quandle, coeffs, budget=1 << 20):
     return reps, cocycles
 
 
+def deck_group(table, endpoints, basepoint):
+    """pi_1 as a permutation group acting on the cosets of
+    fundamental.adj0_enumeration from the left.
+
+    Elements correspond to cosets whose endpoint is the basepoint,
+    listed in coset order; the action is free, so it is faithful.
+    Stabilizer coset g acts as <adj(q)> w -> <adj(q)> g w: g ends at q,
+    so it commutes with adj(q) and no degree adjustment is needed.  The
+    cosets are visited along the Schreier tree of the representative
+    words, parents first: if coset d is c.x, g sends d to (g c).x, with
+    one table lookup per coset.
+    """
+    words = table.representative_word
+    tree = []
+    for d in sorted(range(1, table.coset_count), key=lambda d: len(words[d])):
+        g = abs(words[d][-1]) - 1
+        step, back = table.action[g], table.action_inv[g]
+        if words[d][-1] < 0:
+            step, back = back, step
+        tree.append((d, back[d], step))
+    stabilizer = [c for c in range(table.coset_count)
+                  if endpoints[c] == basepoint]
+    perms = []
+    for s in stabilizer:
+        perm = [s] * table.coset_count
+        for d, c, step in tree:
+            perm[d] = step[perm[c]]
+        perms.append(tuple(perm))
+    perms = tuple(perms)
+    return permgroup.FiniteGroup(degree=table.coset_count, elements=perms,
+                                 generators=perms,
+                                 identity_index=stabilizer.index(0))
+
+
+def right_action_on_cover(p, element, word):
+    """Apply an adjoint word (letters name base elements) to a cover
+    element, lifting each letter to its section element; well defined
+    because p is a covering."""
+    x = element
+    for letter in word:
+        b = p.section[abs(letter) - 1]
+        x = p.source.op[x][b] if letter > 0 else p.source.inv_op[x][b]
+    return x
+
+
+def universal_cover_by_columns(quandle):
+    """The universal covering on the cosets of Adj(Q) modulo <e_q>, q
+    the first basepoint: cell (c, d) is coset c times e_{end(d)}, so the
+    table is the zip of the action columns of the endpoints.  Returns
+    (projection, coset table, endpoints)."""
+    table, ends = fundamental.adj0_enumeration(quandle, quandle.basepoints[0])
+    cover = qmod.validate(tuple(zip(*map(table.action.__getitem__, ends))))
+    return qmod.QuandleHom(cover, quandle, ends), table, ends
+
+
+def is_normal(sub, group):
+    """Whether every conjugate g^-1 k g of the subgroup stays in it."""
+    members = set(sub.elements)
+    return all(permgroup.mul(permgroup.mul(permgroup.inverse(g), k), g)
+               in members for g in group.elements for k in sub.elements)
+
+
+def census_by_orbits(quandle, basepoint):
+    """(fibre, normal) for each connected covering, one per subgroup K
+    of the deck group on the cosets of Adj(Q) modulo <e_q>: the
+    quotient's elements are K's orbits on the cosets, and its fibre
+    over the basepoint has |pi_1 : K| of them."""
+    table, ends = fundamental.adj0_enumeration(quandle, basepoint)
+    deck = deck_group(table, ends, basepoint)
+    out = []
+    for sub in permgroup.subgroups(deck):
+        orbits = permgroup.orbits(sub)
+        orbit_of = [None] * table.coset_count
+        for i, orbit in enumerate(orbits):
+            for c in orbit:
+                orbit_of[c] = i
+        reps = [orbit[0] for orbit in orbits]
+        total = qmod.validate(tuple(
+            tuple(orbit_of[table.action[ends[d]][c]] for d in reps)
+            for c in reps))
+        projection = qmod.QuandleHom(total, quandle,
+                                     tuple(ends[c] for c in reps))
+        assert qmod.is_covering(projection)[0] and total.is_connected()
+        out.append((len(projection.fibre(basepoint)), is_normal(sub, deck)))
+    return out
+
+
+def trace(table, coset, word):
+    """The coset a word reaches from the given coset, letter by
+    letter through the coset table."""
+    for letter in word:
+        coset = table.apply_letter(coset, letter)
+    return coset
+
+
 def adjusted_deck_perm(table, basepoint, stab_coset):
     """Left multiplication by a stabilizer coset's degree-zero element,
     traced on each coset's degree-zero word adj(q)^-deg(w) w."""
@@ -618,7 +718,7 @@ def adjusted_deck_perm(table, basepoint, stab_coset):
         deg = sum(1 if letter > 0 else -1 for letter in w)
         return (-q if deg > 0 else q,) * abs(deg) + w
 
-    return tuple(table.trace(stab_coset, degree_zero(w))
+    return tuple(trace(table, stab_coset, degree_zero(w))
                  for w in table.representative_word)
 
 

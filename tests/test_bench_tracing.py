@@ -30,7 +30,7 @@ def test_traced_commands_match_the_command_table():
     assert set(_tracing().COMMAND_SPANS) == set(cli.COMMANDS)
 
 
-def _traced_run(tmp_path, command, quandle):
+def _traced_run(tmp_path, command, quandle, *flags):
     """Layer metrics of one traced command on a quandle file."""
     path = tmp_path / "quandle.txt"
     text = io.StringIO()
@@ -39,7 +39,7 @@ def _traced_run(tmp_path, command, quandle):
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        code = cli.run([command, str(path)], out=io.StringIO(),
+        code = cli.run([command, str(path), *flags], out=io.StringIO(),
                        err=io.StringIO())
     finally:
         tracer.remove()
@@ -63,6 +63,16 @@ def test_traced_counters_read_the_pi1_presentation(tmp_path):
     pres = fund.pi1_presentation(quandle, 0)
     assert metrics["fundamental.pi1_generators"] == pres.generator_count == 3
     assert metrics["fundamental.pi1_relators"] == len(pres.relators) > 0
+
+
+def test_traced_counters_read_the_covering_results(tmp_path):
+    # the cover_elements counter reads result.cover.n of universal_cover
+    # and subgroup_count the length of permgroup.subgroups' list
+    quandle = transposition_quandle(5)
+    metrics = _traced_run(tmp_path, "cover", quandle, "--universal")
+    assert metrics["fundamental.cover_elements"] == 60
+    metrics = _traced_run(tmp_path, "cover", quandle, "--enumerate")
+    assert metrics["permgroup.subgroup_count"] == 6
 
 
 def test_validate_gets_a_sized_table(monkeypatch):

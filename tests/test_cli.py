@@ -1,8 +1,10 @@
 import io
+from collections import Counter
 
 import pytest
 
-from quandelier import cli, cohomology as coh, fundamental as fund, quandle as qmod
+from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
+                        quandle as qmod)
 from conftest import transposition_quandle
 from oracles import cohomology_classes
 
@@ -274,20 +276,34 @@ def test_cover_enumerate_s5(tmp_path):
 
 
 def test_cover_enumerate_enumerates_once(tmp_path, monkeypatch):
-    # the normality checks reuse the census's deck group
+    # the census and its normality checks read one enumeration, pi_1's
     calls = []
-    enumerate_ = fund.adj0_enumeration
+    enumerate_ = fpgroup.todd_coxeter
 
     def counted(*args, **kwargs):
         calls.append(args)
         return enumerate_(*args, **kwargs)
 
-    monkeypatch.setattr(fund, "adj0_enumeration", counted)
+    monkeypatch.setattr(fpgroup, "todd_coxeter", counted)
     path = write_quandle(tmp_path, "s5.txt", transposition_quandle(5))
     code, out, _ = run(["cover", path, "--enumerate"])
     assert code == 0
     assert len(out.splitlines()) == 6
     assert len(calls) == 1
+
+
+def test_cover_enumerate_s6_is_pinned(tmp_path):
+    # pi_1 of the S6 transposition quandle is S4: 30 subgroups (OEIS
+    # A005432), 4 of them normal (1, V4, A4, S4); a fibre is an index
+    path = write_quandle(tmp_path, "s6.txt", transposition_quandle(6))
+    code, out, _ = run(["cover", path, "--enumerate"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 30
+    fibres = Counter(int(line.split("fibre=")[1].split()[0])
+                     for line in lines)
+    assert fibres == {1: 1, 2: 1, 3: 3, 4: 4, 6: 7, 8: 4, 12: 9, 24: 1}
+    assert out.count("galois=true") == 4
 
 
 def test_cover_check_true_and_false(tmp_path):

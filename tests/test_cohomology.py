@@ -492,8 +492,8 @@ def test_check_extension_rejects_an_action_reversed_on_one_fibre():
 
 
 def test_cocycle_from_hom_builds_no_universal_cover(monkeypatch):
-    # the cocycle needs the coset enumeration and the deck group, not
-    # the cover's N x N table
+    # the cocycle needs pi_1's Cayley table and cocycle, not the
+    # cover's N x N table
     quandle, f, hom = _nontrivial_s4_cocycle()
 
     def no_cover(*args, **kwargs):

@@ -6,9 +6,17 @@ from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import symmetric_group, transposition_quandle
-from oracles import (adjusted_deck_perm, complex_cells_in_adjoint_order,
-                     full_adjoint_presentation, path_complex_cells,
-                     reidemeister_schreier, todd_coxeter_reference)
+from oracles import (adjusted_deck_perm, census_by_orbits,
+                     cocycle_violation, complex_cells_in_adjoint_order,
+                     deck_group, full_adjoint_presentation, is_normal,
+                     path_complex_cells, reidemeister_schreier,
+                     right_action_on_cover, todd_coxeter_reference, trace,
+                     universal_cover_by_columns)
+
+
+def _plain(pres):
+    """The presentation alone, without what pi1_presentation adds."""
+    return fpgroup.Presentation(pres.generator_count, pres.relators)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +123,8 @@ def test_pi1_presentation_of_odd_dihedral_is_trivial():
     # the Tietze moves kill every generator of the rewrite
     for n in (3, 5, 7, 9):
         quandle = qmod.dihedral(n)
-        assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
-            generator_count=0, relators=())
+        assert _plain(fund.pi1_presentation(quandle, 0)) == (
+            fpgroup.Presentation(generator_count=0, relators=()))
         table = fpgroup.todd_coxeter(reidemeister_schreier(quandle, 0))
         assert table.coset_count == 1
 
@@ -256,7 +264,7 @@ def test_simplify_keeps_pi1(corpus):
                 rewrite, [], budget=20000).coset_count, name
             for r in rewrite.relators:
                 word = [images[abs(x) - 1] * (1 if x > 0 else -1) for x in r]
-                assert table.trace(0, filter(None, word)) == 0, name
+                assert trace(table, 0, filter(None, word)) == 0, name
 
 
 def test_pi1_presentation_is_the_simplified_rewrite(corpus):
@@ -274,8 +282,9 @@ def test_pi1_presentation_is_the_simplified_rewrite(corpus):
     for name, quandle, basepoints in inputs:
         for q in basepoints:
             rewrite = reidemeister_schreier(quandle, q)
-            assert fund.pi1_presentation(quandle, q) == fpgroup.simplify(
-                rewrite.generator_count, rewrite.relators)[0], (name, q)
+            assert _plain(fund.pi1_presentation(quandle, q)) == (
+                fpgroup.simplify(rewrite.generator_count,
+                                 rewrite.relators)[0]), (name, q)
 
 
 def test_pi1_presentation_stops_reading_once_no_generator_survives(
@@ -293,13 +302,13 @@ def test_pi1_presentation_stops_reading_once_no_generator_survives(
 
     monkeypatch.setattr(fund, "build_complex", counting)
     quandle = qmod.dihedral(45)
-    assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
+    assert _plain(fund.pi1_presentation(quandle, 0)) == fpgroup.Presentation(
         generator_count=0, relators=())
     assert len(quandle.adjoint.relators) == 45
     assert len(read) == 75
     read.clear()
     quandle = qmod.dihedral(91)
-    assert fund.pi1_presentation(quandle, 0) == fpgroup.Presentation(
+    assert _plain(fund.pi1_presentation(quandle, 0)) == fpgroup.Presentation(
         generator_count=0, relators=())
     assert len(quandle.adjoint.relators) == 91
     assert len(read) == 144
@@ -391,9 +400,9 @@ def test_expanded_table_is_the_full_adjoint_table(corpus):
             for c in range(table.coset_count):
                 assert table.action_inv[x][table.action[x][c]] == c
         for c in range(table.coset_count):
-            assert table.trace(0, table.representative_word[c]) == c, name
+            assert trace(table, 0, table.representative_word[c]) == c, name
             for r in full.relators:
-                assert table.trace(c, r) == c, name
+                assert trace(table, c, r) == c, name
     assert connected >= 30
 
 
@@ -428,10 +437,15 @@ def test_order_counts_the_cosets_ending_at_the_basepoint(corpus):
 
 
 def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
-    calls = []
-    deck_group = fund.deck_group
-    monkeypatch.setattr(fund, "deck_group",
-                        lambda *args: calls.append(args) or deck_group(*args))
+    degrees = []
+    build = fund.left_translations
+
+    def spy(*args):
+        group = build(*args)
+        degrees.append(group.degree)
+        return group
+
+    monkeypatch.setattr(fund, "left_translations", spy)
     quandle = transposition_quandle(5)
     path = tmp_path / "s5.txt"
     text = io.StringIO()
@@ -441,14 +455,14 @@ def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
         out = io.StringIO()
         assert cli.run(argv, out=out, err=io.StringIO()) == 0
     assert out.getvalue().startswith("quandle 60\n")
-    assert calls == []
+    assert degrees == []
     cover = fund.universal_cover(quandle)
     fg = fund.fundamental_group(quandle, 0)
-    assert fg.order == 6 and calls == []
+    assert fg.order == 6 and degrees == []
     assert cover.deck is cover.deck and fg.finite_form.order == 6
-    # the deck group acts on the 60 cosets of the adjoint enumeration,
-    # the finite form on pi_1's own 6
-    assert [args[0].coset_count for args in calls] == [60, 6]
+    # both are left multiplication in pi_1's Cayley table: the deck
+    # group on the 60 cover elements, the finite form on pi_1's own 6
+    assert degrees == [60, 6]
 
 
 def test_fundamental_group_s5_abelianization():
@@ -493,11 +507,12 @@ def test_universal_cover_of_s7_quandle_has_one_column_per_base_element():
 
 
 def test_universal_cover_element_bookkeeping():
-    # cover element c is coset c of the enumeration, over its endpoint
+    # cover element g n + a is (a, g) in Q x pi_1, over a
     cover = fund.universal_cover(transposition_quandle(4))
-    assert cover.cover.n == cover.table.coset_count
-    assert cover.projection.map == cover.endpoints
+    n, order = cover.base.n, cover.pi1.order
+    assert cover.cover.n == n * order
     for x in range(cover.cover.n):
+        assert cover.projection.map[x] == x % n
         assert cover.base.grading[cover.projection.map[x]] == 0
 
 
@@ -540,7 +555,7 @@ def test_deck_elements_need_no_degree_adjustment(corpus):
         q = quandle.basepoints[0]
         table, ends = fund.adj0_enumeration(quandle, q, budget=20000)
         stabilizer = [c for c in range(table.coset_count) if ends[c] == q]
-        deck = fund.deck_group(table, ends, q)
+        deck = deck_group(table, ends, q)
         assert deck.elements == tuple(adjusted_deck_perm(table, q, c)
                                       for c in stabilizer), name
         nonzero_degree += sum(
@@ -549,6 +564,71 @@ def test_deck_elements_need_no_degree_adjustment(corpus):
         checked += 1
     assert checked >= 30
     assert nonzero_degree > 0
+
+
+def test_universal_cover_budget_counts_pi1_cosets():
+    # pi_1's enumeration peaks at 174 live cosets on S7; the adjoint
+    # enumeration the cover once read needed 3395
+    quandle = transposition_quandle(7)
+    assert fund.universal_cover(quandle, budget=174).cover.n == 2520
+    with pytest.raises(BudgetExceeded):
+        fund.universal_cover(quandle, budget=173)
+
+
+# ---------------------------------------------------------------------------
+# the covering model Q x_f pi_1 against the adjoint enumeration
+
+
+def test_covering_model_matches_the_adjoint_enumeration(corpus):
+    # on the cosets of Adj(Q) modulo <e_q>: the universal projection
+    # lifts bijectively through the cover built there, the census has
+    # the same (fibre, normal) pairs, and the finite form is the deck
+    # group on pi_1's own cosets; f is a pi_1-valued cocycle
+    inputs = [(name, quandle) for name, quandle in corpus
+              if quandle.is_connected()]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
+               for m in (5, 6)]
+    inputs.append(("conj(S5,3-cycle)",
+                   qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4))))
+    for name, quandle in inputs:
+        q = quandle.basepoints[0]
+        cover = fund.universal_cover(quandle)
+        kind, lift = fund.check_lifting(
+            cover.projection, universal_cover_by_columns(quandle)[0])
+        assert kind == "lift", name
+        assert sorted(lift.map) == list(range(cover.cover.n)), name
+        fg = cover.pi1
+        assert fg.finite_form.elements == deck_group(
+            fg.regular, (q,) * fg.order, q).elements, name
+        coverings = fund.enumerate_connected_coverings(quandle, q)
+        whole = coverings[-1][0]
+        assert sorted((len(p.fibre(q)), is_normal(sub, whole))
+                      for sub, p in coverings) == sorted(
+            census_by_orbits(quandle, q)), name
+        values = coh.Coeff.from_table(fg.cayley, 0)
+        assert cocycle_violation(fg.cocycle, quandle, values) is None, name
+    assert len(inputs) >= 30
+
+
+def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
+    def no_adjoint(*args, **kwargs):
+        raise AssertionError("adjoint cosets enumerated")
+
+    monkeypatch.setattr(fund, "adj0_enumeration", no_adjoint)
+    quandle = transposition_quandle(5)
+    cover = fund.universal_cover(quandle)
+    assert cover.cover.n == 60
+    assert len(fund.enumerate_connected_coverings(quandle, 0)) == 6
+    group, fibre, _ = fund.monodromy(cover.projection, 0)
+    assert group.order == len(fibre) == 6
+    # pi_1 = S3: the sign sends its three involutions to 1
+    mul = cover.pi1.cayley
+    sign = [int(g != 0 and mul[g][g] == 0) for g in range(6)]
+    assert sum(sign) == 3
+    z2 = coh.Coeff.from_invariants([2])
+    f = coh.cocycle_from_hom(quandle, z2, sign)
+    ext = coh.extension_from_cocycle(quandle, z2, f)
+    assert coh.hom_from_extension(ext) == sign
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +658,8 @@ def test_check_lifting_obstruction():
     w1, w2 = witness
     # the two loop words land on different cover elements over one base
     p = cover.projection
-    x1 = fund.right_action_on_cover(p, 0, w1)
-    x2 = fund.right_action_on_cover(p, 0, w2)
+    x1 = right_action_on_cover(p, 0, w1)
+    x2 = right_action_on_cover(p, 0, w2)
     assert x1 != x2
     assert p.map[x1] == p.map[x2]
 
@@ -643,9 +723,11 @@ def test_monodromy_of_trivial_covering_is_trivial():
 
 def test_monodromy_is_unchanged_on_corpus_covers(corpus):
     # the universal cover and every census covering of each connected
-    # corpus quandle: the permutations are those of lifting each letter
-    # to its last preimage instead of its first, one cover element at a
-    # time
+    # corpus quandle: the permutations are those of the adjoint
+    # enumeration's stabilizer words, each letter lifted to its last
+    # preimage instead of its first, one cover element at a time.  They
+    # are listed in another order, so they are compared as a multiset,
+    # and k -> perms[k] must be a right action of pi_1's Cayley table
     checked = 0
     for name, quandle in corpus:
         if not quandle.is_connected():
@@ -671,8 +753,14 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
                              else p.source.inv_op[x][b])
                     images.append(pos[x])
                 want.append(tuple(images))
-            deck, got_fibre, perms = fund.monodromy(p, q)
+            group, got_fibre, perms = fund.monodromy(p, q)
             assert got_fibre == fibre
-            assert perms == tuple(want), name
+            assert sorted(perms) == sorted(want), name
+            mul = fund.fundamental_group(quandle, q).cayley
+            assert group.order == len(perms) == len(mul)
+            for g, row in enumerate(mul):
+                for h, gh in enumerate(row):
+                    assert perms[gh] == tuple(perms[h][i]
+                                              for i in perms[g]), name
             checked += 1
     assert checked >= 60
