@@ -117,7 +117,7 @@ def h2_integral(quandle: FiniteQuandle):
     """H2 per component, as the abelianised fundamental group.
 
     The spanning-tree presentation of pi_1(Q, q) is the component's
-    2-complex on the generating set S modulo a tree, so its
+    2-complex on the adjoint's generating set S modulo a tree, so its
     abelianisation is H2 of the component (Hurewicz).  The squares on
     S are the lifts of the adjoint relators on S, which already present
     Adj(Q), so this complex has the pi_1, and the H1, of the full path

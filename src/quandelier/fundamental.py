@@ -2,9 +2,10 @@
 
 pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
 modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
-the adjoint presentation on S over the Schreier graph of q's component,
-Tietze-simplified while the cells are lifted shortest first, until no
-generator survives; its abelianisation is H2, and its enumeration over
+the adjoint presentation, on the adjoint's own generating set S, over
+the Schreier graph of q's component, Tietze-simplified while the cells
+are lifted shortest first, until no generator survives; its
+abelianisation is H2, and its enumeration over
 the trivial subgroup its finite model, from which come pi_1's Cayley
 table and a pi_1-valued cocycle f on Q.  Every covering reads that
 model: the universal cover is Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b))
@@ -31,20 +32,25 @@ def build_complex(quandle: FiniteQuandle, vertices):
     read, shortest word first (a stable sort): the lift of w_a at each
     vertex a and of each relator of quandle.adjoint at every vertex.
 
+    S is quandle.adjoint.generators, the closure search's set, not
+    validate's: the adjoint has about n (|S| - 1) relators, one per pair
+    (a, s) less the definitions, each lifted at every vertex, so the
+    complex has about n + n^2 (|S| - 1) cells (conj(S5, 3-cycles): 420
+    on 2 generators, 1220 on validate's 4).
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
     path.  Letter +k crosses edge (x, k-1) forwards from the current
     vertex x, letter -k the edge into x backwards.  The lift of w_a
     closes as a*a = a; it kills e_a, which is conjugate to e_q.
     """
-    m = len(quandle.generators)
+    adjoint = quandle.adjoint
+    m = len(adjoint.generators)
     # step[letter][x]: the signed edge that letter crosses from x, and
     # the vertex it reaches
     step = [None] * (2 * m + 1)
-    for k, s in enumerate(quandle.generators, 1):
+    for k, s in enumerate(adjoint.generators, 1):
         step[k] = [(x * m + k, row[s]) for x, row in enumerate(quandle.op)]
         step[-k] = [(-(row[s] * m + k), row[s]) for row in quandle.inv_op]
-    adjoint = quandle.adjoint
 
     def lift(a, word):
         path = []
@@ -75,7 +81,8 @@ class Pi1Presentation(Presentation):
 def pi1_presentation(quandle: FiniteQuandle, basepoint: int
                      ) -> Pi1Presentation:
     """pi_1 at the basepoint: the Reidemeister-Schreier rewrite of the
-    adjoint presentation on S, Tietze-simplified as it is built.
+    adjoint presentation on its generating set S, Tietze-simplified as
+    it is built.
 
     A BFS along the edges a -> a*s, s in S, crossed either way, builds a
     spanning tree of the basepoint's component C: the orbit of the right
@@ -84,10 +91,14 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
     then reads C's cells, shortest first, as they are lifted, and stops
     once no generator survives (dihedral(91): after 144 of 8372 cells).
+    S is quandle.adjoint.generators, which is never larger than
+    validate's: conj(S5, 3-cycles) keeps 2 generators and 12 relators
+    where validate's 4 left 4 and 152.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    m = len(quandle.generators)
+    gens = quandle.adjoint.generators
+    m = len(gens)
     op, inv_op = quandle.op, quandle.inv_op
     killed = set()  # 1-based edge letters
     paths = [None] * quandle.n
@@ -96,7 +107,7 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     while frontier:
         nxt = []
         for v in frontier:
-            for k, s in enumerate(quandle.generators, 1):
+            for k, s in enumerate(gens, 1):
                 for e, w, letter in ((v * m + k, op[v][s], s + 1),
                                      (inv_op[v][s] * m + k, inv_op[v][s],
                                       -s - 1)):
@@ -153,7 +164,7 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     adjoint = quandle.adjoint
     small = fpgroup.todd_coxeter(adjoint, [adjoint.words[basepoint]],
                                  budget=budget)
-    gens = quandle.generators
+    gens = adjoint.generators
     action = [None] * quandle.n
     action_inv = [None] * quandle.n
     for s, step, back in zip(gens, small.action, small.action_inv):
@@ -237,21 +248,23 @@ class FundamentalGroup:
 
     @cached_property
     def cocycle(self) -> tuple:
-        """f(a, s) for s in S is the element of edge (a, s)'s letter, 1 on
-        the tree.  For each definition y = x*s of quandle.adjoint.tree,
-        rho_y = rho_s^-1 rho_x rho_s in the cover, so with a' = a/s,
+        """f(a, s) for s in S = quandle.adjoint.generators is the element
+        of edge (a, s)'s letter, 1 on the tree.  For each definition
+        y = x*s of quandle.adjoint.tree, rho_y = rho_s^-1 rho_x rho_s in
+        the cover, so with a' = a/s,
         f(a, y) = f(a', s)^-1 f(a', x) f(a'*x, s)."""
         quandle, table, mul = self.quandle, self.regular, self.cayley
         op, inv_op, n = quandle.op, quandle.inv_op, quandle.n
-        images, m = self.presentation.images, len(quandle.generators)
+        images, adjoint = self.presentation.images, quandle.adjoint
+        m = len(adjoint.generators)
         inverse = [row.index(0) for row in mul]
         label = (0, *(g[0] for g in table.action),
                  *(g[0] for g in reversed(table.action_inv)))
         f = [[0] * n for _ in range(n)]
-        for k, s in enumerate(quandle.generators):
+        for k, s in enumerate(adjoint.generators):
             for a in range(n):
                 f[a][s] = label[images[a * m + k]]
-        for y, x, s in quandle.adjoint.tree:
+        for y, x, s in adjoint.tree:
             for a in range(n):
                 b = inv_op[a][s]
                 f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[op[b][x]][s]]
@@ -421,13 +434,13 @@ def monodromy(p: QuandleHom, basepoint: int,
         raise ValueError("p is not a covering")
     base, op, inv_op = p.target, p.source.op, p.source.inv_op
     pi1 = pi1_model(base, basepoint, budget=budget)
-    pres, m = pi1.presentation, len(base.generators)
+    pres, gens = pi1.presentation, base.adjoint.generators
     fibre = p.fibre(basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
     step = []
     for j in range(1, pres.generator_count + 1):
-        a, k = divmod(pres.images.index(j), m)
-        s = base.generators[k]
+        a, k = divmod(pres.images.index(j), len(gens))
+        s = gens[k]
         loop = (pres.paths[a] + (s + 1,)
                 + fpgroup.inverse_word(pres.paths[base.op[a][s]]))
         images = list(fibre)

@@ -20,12 +20,18 @@ class FiniteQuandle:
     """An n-element quandle as validated operation tables.
 
     op[a][b] = a * b and inv_op[a][b] is the unique x with x * b = a.
-    generators is validate's generating set S: the rho_s with s in S
-    generate Inn(Q), so Q3, homomorphisms and Adj(Q) are checked on S.
-    grading maps each element to a component index (default: its
-    connected component); basepoints picks one element per grading
-    class (default: the minimum of each class).  adjoint is Adj(Q)
-    presented on S with its words w_x, built on first use.
+    generators is validate's greedy generating set S: the rho_s with
+    s in S generate Inn(Q), so Q3, homomorphisms, coverings, lifting
+    and cocycles are checked on S.  grading maps each element to a
+    component index (default: its connected component); basepoints
+    picks one element per grading class (default: the minimum of each
+    class).  adjoint is Adj(Q) with its words w_x, built on first use
+    and presented on its own generating set, adjoint.generators, which
+    a closure search makes no larger than S: pi_1's presentation, its
+    cocycle and monodromy read that set, as pi_1's complex has about
+    n^2 (|S| - 1) cells.  validate keeps the greedy set, which costs
+    nothing extra, where the search would take 62 ms on the 2520
+    elements of the S7 transposition quandle's universal cover.
     """
 
     n: int

@@ -32,8 +32,18 @@ def transposition_quandle(n):
     return qmod.conj_class(symmetric_group(n), seed)
 
 
+def disjoint_union(first, second):
+    """The two quandles side by side, each acting trivially on the
+    other."""
+    n, m = first.n, second.n
+    op = [list(first.op[x]) + [x] * m for x in range(n)]
+    op += [[n + x] * n + [n + y for y in second.op[x]] for x in range(m)]
+    return qmod.validate(op)
+
+
 def constructor_corpus():
-    """Named quandles from every constructor, sizes <= 12."""
+    """Named quandles from every constructor, sizes <= 12, and disjoint
+    unions of some of them."""
     out = []
     for n in range(1, 13):
         out.append((f"dihedral({n})", qmod.dihedral(n)))
@@ -59,6 +69,16 @@ def constructor_corpus():
     out.append(("alexander(Z4,x3)",
                 qmod.alexander(cyclic_table(4),
                                [(3 * a) % 4 for a in range(4)])))
+    # unions whose components differ in H2: each component is read at
+    # its own basepoint, and a generating set must reach both
+    for (first, a), (second, b) in (
+            (("conj(S4,transposition)", transposition_quandle(4)),
+             ("dihedral(3)", qmod.dihedral(3))),
+            (("conj(S4,transposition)", transposition_quandle(4)),
+             ("dihedral(5)", qmod.dihedral(5))),
+            (("q_mn(2,2)", qmod.q_mn(2, 2)),
+             ("dihedral(5)", qmod.dihedral(5)))):
+        out.append((f"{first}+{second}", disjoint_union(a, b)))
     return out
 
 

@@ -190,14 +190,18 @@ def full_adjoint_presentation(quandle):
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
 
 
-def complex_cells_in_adjoint_order(quandle, vertices):
+def complex_cells_in_adjoint_order(quandle, vertices, generators=None):
     """The cells of fundamental.build_complex in the adjoint
     presentation's order: the lift of w_a at each vertex a, then the
     lift of each relator at every vertex, each traced letter by letter
-    through the quandle's table."""
-    gens = quandle.generators
+    through the quandle's table.  Adj(Q) is presented on the given
+    generating set, by default quandle.adjoint.generators, the one
+    build_complex reads."""
+    if generators is None:
+        generators = quandle.adjoint.generators
+    adjoint = fpgroup.adjoint_presentation(quandle, generators)
+    gens = adjoint.generators
     m = len(gens)
-    adjoint = fpgroup.adjoint_presentation(quandle)
 
     def lift(a, word):
         path = []
@@ -215,20 +219,25 @@ def complex_cells_in_adjoint_order(quandle, vertices):
     return cells + [lift(a, r) for r in adjoint.relators for a in vertices]
 
 
-def reidemeister_schreier(quandle, basepoint):
+def reidemeister_schreier(quandle, basepoint, generators=None):
     """The Reidemeister-Schreier presentation of pi_1 at the basepoint
-    before any Tietze move; fundamental.pi1_presentation must equal
-    fpgroup.simplify of it.
+    before any Tietze move, with Adj(Q) presented on the given
+    generating set S, by default quandle.adjoint.generators; on that
+    default fundamental.pi1_presentation must equal fpgroup.simplify
+    of it.
 
     A BFS along the edges a -> a*s, s in S, crossed either way, builds
     a spanning tree of the basepoint's component.  The non-tree edges,
     |C||S| - (|C| - 1) of them, are numbered in edge order and are the
-    generators; the cells of build_complex, with the tree letters
+    generators; the cells of build_complex, in its order (shortest
+    first, a stable sort of the adjoint order), with the tree letters
     dropped, free-reduced and deduplicated, are the relators.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    m = len(quandle.generators)
+    if generators is None:
+        generators = quandle.adjoint.generators
+    m = len(generators)
     op, inv_op = quandle.op, quandle.inv_op
     in_tree = set()
     visited = {basepoint}
@@ -236,7 +245,7 @@ def reidemeister_schreier(quandle, basepoint):
     while frontier:
         nxt = []
         for v in frontier:
-            for k, s in enumerate(quandle.generators):
+            for k, s in enumerate(generators):
                 for e, w in ((v * m + k, op[v][s]),
                              (inv_op[v][s] * m + k, inv_op[v][s])):
                     if w not in visited:
@@ -253,8 +262,10 @@ def reidemeister_schreier(quandle, basepoint):
         if e not in in_tree:
             count += 1
             letter[e + 1], letter[-(e + 1)] = count, -count
+    cells = sorted(complex_cells_in_adjoint_order(quandle, vertices,
+                                                  generators), key=len)
     reduced = (fpgroup.normalize(filter(None, map(letter.__getitem__, w)))
-               for w in fundamental.build_complex(quandle, vertices))
+               for w in cells)
     return fpgroup.Presentation(
         generator_count=count,
         relators=tuple(dict.fromkeys(r for r in reduced if r)))

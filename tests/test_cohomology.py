@@ -5,7 +5,7 @@ import pytest
 from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import BudgetExceeded
-from conftest import symmetric_group, transposition_quandle
+from conftest import disjoint_union, symmetric_group, transposition_quandle
 from oracles import (cocycle_violation, cohomology_classes,
                      enumerate_cocycles, equivalence_by_propagation,
                      path_complex_h2, pullback_cocycle)
@@ -89,24 +89,15 @@ def test_h2_of_q_mn_family():
             assert inv.torsion == ((want,) if want > 1 else ())
 
 
-def _disjoint_union(first, second):
-    """The two quandles side by side, each acting trivially on the
-    other."""
-    n, m = first.n, second.n
-    op = [list(first.op[x]) + [x] * m for x in range(n)]
-    op += [[n + x] * n + [n + y for y in second.op[x]] for x in range(m)]
-    return qmod.validate(op)
-
-
 def test_h2_matches_hurewicz_on_small_cases():
     # criterion 4 makes the same comparison over the whole corpus
     for quandle in (qmod.dihedral(4), qmod.trivial(3), qmod.q_mn(2, 1),
                     transposition_quandle(6)):
         assert coh.h2_integral(quandle) == path_complex_h2(
             quandle.op, quandle.grading)
-    # components with different H2, which the corpus lacks: each must
-    # be read at its own basepoint
-    quandle = _disjoint_union(transposition_quandle(4), qmod.dihedral(3))
+    # components with different H2, as in the corpus's unions: each
+    # must be read at its own basepoint
+    quandle = disjoint_union(transposition_quandle(4), qmod.dihedral(3))
     assert coh.h2_integral(quandle) == [
         fpgroup.AbelianInvariants(free_rank=1, torsion=(2,)),
         fpgroup.AbelianInvariants(free_rank=1, torsion=())]
@@ -114,7 +105,7 @@ def test_h2_matches_hurewicz_on_small_cases():
                           (transposition_quandle(4), qmod.dihedral(5)),
                           (qmod.q_mn(2, 2), qmod.dihedral(5)),
                           (qmod.dihedral(5), qmod.q_mn(2, 2))):
-        quandle = _disjoint_union(first, second)
+        quandle = disjoint_union(first, second)
         h2 = coh.h2_integral(quandle)
         assert len(set(h2)) > 1
         assert h2 == path_complex_h2(quandle.op, quandle.grading)

@@ -8,7 +8,8 @@ from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import symmetric_group, transposition_quandle
 from oracles import (adjusted_deck_perm, census_by_orbits,
                      cocycle_violation, complex_cells_in_adjoint_order,
-                     deck_group, full_adjoint_presentation, is_normal,
+                     deck_group, full_adjoint_presentation,
+                     generated_subquandle, is_normal,
                      path_complex_cells, reidemeister_schreier,
                      right_action_on_cover, todd_coxeter_reference, trace,
                      universal_cover_by_columns)
@@ -104,14 +105,16 @@ def test_cell_boundaries_are_closed_loops():
 
 def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
     # the Schreier graph of a component C has |C||S| edges and a
-    # spanning tree of |C| - 1 of them
+    # spanning tree of |C| - 1 of them, on the adjoint's set S and on
+    # validate's
     for name, quandle in corpus:
         parts, index = qmod.components(quandle)
-        m = len(quandle.generators)
-        for b in range(quandle.n):
-            size = len(parts[index[b]])
-            assert (reidemeister_schreier(quandle, b).generator_count
-                    == size * m - (size - 1)), name
+        for gens in (quandle.adjoint.generators, quandle.generators):
+            for b in range(quandle.n):
+                size = len(parts[index[b]])
+                assert (reidemeister_schreier(quandle, b, gens)
+                        .generator_count == size * len(gens) - (size - 1)), (
+                            name, gens)
     assert reidemeister_schreier(qmod.dihedral(91), 0).generator_count == 92
 
 
@@ -287,6 +290,62 @@ def test_pi1_presentation_is_the_simplified_rewrite(corpus):
                                  rewrite.relators)[0]), (name, q)
 
 
+def _three_cycles(m):
+    """The conjugation quandle on the 3-cycles of S_m."""
+    return qmod.conj_class(symmetric_group(m),
+                           (1, 2, 0) + tuple(range(3, m)))
+
+
+def test_adjoint_generators_are_no_larger_than_validates(corpus):
+    # the closure search's set generates Q and never has more elements
+    # than validate's greedy set, which it keeps where that is minimal
+    inputs = corpus + [(f"dihedral({n})", qmod.dihedral(n))
+                       for n in (15, 21, 31, 45, 91)]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
+               for m in (6, 7)]
+    inputs += [(f"conj(S{m},3-cycle)", _three_cycles(m)) for m in (5, 6, 7)]
+    for name, quandle in inputs:
+        gens = quandle.adjoint.generators
+        assert generated_subquandle(quandle.op, quandle.inv_op, gens) == set(
+            range(quandle.n)), name
+        assert len(gens) <= len(quandle.generators), name
+        if name.startswith("dihedral") or name.endswith(",transposition)"):
+            assert gens == quandle.generators, name
+    sizes = {name: (len(quandle.adjoint.generators), len(quandle.generators))
+             for name, quandle in inputs}
+    assert sizes["conj(S5,3-cycle)"] == (2, 4)
+    assert sizes["conj(S7,3-cycle)"] == (3, 6)
+
+
+def test_pi1_and_h2_do_not_depend_on_the_generating_set(corpus):
+    # pi_1 from the adjoint's set against the oracle rewrite on
+    # validate's: the same H2 at every basepoint, and on a connected
+    # quandle the same order
+    inputs = corpus + [(f"conj(S{m},3-cycle)", _three_cycles(m))
+                       for m in (5, 6)]
+    for name, quandle in inputs:
+        for q in quandle.basepoints:
+            fg = fund.fundamental_group(quandle, q, budget=20000)
+            rewrite = reidemeister_schreier(quandle, q, quandle.generators)
+            assert fg.abelian_invariants() == fpgroup.abelian_invariants(
+                rewrite), (name, q)
+            if quandle.is_connected():
+                pres, _ = fpgroup.simplify(rewrite.generator_count,
+                                           rewrite.relators)
+                assert fg.order == fpgroup.todd_coxeter(
+                    pres, [], budget=20000).coset_count, (name, q)
+
+
+def test_pi1_and_h2_of_s7_three_cycles_are_pinned():
+    # n = 70, on 3 generators where validate's set has 6: S7's 5040
+    # elements fit permgroup.closure's budget
+    quandle = _three_cycles(7)
+    assert quandle.n == 70
+    assert fund.fundamental_group(quandle, 0).order == 72
+    assert coh.h2_integral(quandle) == [
+        fpgroup.AbelianInvariants(free_rank=0, torsion=(3, 3))]
+
+
 def test_pi1_presentation_stops_reading_once_no_generator_survives(
         monkeypatch):
     # cells are lifted as they are read, shortest first: on dihedral(45)
@@ -326,7 +385,9 @@ def test_pi1_coset_peak_is_pinned():
     # admits
     inputs = [(transposition_quandle(m), peak)
               for m, peak in ((5, 7), (6, 36), (7, 174))]
-    inputs.append((qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4)), 7))
+    # conj(S5, 3-cycles) on the adjoint's 2 generators: its 6 cosets
+    # never exceed 6 live
+    inputs.append((_three_cycles(5), 6))
     for quandle, peak in inputs:
         assert fund.fundamental_group(
             quandle, 0, budget=peak).regular is not None, peak
