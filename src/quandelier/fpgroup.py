@@ -137,79 +137,11 @@ class AdjointPresentation(Presentation):
     tree: tuple
 
 
-def _spread(op, starts, gens, inside):
-    """Mark and return, in order of discovery, the elements not yet
-    inside that the right translations by gens reach from starts."""
-    out = []
-    for y in starts:
-        if not inside[y]:
-            inside[y] = True
-            out.append(y)
-    for x in out:  # grows while it is read
-        for s in gens:
-            y = op[x][s]
-            if not inside[y]:
-                inside[y] = True
-                out.append(y)
-    return out
-
-
-def _orbit_leaders(op, gens):
-    """The least element of each orbit of <rho_s : s in gens>."""
-    inside, leaders = [False] * len(op), []
-    for a in range(len(op)):
-        if not inside[a]:
-            leaders.append(a)
-            _spread(op, (a,), gens, inside)
-    return leaders
-
-
-def _closure_search(op, greedy):
-    """A generating set no larger than greedy, by largest closure.
-
-    The subquandle that T generates is the orbit of T under
-    <rho_t : t in T>, as / is a power of *.  Each step adds to T,
-    from the least unreached element of each orbit of <rho_t : t in T>,
-    the candidate whose closure with T is largest, the least on ties;
-    one per orbit suffices, as rho_t, which fixes T's closure, maps a
-    candidate's closure onto its image's.  T starts as {0}, as one
-    element generates only itself, and the search stops at the first
-    candidate that generates Q.  greedy is kept when the search
-    finds nothing smaller, and unsearched when it already meets the
-    lower bound: one element per component, at least 2 when n >= 2.
-    """
-    n = len(op)
-    if len(greedy) <= 2 or len(greedy) <= len(_orbit_leaders(op, greedy)):
-        return greedy
-    gens, members, reached = (0,), [0], [True] + [False] * (n - 1)
-    while len(gens) + 1 < len(greedy):
-        best = None
-        for c in _orbit_leaders(op, gens):
-            if reached[c]:
-                continue
-            inside = reached[:]
-            # members are closed under gens already: only rho_c is new
-            grown = members + _spread(
-                op, [c, *(op[x][c] for x in members)], gens + (c,), inside)
-            if len(grown) == n:
-                return gens + (c,)
-            if best is None or len(grown) > len(best[1]):
-                best = c, grown, inside
-        c, members, reached = best
-        gens += (c,)
-    return greedy
-
-
-def adjoint_presentation(quandle, generators=None) -> AdjointPresentation:
+def adjoint_presentation(quandle, gens) -> AdjointPresentation:
     """Presentation of the adjoint group of a finite quandle on a
-    generating set S: the given one, by default the one _closure_search
-    finds from validate's greedy set.
-
-    Every lifted relator of Adj(Q) becomes |C| cells of pi_1's complex,
-    so S is chosen as small as the search finds: conj(S5, 3-cycles)
-    needs 2 elements where the greedy set takes 4.  validate keeps the
-    greedy set, as the search costs more than it saves on a cover with
-    thousands of elements.
+    generating set S = gens of Q.  Every lifted relator of Adj(Q)
+    becomes |C| cells of pi_1's complex, so FiniteQuandle.adjoint
+    passes the smallest set its closure search finds.
 
     Adj(Q) is presented by one generator e_x per element and the
     relators e_s^-1 e_a e_s e_{a*s}^-1 for a in Q and s in the
@@ -225,9 +157,7 @@ def adjoint_presentation(quandle, generators=None) -> AdjointPresentation:
     deduplicated; the pairs used as definitions, and a = s, reduce to
     the empty word and are omitted.
     """
-    op = quandle.op
-    gens = (_closure_search(op, quandle.generators) if generators is None
-            else tuple(generators))
+    op, gens = quandle.op, tuple(gens)
     words = [None] * quandle.n
     for k, s in enumerate(gens, 1):
         words[s] = (k,)

@@ -50,28 +50,71 @@ class FiniteQuandle:
 
     @cached_property
     def adjoint(self) -> fpgroup.AdjointPresentation:
-        return fpgroup.adjoint_presentation(self)
+        return fpgroup.adjoint_presentation(
+            self, _closure_search(self.op, self.generators))
+
+
+def _close(op, members, reached, gens):
+    """Grow members, a list marked in reached and closed under
+    x -> x * s for s in gens[:-1], by gens[-1], which is not in it, to
+    its closure under all of gens: the subquandle they generate, as /
+    is a power of *.  The old members need only s = gens[-1], so each
+    (x, s) is visited once."""
+    g = gens[-1]
+    old = len(members)
+    reached[g] = True
+    members.append(g)
+    for i, x in enumerate(members):  # grows while it is read
+        for s in (gens if i >= old else (g,)):
+            if not reached[op[x][s]]:
+                reached[op[x][s]] = True
+                members.append(op[x][s])
 
 
 def _generating_set(op):
     """Greedy generating set S: the least element not yet generated
-    joins S, then the generated set is closed under x -> x * s, s in S
-    (enough, as / is a power of *), visiting each (x, s) once."""
+    joins S, then the generated set is closed under S."""
     reached = [False] * len(op)
     members, gens = [], []
     for g in range(len(op)):
-        if reached[g]:
-            continue
-        gens.append(g)
-        reached[g] = True
-        old = len(members)
-        members.append(g)
-        for i, x in enumerate(members):  # grows while it is read
-            for s in (gens if i >= old else (g,)):
-                if not reached[op[x][s]]:
-                    reached[op[x][s]] = True
-                    members.append(op[x][s])
+        if not reached[g]:
+            gens.append(g)
+            _close(op, members, reached, gens)
     return tuple(gens)
+
+
+def _closure_search(op, greedy):
+    """A generating set no larger than greedy, by largest closure.
+
+    Each step adds to T, from the least element of each orbit of
+    <rho_t : t in T> outside T's closure, the candidate whose closure
+    with T is largest, the least on ties; one per orbit suffices, as
+    rho_t, which fixes T's closure, maps a candidate's closure onto its
+    image's.  T starts as {0}, as one element generates only itself,
+    and the search stops at the first candidate that generates Q.
+    greedy is kept when the search finds nothing smaller, and
+    unsearched when it already meets the lower bound of one element per
+    component; the loop bound keeps it also when it has 2 elements.
+    """
+    n = len(op)
+    if len(greedy) <= len(_orbits(op, greedy)[0]):
+        return greedy
+    gens, members, reached = (0,), [0], [True] + [False] * (n - 1)
+    while len(gens) + 1 < len(greedy):
+        best = None
+        for part in _orbits(op, gens)[0]:
+            c = part[0]
+            if reached[c]:
+                continue
+            grown, inside = members[:], reached[:]
+            _close(op, grown, inside, gens + (c,))
+            if len(grown) == n:
+                return gens + (c,)
+            if best is None or len(grown) > len(best[1]):
+                best = c, grown, inside
+        c, members, reached = best
+        gens += (c,)
+    return greedy
 
 
 def _orbits(op, gens):

@@ -190,15 +190,12 @@ def full_adjoint_presentation(quandle):
     return fpgroup.Presentation(generator_count=n, relators=tuple(relators))
 
 
-def complex_cells_in_adjoint_order(quandle, vertices, generators=None):
+def complex_cells_in_adjoint_order(quandle, vertices, generators):
     """The cells of fundamental.build_complex in the adjoint
     presentation's order: the lift of w_a at each vertex a, then the
     lift of each relator at every vertex, each traced letter by letter
     through the quandle's table.  Adj(Q) is presented on the given
-    generating set, by default quandle.adjoint.generators, the one
-    build_complex reads."""
-    if generators is None:
-        generators = quandle.adjoint.generators
+    generating set; build_complex reads quandle.adjoint.generators."""
     adjoint = fpgroup.adjoint_presentation(quandle, generators)
     gens = adjoint.generators
     m = len(gens)
@@ -219,12 +216,11 @@ def complex_cells_in_adjoint_order(quandle, vertices, generators=None):
     return cells + [lift(a, r) for r in adjoint.relators for a in vertices]
 
 
-def reidemeister_schreier(quandle, basepoint, generators=None):
+def reidemeister_schreier(quandle, basepoint, generators):
     """The Reidemeister-Schreier presentation of pi_1 at the basepoint
     before any Tietze move, with Adj(Q) presented on the given
-    generating set S, by default quandle.adjoint.generators; on that
-    default fundamental.pi1_presentation must equal fpgroup.simplify
-    of it.
+    generating set S; on S = quandle.adjoint.generators
+    fundamental.pi1_presentation must equal fpgroup.simplify of it.
 
     A BFS along the edges a -> a*s, s in S, crossed either way, builds
     a spanning tree of the basepoint's component.  The non-tree edges,
@@ -235,8 +231,6 @@ def reidemeister_schreier(quandle, basepoint, generators=None):
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
-    if generators is None:
-        generators = quandle.adjoint.generators
     m = len(generators)
     op, inv_op = quandle.op, quandle.inv_op
     in_tree = set()

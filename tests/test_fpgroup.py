@@ -368,7 +368,8 @@ def test_enumerate_homs_matches_count():
 def test_adjoint_presentation_shape():
     quandle = qmod.dihedral(3)
     assert quandle.generators == (0, 1)
-    pres = fpgroup.adjoint_presentation(quandle)
+    pres = quandle.adjoint
+    assert pres.generators == (0, 1)
     words = pres.words
     # e_2 = e_1^-1 e_0 e_1, as 0*1 = 2
     assert words == ((1,), (2,), (-2, 1, 2))
@@ -382,10 +383,10 @@ def test_adjoint_presentation_shape():
     assert table.coset_count == 3
 
 
-def _element_letters(quandle, word):
-    """A word over S rewritten in element letters."""
-    return tuple(quandle.generators[abs(k) - 1] + 1 if k > 0
-                 else -(quandle.generators[abs(k) - 1] + 1) for k in word)
+def _element_letters(gens, word):
+    """A word over gens rewritten in element letters."""
+    return tuple(gens[abs(k) - 1] + 1 if k > 0
+                 else -(gens[abs(k) - 1] + 1) for k in word)
 
 
 def test_adjoint_presentation_matches_the_full_one(corpus):
@@ -398,12 +399,11 @@ def test_adjoint_presentation_matches_the_full_one(corpus):
         if not quandle.is_connected():
             continue
         connected += 1
-        pres = fpgroup.adjoint_presentation(quandle)
-        words = pres.words
+        pres = quandle.adjoint
+        words, gens = pres.words, pres.generators
         full = full_adjoint_presentation(quandle)
-        assert pres.generator_count == len(quandle.generators), name
-        assert len(pres.relators) <= quandle.n * (len(quandle.generators)
-                                                  - 1)
+        assert pres.generator_count == len(gens), name
+        assert len(pres.relators) <= quandle.n * (len(gens) - 1)
         q = quandle.basepoints[0]
         small = fpgroup.todd_coxeter(pres, [words[q]], budget=20000)
         large = todd_coxeter_reference(full, [(q + 1,)], budget=20000)
@@ -411,9 +411,9 @@ def test_adjoint_presentation_matches_the_full_one(corpus):
         for c in range(large.coset_count):
             for x in range(quandle.n):
                 assert trace(large, c, (x + 1,)) == trace(
-                    large, c, _element_letters(quandle, words[x])), name
+                    large, c, _element_letters(gens, words[x])), name
             for r in pres.relators:
-                assert trace(large, c, _element_letters(quandle, r)) == c
+                assert trace(large, c, _element_letters(gens, r)) == c
     assert connected >= 30
 
 
@@ -457,7 +457,7 @@ def test_todd_coxeter_matches_the_reference_on_adjoint_groups(corpus):
     hits = 0
     for name, quandle in corpus:
         q = quandle.basepoints[0]
-        adjoint = fpgroup.adjoint_presentation(quandle)
+        adjoint = quandle.adjoint
         budgets = ((3000, 20000) if quandle.is_connected()
                    or name in ("trivial(2)", "dihedral(4)") else (3000,))
         for pres, subgroup in (

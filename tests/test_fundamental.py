@@ -32,7 +32,7 @@ def test_complex_counts():
     # the complex on S: the 3 relators of the adjoint presentation
     # lifted at each of the 3 vertices, plus one loop per vertex, as
     # they are read
-    assert len(fpgroup.adjoint_presentation(quandle).relators) == 3
+    assert len(quandle.adjoint.relators) == 3
     assert len(tuple(fund.build_complex(quandle, range(3)))) == 3 * 3 + 3
 
 
@@ -44,9 +44,9 @@ def test_the_adjoint_presentation_is_built_once_per_quandle(monkeypatch):
     calls = []
     build = fpgroup.adjoint_presentation
 
-    def counted(quandle):
+    def counted(quandle, gens):
         calls.append(quandle)
-        return build(quandle)
+        return build(quandle, gens)
 
     monkeypatch.setattr(fpgroup, "adjoint_presentation", counted)
     trivial = qmod.trivial(30)
@@ -74,7 +74,8 @@ def test_build_complex_yields_every_cell_once_shortest_first(corpus):
         vertices = range(quandle.n)
         cells = list(fund.build_complex(quandle, vertices))
         assert sorted(cells) == sorted(
-            complex_cells_in_adjoint_order(quandle, vertices)), name
+            complex_cells_in_adjoint_order(
+                quandle, vertices, quandle.adjoint.generators)), name
         assert all(len(a) <= len(b) for a, b in zip(cells, cells[1:])), name
 
 
@@ -115,7 +116,8 @@ def test_pi1_presentation_has_one_generator_per_non_tree_edge(corpus):
                 assert (reidemeister_schreier(quandle, b, gens)
                         .generator_count == size * len(gens) - (size - 1)), (
                             name, gens)
-    assert reidemeister_schreier(qmod.dihedral(91), 0).generator_count == 92
+    d91 = qmod.dihedral(91)
+    assert reidemeister_schreier(d91, 0, d91.generators).generator_count == 92
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,8 @@ def test_pi1_presentation_of_odd_dihedral_is_trivial():
         quandle = qmod.dihedral(n)
         assert _plain(fund.pi1_presentation(quandle, 0)) == (
             fpgroup.Presentation(generator_count=0, relators=()))
-        table = fpgroup.todd_coxeter(reidemeister_schreier(quandle, 0))
+        table = fpgroup.todd_coxeter(
+            reidemeister_schreier(quandle, 0, quandle.generators))
         assert table.coset_count == 1
 
 
@@ -202,7 +205,7 @@ def test_pi1_presentation_builds_only_its_component(monkeypatch):
     m = len(quandle.generators)
     ends = _edge_ends(quandle, m, quandle.generators)
     starts = [ends(abs(w[0]) - 1)[0 if w[0] > 0 else 1] for w in built]
-    per_vertex = len(fpgroup.adjoint_presentation(quandle).relators) + 1
+    per_vertex = len(quandle.adjoint.relators) + 1
     assert starts == [a for a in range(quandle.n) for _ in range(per_vertex)]
     assert sorted(built) == sorted(build(quandle, range(quandle.n)))
 
@@ -254,7 +257,8 @@ def test_simplify_keeps_pi1(corpus):
     for name, quandle in inputs:
         connected = quandle.is_connected()
         for q in quandle.basepoints:
-            rewrite = reidemeister_schreier(quandle, q)
+            rewrite = reidemeister_schreier(quandle, q,
+                                            quandle.adjoint.generators)
             pres, images = fpgroup.simplify(rewrite.generator_count,
                                             rewrite.relators)
             assert len(images) == rewrite.generator_count, name
@@ -284,7 +288,8 @@ def test_pi1_presentation_is_the_simplified_rewrite(corpus):
                for n in (15, 21, 31, 45, 91)]
     for name, quandle, basepoints in inputs:
         for q in basepoints:
-            rewrite = reidemeister_schreier(quandle, q)
+            rewrite = reidemeister_schreier(quandle, q,
+                                            quandle.adjoint.generators)
             assert _plain(fund.pi1_presentation(quandle, q)) == (
                 fpgroup.simplify(rewrite.generator_count,
                                  rewrite.relators)[0]), (name, q)
