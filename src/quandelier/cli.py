@@ -57,6 +57,8 @@ def default_budget() -> int:
 def _tokens(text):
     """Nonempty lines as token lists, comments (#) stripped; no field
     takes the '+' or '_' that int() would read in '+3' and '0_3'."""
+    if "#" not in text and "+" not in text and "_" not in text:
+        return [line for line in map(str.split, text.splitlines()) if line]
     out = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -75,6 +77,28 @@ def _int(token, what="integer"):
         raise ParseError(f"expected {what}, got {token!r}")
 
 
+def _labels(n):
+    """The labels '1'..'n' of elements 0..n-1."""
+    return list(map(str, range(1, n + 1)))
+
+
+def _lookup(tokens, index, entry, *args):
+    """A row's values, one lookup in index per token; a row holding any
+    other token ('007', '-2') is read by entry(token, *args) instead."""
+    try:
+        return list(map(index.__getitem__, tokens))
+    except KeyError:
+        return [entry(token, *args) for token in tokens]
+
+
+def _label_entry(token, what, n=None):
+    """A 1-based label as its index, read by int(); with n, in 1..n."""
+    v = _int(token, what)
+    if n is not None and not 1 <= v <= n:
+        raise ParseError(f"{what} {v} outside 1..{n}")
+    return v - 1
+
+
 def _parse_table_block(lines, start):
     """Raw 'quandle <n>' block: (table, basepoints or None, next index)."""
     if start >= len(lines) or lines[start][0] != "quandle":
@@ -86,18 +110,13 @@ def _parse_table_block(lines, start):
         raise ParseError("quandle size must be positive")
     if start + 1 + n > len(lines):
         raise ParseError(f"expected {n} table rows")
+    index = {label: v for v, label in enumerate(_labels(n))}
     table = []
     for r in range(n):
         row = lines[start + 1 + r]
         if len(row) != n:
             raise ParseError(f"row {r + 1} has {len(row)} entries, want {n}")
-        entries = []
-        for tok in row:
-            v = _int(tok, "table entry")
-            if not 1 <= v <= n:
-                raise ParseError(f"table entry {v} outside 1..{n}")
-            entries.append(v - 1)
-        table.append(entries)
+        table.append(_lookup(row, index, _label_entry, "table entry", n))
     pos = start + 1 + n
     basepoints = None
     if pos < len(lines) and lines[pos][0] == "basepoints":
@@ -204,6 +223,11 @@ def parse_group_spec(spec) -> Coeff:
         raise ParseError(str(exc))
 
 
+def _exponent_texts(coeff: Coeff):
+    """Each element's exponent text 'e1,...,ek', by element index."""
+    return [",".join(map(str, label)) for label in coeff.labels]
+
+
 def _exponent_entry(token, coeff: Coeff) -> int:
     """Exponent tuple 'e1,...,ek' -> element index of an abelian Coeff."""
     if not coeff.invariants:
@@ -232,12 +256,13 @@ def parse_cocycle_file(path, quandle: qmod.FiniteQuandle):
     coeff = parse_abelian_spec(head[3])
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} cocycle rows")
+    index = {text: v for v, text in enumerate(_exponent_texts(coeff))}
     values = []
     for a in range(n):
         row = lines[1 + a]
         if len(row) != n:
             raise ParseError(f"row {a + 1} has {len(row)} entries, want {n}")
-        values.append(tuple(_exponent_entry(t, coeff) for t in row))
+        values.append(tuple(_lookup(row, index, _exponent_entry, coeff)))
     for a in range(n):
         if values[a][a] != coeff.identity:
             raise ParseError(f"diagonal entry at {a + 1} is not the identity")
@@ -269,6 +294,7 @@ def parse_extension_bundle(path) -> coh.Extension:
     else:
         raise ParseError("need one coeff spec, or one per base component")
     pos += 1
+    index = {label: v for v, label in enumerate(_labels(total.n))}
     action = []
     for i, lam in enumerate(coeffs):
         if pos >= len(lines) or lines[pos] != ["action", str(i + 1)]:
@@ -279,7 +305,8 @@ def parse_extension_bundle(path) -> coh.Extension:
             if pos >= len(lines) or len(lines[pos]) != total.n:
                 raise ParseError(
                     f"action {i + 1} needs {lam.order} lines of {total.n}")
-            perm = tuple(_int(t, "action entry") - 1 for t in lines[pos])
+            perm = tuple(_lookup(lines[pos], index, _label_entry,
+                                 "action entry"))
             if sorted(perm) != list(range(total.n)):
                 raise ParseError(f"action {i + 1} line is not a permutation")
             perms.append(perm)
@@ -298,8 +325,8 @@ def parse_extension_bundle(path) -> coh.Extension:
 
 def _read(path) -> str:
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            return handle.read().decode("ascii")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -310,13 +337,16 @@ def _read(path) -> str:
 # printing
 
 
+def _label_rows(labels, rows):
+    """Rows of indices as text lines, each index written as its label."""
+    return "".join([" ".join(map(labels.__getitem__, row)) + "\n"
+                    for row in rows])
+
+
 def emit_quandle(quandle: qmod.FiniteQuandle, out):
-    labels = [str(v + 1) for v in range(quandle.n)]
-    print(f"quandle {quandle.n}", file=out)
-    for row in quandle.op:
-        print(" ".join(map(labels.__getitem__, row)), file=out)
-    print("basepoints",
-          " ".join(str(q + 1) for q in quandle.basepoints), file=out)
+    labels = _labels(quandle.n)
+    out.write(f"quandle {quandle.n}\n{_label_rows(labels, quandle.op)}"
+              f"basepoints {_label_rows(labels, [quandle.basepoints])}")
 
 
 def emit_map(mapping, out):
@@ -331,27 +361,24 @@ def _coeff_spec(coeff: Coeff) -> str:
 
 
 def emit_extension(ext: coh.Extension, out):
-    print("extension", file=out)
+    out.write("extension\n")
     emit_quandle(ext.projection.target, out)
     emit_quandle(ext.total, out)
     emit_map(ext.projection.map, out)
-    print("coeff", " ".join(_coeff_spec(c) for c in ext.coeffs), file=out)
-    labels = [str(v + 1) for v in range(ext.total.n)]
-    for i, perms in enumerate(ext.action):
-        print(f"action {i + 1}", file=out)
-        for perm in perms:
-            print(" ".join(map(labels.__getitem__, perm)), file=out)
+    labels = _labels(ext.total.n)
+    out.write(f"coeff {' '.join(_coeff_spec(c) for c in ext.coeffs)}\n"
+              + "".join(f"action {i + 1}\n{_label_rows(labels, perms)}"
+                        for i, perms in enumerate(ext.action)))
 
 
 def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):
     specs = {_coeff_spec(c) for c in coeffs}
     if len(specs) != 1:
         raise ParseError("cocycle files need a single coefficient group")
-    print(f"cocycle {quandle.n} over {specs.pop()}", file=out)
-    for a in range(quandle.n):
-        lam = coeffs[quandle.grading[a]]
-        print(" ".join(",".join(str(e) for e in lam.labels[v])
-                       for v in f.values[a]), file=out)
+    texts = [_exponent_texts(lam) for lam in coeffs]
+    out.write(f"cocycle {quandle.n} over {specs.pop()}\n" + "".join(
+        [" ".join(map(texts[component].__getitem__, row)) + "\n"
+         for component, row in zip(quandle.grading, f.values)]))
 
 
 def _invariants_text(inv) -> str:

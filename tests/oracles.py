@@ -13,15 +13,18 @@ of a map, the covering check on all pairs, table
 validation row by row, the search for an equivalence of extensions,
 pullbacks and unions of coverings cell by cell, the right
 translations as permutations, cocycles pulled back along a map and
-homomorphisms into a finite group by brute force.  The tests compare
-the package's answers against them."""
+homomorphisms into a finite group by brute force, and the command
+line's readers of table rows, action rows and cocycle entries, one
+int() call per entry.  The tests compare the package's answers against
+them."""
 
 from itertools import product
 from operator import itemgetter
 
 from quandelier import (cohomology as coh, fpgroup, fundamental, permgroup,
                         quandle as qmod)
-from quandelier.errors import BudgetExceeded, NotAQuandle, NotRightInvertible
+from quandelier.errors import (BudgetExceeded, NotAQuandle,
+                              NotRightInvertible, ParseError)
 
 
 def q3_violation(op):
@@ -869,3 +872,43 @@ def enumerate_homs(presentation, target, budget=1 << 20):
         if ok:
             out.append(images)
     return out
+
+
+def _file_integer(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected {what}, got {token!r}")
+
+
+def table_row_entrywise(row, n):
+    """A row of a quandle file's table as 0-based entries: each token
+    read by int() and checked to lie in 1..n."""
+    entries = []
+    for tok in row:
+        v = _file_integer(tok, "table entry")
+        if not 1 <= v <= n:
+            raise ParseError(f"table entry {v} outside 1..{n}")
+        entries.append(v - 1)
+    return entries
+
+
+def action_row_entrywise(row):
+    """A line of an extension bundle's action as 0-based entries, each
+    token read by int(); the caller checks that it is a permutation."""
+    return tuple(_file_integer(t, "action entry") - 1 for t in row)
+
+
+def cocycle_entry_entrywise(token, coeff):
+    """Exponent tuple 'e1,...,ek' -> element index of an abelian Coeff,
+    each exponent read by int() modulo its factor."""
+    if not coeff.invariants:
+        raise ParseError("cocycle entries need an abelian group spec")
+    parts = token.split(",")
+    if len(parts) != len(coeff.invariants):
+        raise ParseError(
+            f"entry {token!r} has {len(parts)} exponents, "
+            f"want {len(coeff.invariants)}")
+    label = tuple(_file_integer(p, "exponent") % d
+                  for p, d in zip(parts, coeff.invariants))
+    return coeff.labels.index(label)

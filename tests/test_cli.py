@@ -5,7 +5,7 @@ import pytest
 
 from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
-from conftest import transposition_quandle
+from conftest import symmetric_group, transposition_quandle
 from oracles import cohomology_classes
 
 
@@ -462,6 +462,82 @@ def test_emitted_quandle_files_roundtrip(tmp_path, corpus):
         again, _ = cli.parse_quandle_lines(lines, 0)
         assert again.op == quandle.op
         assert again.basepoints == quandle.basepoints
+
+
+def _emitted(emit, *args):
+    buf = io.StringIO()
+    emit(*args, buf)
+    return buf.getvalue()
+
+
+def _roundtrip_inputs(corpus):
+    z2, z4 = (coh.Coeff.from_invariants([d]) for d in (2, 4))
+    three_cycles = qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4))
+    return [(name, quandle, z2) for name, quandle in corpus[:20]] + [
+        ("dihedral(45)", qmod.dihedral(45), z4),
+        ("conj(S5,3-cycle)", three_cycles,
+         coh.Coeff.from_invariants([2, 2]))]
+
+
+def test_emitted_bundles_and_cocycles_roundtrip(tmp_path, corpus):
+    # a coboundary of pseudo-random values, so that every row of the
+    # cocycle and of the action holds several distinct entries
+    for name, quandle, coeff in _roundtrip_inputs(corpus):
+        coeffs = coh.graded_coefficients(quandle, coeff)
+        f = coh.coboundary(quandle, coeffs, [(7 * a + 3) % coeff.order
+                                             for a in range(quandle.n)])
+        ext = coh.extension_from_cocycle(quandle, coeffs, f)
+        bundle = _emitted(cli.emit_extension, ext)
+        path = tmp_path / "bundle.txt"
+        path.write_text(bundle)
+        again = cli.parse_extension_bundle(str(path))
+        assert again.total.op == ext.total.op, name
+        assert again.projection.map == ext.projection.map, name
+        assert again.action == ext.action, name
+        assert again.coeffs == ext.coeffs, name
+        assert _emitted(cli.emit_extension, again) == bundle, name
+        text = _emitted(cli.emit_cocycle, f, quandle, coeffs)
+        path = tmp_path / "cocycle.txt"
+        path.write_text(text)
+        back, back_coeffs = cli.parse_cocycle_file(str(path), quandle)
+        assert back.values == f.values, name
+        assert _emitted(cli.emit_cocycle, back, quandle, back_coeffs) == (
+            text), name
+
+
+def test_crlf_files_parse_as_their_lf_twins(tmp_path):
+    # the files are read as bytes; a CR before each LF is a line end,
+    # with or without a comment on the line
+    d3 = qmod.dihedral(3)
+    z2 = coh.Coeff.from_invariants([2])
+    f = coh.coboundary(d3, z2, (0, 1, 1))
+    texts = {
+        "quandle": _emitted(cli.emit_quandle, d3),
+        "cocycle": _emitted(cli.emit_cocycle, f, d3, (z2,)),
+        "bundle": _emitted(cli.emit_extension,
+                           coh.extension_from_cocycle(d3, z2, f)),
+    }
+    argv = {"quandle": [["validate", "{path}"], ["cover", "{path}",
+                                                 "--universal"]],
+            "cocycle": [["ext", "{d3}", "--from-cocycle", "{path}"]],
+            "bundle": [["ext", "{path}", "--extract"],
+                       ["ext", "{path}", "--equiv", "{path}"]]}
+    d3_path = write_quandle(tmp_path, "d3.txt", d3)
+    for kind, text in texts.items():
+        for comment in ("", "# a comment\n"):
+            lf = tmp_path / f"{kind}-lf.txt"
+            crlf = tmp_path / f"{kind}-crlf.txt"
+            lf.write_bytes((comment + text).encode("ascii"))
+            crlf.write_bytes(
+                (comment + text).replace("\n", "\r\n").encode("ascii"))
+            assert b"\r\n" in crlf.read_bytes()
+            assert (cli._tokens(cli._read(str(crlf)))
+                    == cli._tokens(cli._read(str(lf)))), kind
+            for args in argv[kind]:
+                outs = [run([a.format(path=path, d3=d3_path) for a in args])
+                        for path in (lf, crlf)]
+                assert outs[0][0] == 0, (kind, args, outs[0])
+                assert outs[0] == outs[1], (kind, args)
 
 
 # ---------------------------------------------------------------------------

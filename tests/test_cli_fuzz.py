@@ -6,7 +6,10 @@ dropped, repeated or inserted.  Whatever the text, `cli.run` must
 return exit code 0, 1, 2 or 3, let no exception escape and write at
 most one line to standard error.  The --budget and --base values and
 the QUANDELIER_BUDGET variable are drawn the same way, and so are
-mutated --coeff specs.  The examples are derandomized, so the suite
+mutated --coeff specs, and whole command lines of subcommands and
+options.  Rows of tables, actions and cocycles that mix canonical
+labels with other spellings must read as the entry-by-entry reference
+in oracles.py reads them.  The examples are derandomized, so the suite
 stays deterministic.
 """
 
@@ -18,6 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quandelier import cli, cohomology as coh, quandle as qmod
+from quandelier.errors import ParseError
+import oracles
 
 D3 = qmod.dihedral(3)
 Z2 = coh.Coeff.from_invariants([2])
@@ -248,3 +253,174 @@ def test_coeff_specs_end_in_an_exit_code(files, tmp_path, data):
         assert (code, message) == (0, ""), spec
     else:
         assert code == 3 and message.startswith("parse error: "), spec
+
+
+# ---------------------------------------------------------------------------
+# the row readers against the entry-by-entry reference
+
+def _outcome(read, *args):
+    """What read(*args) returns, or the text of the ParseError it raises."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return f"parse error: {exc}"
+
+
+@st.composite
+def spelled_rows(draw, canonical, odd, rows, width):
+    """rows x width tokens: each canonical(row, column) or, at a rate
+    drawn once per block, a token drawn from odd."""
+    rate = draw(st.sampled_from([0, 0, 1, 3]))
+    return [[draw(odd) if draw(st.integers(0, 9)) < rate
+             else draw(canonical(r, c)) for c in range(width)]
+            for r in range(rows)]
+
+
+def _odd_labels(n):
+    # padded spellings of a label are read as the label; the rest are
+    # out of range or not integers
+    return st.one_of(
+        st.integers(1, n).map(lambda v: f"0{v}"),
+        st.integers(1, n).map(lambda v: f"00{v}"),
+        st.sampled_from(["007", "-0", "-3", "0", str(n + 1), "x", "1,0",
+                         "1.0", "-"]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_rows_are_read_as_entry_by_entry(data):
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(spelled_rows(
+        lambda r, c: st.integers(1, n).map(str), _odd_labels(n), n, n))
+    lines = [["quandle", str(n)]] + rows
+
+    def reference():
+        table = [oracles.table_row_entrywise(row, n) for row in rows]
+        return table, None, n + 1
+    assert (_outcome(cli._parse_table_block, lines, 0)
+            == _outcome(reference)), rows
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z4", "Z2xZ2", "Z3xZ6"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cocycle_rows_are_read_as_entry_by_entry(tmp_path, spec, data):
+    # the diagonal is mostly the identity, so that most files parse
+    coeff = cli.parse_abelian_spec(spec)
+    texts = [",".join(map(str, label)) for label in coeff.labels]
+    odd = st.sampled_from(["00", "-0", "-2", "4", "6", "007", "x", "1,0",
+                           "0,0", "0,0,0", ",", "1,", ",1", "0,-1", "01,1"])
+
+    def canonical(a, b):
+        return st.sampled_from(texts[:1] if a == b else texts)
+    rows = data.draw(spelled_rows(canonical, odd, D3.n, D3.n))
+    path = tmp_path / "c.txt"
+    path.write_text(f"cocycle 3 over {spec}\n"
+                    + "".join(" ".join(row) + "\n" for row in rows))
+
+    def read():
+        return cli.parse_cocycle_file(str(path), D3)[0].values
+
+    def reference():
+        values = tuple(tuple(oracles.cocycle_entry_entrywise(t, coeff)
+                             for t in row) for row in rows)
+        for a in range(D3.n):
+            if values[a][a] != coeff.identity:
+                raise ParseError(f"diagonal entry at {a + 1} is not the "
+                                 f"identity")
+        return values
+    assert _outcome(read) == _outcome(reference), rows
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_action_rows_are_read_as_entry_by_entry(tmp_path, data):
+    lines = BUNDLE.splitlines()
+    first = lines.index("action 1") + 1
+    perms = [line.split() for line in lines[first:]]
+    n = len(perms[0])
+    rows = data.draw(spelled_rows(lambda r, c: st.just(perms[r][c]),
+                                  _odd_labels(n), len(perms), n))
+    path = tmp_path / "b.txt"
+    path.write_text("\n".join(lines[:first] + [" ".join(row) for row in rows])
+                    + "\n")
+
+    def read():
+        return cli.parse_extension_bundle(str(path)).action
+
+    def reference():
+        action = []
+        for row in rows:
+            perm = oracles.action_row_entrywise(row)
+            if sorted(perm) != list(range(n)):
+                raise ParseError("action 1 line is not a permutation")
+            action.append(perm)
+        return (tuple(action),)
+    assert _outcome(read) == _outcome(reference), rows
+
+
+# ---------------------------------------------------------------------------
+# command lines
+
+def _options(files):
+    """Options by the subcommand that takes them, each with its value if
+    it takes one; under None, options that are misspelt, take no value
+    or are missing theirs, and stray arguments."""
+    budget = [["--budget", "3000"], ["--budget", "1"], ["--budget=2000"]]
+    return {
+        "validate": budget,
+        "pi1": budget + [["--base", "2"], ["--base", "9"]],
+        "h2": budget,
+        "h2c": budget + [["--coeff", "Z2"], ["--coeff", files["group"]],
+                         ["--coeff", files["missing"]]],
+        "cover": budget + [
+            ["--universal"], ["--enumerate"], ["--check", files["map"]],
+            ["--check", files["missing"]], ["--target", files["d3"]],
+            ["--target", files["missing"]]],
+        "ext": budget + [
+            ["--from-cocycle", files["cocycle"]],
+            ["--from-cocycle", files["missing"]], ["--extract"],
+            ["--equiv", files["bundle"]], ["--equiv", files["d3"]]],
+        None: [["-h"], ["--help"], ["--nope"], ["-x"], ["--universa"],
+               ["--budget"], ["--base"], ["--"], [files["d3"]]],
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_command_lines_end_in_an_exit_code(files, tmp_path, data):
+    # subcommands with their own options, options of other subcommands
+    # and of none, repeated or conflicting, -h, missing files and
+    # --target without --check; argparse's own usage errors keep their
+    # format, and any other failure is one line on standard error
+    files = dict(files, missing=str(tmp_path / "missing.txt"))
+    for kind in ("group", "cocycle"):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(VALID[kind])
+        files[kind] = str(path)
+    options = _options(files)
+    command = data.draw(st.sampled_from(
+        [c for c in options if c] * 3 + ["", "valid", "-h", "--budget"]))
+    argv = [command]
+    if data.draw(st.integers(0, 9)):
+        argv.append(data.draw(st.sampled_from(
+            [files["d3"], files["bundle"], files["map"], files["missing"],
+             str(tmp_path)])))
+    own = st.sampled_from(options.get(command, options[None]))
+    other = st.sampled_from(sum(options.values(), []))
+    for option in data.draw(st.lists(st.one_of(own, own, own, other),
+                                     max_size=4)):
+        argv += option
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out=out, err=err)
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if message.startswith("usage: "):
+        assert code == 3, argv
+        return
+    assert message.count("\n") <= 1, (argv, message)
+    assert code != 3 or message, argv
+    assert code != 0 or not message, (argv, message)
