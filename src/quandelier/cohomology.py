@@ -335,15 +335,12 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
     # (u,a)*(v,b) does not read v: one column per base element b
     columns = [tuple(index[(coeffs[gr[a]].mul(u, values[a][b]), op[a][b])]
                      for (u, a) in elements) for b in range(n)]
-    table = tuple(zip(*(columns[b] for _, b in elements)))
-    grading = tuple(gr[a] for (_, a) in elements)
-    basepoints = []
-    for i, q in enumerate(quandle.basepoints):
-        basepoints.append(index[(coeffs[i].identity, q)])
-    total = qmod.validate(table, grading=grading,
-                          basepoints=tuple(basepoints))
-    projection = QuandleHom(total, quandle,
-                            tuple(a for (_, a) in elements))
+    over = tuple(a for (_, a) in elements)
+    basepoints = tuple(index[(coeffs[i].identity, q)]
+                       for i, q in enumerate(quandle.basepoints))
+    total = qmod.from_columns(columns, over, tuple(gr[a] for a in over),
+                              basepoints)
+    projection = QuandleHom(total, quandle, over)
     action = []
     for i, lam in enumerate(coeffs):
         perms = []

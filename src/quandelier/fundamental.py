@@ -32,11 +32,11 @@ def build_complex(quandle: FiniteQuandle, vertices):
     read, shortest word first (a stable sort): the lift of w_a at each
     vertex a and of each relator of quandle.adjoint at every vertex.
 
-    S is quandle.adjoint.generators, the closure search's set, not
-    validate's: the adjoint has about n (|S| - 1) relators, one per pair
+    S is quandle.adjoint.generators, the closure search's set, not the
+    greedy one: the adjoint has about n (|S| - 1) relators, one per pair
     (a, s) less the definitions, each lifted at every vertex, so the
     complex has about n + n^2 (|S| - 1) cells (conj(S5, 3-cycles): 420
-    on 2 generators, 1220 on validate's 4).
+    on 2 generators, 1220 on the greedy 4).
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
     path.  Letter +k crosses edge (x, k-1) forwards from the current
@@ -91,9 +91,8 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
     then reads C's cells, shortest first, as they are lifted, and stops
     once no generator survives (dihedral(91): after 144 of 8372 cells).
-    S is quandle.adjoint.generators, which is never larger than
-    validate's: conj(S5, 3-cycles) keeps 2 generators and 12 relators
-    where validate's 4 left 4 and 152.
+    On conj(S5, 3-cycles) that S keeps 2 generators and 12 relators,
+    where the greedy set's 4 left 4 and 152.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -313,10 +312,9 @@ def pi1_model(quandle: FiniteQuandle, basepoint: int,
 def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     """Q x pi_1 modulo a subgroup K acting from the left, given by its
     right cosets K g, least element first.  Element i n + a is (a, K g)
-    for the i-th coset, over a: numbered so, the first n lie over
-    distinct base elements, and validate's greedy generating set stays
-    as small as the base's.  Column b sends (a, K g) to
-    (a*b, K g f(a,b)), the same for every element over b."""
+    for the i-th coset, over a, so the first n lie over distinct base
+    elements and the greedy generating set is as small as the base's.
+    Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b))."""
     quandle, mul, f, n = pi1.quandle, pi1.cayley, pi1.cocycle, pi1.quandle.n
     coset_of = {g: i for i, coset in enumerate(cosets) for g in coset}
     columns = []
@@ -325,8 +323,8 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
         columns.append(tuple(coset_of[row[t]] * n + c
                              for row in (mul[coset[0]] for coset in cosets)
                              for t, c in ends))
-    total = qmod.validate(tuple(zip(*columns * len(cosets))))
-    return QuandleHom(total, quandle, tuple(range(n)) * len(cosets))
+    over = tuple(range(n)) * len(cosets)
+    return QuandleHom(qmod.from_columns(columns, over), quandle, over)
 
 
 @dataclass(frozen=True)
@@ -373,7 +371,7 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     same element of X but force different lifts.
     """
     x_side = f.source
-    if not x_side.is_connected():
+    if len(qmod.components(x_side)[0]) > 1:
         raise ValueError("the lifting source must be connected")
     x0 = x_side.basepoints[0]
     ok, _ = qmod.is_covering(p)

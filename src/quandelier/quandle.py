@@ -17,21 +17,19 @@ from .permgroup import FiniteGroup, Perm
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """An n-element quandle as validated operation tables.
+    """An n-element quandle as operation tables, built by from_columns.
 
     op[a][b] = a * b and inv_op[a][b] is the unique x with x * b = a.
-    generators is validate's greedy generating set S: the rho_s with
-    s in S generate Inn(Q), so Q3, homomorphisms, coverings, lifting
-    and cocycles are checked on S.  grading maps each element to a
-    component index (default: its connected component); basepoints
+    generators is the greedy generating set S, one closure: the rho_s
+    with s in S generate Inn(Q), so Q3, homomorphisms, coverings,
+    lifting and cocycles are checked on S.  grading maps each element
+    to a component index (default: its connected component); basepoints
     picks one element per grading class (default: the minimum of each
     class).  adjoint is Adj(Q) with its words w_x, built on first use
     and presented on its own generating set, adjoint.generators, which
     a closure search makes no larger than S: pi_1's presentation, its
     cocycle and monodromy read that set, as pi_1's complex has about
-    n^2 (|S| - 1) cells.  validate keeps the greedy set, which costs
-    nothing extra, where the search would take 62 ms on the 2520
-    elements of the S7 transposition quandle's universal cover.
+    n^2 (|S| - 1) cells.
     """
 
     n: int
@@ -54,32 +52,32 @@ class FiniteQuandle:
             self, _closure_search(self.op, self.generators))
 
 
-def _close(op, members, reached, gens):
+def _close(columns, members, reached, gens):
     """Grow members, a list marked in reached and closed under
-    x -> x * s for s in gens[:-1], by gens[-1], which is not in it, to
-    its closure under all of gens: the subquandle they generate, as /
-    is a power of *.  The old members need only s = gens[-1], so each
-    (x, s) is visited once."""
+    x -> x * s = columns[s][x] for s in gens[:-1], by gens[-1], which is
+    not in it, to its closure under all of gens: the subquandle they
+    generate, as / is a power of *.  The old members need only
+    s = gens[-1], so each (x, s) is visited once."""
     g = gens[-1]
     old = len(members)
     reached[g] = True
     members.append(g)
     for i, x in enumerate(members):  # grows while it is read
         for s in (gens if i >= old else (g,)):
-            if not reached[op[x][s]]:
-                reached[op[x][s]] = True
-                members.append(op[x][s])
+            if not reached[columns[s][x]]:
+                reached[columns[s][x]] = True
+                members.append(columns[s][x])
 
 
-def _generating_set(op):
+def _generating_set(columns):
     """Greedy generating set S: the least element not yet generated
     joins S, then the generated set is closed under S."""
-    reached = [False] * len(op)
+    reached = [False] * len(columns)
     members, gens = [], []
-    for g in range(len(op)):
+    for g in range(len(columns)):
         if not reached[g]:
             gens.append(g)
-            _close(op, members, reached, gens)
+            _close(columns, members, reached, gens)
     return tuple(gens)
 
 
@@ -99,6 +97,7 @@ def _closure_search(op, greedy):
     n = len(op)
     if len(greedy) <= len(_orbits(op, greedy)[0]):
         return greedy
+    columns = tuple(zip(*op))
     gens, members, reached = (0,), [0], [True] + [False] * (n - 1)
     while len(gens) + 1 < len(greedy):
         best = None
@@ -107,7 +106,7 @@ def _closure_search(op, greedy):
             if reached[c]:
                 continue
             grown, inside = members[:], reached[:]
-            _close(op, grown, inside, gens + (c,))
+            _close(columns, grown, inside, gens + (c,))
             if len(grown) == n:
                 return gens + (c,)
             if best is None or len(grown) > len(best[1]):
@@ -138,7 +137,7 @@ def _orbits(op, gens):
 
 def _raise_bad_entry(op):
     """Raise Q1 at the first row of wrong length or with an entry out
-    of range, at its least such column."""
+    of range, at its least such column, if there is one."""
     n = len(op)
     for a, row in enumerate(op):
         if len(row) != n:
@@ -148,9 +147,10 @@ def _raise_bad_entry(op):
             raise NotAQuandle("Q1", (a, b), f"entry {row[b]} out of range")
 
 
-def _raise_q3(op, columns, gens):
+def _raise_q3(columns, gens):
     """Raise Q3 at the first a, then s in S order, then the least b
     with (a*b)*s != (a*s)*(b*s), comparing a whole row of b at a time."""
+    op = tuple(zip(*columns))
     at_rho = [itemgetter(*columns[s]) for s in gens]
     for a in range(len(op)):
         at_row_a = itemgetter(*op[a])
@@ -163,44 +163,35 @@ def _raise_q3(op, columns, gens):
 
 
 def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
-    """Check the quandle axioms and build a FiniteQuandle.
+    """Check the quandle axioms, then build the quandle by from_columns.
 
     Each check runs once per distinct right-translation column
-    C_b: a -> a*b, of which a covering of an n-element quandle has at
-    most n.  inv_op inverts each distinct column.  Q3 is checked as
-    "rho_s is an endomorphism" for s in the generating set S (if rho_c
-    and rho_d are automorphisms, so is rho_{c*d} = rho_d rho_c rho_d^-1,
-    so the c with rho_c automorphic form a subquandle containing S),
-    that is rho_s C_b = C_{b*s} rho_s once per distinct pair of columns.
-    A violation is reported at its first witness in row order.  The
-    default grading is the components, with minimum-element basepoints.
-    """
-    op = tuple(tuple(row) for row in op_table)
-    n = len(op)
+    C_b: a -> a*b, in range and invertible (Q2) iff it holds each
+    element once.  Q3 is rho_s C_b = C_{b*s} rho_s for s in the
+    generating set S: if rho_c and rho_d are automorphisms, so is
+    rho_{c*d} = rho_d rho_c rho_d^-1.  A violation is reported at its
+    first witness in row order."""
+    n = len(op_table)
     if n < 1:
         raise NotAQuandle("Q1", (), "empty quandle rejected")
-    if any(len(row) != n for row in op):
-        _raise_bad_entry(op)
+    if any(len(row) != n for row in op_table):
+        _raise_bad_entry(op_table)
     number = {}  # distinct column -> id, in order of first occurrence
-    column_id = [number.setdefault(c, len(number)) for c in zip(*op)]
-    if any(min(c) < 0 or max(c) >= n for c in number):
-        _raise_bad_entry(op)
-    # one int object per element keeps the gathers below in cache
+    column_id = [number.setdefault(c, len(number)) for c in zip(*op_table)]
     elements = tuple(range(n))
+    whole = set(elements)
+    onto = [set(c) == whole for c in number]
+    if not all(onto):
+        _raise_bad_entry(op_table)
+    # one int object per element keeps the gathers below in cache
     distinct = [tuple(map(elements.__getitem__, c)) for c in number]
     columns = tuple(map(distinct.__getitem__, column_id))
-    op = tuple(zip(*columns))
     for a in range(n):
-        if op[a][a] != a:
+        if columns[a][a] != a:
             raise NotAQuandle("Q1", (a,))
-    inverses = []
-    for k, column in enumerate(distinct):
-        back = dict(zip(column, elements))
-        if len(back) != n:
-            raise NotRightInvertible(column_id.index(k))
-        inverses.append(tuple(map(back.__getitem__, elements)))
-    inv_op = tuple(zip(*map(inverses.__getitem__, column_id)))
-    gens = _generating_set(op)
+    if not all(onto):
+        raise NotRightInvertible(column_id.index(onto.index(False)))
+    gens = _generating_set(columns)
     # rho_s C_i against C_j rho_s, for the pairs i, j of column ids
     # of b and b*s
     gather = [itemgetter(*column) for column in distinct]
@@ -209,8 +200,26 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         at_rho = itemgetter(*rho)
         for i, j in set(zip(column_id, map(column_id.__getitem__, rho))):
             if gather[i](rho) != at_rho(distinct[j]):
-                _raise_q3(op, columns, gens)
+                _raise_q3(columns, gens)
+    return from_columns(distinct, column_id, grading, basepoints)
 
+
+def from_columns(columns, over, grading=None, basepoints=None
+                 ) -> FiniteQuandle:
+    """The quandle with a * x = columns[over[x]][a], each column
+    inverted once, and checked for no axiom: validate checks an input
+    table, and the covering and extension theorems a table whose x*y
+    reads y only through over[y] (Q x_f pi_1 and its quotients,
+    Lambda x_f Q, pullbacks and unions of coverings).  The default
+    grading is the components, with minimum-element basepoints."""
+    n = len(over)
+    elements = tuple(range(n))
+    by_element = tuple(map(columns.__getitem__, over))
+    op = tuple(zip(*by_element))
+    inverses = [tuple(map(dict(zip(column, elements)).__getitem__, elements))
+                for column in columns]
+    inv_op = tuple(zip(*map(inverses.__getitem__, over)))
+    gens = _generating_set(by_element)
     parts, part_index = _orbits(op, gens)
     if grading is None:
         grading = part_index
@@ -223,11 +232,10 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
             if len({grading[a] for a in part}) != 1:
                 raise ValueError(f"grading splits the component {part}")
     classes = sorted(set(grading))
-    if grading is not None and classes != list(range(len(classes))):
+    if classes != list(range(len(classes))):
         raise ValueError("grading indices must be 0..k-1")
     if basepoints is None:
-        basepoints = tuple(min(a for a in range(n) if grading[a] == i)
-                           for i in classes)
+        basepoints = tuple(map(grading.index, classes))
     else:
         basepoints = tuple(basepoints)
         if len(basepoints) != len(classes):
@@ -456,8 +464,9 @@ def pullback(p: QuandleHom, f: QuandleHom):
     column = [tuple(index[(x_side.op[x][y], cover.op[a][lift])]
                     for x, a in elements)
               for y, lift in enumerate(p.section[v] for v in f.map)]
-    total = validate(tuple(zip(*(column[y] for y, _ in elements))))
-    projection = QuandleHom(total, x_side, tuple(x for (x, _) in elements))
+    over = tuple(x for (x, _) in elements)
+    total = from_columns(column, over)
+    projection = QuandleHom(total, x_side, over)
     leg = QuandleHom(total, cover, tuple(a for (_, a) in elements))
     return projection, leg
 
@@ -483,12 +492,8 @@ def union_coverings(coverings):
     elements = [(i, a) for i, p in enumerate(coverings)
                 for a in range(p.source.n)]
     index = {e: k for k, e in enumerate(elements)}
-    # column (j, b) reads b only through p_j(b): one column per base
-    # element y, acting by y's section element in each summand
     column = [tuple(index[(i, coverings[i].source.op[a][
                         coverings[i].section[y]])] for i, a in elements)
               for y in range(base.n)]
-    total = validate(tuple(zip(*(column[coverings[j].map[b]]
-                                 for j, b in elements))))
-    flat = tuple(coverings[i].map[a] for (i, a) in elements)
-    return QuandleHom(total, base, flat)
+    over = tuple(coverings[i].map[a] for (i, a) in elements)
+    return QuandleHom(from_columns(column, over), base, over)

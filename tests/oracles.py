@@ -138,7 +138,7 @@ def validate_rowwise(op_table, grading=None, basepoints=None):
             raise NotRightInvertible(b)
         inv.append(tuple(map(back.__getitem__, elements)))
     inv_op = tuple(zip(*inv))
-    gens = qmod._generating_set(op)
+    gens = qmod._generating_set(columns)
     at_rho = [itemgetter(*columns[s]) for s in gens]
     for a in range(n):
         at_row_a = itemgetter(*op[a])

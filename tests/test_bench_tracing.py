@@ -75,10 +75,27 @@ def test_traced_counters_read_the_covering_results(tmp_path):
     assert metrics["permgroup.subgroup_count"] == 6
 
 
-def test_validate_gets_a_sized_table(monkeypatch):
+def test_theorem_built_tables_make_no_validate_call(monkeypatch):
+    # covers, census quotients, extension totals, pullbacks and unions
+    # are quandles by the covering and extension theorems, and are
+    # assembled by quandle.from_columns without revalidation
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate called on a theorem-built table")
+
+    base = transposition_quandle(4)
+    z2 = coh.Coeff.from_invariants([2])
+    monkeypatch.setattr(qmod, "validate", refuse)
+    universal = fund.universal_cover(base).projection
+    census = [p for _, p in fund.enumerate_connected_coverings(base, 0)]
+    coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
+    qmod.pullback(census[-1], universal)
+    qmod.union_coverings(census)
+
+
+def test_input_tables_hand_validate_a_sized_table(tmp_path, monkeypatch):
     # the tracer counts Q3 triples from len(args[0]) of every validate
-    # call, so the builders of covers, quotients and extensions must
-    # hand validate a sequence of rows, never a bare iterator
+    # call, so the command line's readers of quandle files and extension
+    # bundles must hand validate a sequence of rows, never an iterator
     counts = _tracing()._counts
     validate = qmod.validate
     sizes = []
@@ -89,9 +106,15 @@ def test_validate_gets_a_sized_table(monkeypatch):
 
     base = transposition_quandle(4)
     z2 = coh.Coeff.from_invariants([2])
+    ext = coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
+    text = io.StringIO()
+    cli.emit_extension(ext, text)
+    path = tmp_path / "bundle.txt"
+    path.write_text(text.getvalue())
+    text = io.StringIO()
+    cli.emit_quandle(base, text)
     monkeypatch.setattr(qmod, "validate", counted)
-    fund.universal_cover(base)
-    fund.enumerate_connected_coverings(base, 0)
-    coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
+    cli.parse_quandle_lines(cli._tokens(text.getvalue()))
+    cli.parse_extension_bundle(path)
     assert [c["quandle.q3_triples"] for c in sizes] == [
-        12 ** 3, 12 ** 3, 6 ** 3, 12 ** 3]
+        6 ** 3, 6 ** 3, 12 ** 3]

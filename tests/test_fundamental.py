@@ -713,6 +713,17 @@ def test_check_lifting_simply_connected_base():
         assert cover.projection.map[lift.map[a]] == a
 
 
+def test_check_lifting_counts_orbits_not_grading_classes():
+    # dihedral(4) has two orbits, {0, 2} and {1, 3}; a grading with one
+    # class must not let it through as a connected source
+    d4 = qmod.dihedral(4)
+    source = qmod.validate(d4.op, grading=(0, 0, 0, 0))
+    assert source.is_connected()
+    f = qmod.QuandleHom(source, d4, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="must be connected"):
+        fund.check_lifting(f, qmod.identity_hom(d4))
+
+
 def test_check_lifting_obstruction():
     # the identity of the S4 quandle cannot lift through its universal
     # cover: that would need trivial pi_1

@@ -98,10 +98,12 @@ def _outcome(check, table, **kwargs):
 
 @pytest.fixture(scope="module")
 def covering_tables(corpus, corpus_coverings):
-    """(table, validate keywords, base size) for the universal cover,
-    every census quotient, and a Z2 and a Z3 extension total of each
-    connected corpus quandle."""
-    out = [(p.source.op, {}, p.target.n) for _, p in corpus_coverings]
+    """(theorem-built quandle, validate keywords, size of its base) for
+    the universal cover and every census quotient of each connected
+    corpus quandle, a Z2 and a Z3 extension total of each, each corpus
+    covering pulled back along its base's universal cover, and the
+    union of each base's coverings."""
+    out = [(p.source, {}, p.target.n) for _, p in corpus_coverings]
     for _, quandle in corpus:
         if not quandle.is_connected():
             continue
@@ -110,22 +112,35 @@ def covering_tables(corpus, corpus_coverings):
             g = tuple(a % k for a in range(quandle.n))
             total = coh.extension_from_cocycle(
                 quandle, lam, coh.coboundary(quandle, lam, g)).total
-            out.append((total.op, {"grading": total.grading,
-                                   "basepoints": total.basepoints},
+            out.append((total, {"grading": total.grading,
+                                "basepoints": total.basepoints},
                         quandle.n))
+    by_base = {}
+    for name, p in corpus_coverings:
+        by_base.setdefault(name, []).append(p)
+    for coverings in by_base.values():
+        universal = coverings[0]
+        out += [(qmod.pullback(p, universal)[0].source, {},
+                 universal.source.n) for p in coverings]
+        out.append((qmod.union_coverings(coverings).source, {},
+                    coverings[0].target.n))
     return out
 
 
 def test_validate_matches_the_rowwise_reference(corpus, covering_tables):
     # checking each distinct column once builds the same quandle as
-    # checking every row and column
-    tables = [(quandle.op, {}) for _, quandle in corpus]
-    tables += [(op, kwargs) for op, kwargs, _ in covering_tables]
-    for op, kwargs in tables:
-        built = qmod.validate(op, **kwargs)
-        assert built == oracles.validate_rowwise(op, **kwargs)
-    for op, _, base_size in covering_tables:
-        assert len(set(zip(*op))) <= base_size
+    # checking every row and column, and so does from_columns, which
+    # assembles the theorem-built tables without checking them
+    for _, quandle in corpus:
+        assert qmod.validate(quandle.op) == oracles.validate_rowwise(
+            quandle.op)
+    for built, kwargs, base_size in covering_tables:
+        # every field, generators included
+        expected = oracles.validate_rowwise(built.op, **kwargs)
+        assert built == expected
+        assert qmod.validate(built.op, **kwargs) == expected
+        assert len(set(zip(*built.op))) <= base_size
+    assert len(covering_tables) >= 200
 
 
 def broken_covering_tables(op, rng):
@@ -166,8 +181,8 @@ def test_validate_finds_the_rowwise_witness_on_broken_coverings(
     # finds first, as `quandelier validate` prints it
     rng = random.Random(11)
     axioms = Counter()
-    for op, _, _ in covering_tables:
-        for broken in broken_covering_tables(op, rng):
+    for built, _, _ in covering_tables:
+        for broken in broken_covering_tables(built.op, rng):
             got = _outcome(qmod.validate, broken)
             assert got == _outcome(oracles.validate_rowwise, broken)
             axioms[got[1] if isinstance(got, tuple) else "quandle"] += 1
