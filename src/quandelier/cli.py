@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from . import cohomology as coh, fundamental as fund, permgroup, quandle as qmod
+from . import cohomology as coh, fundamental as fund, quandle as qmod
 from .cohomology import Coeff, Cocycle2
 from .errors import (BudgetExceeded, NotAHomomorphism, NotAQuandle,
                      ParseError, QuandelierError)
@@ -475,11 +475,9 @@ def cmd_cover(args, out) -> int:
         q = quandle.basepoints[0]
         coverings = fund.enumerate_connected_coverings(quandle, q,
                                                        budget=args.budget)
-        # the last subgroup is the whole of pi_1, the deck group
-        deck = coverings[-1][0]
-        for j, (sub, projection) in enumerate(coverings):
+        for j, (_, projection, normal) in enumerate(coverings):
             fibre = len(projection.fibre(q))
-            galois = "true" if _is_normal(sub, deck) else "false"
+            galois = "true" if normal else "false"
             print(f"covering {j + 1}: fibre={fibre} galois={galois}",
                   file=out)
         return EXIT_OK
@@ -511,16 +509,6 @@ def cmd_cover(args, out) -> int:
     a, x, y = witness
     print(f"covering=false witness=a={a + 1} x={x + 1} y={y + 1}", file=out)
     return EXIT_SEMANTIC
-
-
-def _is_normal(sub, group) -> bool:
-    members = set(sub.elements)
-    for g in group.elements:
-        gi = permgroup.inverse(g)
-        for k in sub.elements:
-            if permgroup.mul(permgroup.mul(gi, k), g) not in members:
-                return False
-    return True
 
 
 def cmd_ext(args, out) -> int:

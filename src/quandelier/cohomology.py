@@ -391,9 +391,9 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
     The quandle must be connected.  hom sends pi_1's element indices
-    (the order of universal_cover(...).deck.elements) to Lambda
-    elements, and the cocycle is hom(f(a,b)) for pi_1's own cocycle f,
-    with no cover table built.
+    (the rows of pi1_model(...).cayley, at the first basepoint) to
+    Lambda elements, and the cocycle is hom(f(a,b)) for pi_1's own
+    cocycle f, with no cover table built.
     """
     coeffs = graded_coefficients(quandle, coeffs)
     pi1 = fundamental.pi1_model(quandle, quandle.basepoints[0], budget)
@@ -410,10 +410,10 @@ def hom_from_extension(ext: Extension,
     """Monodromy of an extension as the map pi_1 -> Lambda.
 
     The base must be connected (monodromy raises InfiniteGroup
-    otherwise).  Returns a list aligned with the deck-element order of
-    the base's universal cover; entry k is the Lambda element by which
-    the k-th pi_1 element shifts the basepoint's least lift, the
-    fibre's first element.
+    otherwise).  Returns a list aligned with the rows of pi_1's Cayley
+    table at the base's first basepoint; entry k is the Lambda element
+    by which the k-th pi_1 element shifts the basepoint's least lift,
+    the fibre's first element.
     """
     q = ext.projection.target.basepoints[0]
     _, fibre, perms = fundamental.monodromy(ext.projection, q, budget=budget)

@@ -19,7 +19,6 @@ from functools import cached_property
 from . import fpgroup, permgroup, quandle as qmod
 from .errors import BudgetExceeded, InfiniteGroup
 from .fpgroup import CosetTable, Presentation
-from .permgroup import FiniteGroup
 from .quandle import FiniteQuandle, QuandleHom
 
 
@@ -207,15 +206,6 @@ def _right_action(table: CosetTable, step, start):
     return images
 
 
-def left_translations(cayley, copies: int = 1) -> FiniteGroup:
-    """pi_1 acting from the left on copies of itself: g sends element
-    h copies + c to (gh) copies + c.  The action is free, so faithful."""
-    perms = tuple(tuple(x * copies + c for x in row for c in range(copies))
-                  for row in cayley)
-    return FiniteGroup(degree=copies * len(cayley), elements=perms,
-                       generators=perms, identity_index=0)
-
-
 @dataclass(frozen=True)
 class FundamentalGroup:
     """pi_1(Q, q): a presentation always, a finite model when possible.
@@ -224,8 +214,8 @@ class FundamentalGroup:
     the presentation over the trivial subgroup, or None when pi_1 is
     infinite or over budget; coset g is the element its representative
     word reads.  Built from it on first use: cayley[g][h] = gh, the
-    finite_form of its rows, pi_1 acting on itself from the left, and
-    the cocycle f of the universal cover Q x pi_1.
+    one group law every covering reads, and the cocycle f of the
+    universal cover Q x pi_1.
     """
 
     quandle: FiniteQuandle
@@ -239,11 +229,6 @@ class FundamentalGroup:
         step = (None, *table.action, *reversed(table.action_inv))
         return tuple(zip(*_right_action(table, step,
                                         tuple(range(table.coset_count)))))
-
-    @cached_property
-    def finite_form(self) -> FiniteGroup:
-        return None if self.regular is None else left_translations(
-            self.cayley)
 
     @cached_property
     def cocycle(self) -> tuple:
@@ -330,17 +315,13 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
 @dataclass(frozen=True)
 class UniversalCover:
     """The universal covering quandle of a connected quandle: element
-    g n + a is (a, g) in Q x pi_1, over a; deck is pi_1 acting from the
-    left, (a, h) -> (a, gh), built on first use."""
+    g n + a is (a, g) in Q x pi_1, over a.  Its deck group is pi_1
+    acting from the left, g sending (a, h) to (a, gh)."""
 
     base: FiniteQuandle
     cover: FiniteQuandle
     projection: QuandleHom
     pi1: FundamentalGroup
-
-    @cached_property
-    def deck(self) -> FiniteGroup:
-        return left_translations(self.pi1.cayley, self.base.n)
 
 
 def universal_cover(quandle: FiniteQuandle,
@@ -405,24 +386,44 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
 
 def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
                                   budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """All pointed connected coverings of a connected base: pairs
-    (K, covering projection), for each subgroup K of pi_1's finite form
-    in the order of permgroup.subgroups, with the quotient of the
-    universal cover by K, on the pairs (a, K g): the orbits of K.
+    """All pointed connected coverings of a connected base: triples
+    (K, covering projection, normal), one for each subgroup K of pi_1,
+    a sorted tuple of element indices (rows of pi_1's Cayley table), in
+    the order of permgroup.subgroups.  The projection is the quotient
+    of the universal cover by K, on the pairs (a, K h); normal says
+    whether K is, that is whether the covering is Galois.
     """
     if not quandle.is_connected():
         raise ValueError("base quandle must be connected")
     pi1 = pi1_model(quandle, basepoint, budget=budget)
-    return [(sub, _quotient(pi1, permgroup.orbits(sub)))
-            for sub in permgroup.subgroups(pi1.finite_form)]
+    out = []
+    for sub in permgroup.subgroups(pi1.cayley):
+        cosets, normal = _right_cosets(pi1.cayley, sub)
+        out.append((sub, _quotient(pi1, cosets), normal))
+    return out
+
+
+def _right_cosets(mul, sub):
+    """The right cosets K h = {k h}, each sorted, least element first,
+    and whether K is normal: K h = h K at one h per coset suffices, as
+    k h K = k K h = K h."""
+    cosets, normal, seen = [], True, set()
+    for h in range(len(mul)):
+        if h not in seen:
+            coset = sorted(mul[k][h] for k in sub)
+            seen.update(coset)
+            cosets.append(coset)
+            normal = normal and set(coset) == {mul[h][k] for k in sub}
+    return cosets, normal
 
 
 def monodromy(p: QuandleHom, basepoint: int,
               budget: int = fpgroup.DEFAULT_COSET_BUDGET):
     """Action of pi_1(Q, basepoint) on the fibre over the basepoint.
 
-    Returns (pi1 finite form, fibre tuple, permutations): permutations[k]
-    sends fibre position i to that of fibre[i] times the k-th element.
+    Returns (pi1, fibre tuple, permutations), pi1 the FundamentalGroup:
+    permutations[k] sends fibre position i to that of fibre[i] times
+    pi_1's k-th element, the k-th row of pi1.cayley.
     A generator of pi_1 is an edge (a, s), whose loop runs along the tree
     to a, across the edge and back, each base element lifting to its
     section element.  Raises as pi1_model does.
@@ -449,4 +450,4 @@ def monodromy(p: QuandleHom, basepoint: int,
         step.append(tuple(map(pos.__getitem__, images)))
     step = (None, *step, *map(permgroup.inverse, reversed(step)))
     perms = _right_action(pi1.regular, step, tuple(range(len(fibre))))
-    return pi1.finite_form, fibre, tuple(perms)
+    return pi1, fibre, tuple(perms)

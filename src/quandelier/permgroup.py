@@ -1,9 +1,13 @@
-"""Finite permutation groups as explicit element lists.
+"""Finite groups: permutation groups as explicit element lists, and
+the subgroups of a group given by its Cayley table.
 
 Permutations are tuples of images on {0,...,d-1}.  mul(p, q) applies p
-first, then q; this matches reading words left to right.  Groups are
+first, then q; this matches reading words left to right.  Permutation
+groups are the input of the quandle constructors conj_class and core,
 materialized by BFS closure, so element order is deterministic and all
-downstream enumerations are reproducible.
+downstream enumerations are reproducible.  Past those inputs, every
+group the package computes in, pi_1 above all, is a multiplication
+table.
 """
 
 from dataclasses import dataclass, field
@@ -61,12 +65,6 @@ class FiniteGroup:
     def __contains__(self, p) -> bool:
         return p in self._index
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self._index[mul(self.elements[i], self.elements[j])]
-
-    def inv_idx(self, i: int) -> int:
-        return self._index[inverse(self.elements[i])]
-
 
 def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
             degree: int = None) -> FiniteGroup:
@@ -106,89 +104,46 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
                        generators=generators, identity_index=0)
 
 
-def orbits(group: FiniteGroup, points=None):
-    """Partition of the given points into group orbits.
+def _close(cayley, seeds) -> frozenset:
+    """The subgroup generated by the seed elements: a BFS from the
+    identity 0 that multiplies on the right by each seed.  In a finite
+    group that monoid is already closed under inverses."""
+    members = [0]
+    seen = {0}
+    for x in members:
+        row = cayley[x]
+        for s in seeds:
+            y = row[s]
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return frozenset(seen)
 
-    Each orbit is sorted ascending; orbits are ordered by their minimum
-    element.  Only the generators are needed to trace orbits.
+
+def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
+    """All subgroups of the group with the given Cayley table, identity
+    0, not just up to conjugacy, as sorted tuples of element indices.
+
+    Seeds with the cyclic subgroups and joins each pair of found
+    subgroups, the joins found included, until a fixed point; a join is
+    closed from the generators of its two parts.  Output is ordered by
+    (order, sorted element indices) and always includes the trivial and
+    full subgroup.
     """
-    if points is None:
-        points = range(group.degree)
-    points = sorted(set(points))
-    if any(p < 0 or p >= group.degree for p in points):
-        raise ValueError("point outside the permutation domain")
-    remaining = set(points)
-    result = []
-    for p in points:
-        if p not in remaining:
-            continue
-        orbit = {p}
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            for g in group.generators:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        result.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return result
-
-
-def _close_set(seed, group: FiniteGroup) -> frozenset:
-    """Subgroup (as an index set) generated by the seed indices."""
-    members = set(seed)
-    members.add(group.identity_index)
-    stack = list(members)
-    while stack:
-        i = stack.pop()
-        j = group.inv_idx(i)
-        if j not in members:
-            members.add(j)
-            stack.append(j)
-        for k in list(members):
-            for a, b in ((i, k), (k, i)):
-                m = group.mul_idx(a, b)
-                if m not in members:
-                    members.add(m)
-                    stack.append(m)
-    return frozenset(members)
-
-
-def subgroups(group: FiniteGroup,
-              budget: int = DEFAULT_SUBGROUP_BUDGET):
-    """All subgroups of the group, not just up to conjugacy.
-
-    Seeds with the cyclic subgroups and closes upward under pairwise
-    joins until a fixed point.  Output is ordered by (order, sorted
-    element indices) and always includes the trivial and full subgroup.
-    """
-    if group.order > budget:
-        raise BudgetExceeded(group.order, "subgroup search")
-    found = {frozenset({group.identity_index})}
-    for i in range(group.order):
-        found.add(_close_set({i}, group))
-    while True:
-        fresh = set()
-        current = sorted(found, key=lambda s: (len(s), sorted(s)))
-        for ia in range(len(current)):
-            for ib in range(ia + 1, len(current)):
-                a, b = current[ia], current[ib]
-                if a <= b or b <= a:
-                    continue
-                j = _close_set(a | b, group)
-                if j not in found:
-                    fresh.add(j)
-        if not fresh:
-            break
-        found |= fresh
-    out = []
-    for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        members = sorted(s)
-        elements = tuple(group.elements[i] for i in members)
-        sub = FiniteGroup(degree=group.degree, elements=elements,
-                          generators=elements,
-                          identity_index=members.index(group.identity_index))
-        out.append(sub)
-    return out
+    if len(cayley) > budget:
+        raise BudgetExceeded(len(cayley), "subgroup search")
+    gens = {frozenset({0}): ()}
+    for i in range(len(cayley)):
+        gens.setdefault(_close(cayley, (i,)), (i,))
+    found = list(gens)
+    for j, b in enumerate(found):
+        for a in found[:j]:
+            if a <= b or b <= a:
+                continue
+            seeds = gens[a] + gens[b]
+            join = _close(cayley, seeds)
+            if join not in gens:
+                gens[join] = seeds
+                found.append(join)
+    return sorted((tuple(sorted(s)) for s in found),
+                  key=lambda s: (len(s), s))

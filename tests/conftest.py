@@ -22,6 +22,14 @@ def cyclic_group(n):
                              degree=n)
 
 
+def cayley_table(group):
+    """The multiplication table of a permutation group in its element
+    order: entry [i][j] indexes elements[i] followed by elements[j]."""
+    index = {p: i for i, p in enumerate(group.elements)}
+    return [[index[permgroup.mul(p, q)] for q in group.elements]
+            for p in group.elements]
+
+
 def cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -127,6 +135,6 @@ def corpus_coverings(corpus):
     for name, quandle in corpus:
         if quandle.is_connected():
             out.append((name, fund.universal_cover(quandle).projection))
-            out += [(name, p) for _, p in fund.enumerate_connected_coverings(
+            out += [(name, p) for _, p, _ in fund.enumerate_connected_coverings(
                 quandle, quandle.basepoints[0])]
     return out

@@ -6,7 +6,9 @@ unimodular transforms, the full path 2-complex and H2 from it, the
 Reidemeister-Schreier rewrite of pi_1 before Tietze moves, the
 brute-force route to |H^2|, the universal cover and the covering
 census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
-deck group on its cosets, the right action of adjoint words on a
+deck group on its cosets, a Cayley table's left translations, and the
+orbits and subgroups of a permutation group found by multiplying
+permutations, the right action of adjoint words on a
 cover, a word traced through a coset table and the degree-adjusted
 deck permutations, the least preimages
 of a map, the covering check on all pairs, table
@@ -677,6 +679,105 @@ def universal_cover_by_columns(quandle):
     return qmod.QuandleHom(cover, quandle, ends), table, ends
 
 
+def left_translations(cayley, copies=1):
+    """A group given by its Cayley table, identity 0, acting from the
+    left on copies of itself: g sends element h copies + c to
+    (gh) copies + c.  The action is free, so faithful; with one copy,
+    element g is row g.  With base.n copies it is the deck group of
+    the universal cover, whose element g n + a is (a, g)."""
+    perms = tuple(tuple(x * copies + c for x in row for c in range(copies))
+                  for row in cayley)
+    return permgroup.FiniteGroup(degree=copies * len(cayley),
+                                 elements=perms, generators=perms,
+                                 identity_index=0)
+
+
+def orbits(group, points=None):
+    """Partition of the given points into group orbits.
+
+    Each orbit is sorted ascending; orbits are ordered by their minimum
+    element.  Only the generators are needed to trace orbits.
+    """
+    if points is None:
+        points = range(group.degree)
+    points = sorted(set(points))
+    if any(p < 0 or p >= group.degree for p in points):
+        raise ValueError("point outside the permutation domain")
+    remaining = set(points)
+    result = []
+    for p in points:
+        if p not in remaining:
+            continue
+        orbit = {p}
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            for g in group.generators:
+                y = g[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        result.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return result
+
+
+def _close_set(seed, group, index):
+    """Subgroup (as an index set) generated by the seed indices, closed
+    under inverses and products of permutations."""
+    elements = group.elements
+    members = set(seed)
+    members.add(group.identity_index)
+    stack = list(members)
+    while stack:
+        i = stack.pop()
+        j = index[permgroup.inverse(elements[i])]
+        if j not in members:
+            members.add(j)
+            stack.append(j)
+        for k in list(members):
+            for a, b in ((i, k), (k, i)):
+                m = index[permgroup.mul(elements[a], elements[b])]
+                if m not in members:
+                    members.add(m)
+                    stack.append(m)
+    return frozenset(members)
+
+
+def subgroups(group, budget=permgroup.DEFAULT_SUBGROUP_BUDGET):
+    """All subgroups of a permutation group, each a FiniteGroup: the
+    cyclic subgroups joined pairwise, round after round, until a round
+    finds nothing new.  Ordered by (order, sorted element indices)."""
+    if group.order > budget:
+        raise BudgetExceeded(group.order, "subgroup search")
+    index = {p: i for i, p in enumerate(group.elements)}
+    found = {frozenset({group.identity_index})}
+    for i in range(group.order):
+        found.add(_close_set({i}, group, index))
+    while True:
+        fresh = set()
+        current = sorted(found, key=lambda s: (len(s), sorted(s)))
+        for ia in range(len(current)):
+            for ib in range(ia + 1, len(current)):
+                a, b = current[ia], current[ib]
+                if a <= b or b <= a:
+                    continue
+                j = _close_set(a | b, group, index)
+                if j not in found:
+                    fresh.add(j)
+        if not fresh:
+            break
+        found |= fresh
+    out = []
+    for s in sorted(found, key=lambda s: (len(s), sorted(s))):
+        members = sorted(s)
+        elements = tuple(group.elements[i] for i in members)
+        out.append(permgroup.FiniteGroup(
+            degree=group.degree, elements=elements, generators=elements,
+            identity_index=members.index(group.identity_index)))
+    return out
+
+
 def is_normal(sub, group):
     """Whether every conjugate g^-1 k g of the subgroup stays in it."""
     members = set(sub.elements)
@@ -692,13 +793,13 @@ def census_by_orbits(quandle, basepoint):
     table, ends = fundamental.adj0_enumeration(quandle, basepoint)
     deck = deck_group(table, ends, basepoint)
     out = []
-    for sub in permgroup.subgroups(deck):
-        orbits = permgroup.orbits(sub)
+    for sub in subgroups(deck):
+        parts = orbits(sub)
         orbit_of = [None] * table.coset_count
-        for i, orbit in enumerate(orbits):
+        for i, orbit in enumerate(parts):
             for c in orbit:
                 orbit_of[c] = i
-        reps = [orbit[0] for orbit in orbits]
+        reps = [orbit[0] for orbit in parts]
         total = qmod.validate(tuple(
             tuple(orbit_of[table.action[ends[d]][c]] for d in reps)
             for c in reps))
@@ -850,23 +951,24 @@ def pullback_cocycle(f_hom, f, coeffs):
                                      for i in range(source.component_count))
 
 
-def enumerate_homs(presentation, target, budget=1 << 20):
-    """All homomorphisms into a finite permutation group, as
-    element-index tuples: brute force over the generator images in
-    lexicographic order, filtered by every relator."""
-    ngens = presentation.generator_count
-    if target.order ** ngens > budget:
-        raise BudgetExceeded(target.order ** ngens, "homomorphism search")
-    inv = [target.inv_idx(i) for i in range(target.order)]
+def enumerate_homs(presentation, cayley, budget=1 << 20):
+    """All homomorphisms into the finite group with the given Cayley
+    table, identity 0, as element-index tuples: brute force over the
+    generator images in lexicographic order, filtered by every
+    relator."""
+    ngens, order = presentation.generator_count, len(cayley)
+    if order ** ngens > budget:
+        raise BudgetExceeded(order ** ngens, "homomorphism search")
+    inv = [row.index(0) for row in cayley]
     out = []
-    for images in product(range(target.order), repeat=ngens):
+    for images in product(range(order), repeat=ngens):
         ok = True
         for r in presentation.relators:
-            acc = target.identity_index
+            acc = 0
             for letter in r:
                 g = images[abs(letter) - 1]
-                acc = target.mul_idx(acc, g if letter > 0 else inv[g])
-            if acc != target.identity_index:
+                acc = cayley[acc][g if letter > 0 else inv[g]]
+            if acc != 0:
                 ok = False
                 break
         if ok:

@@ -86,7 +86,7 @@ def test_theorem_built_tables_make_no_validate_call(monkeypatch):
     z2 = coh.Coeff.from_invariants([2])
     monkeypatch.setattr(qmod, "validate", refuse)
     universal = fund.universal_cover(base).projection
-    census = [p for _, p in fund.enumerate_connected_coverings(base, 0)]
+    census = [p for _, p, _ in fund.enumerate_connected_coverings(base, 0)]
     coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
     qmod.pullback(census[-1], universal)
     qmod.union_coverings(census)

@@ -362,9 +362,8 @@ def _cocycle_file(tmp_path, quandle, f, coeffs, name="coc.txt"):
 def test_ext_from_cocycle_and_extract(tmp_path):
     quandle = transposition_quandle(4)
     base = write_quandle(tmp_path, "s4.txt", quandle)
-    cover = fund.universal_cover(quandle)
-    deck = cover.deck
-    hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
+    order = fund.universal_cover(quandle).pi1.order
+    hom = [0 if k == 0 else 1 for k in range(order)]
     z2 = coh.Coeff.from_invariants([2])
     f = coh.cocycle_from_hom(quandle, z2, hom)
     coeffs = coh.graded_coefficients(quandle, z2)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
-                        quandle as qmod)
+                        permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded
-from conftest import disjoint_union, symmetric_group, transposition_quandle
+from conftest import (cayley_table, disjoint_union, symmetric_group,
+                      transposition_quandle)
 from oracles import (cocycle_violation, cohomology_classes,
                      enumerate_cocycles, equivalence_by_propagation,
                      path_complex_h2, pullback_cocycle)
@@ -49,16 +50,15 @@ def test_coeff_from_table_validates():
 
 def test_coeff_nonabelian_table():
     # S3 as a multiplication table
-    from conftest import symmetric_group
     group = symmetric_group(3)
-    table = [[group.mul_idx(i, j) for j in range(6)] for i in range(6)]
-    s3 = coh.Coeff.from_table(table, group.identity_index)
+    s3 = coh.Coeff.from_table(cayley_table(group), group.identity_index)
     assert not s3.abelian
     with pytest.raises(ValueError):
         s3.abelian_invariants()
     # the inverses read off once agree with group inversion
     for a in range(6):
-        assert s3.inv(a) == group.inv_idx(a)
+        assert group.elements[s3.inv(a)] == permgroup.inverse(
+            group.elements[a])
         assert s3.mul(a, s3.inv(a)) == s3.identity
 
 
@@ -158,9 +158,7 @@ def test_is_cocycle_witness():
 
 def _s3():
     group = symmetric_group(3)
-    return coh.Coeff.from_table(
-        [[group.mul_idx(i, j) for j in range(6)] for i in range(6)],
-        group.identity_index)
+    return coh.Coeff.from_table(cayley_table(group), group.identity_index)
 
 
 def test_cocycle_verdict_on_s_matches_the_full_check(corpus):
@@ -261,9 +259,9 @@ def test_are_cohomologous_returns_valid_rescaling():
 
 def _nontrivial_s4_cocycle():
     quandle = transposition_quandle(4)
-    cover = fund.universal_cover(quandle)
-    deck = cover.deck
-    hom = [0 if k == deck.identity_index else 1 for k in range(deck.order)]
+    # pi_1 = Z2: the hom onto Z2 sends all but the identity 0 to 1
+    order = fund.universal_cover(quandle).pi1.order
+    hom = [0 if k == 0 else 1 for k in range(order)]
     return quandle, coh.cocycle_from_hom(quandle, Z2, hom), hom
 
 
@@ -384,11 +382,10 @@ def test_equivalence_matches_the_propagation_search(corpus):
     # criterion 7 inputs: the two homs pi_1 = Z2 -> Z2 of the S4
     # transposition quandle, each also with a rescaled cocycle
     quandle = transposition_quandle(4)
-    deck = fund.universal_cover(quandle).deck
+    order = fund.universal_cover(quandle).pi1.order
     exts = []
     for image in range(2):
-        hom = [0 if k == deck.identity_index else image
-               for k in range(deck.order)]
+        hom = [0 if k == 0 else image for k in range(order)]
         f = coh.cocycle_from_hom(quandle, Z2, hom)
         exts.append(coh.extension_from_cocycle(quandle, Z2, f))
         exts.append(coh.extension_from_cocycle(
@@ -400,16 +397,12 @@ def test_equivalence_matches_the_propagation_search(corpus):
     # non-abelian coefficients: pi_1 = Z2 sent to a transposition of
     # S3; conjugate homs and a rescaled cocycle give equivalent
     # extensions, the trivial hom not
-    group = symmetric_group(3)
-    s3 = coh.Coeff.from_table(
-        [[group.mul_idx(i, j) for j in range(6)] for i in range(6)],
-        group.identity_index)
+    s3 = _s3()
     e = s3.identity
     involutions = [x for x in range(6) if x != e and s3.mul(x, x) == e]
     cocycles = []
     for image in [e] + involutions[:2]:
-        hom = [e if k == deck.identity_index else image
-               for k in range(deck.order)]
+        hom = [e if k == 0 else image for k in range(order)]
         cocycles.append(coh.cocycle_from_hom(quandle, s3, hom))
     g = tuple(involutions[0] if a % 2 else e for a in range(quandle.n))
     cocycles.append(_rescaled(quandle, s3, cocycles[1], g))

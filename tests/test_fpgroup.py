@@ -6,7 +6,7 @@ import pytest
 from quandelier import fpgroup, quandle as qmod
 from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
-from conftest import cyclic_group
+from conftest import cyclic_table
 from oracles import (enumerate_homs, full_adjoint_presentation,
                      smith_normal_form_with_transforms,
                      todd_coxeter_reference, trace)
@@ -356,10 +356,9 @@ def test_count_homs_to_abelian():
 
 
 def test_enumerate_homs_matches_count():
-    # homs S3 -> Z6 as a permutation group; only the sign map survives,
-    # as the count through S3^ab = Z2 says
-    target = cyclic_group(6)
-    homs = enumerate_homs(S3_PRESENTATION, target)
+    # homs S3 -> Z6 as a Cayley table; only the sign map survives, as
+    # the count through S3^ab = Z2 says
+    homs = enumerate_homs(S3_PRESENTATION, cyclic_table(6))
     assert len(homs) == 2 == fpgroup.count_homs_to_abelian(
         fpgroup.abelian_invariants(S3_PRESENTATION),
         AbelianInvariants(free_rank=0, torsion=(6,)))

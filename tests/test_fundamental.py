@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -9,9 +10,10 @@ from conftest import symmetric_group, transposition_quandle
 from oracles import (adjusted_deck_perm, census_by_orbits,
                      cocycle_violation, complex_cells_in_adjoint_order,
                      deck_group, full_adjoint_presentation,
-                     generated_subquandle, is_normal,
+                     generated_subquandle, is_normal, left_translations,
                      path_complex_cells, reidemeister_schreier,
-                     right_action_on_cover, todd_coxeter_reference, trace,
+                     right_action_on_cover, subgroups as oracle_subgroups,
+                     todd_coxeter_reference, trace,
                      universal_cover_by_columns)
 
 
@@ -405,7 +407,7 @@ def test_pi1_of_s7_enumerates_its_own_cosets():
     # 2520 cosets would not fit this budget
     fg = fund.fundamental_group(transposition_quandle(7), 0, budget=1000)
     assert fg.order == 120
-    assert fg.finite_form.degree == 120
+    assert len(fg.cayley) == 120
 
 
 def _transpositions_on_pairs(m):
@@ -439,7 +441,7 @@ def test_fundamental_group_of_a_disconnected_quandle_enumerates_nothing(
     quandle.adjoint  # the presentation may be built, not enumerated
     monkeypatch.setattr(fpgroup, "todd_coxeter", no_enumeration)
     fg = fund.fundamental_group(quandle, 0, budget=10**9)
-    assert fg.order is None and fg.finite_form is None
+    assert fg.order is None and fg.regular is None
     assert fg.abelian_invariants() == coh.h2_integral(quandle)[0]
 
 
@@ -487,7 +489,10 @@ def test_fundamental_group_two_pipelines_agree():
                            (transposition_quandle(5), 6)):
         fg = fund.fundamental_group(quandle, 0)
         assert fg.order == order
-        assert fg.finite_form.order == fg.finite_form.degree == order
+        # pi_1 acts on itself: a row of its Cayley table per element,
+        # each a permutation of the order elements
+        assert len(fg.cayley) == order
+        assert all(sorted(row) == list(range(order)) for row in fg.cayley)
         # the adjoint enumeration: the cosets that end at the basepoint
         _, ends = fund.adj0_enumeration(quandle, 0)
         assert ends.count(0) == order
@@ -499,36 +504,38 @@ def test_order_counts_the_cosets_ending_at_the_basepoint(corpus):
             q = quandle.basepoints[0]
             fg = fund.fundamental_group(quandle, q)
             _, ends = fund.adj0_enumeration(quandle, q)
-            assert fg.order == ends.count(q) == fg.finite_form.order, name
+            assert fg.order == ends.count(q) == len(fg.cayley), name
 
 
-def test_deck_permutations_are_built_only_on_request(monkeypatch, tmp_path):
-    degrees = []
-    build = fund.left_translations
-
-    def spy(*args):
-        group = build(*args)
-        degrees.append(group.degree)
-        return group
-
-    monkeypatch.setattr(fund, "left_translations", spy)
-    quandle = transposition_quandle(5)
+def test_pi1_and_coverings_multiply_no_permutations(monkeypatch, tmp_path):
+    # pi_1, the universal cover and the census read pi_1's Cayley table
+    # alone, so they print the same with permutation products refused;
+    # the cover is pinned by its SHA-256
     path = tmp_path / "s5.txt"
     text = io.StringIO()
-    cli.emit_quandle(quandle, text)
+    cli.emit_quandle(transposition_quandle(5), text)
     path.write_text(text.getvalue())
-    for argv in (["pi1", str(path)], ["cover", str(path), "--universal"]):
+
+    def refuse(*args):
+        raise AssertionError("permutations multiplied")
+
+    monkeypatch.setattr(permgroup, "mul", refuse)
+    outputs = []
+    for argv in (["pi1", str(path)], ["cover", str(path), "--universal"],
+                 ["cover", str(path), "--enumerate"]):
         out = io.StringIO()
-        assert cli.run(argv, out=out, err=io.StringIO()) == 0
-    assert out.getvalue().startswith("quandle 60\n")
-    assert degrees == []
-    cover = fund.universal_cover(quandle)
-    fg = fund.fundamental_group(quandle, 0)
-    assert fg.order == 6 and degrees == []
-    assert cover.deck is cover.deck and fg.finite_form.order == 6
-    # both are left multiplication in pi_1's Cayley table: the deck
-    # group on the 60 cover elements, the finite form on pi_1's own 6
-    assert degrees == [60, 6]
+        assert cli.run(argv, out=out, err=io.StringIO()) == 0, argv
+        outputs.append(out.getvalue())
+    pi1, universal, census = outputs
+    assert pi1 == "pi1 order=6 ab=rank 0 torsion 2\n"
+    assert hashlib.sha256(universal.encode()).hexdigest() == (
+        "147a4661308a139f32e96d314e8f148600a66e67884477ff5eb5632168b65dfc")
+    # pi_1 = S3: trivial, three of index 3, A3 and S3
+    assert census == "".join(
+        f"covering {j}: fibre={fibre} galois={galois}\n"
+        for j, (fibre, galois) in enumerate(
+            ((6, "true"), (3, "false"), (3, "false"), (3, "false"),
+             (2, "true"), (1, "true")), 1))
 
 
 def test_fundamental_group_s5_abelianization():
@@ -591,7 +598,7 @@ def test_disconnected_quandle_has_infinite_enumeration():
 
 def test_deck_group_acts_freely_on_fibres():
     cover = fund.universal_cover(transposition_quandle(4))
-    deck = cover.deck
+    deck = left_translations(cover.pi1.cayley, cover.base.n)
     fibre = cover.projection.fibre(cover.base.basepoints[0])
     for g in deck.elements:
         if g == deck.elements[deck.identity_index]:
@@ -605,7 +612,8 @@ def test_deck_commutes_with_inner_action():
     # with every right translation of the cover
     cover = fund.universal_cover(transposition_quandle(4))
     op = cover.cover.op
-    for g in cover.deck.elements:
+    deck = left_translations(cover.pi1.cayley, cover.base.n)
+    for g in deck.elements:
         for x in range(cover.cover.n):
             for b in range(cover.cover.n):
                 assert g[op[x][b]] == op[g[x]][b]
@@ -645,17 +653,25 @@ def test_universal_cover_budget_counts_pi1_cosets():
 # the covering model Q x_f pi_1 against the adjoint enumeration
 
 
-def test_covering_model_matches_the_adjoint_enumeration(corpus):
-    # on the cosets of Adj(Q) modulo <e_q>: the universal projection
-    # lifts bijectively through the cover built there, the census has
-    # the same (fibre, normal) pairs, and the finite form is the deck
-    # group on pi_1's own cosets; f is a pi_1-valued cocycle
+def _census_inputs(corpus):
+    """Every connected corpus quandle, the S5 and S6 transposition
+    quandles and the S5 3-cycles."""
     inputs = [(name, quandle) for name, quandle in corpus
               if quandle.is_connected()]
     inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
                for m in (5, 6)]
     inputs.append(("conj(S5,3-cycle)",
                    qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4))))
+    return inputs
+
+
+def test_covering_model_matches_the_adjoint_enumeration(corpus):
+    # on the cosets of Adj(Q) modulo <e_q>: the universal projection
+    # lifts bijectively through the cover built there, the census has
+    # the same (fibre, normal) pairs, and the rows of pi_1's Cayley
+    # table are the deck group on pi_1's own cosets; f is a
+    # pi_1-valued cocycle
+    inputs = _census_inputs(corpus)
     for name, quandle in inputs:
         q = quandle.basepoints[0]
         cover = fund.universal_cover(quandle)
@@ -664,16 +680,33 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
         assert kind == "lift", name
         assert sorted(lift.map) == list(range(cover.cover.n)), name
         fg = cover.pi1
-        assert fg.finite_form.elements == deck_group(
+        assert fg.cayley == deck_group(
             fg.regular, (q,) * fg.order, q).elements, name
         coverings = fund.enumerate_connected_coverings(quandle, q)
-        whole = coverings[-1][0]
-        assert sorted((len(p.fibre(q)), is_normal(sub, whole))
-                      for sub, p in coverings) == sorted(
+        assert sorted((len(p.fibre(q)), normal)
+                      for _, p, normal in coverings) == sorted(
             census_by_orbits(quandle, q)), name
         values = coh.Coeff.from_table(fg.cayley, 0)
         assert cocycle_violation(fg.cocycle, quandle, values) is None, name
     assert len(inputs) >= 30
+
+
+def test_subgroups_match_the_permutation_search(corpus):
+    # the table search lists the subgroups the permutation search
+    # finds in pi_1's left translations, in the same order, and the
+    # census marks normal exactly the subgroups that are
+    for name, quandle in _census_inputs(corpus):
+        q = quandle.basepoints[0]
+        fg = fund.pi1_model(quandle, q)
+        group = left_translations(fg.cayley)
+        index = {g: i for i, g in enumerate(group.elements)}
+        want = oracle_subgroups(group)
+        assert permgroup.subgroups(fg.cayley) == [
+            tuple(sorted(index[g] for g in sub.elements))
+            for sub in want], name
+        census = fund.enumerate_connected_coverings(quandle, q)
+        assert [normal for _, _, normal in census] == [
+            is_normal(sub, group) for sub in want], name
 
 
 def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
@@ -748,27 +781,31 @@ def test_enumerate_coverings_of_odd_dihedral():
 
 
 def test_enumerate_coverings_counts():
-    assert len(fund.enumerate_connected_coverings(
-        transposition_quandle(4), 0)) == 2
-    # pi_1 = S3 has six subgroups
-    assert len(fund.enumerate_connected_coverings(
-        transposition_quandle(5), 0)) == 6
+    # pi_1 of the S_m transposition quandle has as many subgroups as
+    # S_(m-2): 2, 6, 30 and 156 for m = 4..7 (OEIS A005432)
+    for m, count in ((4, 2), (5, 6), (6, 30)):
+        assert len(fund.enumerate_connected_coverings(
+            transposition_quandle(m), 0)) == count, m
+    # S7's full census would build 90825 quotient elements, so its
+    # subgroups are counted alone
+    pi1 = fund.fundamental_group(transposition_quandle(7), 0)
+    assert len(permgroup.subgroups(pi1.cayley)) == 156
 
 
 def test_enumerated_coverings_are_coverings():
-    for sub, projection in fund.enumerate_connected_coverings(
+    for sub, projection, _ in fund.enumerate_connected_coverings(
             transposition_quandle(5), 0):
         assert qmod.is_covering(projection)[0]
         assert projection.source.is_connected()
         # fibre size is the subgroup index in pi_1
         fibre = projection.fibre(0)
-        assert len(fibre) * sub.order == 6
+        assert len(fibre) * len(sub) == 6
 
 
 def test_universal_cover_projects_onto_every_covering():
     quandle = transposition_quandle(4)
     cover = fund.universal_cover(quandle)
-    for sub, projection in fund.enumerate_connected_coverings(quandle, 0):
+    for _, projection, _ in fund.enumerate_connected_coverings(quandle, 0):
         kind, lift = fund.check_lifting(cover.projection, projection)
         assert kind == "lift"
         morphism = qmod.QuandleHom(cover.cover, projection.source, lift.map)
@@ -811,7 +848,7 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
             continue
         q = quandle.basepoints[0]
         coverings = [fund.universal_cover(quandle).projection]
-        coverings += [p for _, p in
+        coverings += [p for _, p, _ in
                       fund.enumerate_connected_coverings(quandle, q)]
         table, ends = fund.adj0_enumeration(quandle, q)
         stabilizer = [w for w, e in zip(table.representative_word, ends)

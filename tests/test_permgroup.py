@@ -4,7 +4,8 @@ import pytest
 
 from quandelier import permgroup
 from quandelier.errors import BudgetExceeded
-from conftest import cyclic_group, symmetric_group
+from conftest import cayley_table, cyclic_group, symmetric_group
+from oracles import orbits
 
 
 def test_mul_is_left_to_right():
@@ -51,52 +52,56 @@ def test_closure_budget():
         permgroup.closure(symmetric_group(5).generators, budget=10)
 
 
-def test_group_index_and_mul_idx():
+def test_cayley_table_indexes_products():
     group = symmetric_group(3)
+    table = cayley_table(group)
     for i in range(group.order):
         for j in range(group.order):
             expect = permgroup.mul(group.elements[i], group.elements[j])
-            assert group.elements[group.mul_idx(i, j)] == expect
+            assert group.elements[table[i][j]] == expect
 
 
 def test_orbits_of_a_cycle():
     group = permgroup.closure([(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)])
-    assert permgroup.orbits(group) == [(0, 1, 2), (3, 4)]
+    assert orbits(group) == [(0, 1, 2), (3, 4)]
 
 
 def test_orbits_sorted_by_minimum():
     group = permgroup.closure([(0, 1, 3, 2)])
-    assert permgroup.orbits(group) == [(0,), (1,), (2, 3)]
+    assert orbits(group) == [(0,), (1,), (2, 3)]
 
 
 def test_subgroups_of_prime_cyclic():
     # a cyclic group of prime order has exactly two subgroups
     for p in (2, 3, 5, 7):
-        assert len(permgroup.subgroups(cyclic_group(p))) == 2
+        assert len(permgroup.subgroups(cayley_table(cyclic_group(p)))) == 2
 
 
 def test_subgroups_of_s3():
     # S3: trivial, three of order 2, one of order 3, S3 itself
-    subs = permgroup.subgroups(symmetric_group(3))
-    assert sorted(s.order for s in subs) == [1, 2, 2, 2, 3, 6]
+    subs = permgroup.subgroups(cayley_table(symmetric_group(3)))
+    assert [len(s) for s in subs] == [1, 2, 2, 2, 3, 6]
+    assert subs[0] == (0,) and subs[-1] == tuple(range(6))
 
 
 def test_subgroups_of_klein_four():
     group = permgroup.closure([(1, 0, 3, 2), (2, 3, 0, 1)])
-    subs = permgroup.subgroups(group)
-    assert sorted(s.order for s in subs) == [1, 2, 2, 2, 4]
+    subs = permgroup.subgroups(cayley_table(group))
+    assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 4]
 
 
 def test_subgroups_are_closed():
     for group in (symmetric_group(3), cyclic_group(6)):
-        for sub in permgroup.subgroups(group):
-            members = set(sub.elements)
-            for a in sub.elements:
-                assert permgroup.inverse(a) in members
-                for b in sub.elements:
-                    assert permgroup.mul(a, b) in members
+        table = cayley_table(group)
+        for sub in permgroup.subgroups(table):
+            members = set(sub)
+            assert list(sub) == sorted(members)
+            for a in sub:
+                assert table[a].index(0) in members
+                for b in sub:
+                    assert table[a][b] in members
 
 
 def test_subgroups_budget():
     with pytest.raises(BudgetExceeded):
-        permgroup.subgroups(symmetric_group(4), budget=10)
+        permgroup.subgroups(cayley_table(symmetric_group(4)), budget=10)
