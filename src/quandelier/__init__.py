@@ -1,7 +1,7 @@
 """quandelier: finite quandles, their coverings, fundamental groups,
 and second (co)homology."""
 
-from .errors import (BudgetExceeded, EmptyUnion, InfiniteGroup,
+from .errors import (BudgetExceeded, EmptyUnion, InfiniteGroup, NotACocycle,
                      NotAHomomorphism, NotAQuandle, NotRightInvertible,
                      ParseError, QuandelierError)
 from .quandle import (FiniteQuandle, QuandleHom, alexander, conj_class,
@@ -17,8 +17,9 @@ from .cohomology import (Coeff, Cocycle2, Extension, are_cohomologous,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "EmptyUnion", "InfiniteGroup", "NotAHomomorphism",
-    "NotAQuandle", "NotRightInvertible", "ParseError", "QuandelierError",
+    "BudgetExceeded", "EmptyUnion", "InfiniteGroup", "NotACocycle",
+    "NotAHomomorphism", "NotAQuandle", "NotRightInvertible", "ParseError",
+    "QuandelierError",
     "FiniteQuandle", "QuandleHom", "alexander", "conj_class", "core",
     "dihedral", "is_covering", "pullback", "q_mn", "trivial",
     "union_coverings", "validate",

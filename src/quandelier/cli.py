@@ -15,8 +15,8 @@ import sys
 
 from . import cohomology as coh, fundamental as fund, quandle as qmod
 from .cohomology import Coeff, Cocycle2
-from .errors import (BudgetExceeded, NotAHomomorphism, NotAQuandle,
-                     ParseError, QuandelierError)
+from .errors import (BudgetExceeded, NotACocycle, NotAHomomorphism,
+                     NotAQuandle, ParseError, QuandelierError)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -344,8 +344,12 @@ def _label_rows(labels, rows):
 
 
 def emit_quandle(quandle: qmod.FiniteQuandle, out):
+    """The table, each row read across the labelled distinct columns."""
     labels = _labels(quandle.n)
-    out.write(f"quandle {quandle.n}\n{_label_rows(labels, quandle.op)}"
+    texts = [tuple(map(labels.__getitem__, c)) for c in quandle.columns]
+    rows = "".join([" ".join(row) + "\n" for row in
+                    zip(*map(texts.__getitem__, quandle.column_id))])
+    out.write(f"quandle {quandle.n}\n{rows}"
               f"basepoints {_label_rows(labels, [quandle.basepoints])}")
 
 
@@ -448,11 +452,8 @@ def _table_group_invariants(coeff: Coeff):
     """Invariant factors of an abelian table group, via its relators."""
     from . import fpgroup
     k = coeff.order
-    relators = []
-    for a in range(k):
-        for b in range(k):
-            c = coeff.table[a][b]
-            relators.append((a + 1, b + 1, -(c + 1)))
+    relators = [(a + 1, b + 1, -(coeff.table[a][b] + 1))
+                for a in range(k) for b in range(k)]
     # kill the identity generator explicitly
     relators.append((coeff.identity + 1,))
     pres = fpgroup.Presentation(generator_count=k, relators=tuple(relators))
@@ -515,13 +516,13 @@ def cmd_ext(args, out) -> int:
     if args.from_cocycle is not None:
         quandle = parse_quandle_file(args.quandle)
         f, coeffs = parse_cocycle_file(args.from_cocycle, quandle)
-        ok, witness = coh.is_cocycle(f, quandle, coeffs)
-        if not ok:
-            a, b, c = witness
+        try:
+            ext = coh.extension_from_cocycle(quandle, coeffs, f)
+        except NotACocycle as exc:
+            a, b, c = exc.witness
             print(f"cocycle=false witness=a={a + 1} b={b + 1} c={c + 1}",
                   file=out)
             return EXIT_SEMANTIC
-        ext = coh.extension_from_cocycle(quandle, coeffs, f)
         emit_extension(ext, out)
         return EXIT_OK
     if args.extract:
@@ -579,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--universal", action="store_true",
                        help="emit the universal cover and its projection")
     group.add_argument("--enumerate", action="store_true",
-                       help="list connected coverings up to isomorphism")
+                       help="list one pointed connected covering per "
+                            "subgroup of pi1")
     group.add_argument("--check", metavar="MAPFILE",
                        help="test whether a map file is a covering")
     p.add_argument("--target", metavar="QUANDLEFILE",

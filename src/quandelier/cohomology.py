@@ -7,10 +7,10 @@ coverings and with homomorphisms out of the fundamental group.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from . import fpgroup, fundamental, quandle as qmod
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotACocycle
 from .fpgroup import AbelianInvariants
 from .quandle import FiniteQuandle, QuandleHom
 
@@ -65,11 +65,9 @@ class Coeff:
         for row in table:
             if sorted(row) != list(range(k)):
                 raise ValueError("rows must be permutations")
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError("table is not associative")
+        if any(table[table[a][b]][c] != table[a][table[b][c]]
+               for a in range(k) for b in range(k) for c in range(k)):
+            raise ValueError("table is not associative")
         if any(table[identity][x] != x or table[x][identity] != x
                for x in range(k)):
             raise ValueError("identity element is wrong")
@@ -163,7 +161,7 @@ def is_cocycle(f, quandle: FiniteQuandle, coeffs):
     coeffs = graded_coefficients(quandle, coeffs)
     values = f.values if isinstance(f, Cocycle2) else tuple(
         tuple(row) for row in f)
-    n, op, gr = quandle.n, quandle.op, quandle.grading
+    n, rho, gr = quandle.n, quandle.rho, quandle.grading
     for a in range(n):
         if values[a][a] != coeffs[gr[a]].identity:
             return False, (a, a, a)
@@ -171,8 +169,8 @@ def is_cocycle(f, quandle: FiniteQuandle, coeffs):
         lam = coeffs[gr[a]]
         for b in range(n):
             for c in quandle.generators:
-                lhs = lam.mul(values[a][b], values[op[a][b]][c])
-                rhs = lam.mul(values[a][c], values[op[a][c]][op[b][c]])
+                lhs = lam.mul(values[a][b], values[rho[b][a]][c])
+                rhs = lam.mul(values[a][c], values[rho[c][a]][rho[c][b]])
                 if lhs != rhs:
                     return False, (a, b, c)
     return True, None
@@ -184,8 +182,8 @@ def coboundary(quandle: FiniteQuandle, coeffs, g) -> Cocycle2:
     rows = []
     for a in range(quandle.n):
         lam = coeffs[quandle.grading[a]]
-        rows.append(tuple(lam.mul(lam.inv(g[a]), g[quandle.op[a][b]])
-                          for b in range(quandle.n)))
+        rows.append(tuple(lam.mul(lam.inv(g[a]), g[column[a]])
+                          for column in quandle.rho))
     return Cocycle2(tuple(rows))
 
 
@@ -203,7 +201,7 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
     coeffs = graded_coefficients(quandle, coeffs)
     va = f.values if isinstance(f, Cocycle2) else f
     vb = f2.values if isinstance(f2, Cocycle2) else f2
-    n, op = quandle.n, quandle.op
+    n, rho = quandle.n, quandle.rho
     g = [None] * n
     steps = 0
     for part in qmod.components(quandle)[0]:
@@ -218,7 +216,7 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
                     steps += 1
                     if steps > budget:
                         raise BudgetExceeded(steps, "cohomology search")
-                    c = op[a][b]
+                    c = rho[b][a]
                     # g(a*b) = f2(a,b)^-1 g(a) f(a,b)
                     val = lam.mul(lam.mul(lam.inv(vb[a][b]), assignment[a]),
                                   va[a][b])
@@ -292,8 +290,8 @@ def check_extension(ext: Extension):
             q = ext.projection.map[x]
             if base.grading[q] == i:
                 fibres.setdefault(q, []).append(x)
-        for k in range(lam.order):
-            perm = ext.action[i][k]
+        acts = ext.action[i]
+        for perm in acts:
             for x in range(total.n):
                 q = ext.projection.map[x]
                 if base.grading[q] != i:
@@ -303,83 +301,66 @@ def check_extension(ext: Extension):
                     return False, "action leaves its fibre"
         for k in range(lam.order):
             for m in range(lam.order):
-                km = lam.mul(k, m)
-                for x in range(total.n):
-                    if ext.action[i][k][ext.action[i][m][x]] != \
-                            ext.action[i][km][x]:
-                        return False, "action is not a homomorphism"
+                if list(map(acts[k].__getitem__, acts[m])) != list(
+                        acts[lam.mul(k, m)]):
+                    return False, "action is not a homomorphism"
         for q, fib in fibres.items():
-            hit = {ext.action[i][k][fib[0]] for k in range(lam.order)}
+            hit = {perm[fib[0]] for perm in acts}
             if len(hit) != lam.order or hit != set(fib):
                 return False, f"action not free/transitive on fibre of {q}"
-        for k in range(lam.order):
-            perm = ext.action[i][k]
-            for x in range(total.n):
-                for y in total.generators:
-                    if total.op[perm[x]][y] != perm[total.op[x][y]]:
-                        return False, "(E1) left equivariance fails"
+        for perm in acts:
+            for y in total.generators:
+                column = total.rho[y]
+                if list(map(column.__getitem__, perm)) != list(
+                        map(perm.__getitem__, column)):
+                    return False, "(E1) left equivariance fails"
     return True, None
 
 
 def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
-    """The quandle Lambda x_f Q with (u,a)*(v,b) = (u f(a,b), a*b)."""
+    """The quandle Lambda x_f Q with (u,a)*(v,b) = (u f(a,b), a*b);
+    raises NotACocycle, with is_cocycle's witness, if f is none."""
     coeffs = graded_coefficients(quandle, coeffs)
     ok, wit = is_cocycle(f, quandle, coeffs)
     if not ok:
-        raise ValueError(f"not a cocycle, witness {wit}")
+        raise NotACocycle(wit)
     values = f.values if isinstance(f, Cocycle2) else f
-    n, op, gr = quandle.n, quandle.op, quandle.grading
-    elements = [(u, a) for a in range(n)
-                for u in range(coeffs[gr[a]].order)]
-    index = {e: i for i, e in enumerate(elements)}
+    n, rho, gr = quandle.n, quandle.rho, quandle.grading
+    tables = [coeffs[gr[a]].table for a in range(n)]
+    # (u, a) is element start[a] + u, and u v is tables[a][u][v]
+    start = list(accumulate(map(len, tables), initial=0))
+    over = tuple(a for a in range(n) for _ in tables[a])
     # (u,a)*(v,b) does not read v: one column per base element b
-    columns = [tuple(index[(coeffs[gr[a]].mul(u, values[a][b]), op[a][b])]
-                     for (u, a) in elements) for b in range(n)]
-    over = tuple(a for (_, a) in elements)
-    basepoints = tuple(index[(coeffs[i].identity, q)]
+    columns = [tuple(start[c] + row[values[a][b]]
+                     for a, c in enumerate(rho[b]) for row in tables[a])
+               for b in range(n)]
+    basepoints = tuple(start[q] + coeffs[i].identity
                        for i, q in enumerate(quandle.basepoints))
     total = qmod.from_columns(columns, over, tuple(gr[a] for a in over),
                               basepoints)
-    projection = QuandleHom(total, quandle, over)
-    action = []
-    for i, lam in enumerate(coeffs):
-        perms = []
-        for k in range(lam.order):
-            perm = []
-            for (u, a) in elements:
-                if gr[a] == i:
-                    perm.append(index[(lam.mul(k, u), a)])
-                else:
-                    perm.append(index[(u, a)])
-            perms.append(tuple(perm))
-        action.append(tuple(perms))
-    return Extension(total=total, projection=projection,
-                     coeffs=coeffs, action=tuple(action))
+    action = tuple(tuple(tuple(start[a] + (row[u] if gr[a] == i else u)
+                               for a in range(n)
+                               for u in range(len(tables[a])))
+                         for row in lam.table)
+                   for i, lam in enumerate(coeffs))
+    return Extension(total=total, projection=QuandleHom(total, quandle, over),
+                     coeffs=coeffs, action=action)
 
 
 def cocycle_from_extension(ext: Extension) -> Cocycle2:
     """Read the cocycle off the projection's least-element section s:
-    s(a)*s(b) = f(a,b) s(a*b)."""
-    base = ext.projection.target
-    section = ext.projection.section
-    rows = []
-    for a in range(base.n):
-        i = base.grading[a]
-        lam = ext.coeffs[i]
-        row = []
-        for b in range(base.n):
-            t = ext.total.op[section[a]][section[b]]
-            target = section[base.op[a][b]]
-            found = None
-            for k in range(lam.order):
-                if ext.action[i][k][target] == t:
-                    found = k
-                    break
-            if found is None:
-                raise AssertionError("fibre action misses the product")
-            row.append(found)
-        rows.append(tuple(row))
-    return Cocycle2(tuple(rows))
+    s(a)*s(b) = f(a,b) s(a*b), f(a,b) the least k sending s(a*b) there,
+    looked up per base element c in moves[c]: k.s(c) -> k."""
+    base, section = ext.projection.target, ext.projection.section
+    moves = [{perm[s]: k for k, perm in reversed(tuple(enumerate(
+                 ext.action[base.grading[c]])))}
+             for c, s in enumerate(section)]
+    columns = [[moves[c].get(x) for c, x in zip(
+                   base.rho[b], map(ext.total.rho[s].__getitem__, section))]
+               for b, s in enumerate(section)]
+    if any(None in column for column in columns):
+        raise AssertionError("fibre action misses the product")
+    return Cocycle2(tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +413,7 @@ def are_equivalent_extensions(e1: Extension, e2: Extension,
     lambda s1(a) -> lambda g(a)^-1 s2(a).  Returns the mapping tuple.
     """
     base = e1.projection.target
-    if e2.projection.target.op != base.op:
+    if not base.same_table(e2.projection.target):
         raise ValueError("extensions must share their base")
     if tuple(c.table for c in e1.coeffs) != tuple(c.table
                                                   for c in e2.coeffs):

@@ -57,6 +57,12 @@ class NotAHomomorphism(QuandelierError):
         super().__init__(f"map is not a quandle homomorphism at {witness}")
 
 
+class NotACocycle(QuandelierError, ValueError):
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"not a cocycle, witness {witness}")
+
+
 class EmptyUnion(QuandelierError):
     pass
 

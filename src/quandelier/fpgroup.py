@@ -7,7 +7,7 @@ construction; relator scans need the raw letters.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import add
 
 from .errors import BudgetExceeded
@@ -157,7 +157,7 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
     deduplicated; the pairs used as definitions, and a = s, reduce to
     the empty word and are omitted.
     """
-    op, gens = quandle.op, tuple(gens)
+    rho, gens = quandle.rho, tuple(gens)
     words = [None] * quandle.n
     for k, s in enumerate(gens, 1):
         words[s] = (k,)
@@ -167,7 +167,7 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
         nxt = []
         for x in frontier:
             for k, s in enumerate(gens, 1):
-                y = op[x][s]
+                y = rho[s][x]
                 if words[y] is None:
                     words[y] = normalize((-k,) + words[x] + (k,))
                     tree.append((y, x, s))
@@ -178,7 +178,7 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
     for a in range(quandle.n):
         for k, s in enumerate(gens, 1):
             w = normalize((-k,) + words[a] + (k,)
-                          + inverse_word(words[op[a][s]]))
+                          + inverse_word(words[rho[s][a]]))
             if w and w not in seen:
                 seen.add(w)
                 relators.append(w)
@@ -522,18 +522,7 @@ class AbelianInvariants:
     @property
     def order(self):
         """Group order, or None when the free rank is positive."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
-
-def invariants_from_factors(ngens: int, factors) -> AbelianInvariants:
-    nonzero = [d for d in factors if d]
-    return AbelianInvariants(free_rank=ngens - len(nonzero),
-                             torsion=tuple(d for d in nonzero if d >= 2))
+        return None if self.free_rank else prod(self.torsion)
 
 
 def abelian_invariants(presentation: Presentation) -> AbelianInvariants:
@@ -543,8 +532,10 @@ def abelian_invariants(presentation: Presentation) -> AbelianInvariants:
         for letter in r:
             j = abs(letter) - 1
             entries[(i, j)] = entries.get((i, j), 0) + (1 if letter > 0 else -1)
-    factors = _snf_invariants_sparse(entries)
-    return invariants_from_factors(presentation.generator_count, factors)
+    nonzero = [d for d in _snf_invariants_sparse(entries) if d]
+    return AbelianInvariants(
+        free_rank=presentation.generator_count - len(nonzero),
+        torsion=tuple(d for d in nonzero if d >= 2))
 
 
 def count_homs_to_abelian(src: AbelianInvariants,

@@ -15,6 +15,8 @@ are its quotients by the subgroups of pi_1.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add
 
 from . import fpgroup, permgroup, quandle as qmod
 from .errors import BudgetExceeded, InfiniteGroup
@@ -48,8 +50,8 @@ def build_complex(quandle: FiniteQuandle, vertices):
     # the vertex it reaches
     step = [None] * (2 * m + 1)
     for k, s in enumerate(adjoint.generators, 1):
-        step[k] = [(x * m + k, row[s]) for x, row in enumerate(quandle.op)]
-        step[-k] = [(-(row[s] * m + k), row[s]) for row in quandle.inv_op]
+        step[k] = [(x * m + k, y) for x, y in enumerate(quandle.rho[s])]
+        step[-k] = [(-(y * m + k), y) for y in quandle.rho_inv[s]]
 
     def lift(a, word):
         path = []
@@ -97,7 +99,7 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
         raise ValueError("basepoint out of range")
     gens = quandle.adjoint.generators
     m = len(gens)
-    op, inv_op = quandle.op, quandle.inv_op
+    steps = [(quandle.rho[s], quandle.rho_inv[s]) for s in gens]
     killed = set()  # 1-based edge letters
     paths = [None] * quandle.n
     paths[basepoint] = ()
@@ -105,10 +107,9 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     while frontier:
         nxt = []
         for v in frontier:
-            for k, s in enumerate(gens, 1):
-                for e, w, letter in ((v * m + k, op[v][s], s + 1),
-                                     (inv_op[v][s] * m + k, inv_op[v][s],
-                                      -s - 1)):
+            for k, (s, (step, back)) in enumerate(zip(gens, steps), 1):
+                for e, w, letter in ((v * m + k, step[v], s + 1),
+                                     (back[v] * m + k, back[v], -s - 1)):
                     if paths[w] is None:
                         paths[w] = paths[v] + (letter,)
                         killed.add(e)
@@ -184,7 +185,7 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
         x = basepoint
         for letter in word:
             g = abs(letter) - 1
-            x = quandle.op[x][g] if letter > 0 else quandle.inv_op[x][g]
+            x = (quandle.rho if letter > 0 else quandle.rho_inv)[g][x]
         endpoints.append(x)
     return table, tuple(endpoints)
 
@@ -238,7 +239,7 @@ class FundamentalGroup:
         the cover, so with a' = a/s,
         f(a, y) = f(a', s)^-1 f(a', x) f(a'*x, s)."""
         quandle, table, mul = self.quandle, self.regular, self.cayley
-        op, inv_op, n = quandle.op, quandle.inv_op, quandle.n
+        rho, rho_inv, n = quandle.rho, quandle.rho_inv, quandle.n
         images, adjoint = self.presentation.images, quandle.adjoint
         m = len(adjoint.generators)
         inverse = [row.index(0) for row in mul]
@@ -250,8 +251,8 @@ class FundamentalGroup:
                 f[a][s] = label[images[a * m + k]]
         for y, x, s in adjoint.tree:
             for a in range(n):
-                b = inv_op[a][s]
-                f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[op[b][x]][s]]
+                b = rho_inv[s][a]
+                f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[rho[x][b]][s]]
         return tuple(map(tuple, f))
 
     @property
@@ -300,14 +301,14 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     for the i-th coset, over a, so the first n lie over distinct base
     elements and the greedy generating set is as small as the base's.
     Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b))."""
-    quandle, mul, f, n = pi1.quandle, pi1.cayley, pi1.cocycle, pi1.quandle.n
-    coset_of = {g: i for i, coset in enumerate(cosets) for g in coset}
-    columns = []
-    for b in range(n):
-        ends = [(f[a][b], quandle.op[a][b]) for a in range(n)]
-        columns.append(tuple(coset_of[row[t]] * n + c
-                             for row in (mul[coset[0]] for coset in cosets)
-                             for t, c in ends))
+    quandle, mul, n = pi1.quandle, pi1.cayley, pi1.quandle.n
+    offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
+    # shift[i][t] = n times the index of K g_i t, g_i = cosets[i][0]
+    shift = [tuple(map(offset.__getitem__, mul[coset[0]]))
+             for coset in cosets]
+    columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
+                                             rho_b) for row in shift))
+               for f_b, rho_b in zip(zip(*pi1.cocycle), quandle.rho)]
     over = tuple(range(n)) * len(cosets)
     return QuandleHom(qmod.from_columns(columns, over), quandle, over)
 
@@ -367,13 +368,12 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     lift = {x0: lift_basepoint}
     path = {x0: ()}
     queue = [x0]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:  # grows while it is read
         for b in x_side.generators:
             fb = p.section[f.map[b]]
-            for sign, v, w in ((1, x_side.op[u][b], cover.op[lift[u]][fb]),
-                               (-1, x_side.inv_op[u][b],
-                                cover.inv_op[lift[u]][fb])):
+            for sign, v, w in ((1, x_side.rho[b][u], cover.rho[fb][lift[u]]),
+                               (-1, x_side.rho_inv[b][u],
+                                cover.rho_inv[fb][lift[u]])):
                 if v not in lift:
                     lift[v] = w
                     path[v] = path[u] + (sign * (b + 1),)
@@ -431,7 +431,7 @@ def monodromy(p: QuandleHom, basepoint: int,
     ok, _ = qmod.is_covering(p)
     if not ok:
         raise ValueError("p is not a covering")
-    base, op, inv_op = p.target, p.source.op, p.source.inv_op
+    base, rho, rho_inv = p.target, p.source.rho, p.source.rho_inv
     pi1 = pi1_model(base, basepoint, budget=budget)
     pres, gens = pi1.presentation, base.adjoint.generators
     fibre = p.fibre(basepoint)
@@ -441,12 +441,12 @@ def monodromy(p: QuandleHom, basepoint: int,
         a, k = divmod(pres.images.index(j), len(gens))
         s = gens[k]
         loop = (pres.paths[a] + (s + 1,)
-                + fpgroup.inverse_word(pres.paths[base.op[a][s]]))
+                + fpgroup.inverse_word(pres.paths[base.rho[s][a]]))
         images = list(fibre)
         for letter in loop:
             b = p.section[abs(letter) - 1]
-            images = [op[x][b] if letter > 0 else inv_op[x][b]
-                      for x in images]
+            images = list(map((rho if letter > 0 else rho_inv)[b].__getitem__,
+                              images))
         step.append(tuple(map(pos.__getitem__, images)))
     step = (None, *step, *map(permgroup.inverse, reversed(step)))
     perms = _right_action(pi1.regular, step, tuple(range(len(fibre))))

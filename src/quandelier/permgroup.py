@@ -20,10 +20,6 @@ DEFAULT_GROUP_BUDGET = 10_000
 DEFAULT_SUBGROUP_BUDGET = 2_000
 
 
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def mul(p: Perm, q: Perm) -> Perm:
     """p followed by q: x -> q[p[x]]."""
     return tuple(q[i] for i in p)
@@ -34,10 +30,6 @@ def inverse(p: Perm) -> Perm:
     for i, j in enumerate(p):
         images[j] = i
     return tuple(images)
-
-
-def is_perm(p) -> bool:
-    return sorted(p) == list(range(len(p)))
 
 
 @dataclass(frozen=True)
@@ -81,12 +73,12 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
         degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    if any(not is_perm(g) for g in generators):
+    if any(sorted(g) != list(range(degree)) for g in generators):
         raise ValueError("generator is not a permutation")
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
-    ident = identity_perm(degree)
+    ident = tuple(range(degree))
     elements = [ident]
     seen = {ident}
     frontier = 0

@@ -7,6 +7,7 @@ the CLI boundary.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from . import fpgroup, permgroup
@@ -17,9 +18,16 @@ from .permgroup import FiniteGroup, Perm
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """An n-element quandle as operation tables, built by from_columns.
+    """An n-element quandle held by its distinct right translations
+    C: a -> a*b, built by from_columns.
 
-    op[a][b] = a * b and inv_op[a][b] is the unique x with x * b = a.
+    columns holds them numbered by first occurrence in b, and
+    column_id[b] is the number of b's: a*b = rho[b][a] and
+    a/b = rho_inv[b][a], each distinct column inverted once, when first
+    read.  A covering of an n-element quandle has at most n distinct
+    columns, so it costs O(n N); the N x N tables op[a][b] = a*b and
+    inv_op[a][b] = a/b are built only when read, validate keeping its
+    input table as op.
     generators is the greedy generating set S, one closure: the rho_s
     with s in S generate Inn(Q), so Q3, homomorphisms, coverings,
     lifting and cocycles are checked on S.  grading maps each element
@@ -32,12 +40,15 @@ class FiniteQuandle:
     n^2 (|S| - 1) cells.
     """
 
-    n: int
-    op: tuple
-    inv_op: tuple
+    columns: tuple
+    column_id: tuple
     grading: tuple
     basepoints: tuple
     generators: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.column_id)
 
     @property
     def component_count(self) -> int:
@@ -46,10 +57,34 @@ class FiniteQuandle:
     def is_connected(self) -> bool:
         return self.component_count == 1
 
+    def same_table(self, other) -> bool:
+        """Equal operations: both number their columns canonically."""
+        return self is other or (self.column_id == other.column_id
+                                 and self.columns == other.columns)
+
+    @cached_property
+    def rho(self) -> tuple:
+        return tuple(map(self.columns.__getitem__, self.column_id))
+
+    @cached_property
+    def rho_inv(self) -> tuple:
+        elements = tuple(range(self.n))
+        inverses = [tuple(map(dict(zip(column, elements)).__getitem__,
+                              elements)) for column in self.columns]
+        return tuple(map(inverses.__getitem__, self.column_id))
+
+    @cached_property
+    def op(self) -> tuple:
+        return tuple(zip(*self.rho))
+
+    @cached_property
+    def inv_op(self) -> tuple:
+        return tuple(zip(*self.rho_inv))
+
     @cached_property
     def adjoint(self) -> fpgroup.AdjointPresentation:
         return fpgroup.adjoint_presentation(
-            self, _closure_search(self.op, self.generators))
+            self, _closure_search(self.rho, self.generators))
 
 
 def _close(columns, members, reached, gens):
@@ -81,7 +116,7 @@ def _generating_set(columns):
     return tuple(gens)
 
 
-def _closure_search(op, greedy):
+def _closure_search(rho, greedy):
     """A generating set no larger than greedy, by largest closure.
 
     Each step adds to T, from the least element of each orbit of
@@ -94,19 +129,18 @@ def _closure_search(op, greedy):
     unsearched when it already meets the lower bound of one element per
     component; the loop bound keeps it also when it has 2 elements.
     """
-    n = len(op)
-    if len(greedy) <= len(_orbits(op, greedy)[0]):
+    n = len(rho)
+    if len(greedy) <= len(_orbits(rho, greedy)[0]):
         return greedy
-    columns = tuple(zip(*op))
     gens, members, reached = (0,), [0], [True] + [False] * (n - 1)
     while len(gens) + 1 < len(greedy):
         best = None
-        for part in _orbits(op, gens)[0]:
+        for part in _orbits(rho, gens)[0]:
             c = part[0]
             if reached[c]:
                 continue
             grown, inside = members[:], reached[:]
-            _close(columns, grown, inside, gens + (c,))
+            _close(rho, grown, inside, gens + (c,))
             if len(grown) == n:
                 return gens + (c,)
             if best is None or len(grown) > len(best[1]):
@@ -116,21 +150,22 @@ def _closure_search(op, greedy):
     return greedy
 
 
-def _orbits(op, gens):
-    """Orbits of the right translations by gens, ordered by their
-    least element, with an element -> orbit-index map."""
-    index = [None] * len(op)
+def _orbits(rho, gens):
+    """Orbits of the right translations rho[s], s in gens, ordered by
+    their least element, with an element -> orbit-index map."""
+    index = [None] * len(rho)
+    steps = [rho[s] for s in gens]
     parts = []
-    for a in range(len(op)):
+    for a in range(len(rho)):
         if index[a] is not None:
             continue
         orbit = [a]
         index[a] = len(parts)
         for x in orbit:
-            for s in gens:
-                if index[op[x][s]] is None:
-                    index[op[x][s]] = len(parts)
-                    orbit.append(op[x][s])
+            for step in steps:
+                if index[step[x]] is None:
+                    index[step[x]] = len(parts)
+                    orbit.append(step[x])
         parts.append(tuple(sorted(orbit)))
     return parts, tuple(index)
 
@@ -163,7 +198,8 @@ def _raise_q3(columns, gens):
 
 
 def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
-    """Check the quandle axioms, then build the quandle by from_columns.
+    """Check the quandle axioms, then assemble the quandle from its
+    distinct columns, keeping op_table as op.
 
     Each check runs once per distinct right-translation column
     C_b: a -> a*b, in range and invertible (Q2) iff it holds each
@@ -201,26 +237,35 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         for i, j in set(zip(column_id, map(column_id.__getitem__, rho))):
             if gather[i](rho) != at_rho(distinct[j]):
                 _raise_q3(columns, gens)
-    return from_columns(distinct, column_id, grading, basepoints)
+    quandle = _assemble(tuple(distinct), tuple(column_id), columns, gens,
+                        grading, basepoints)
+    object.__setattr__(quandle, "op", tuple(map(tuple, op_table)))
+    return quandle
 
 
 def from_columns(columns, over, grading=None, basepoints=None
                  ) -> FiniteQuandle:
-    """The quandle with a * x = columns[over[x]][a], each column
-    inverted once, and checked for no axiom: validate checks an input
-    table, and the covering and extension theorems a table whose x*y
+    """The quandle with a * x = columns[over[x]][a], checked for no
+    axiom: the covering and extension theorems build tables whose x*y
     reads y only through over[y] (Q x_f pi_1 and its quotients,
-    Lambda x_f Q, pullbacks and unions of coverings).  The default
-    grading is the components, with minimum-element basepoints."""
-    n = len(over)
-    elements = tuple(range(n))
-    by_element = tuple(map(columns.__getitem__, over))
-    op = tuple(zip(*by_element))
-    inverses = [tuple(map(dict(zip(column, elements)).__getitem__, elements))
-                for column in columns]
-    inv_op = tuple(zip(*map(inverses.__getitem__, over)))
-    gens = _generating_set(by_element)
-    parts, part_index = _orbits(op, gens)
+    Lambda x_f Q, pullbacks and unions of coverings).  Equal columns
+    are merged, and numbered by first occurrence in x as validate
+    numbers them, in O(n N) for n columns.  The default grading is the
+    components, with minimum-element basepoints."""
+    first = {}  # column -> the least index in columns holding it
+    same = [first.setdefault(column, i) for i, column in enumerate(columns)]
+    number = {}  # that index -> column id, by first occurrence in x
+    column_id = tuple(number.setdefault(same[i], len(number)) for i in over)
+    distinct = tuple(map(columns.__getitem__, number))
+    rho = tuple(map(distinct.__getitem__, column_id))
+    return _assemble(distinct, column_id, rho, _generating_set(rho),
+                     grading, basepoints)
+
+
+def _assemble(columns, column_id, rho, gens, grading, basepoints):
+    """The quandle on canonically numbered columns, rho[x] being x's."""
+    n = len(column_id)
+    parts, part_index = _orbits(rho, gens)
     if grading is None:
         grading = part_index
     else:
@@ -243,8 +288,9 @@ def from_columns(columns, over, grading=None, basepoints=None
         for i, q in enumerate(basepoints):
             if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
-    return FiniteQuandle(n=n, op=op, inv_op=inv_op, grading=grading,
-                         basepoints=basepoints, generators=gens)
+    return FiniteQuandle(columns=columns, column_id=column_id,
+                         grading=grading, basepoints=basepoints,
+                         generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +320,9 @@ def q_mn(m: int, n: int) -> FiniteQuandle:
     if m < 1 or n < 1:
         raise ValueError("blocks must be nonempty")
     size = m + n
-
-    def step(a):
-        if a < m:
-            return (a + 1) % m
-        return m + (a - m + 1) % n
-
-    table = [[a if (a < m) == (b < m) else step(a) for b in range(size)]
+    step = [(a + 1) % m for a in range(m)] + [m + (a + 1) % n
+                                              for a in range(n)]
+    table = [[a if (a < m) == (b < m) else step[a] for b in range(size)]
              for a in range(size)]
     return validate(table)
 
@@ -294,26 +336,17 @@ def conj_class(group: FiniteGroup, seed: Perm) -> FiniteQuandle:
     seed = tuple(seed)
     if seed not in group:
         raise ValueError("seed does not belong to the group")
-    elements = [seed]
-    seen = {seed}
-    frontier = 0
-    while frontier < len(elements):
-        x = elements[frontier]
-        frontier += 1
+    elements, seen = [seed], {seed}
+    for x in elements:  # grows while it is read
         for g in group.generators:
             y = permgroup.mul(permgroup.mul(permgroup.inverse(g), x), g)
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
     index = {x: i for i, x in enumerate(elements)}
-    table = []
-    for x in elements:
-        row = []
-        for y in elements:
-            row.append(index[permgroup.mul(
-                permgroup.mul(permgroup.inverse(y), x), y)])
-        table.append(row)
-    return validate(table)
+    pairs = [(y, permgroup.inverse(y)) for y in elements]
+    return validate([[index[permgroup.mul(permgroup.mul(y_inv, x), y)]
+                      for y, y_inv in pairs] for x in elements])
 
 
 def core(group: FiniteGroup) -> FiniteQuandle:
@@ -336,11 +369,8 @@ def alexander(table, automorphism) -> FiniteQuandle:
     t = tuple(automorphism)
     if sorted(t) != list(range(k)):
         raise ValueError("automorphism must be a bijection on the group")
-    ident = None
-    for e in range(k):
-        if all(table[e][x] == x == table[x][e] for x in range(k)):
-            ident = e
-            break
+    ident = next((e for e in range(k) if all(
+        table[e][x] == x == table[x][e] for x in range(k))), None)
     if ident is None:
         raise ValueError("table has no identity")
     for a in range(k):
@@ -365,7 +395,7 @@ def alexander(table, automorphism) -> FiniteQuandle:
 def components(quandle: FiniteQuandle):
     """Connected components with an element -> component-index map:
     the orbits of the right translations by the generating set."""
-    return _orbits(quandle.op, quandle.generators)
+    return _orbits(quandle.rho, quandle.generators)
 
 
 @dataclass(frozen=True)
@@ -391,18 +421,16 @@ class QuandleHom:
                 raise NotAHomomorphism(("range", v))
         # on the generating set: the s with f(x*s) = f(x)*f(s) for all
         # x form a subquandle
-        src, tgt, f = self.source.op, self.target.op, self.map
+        f, f_at = self.map, self.map.__getitem__
         for s in self.source.generators:
-            for a in range(self.source.n):
-                if f[src[a][s]] != tgt[f[a]][f[s]]:
-                    raise NotAHomomorphism((a, s))
+            src, tgt = self.source.rho[s], self.target.rho[f[s]]
+            if list(map(f_at, src)) != list(map(tgt.__getitem__, f)):
+                a = next(a for a in range(len(f)) if f[src[a]] != tgt[f[a]])
+                raise NotAHomomorphism((a, s))
         section = [None] * self.target.n
         for a in reversed(range(self.source.n)):
             section[f[a]] = a
         object.__setattr__(self, "section", tuple(section))
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
 
     def is_surjective(self) -> bool:
         return None not in self.section
@@ -417,7 +445,7 @@ def identity_hom(quandle: FiniteQuandle) -> QuandleHom:
 
 def compose_homs(f: QuandleHom, g: QuandleHom) -> QuandleHom:
     """g after f."""
-    if f.target is not g.source and f.target.op != g.source.op:
+    if not f.target.same_table(g.source):
         raise ValueError("homomorphisms do not compose")
     return QuandleHom(f.source, g.target, tuple(g.map[v] for v in f.map))
 
@@ -425,21 +453,21 @@ def compose_homs(f: QuandleHom, g: QuandleHom) -> QuandleHom:
 def is_covering(p: QuandleHom):
     """Covering test with a witness.
 
-    True iff p is surjective and fibre-mates act identically by right
-    translation.  Each y is compared with its fibre's section element
-    x on the generating set only: the a with a * x = a * y form a
-    subquandle, as rho_x and rho_y are automorphisms.  Returns (bool,
+    True iff p is surjective and fibre-mates have one column id.  Each
+    y is compared with its fibre's section element x; if their columns
+    differ, they do at a generator a, as the a with a * x = a * y form
+    a subquandle (rho_x and rho_y are automorphisms).  Returns (bool,
     witness), the witness being a triple (a, x, y) with a * x != a * y
     although p(x) = p(y), or None when p is not surjective.
     """
     if not p.is_surjective():
         return False, None
-    op = p.source.op
+    ids, rho = p.source.column_id, p.source.rho
     for y in range(p.source.n):
         x = p.section[p.map[y]]
-        for a in p.source.generators:
-            if op[a][x] != op[a][y]:
-                return False, (a, x, y)
+        if ids[x] != ids[y]:
+            a = next(a for a in p.source.generators if rho[x][a] != rho[y][a])
+            return False, (a, x, y)
     return True, None
 
 
@@ -453,7 +481,7 @@ def pullback(p: QuandleHom, f: QuandleHom):
     ok, _ = is_covering(p)
     if not ok:
         raise ValueError("p is not a covering")
-    if f.target.op != p.target.op:
+    if not f.target.same_table(p.target):
         raise ValueError("p and f must share a target")
     x_side, cover = f.source, p.source
     elements = [(x, a) for x in range(x_side.n) for a in range(cover.n)
@@ -461,7 +489,7 @@ def pullback(p: QuandleHom, f: QuandleHom):
     index = {e: i for i, e in enumerate(elements)}
     # (x, a)*(y, b) = (x*y, a*b), and a*b reads b only through
     # p(b) = f(y), so column (y, b) is column y
-    column = [tuple(index[(x_side.op[x][y], cover.op[a][lift])]
+    column = [tuple(index[(x_side.rho[y][x], cover.rho[lift][a])]
                     for x, a in elements)
               for y, lift in enumerate(p.section[v] for v in f.map)]
     over = tuple(x for (x, _) in elements)
@@ -484,16 +512,15 @@ def union_coverings(coverings):
         raise EmptyUnion("union of zero coverings")
     base = coverings[0].target
     for p in coverings:
-        if p.target.op != base.op:
+        if not p.target.same_table(base):
             raise ValueError("coverings must share their base")
         ok, _ = is_covering(p)
         if not ok:
             raise ValueError("input is not a covering")
-    elements = [(i, a) for i, p in enumerate(coverings)
-                for a in range(p.source.n)]
-    index = {e: k for k, e in enumerate(elements)}
-    column = [tuple(index[(i, coverings[i].source.op[a][
-                        coverings[i].section[y]])] for i, a in elements)
+    # (a, i) is element start[i] + a
+    start = list(accumulate((p.source.n for p in coverings), initial=0))
+    column = [tuple(start[i] + x for i, p in enumerate(coverings)
+                    for x in p.source.rho[p.section[y]])
               for y in range(base.n)]
-    over = tuple(coverings[i].map[a] for (i, a) in elements)
+    over = tuple(v for p in coverings for v in p.map)
     return QuandleHom(from_columns(column, over), base, over)

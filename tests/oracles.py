@@ -150,7 +150,7 @@ def validate_rowwise(op_table, grading=None, basepoints=None):
                 b = next(b for b in range(n)
                          if rho[op[a][b]] != op[rho[a]][rho[b]])
                 raise NotAQuandle("Q3", (a, b, s))
-    parts, part_index = qmod._orbits(op, gens)
+    parts, part_index = qmod._orbits(columns, gens)
     if grading is None:
         grading = part_index
     else:
@@ -173,8 +173,14 @@ def validate_rowwise(op_table, grading=None, basepoints=None):
         for i, q in enumerate(basepoints):
             if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
-    return qmod.FiniteQuandle(n=n, op=op, inv_op=inv_op, grading=grading,
-                              basepoints=basepoints, generators=gens)
+    # the distinct columns, numbered by first occurrence
+    number = {}
+    column_id = tuple(number.setdefault(c, len(number)) for c in columns)
+    quandle = qmod.FiniteQuandle(
+        columns=tuple(number), column_id=column_id, grading=grading,
+        basepoints=basepoints, generators=gens)
+    assert (quandle.op, quandle.inv_op) == (op, inv_op)
+    return quandle
 
 
 def full_adjoint_presentation(quandle):

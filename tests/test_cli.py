@@ -5,6 +5,7 @@ import pytest
 
 from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
+from quandelier.errors import NotACocycle
 from conftest import symmetric_group, transposition_quandle
 from oracles import cohomology_classes
 
@@ -403,12 +404,26 @@ def test_ext_equiv(tmp_path):
     assert out == "equivalent=true\n"
 
 
-def test_ext_bad_cocycle_rejected(tmp_path):
+def test_ext_bad_cocycle_rejected(tmp_path, monkeypatch):
+    # the cocycle is checked once, by extension_from_cocycle, whose
+    # NotACocycle carries the witness the command prints
     base = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
     bad = tmp_path / "bad.txt"
     bad.write_text("cocycle 3 over Z2\n0 1 0\n0 0 0\n0 0 0\n")
+    f, coeffs = cli.parse_cocycle_file(str(bad), qmod.dihedral(3))
+    ok, (a, b, c) = coh.is_cocycle(f, qmod.dihedral(3), coeffs)
+    assert not ok
+    with pytest.raises(NotACocycle) as caught:
+        coh.extension_from_cocycle(qmod.dihedral(3), coeffs, f)
+    assert caught.value.witness == (a, b, c)
+    checks = []
+    is_cocycle = coh.is_cocycle
+    monkeypatch.setattr(coh, "is_cocycle",
+                        lambda *args: checks.append(1) or is_cocycle(*args))
     code, out, err = run(["ext", base, "--from-cocycle", str(bad)])
-    assert code == 1
+    assert (code, out, err) == (
+        1, f"cocycle=false witness=a={a + 1} b={b + 1} c={c + 1}\n", "")
+    assert checks == [1]
 
 
 def test_budget_env_override(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -810,6 +814,93 @@ def test_universal_cover_projects_onto_every_covering():
         assert kind == "lift"
         morphism = qmod.QuandleHom(cover.cover, projection.source, lift.map)
         assert qmod.is_covering(morphism)[0]
+
+
+def test_census_is_the_galois_correspondence(corpus):
+    # three computations meet in the paper's main theorem: the subgroup
+    # K of pi_1 behind each census covering p_K is the stabiliser of
+    # the basepoint lift (q, K) under monodromy, which sends it to the
+    # fibre points of the right cosets K g, so the fibre has
+    # [pi_1 : K] points; p_K lifts through p_K' exactly when K lies in
+    # K', and p_K is Galois exactly when every fibre point over q has
+    # the same stabiliser
+    inputs = [(name, quandle) for name, quandle in corpus
+              if quandle.is_connected()]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
+               for m in (5, 6)]
+    pairs = 0
+    for name, quandle in inputs:
+        q = quandle.basepoints[0]
+        census = fund.enumerate_connected_coverings(quandle, q)
+        for sub, p, normal in census:
+            pi1, fibre, perms = fund.monodromy(p, q)
+            assert fibre[0] == q == p.source.basepoints[0], name
+            stabilisers = {tuple(k for k, perm in enumerate(perms)
+                                 if perm[i] == i)
+                           for i in range(len(fibre))}
+            assert tuple(k for k, perm in enumerate(perms)
+                         if perm[0] == 0) == sub, name
+            assert len(fibre) * len(sub) == pi1.order, name
+            mul = pi1.cayley
+            assert {frozenset(g for g, perm in enumerate(perms)
+                              if perm[0] == i)
+                    for i in range(len(fibre))} == {
+                frozenset(mul[k][h] for k in sub)
+                for h in range(pi1.order)}, name
+            assert normal == (len(stabilisers) == 1), name
+        for sub, p, _ in census:
+            for other, p_other, _ in census:
+                kind, _ = fund.check_lifting(p, p_other, lift_basepoint=q)
+                assert (kind == "lift") == set(sub).issubset(other), name
+                pairs += 1
+    assert len(inputs) >= 30 and pairs >= 1000
+
+
+def test_coverings_build_no_square_table():
+    # the universal cover and every census quotient of the S6
+    # transposition quandle, read as `cover --universal` and
+    # `cover --enumerate` read them, are held by their 15 distinct
+    # columns alone: no N x N table, and no inverse, is built
+    quandle = transposition_quandle(6)
+    cover = fund.universal_cover(quandle)
+    cli.emit_quandle(cover.cover, io.StringIO())
+    cli.emit_map(cover.projection.map, io.StringIO())
+    built = [cover.cover]
+    for _, p, _ in fund.enumerate_connected_coverings(quandle, 0):
+        assert len(p.fibre(0)) * p.target.n == p.source.n
+        built.append(p.source)
+    assert len(built) == 31 and cover.cover.n == 360
+    for total in built:
+        assert len(total.columns) == 15
+        assert {"op", "inv_op", "inverses"}.isdisjoint(vars(total))
+
+
+S8_COVER = """
+import resource
+import sys
+from itertools import combinations
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quandelier import fundamental as fund, quandle as qmod
+pairs = list(combinations(range(8), 2))
+index = {p: k for k, p in enumerate(pairs)}
+def conj(a, b):
+    swap = {b[0]: b[1], b[1]: b[0]}
+    return index[tuple(sorted(swap.get(x, x) for x in a))]
+quandle = qmod.validate([[conj(a, b) for b in pairs] for a in pairs])
+cover = fund.universal_cover(quandle)
+sys.exit(0 if (cover.cover.n, len(cover.cover.columns)) == (20160, 28) else 4)
+"""
+
+
+def test_s8_universal_cover_fits_in_a_gigabyte():
+    # N = 20160: two N x N tables would need several GB, while 28
+    # columns of N take a few MB.  The address-space limit is set in
+    # the child process only.
+    src = Path(fund.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", S8_COVER], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------
