@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from . import cohomology as coh, fundamental as fund, quandle as qmod
+from . import cohomology as coh, fpgroup, fundamental as fund, quandle as qmod
 from .cohomology import Coeff, Cocycle2
 from .errors import (BudgetExceeded, NotACocycle, NotAHomomorphism,
                      NotAQuandle, ParseError, QuandelierError)
@@ -39,11 +39,11 @@ def integer(text: str) -> int:
 
 
 def default_budget() -> int:
-    """QUANDELIER_BUDGET as an integer, or 1_000_000 when unset; run
-    checks that it is positive, as it does --budget."""
+    """QUANDELIER_BUDGET as an integer, or fpgroup.DEFAULT_COSET_BUDGET
+    when unset; run checks that it is positive, as it does --budget."""
     value = os.environ.get("QUANDELIER_BUDGET")
     if value is None:
-        return 1_000_000
+        return fpgroup.DEFAULT_COSET_BUDGET
     try:
         return integer(value)
     except ValueError:
@@ -188,7 +188,8 @@ def parse_group_spec(spec) -> Coeff:
     """Abelian spec string, or a path to a 'group <n>' table file.
 
     A spec string must be a divisibility chain (each factor divides the
-    next), as class counting reads its factors as invariant factors.
+    next): its factors are then the group's invariant factors, so each
+    finite abelian group has exactly one spec.
     """
     if spec.startswith("Z") and not os.path.exists(spec):
         coeff = parse_abelian_spec(spec)
@@ -434,11 +435,8 @@ def cmd_h2(args, out) -> int:
 def cmd_h2c(args, out) -> int:
     quandle = parse_quandle_file(args.quandle)
     coeff = parse_group_spec(args.coeff)
-    if not coeff.invariants:
-        if not coeff.abelian:
-            raise ParseError("class counting needs an abelian group")
-        factors = _table_group_invariants(coeff)
-        coeff = Coeff.from_invariants(factors)
+    if not coeff.abelian:
+        raise ParseError("class counting needs an abelian group")
     counts = [c for _, c in coh.h2_with_coefficients(quandle, coeff)]
     if quandle.is_connected():
         print(f"classes={counts[0]}", file=out)
@@ -446,21 +444,6 @@ def cmd_h2c(args, out) -> int:
         for i, c in enumerate(counts):
             print(f"component {i + 1}: classes={c}", file=out)
     return EXIT_OK
-
-
-def _table_group_invariants(coeff: Coeff):
-    """Invariant factors of an abelian table group, via its relators."""
-    from . import fpgroup
-    k = coeff.order
-    relators = [(a + 1, b + 1, -(coeff.table[a][b] + 1))
-                for a in range(k) for b in range(k)]
-    # kill the identity generator explicitly
-    relators.append((coeff.identity + 1,))
-    pres = fpgroup.Presentation(generator_count=k, relators=tuple(relators))
-    inv = fpgroup.abelian_invariants(pres)
-    if inv.free_rank:
-        raise AssertionError("finite group produced free rank")
-    return inv.torsion
 
 
 def cmd_cover(args, out) -> int:
@@ -471,8 +454,6 @@ def cmd_cover(args, out) -> int:
         emit_map(cover.projection.map, out)
         return EXIT_OK
     if args.enumerate:
-        if not quandle.is_connected():
-            raise QuandelierError("covering census needs a connected base")
         q = quandle.basepoints[0]
         coverings = fund.enumerate_connected_coverings(quandle, q,
                                                        budget=args.budget)

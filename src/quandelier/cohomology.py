@@ -8,6 +8,7 @@ coverings and with homomorphisms out of the fundamental group.
 
 from dataclasses import dataclass, field
 from itertools import accumulate, product
+from math import prod
 
 from . import fpgroup, fundamental, quandle as qmod
 from .errors import BudgetExceeded, NotACocycle
@@ -34,7 +35,7 @@ class Coeff:
     table: tuple
     identity: int
     labels: tuple
-    invariants: tuple  # () for non-abelian table groups
+    invariants: tuple  # () for table groups
     inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,11 +91,18 @@ class Coeff:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def abelian_invariants(self) -> AbelianInvariants:
-        if not self.invariants:
-            raise ValueError("group was not given by invariant factors")
-        return AbelianInvariants(
-            free_rank=0, torsion=tuple(d for d in self.invariants if d >= 2))
+    def hom_count(self, inv: AbelianInvariants) -> int:
+        """|Hom(inv, Lambda)| for abelian Lambda: |Lambda|^rank times,
+        per torsion factor d, the count of elements whose order, the
+        length of the walk of powers to the identity, divides d."""
+        orders = []
+        for a in range(self.order):
+            x, m = a, 1
+            while x != self.identity:
+                x, m = self.table[x][a], m + 1
+            orders.append(m)
+        return self.order ** inv.free_rank * prod(
+            sum(d % m == 0 for m in orders) for d in inv.torsion)
 
 
 def graded_coefficients(quandle: FiniteQuandle, coeff):
@@ -243,10 +251,9 @@ def h2_with_coefficients(quandle: FiniteQuandle, coeffs):
     Returns (H2 invariants, class count) per component.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    if any(not lam.invariants for lam in coeffs):
-        raise ValueError("counting needs abelian invariant-factor groups")
-    return [(inv, fpgroup.count_homs_to_abelian(inv,
-                                                 lam.abelian_invariants()))
+    if not all(lam.abelian for lam in coeffs):
+        raise ValueError("counting needs abelian coefficient groups")
+    return [(inv, lam.hom_count(inv))
             for inv, lam in zip(h2_integral(quandle), coeffs)]
 
 

@@ -536,20 +536,3 @@ def abelian_invariants(presentation: Presentation) -> AbelianInvariants:
     return AbelianInvariants(
         free_rank=presentation.generator_count - len(nonzero),
         torsion=tuple(d for d in nonzero if d >= 2))
-
-
-def count_homs_to_abelian(src: AbelianInvariants,
-                          target: AbelianInvariants) -> int:
-    """|Hom(src, target)| for a finite abelian target.
-
-    Equals |target|^rank * prod over source torsion d of |target[d]|,
-    where |target[d]| multiplies gcd(d, e) over target factors e.
-    """
-    if target.free_rank:
-        raise ValueError("target must be finite")
-    total = target.order ** src.free_rank
-    for d in src.torsion:
-        for e in target.torsion:
-            total *= gcd(d, e)
-    return total
-

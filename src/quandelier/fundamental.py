@@ -394,7 +394,7 @@ def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
     whether K is, that is whether the covering is Galois.
     """
     if not quandle.is_connected():
-        raise ValueError("base quandle must be connected")
+        raise ValueError("covering census needs a connected base")
     pi1 = pi1_model(quandle, basepoint, budget=budget)
     out = []
     for sub in permgroup.subgroups(pi1.cayley):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quandelier import permgroup, quandle as qmod
+from quandelier import cohomology as coh, permgroup, quandle as qmod
 from oracles import q3_violation
 
 
@@ -32,6 +32,20 @@ def cayley_table(group):
 
 def cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def relabelled_coeff(coeff, rng):
+    """coeff's table under a random relabelling that moves the identity
+    to another label (the trivial group has none), as a table group."""
+    k = coeff.order
+    perm = list(range(k))
+    while k > 1 and perm[coeff.identity] == coeff.identity:
+        rng.shuffle(perm)
+    table = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            table[perm[a]][perm[b]] = perm[coeff.mul(a, b)]
+    return coh.Coeff.from_table(table, perm[coeff.identity])
 
 
 def transposition_quandle(n):

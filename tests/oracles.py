@@ -15,12 +15,14 @@ of a map, the covering check on all pairs, table
 validation row by row, the search for an equivalence of extensions,
 pullbacks and unions of coverings cell by cell, the right
 translations as permutations, cocycles pulled back along a map and
-homomorphisms into a finite group by brute force, and the command
-line's readers of table rows, action rows and cocycle entries, one
-int() call per entry.  The tests compare the package's answers against
-them."""
+homomorphisms into a finite group by brute force, their count into a
+finite abelian group by the gcd formula on invariant factors, and the
+command line's readers of table rows, action rows and cocycle entries,
+one int() call per entry.  The tests compare the package's answers
+against them."""
 
 from itertools import product
+from math import gcd
 from operator import itemgetter
 
 from quandelier import (cohomology as coh, fpgroup, fundamental, permgroup,
@@ -980,6 +982,19 @@ def enumerate_homs(presentation, cayley, budget=1 << 20):
         if ok:
             out.append(images)
     return out
+
+
+def count_homs_to_abelian(src, target):
+    """|Hom(src, target)| for AbelianInvariants src and a finite
+    target: |target|^rank times, for each source torsion factor d, the
+    product of gcd(d, e) over target factors e."""
+    if target.free_rank:
+        raise ValueError("target must be finite")
+    total = target.order ** src.free_rank
+    for d in src.torsion:
+        for e in target.torsion:
+            total *= gcd(d, e)
+    return total
 
 
 def _file_integer(token, what):

@@ -14,7 +14,8 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
-from oracles import cohomology_classes, left_translations, path_complex_h2
+from oracles import (cohomology_classes, count_homs_to_abelian,
+                     left_translations, path_complex_h2)
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -128,8 +129,9 @@ def test_criterion_5_trilogy(corpus):
                 if lam.order ** (quandle.n * quandle.n - quandle.n) > 1 << 14:
                     continue
                 reps, cocycles = cohomology_classes(quandle, lam)
-                homs = fpgroup.count_homs_to_abelian(
-                    fg.abelian_invariants(), lam.abelian_invariants())
+                homs = count_homs_to_abelian(
+                    fg.abelian_invariants(),
+                    fpgroup.AbelianInvariants(0, lam.invariants))
                 assert len(reps) == homs, (name, lam.invariants)
                 # brute-force |Z2|/|B2| with B2 counted explicitly
                 from itertools import product

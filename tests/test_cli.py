@@ -1,4 +1,5 @@
 import io
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import NotACocycle
-from conftest import symmetric_group, transposition_quandle
+from conftest import (relabelled_coeff, symmetric_group,
+                      transposition_quandle)
 from oracles import cohomology_classes
 
 
@@ -196,6 +198,55 @@ def test_h2c_group_file(tmp_path):
     code, out, _ = run(["h2c", path, "--coeff", str(spec)])
     assert code == 0
     assert out == "classes=1\n"
+
+
+def write_group(tmp_path, name, coeff):
+    path = tmp_path / name
+    rows = "".join(" ".join(str(c + 1) for c in row) + "\n"
+                   for row in coeff.table)
+    path.write_text(f"group {coeff.order}\n{rows}"
+                    f"identity {coeff.identity + 1}\n")
+    return str(path)
+
+
+def test_h2c_relabelled_group_files_match_their_specs(tmp_path):
+    # dihedral(4) has H2 = Z + Z2 on each component, so Z4 and Z2xZ2
+    # give different counts; the S4 quandle has H2 = Z2
+    rng = random.Random(7)
+    outs = {}
+    for quandle, name in ((qmod.dihedral(4), "d4"),
+                          (transposition_quandle(4), "s4")):
+        path = write_quandle(tmp_path, f"{name}.txt", quandle)
+        for spec in ("Z4", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z2xZ2xZ16"):
+            table = relabelled_coeff(cli.parse_group_spec(spec), rng)
+            group = write_group(tmp_path, f"{spec}.txt", table)
+            want = outs[name, spec] = run(["h2c", path, "--coeff", spec])
+            assert want[0] == 0
+            assert run(["h2c", path, "--coeff", group]) == want
+    assert outs["d4", "Z4"] == (0, "component 1: classes=8\n"
+                                   "component 2: classes=8\n", "")
+    assert outs["d4", "Z2xZ2"] == (0, "component 1: classes=16\n"
+                                      "component 2: classes=16\n", "")
+
+
+def test_h2c_group_file_runs_one_snf_per_component(tmp_path, monkeypatch):
+    # the class count reads the group's table; only H2 takes an SNF
+    calls = []
+    snf = fpgroup._snf_invariants_sparse
+
+    def counted(entries):
+        calls.append(len(entries))
+        return snf(entries)
+
+    monkeypatch.setattr(fpgroup, "_snf_invariants_sparse", counted)
+    group = write_group(tmp_path, "z2xz4.txt",
+                        coh.Coeff.from_invariants([2, 4]))
+    for quandle, components in ((qmod.dihedral(4), 2),
+                                (transposition_quandle(4), 1)):
+        calls.clear()
+        path = write_quandle(tmp_path, "q.txt", quandle)
+        assert run(["h2c", path, "--coeff", group])[0] == 0
+        assert len(calls) == components
 
 
 def test_h2c_bad_spec(tmp_path):

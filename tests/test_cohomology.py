@@ -5,11 +5,12 @@ import pytest
 from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded
-from conftest import (cayley_table, disjoint_union, symmetric_group,
-                      transposition_quandle)
+from conftest import (cayley_table, disjoint_union, relabelled_coeff,
+                      symmetric_group, transposition_quandle)
 from oracles import (cocycle_violation, cohomology_classes,
-                     enumerate_cocycles, equivalence_by_propagation,
-                     path_complex_h2, pullback_cocycle)
+                     count_homs_to_abelian, enumerate_cocycles,
+                     equivalence_by_propagation, path_complex_h2,
+                     pullback_cocycle)
 
 Z2 = coh.Coeff.from_invariants([2])
 Z3 = coh.Coeff.from_invariants([3])
@@ -53,13 +54,42 @@ def test_coeff_nonabelian_table():
     group = symmetric_group(3)
     s3 = coh.Coeff.from_table(cayley_table(group), group.identity_index)
     assert not s3.abelian
-    with pytest.raises(ValueError):
-        s3.abelian_invariants()
+    with pytest.raises(ValueError, match="abelian"):
+        coh.h2_with_coefficients(qmod.dihedral(3), s3)
     # the inverses read off once agree with group inversion
     for a in range(6):
         assert group.elements[s3.inv(a)] == permgroup.inverse(
             group.elements[a])
         assert s3.mul(a, s3.inv(a)) == s3.identity
+
+
+def _chains(limit, least=1):
+    """Every invariant-factor chain of order <= limit, () included."""
+    yield ()
+    for d in range(2, limit + 1):
+        if d % least == 0:
+            for rest in _chains(limit // d, d):
+                yield (d, *rest)
+
+
+def test_hom_count_matches_the_gcd_formula():
+    # on every abelian group of order <= 64, by spec and as a table
+    # group, with sources of free rank 0-2 and each torsion shape
+    rng = random.Random(22)
+    chains = list(_chains(64))
+    assert len(chains) == 117
+    sources = [fpgroup.AbelianInvariants(rank, torsion)
+               for rank in range(3)
+               for torsion in ((), (2,), (2, 4), (6,), (60,), (2, 2, 2))]
+    for chain in chains:
+        target = fpgroup.AbelianInvariants(0, chain)
+        spec = coh.Coeff.from_invariants(chain)
+        table = relabelled_coeff(spec, rng)
+        assert table.identity != 0 or spec.order == 1
+        for lam in (spec, table):
+            for src in sources:
+                assert lam.hom_count(src) == count_homs_to_abelian(
+                    src, target), (chain, src)
 
 
 # ---------------------------------------------------------------------------
