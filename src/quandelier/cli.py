@@ -7,6 +7,7 @@ codes: 0 success, 1 semantic failure (validation or check false),
 """
 
 import argparse
+import collections
 import contextlib
 import functools
 import math
@@ -527,56 +528,146 @@ def cmd_ext(args, out) -> int:
 # dispatch
 
 
+class Option(collections.namedtuple(
+        "Option", "flag value help metavar required exclusive",
+        defaults=(None, False, False))):
+    """One option of a subcommand.  value reads its value (integer or
+    str), or is None for a switch, which takes none and is stored as
+    True; required options must be given, and of a subcommand's
+    exclusive options exactly one must be."""
+
+    __slots__ = ()
+
+    @property
+    def dest(self) -> str:
+        """The namespace attribute, named from the flag as argparse
+        names it."""
+        return self.flag[2:].replace("-", "_")
+
+
+BUDGET = Option("--budget", integer, "enumeration budget override")
+
+# The command grammar, read by build_parser and _direct_args: each
+# subcommand's help text and the options that follow its one input
+# file, in the order its --help lists them.
+GRAMMAR = {
+    "validate": ("check the quandle axioms", (BUDGET,)),
+    "pi1": ("fundamental group at a basepoint", (
+        BUDGET,
+        Option("--base", integer,
+               "1-based basepoint (default: first component's)"))),
+    "h2": ("integral second homology per component", (BUDGET,)),
+    "h2c": ("cohomology class count with abelian coefficients", (
+        BUDGET,
+        Option("--coeff", str,
+               "group spec, e.g. Z2 or Z2xZ4, or a group file",
+               required=True))),
+    "cover": ("universal cover, covering census, or covering check", (
+        BUDGET,
+        Option("--universal", None,
+               "emit the universal cover and its projection",
+               exclusive=True),
+        Option("--enumerate", None,
+               "list one pointed connected covering per subgroup of pi1",
+               exclusive=True),
+        Option("--check", str, "test whether a map file is a covering",
+               "MAPFILE", exclusive=True),
+        Option("--target", str, "target quandle for --check",
+               "QUANDLEFILE"))),
+    "ext": ("build, extract or compare extensions", (
+        BUDGET,
+        Option("--from-cocycle", str, "build the extension of a cocycle",
+               "COCYCLEFILE", exclusive=True),
+        Option("--extract", None,
+               "read an extension bundle, print its cocycle",
+               exclusive=True),
+        Option("--equiv", str,
+               "compare against another extension bundle", "BUNDLE",
+               exclusive=True))),
+}
+# what _direct_args reads each subcommand by: its options by flag, its
+# namespace before any option is read, and the flags of its required
+# options and of its exclusive ones
+_READERS = {
+    name: ({option.flag: option for option in options},
+           {"command": name, "quandle": None,
+            **{option.dest: False if option.value is None else None
+               for option in options}},
+           {option.flag for option in options if option.required},
+           {option.flag for option in options if option.exclusive})
+    for name, (_, options) in GRAMMAR.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
+    """The argument parser for GRAMMAR, built once per process:
+    parse_args keeps no state between calls.  run uses it only for the
+    command lines _direct_args declines: help, usage errors and the
+    spellings that only argparse reads."""
     parser = argparse.ArgumentParser(
         prog="quandelier",
         description="Finite quandles: validation, fundamental groups, "
                     "homology, coverings and extensions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (help_text, options) in GRAMMAR.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quandle", help="input file")
-        p.add_argument("--budget", type=integer, default=None,
-                       help="enumeration budget override")
-        return p
-
-    add("validate", "check the quandle axioms")
-
-    p = add("pi1", "fundamental group at a basepoint")
-    p.add_argument("--base", type=integer, default=None,
-                   help="1-based basepoint (default: first component's)")
-
-    add("h2", "integral second homology per component")
-
-    p = add("h2c", "cohomology class count with abelian coefficients")
-    p.add_argument("--coeff", required=True,
-                   help="group spec, e.g. Z2 or Z2xZ4, or a group file")
-
-    p = add("cover", "universal cover, covering census, or covering check")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--universal", action="store_true",
-                       help="emit the universal cover and its projection")
-    group.add_argument("--enumerate", action="store_true",
-                       help="list one pointed connected covering per "
-                            "subgroup of pi1")
-    group.add_argument("--check", metavar="MAPFILE",
-                       help="test whether a map file is a covering")
-    p.add_argument("--target", metavar="QUANDLEFILE",
-                   help="target quandle for --check")
-
-    p = add("ext", "build, extract or compare extensions")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--from-cocycle", metavar="COCYCLEFILE",
-                       help="build the extension of a cocycle")
-    group.add_argument("--extract", action="store_true",
-                       help="read an extension bundle, print its cocycle")
-    group.add_argument("--equiv", metavar="BUNDLE",
-                       help="compare against another extension bundle")
+        group = None
+        for option in options:
+            where = p
+            if option.exclusive:
+                if group is None:
+                    group = p.add_mutually_exclusive_group(required=True)
+                where = group
+            if option.value is None:
+                where.add_argument(option.flag, action="store_true",
+                                   help=option.help)
+            else:
+                where.add_argument(option.flag, type=option.value,
+                                   required=option.required,
+                                   metavar=option.metavar, help=option.help)
     return parser
+
+
+def _direct_args(argv):
+    """The namespace parse_args makes of a canonical command line, or
+    None.  Canonical is a subcommand, then its one input file and its
+    options in any order, each option spelt out in full and given at
+    most once, with its value (not starting with '-') as the next
+    argument; its required options are there, and one of its exclusive
+    ones.  Anything else -- -h, an abbreviation, '--opt=value', '--', a
+    repeat, a value that is not an integer where one is wanted -- is
+    left to argparse, with its help and usage errors."""
+    if not argv or argv[0] not in _READERS:
+        return None
+    options, defaults, required, exclusive = _READERS[argv[0]]
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if values["quandle"] is not None:
+                return None
+            values["quandle"] = token
+            continue
+        option = options.get(token)
+        if option is None or token in seen:
+            return None
+        seen.add(token)
+        if option.value is None:
+            values[option.dest] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            values[option.dest] = option.value(text)
+        except ValueError:
+            return None
+    if (values["quandle"] is None or not required <= seen
+            or exclusive and len(exclusive & seen) != 1):
+        return None
+    return argparse.Namespace(**values)
 
 
 COMMANDS = {
@@ -590,15 +681,19 @@ COMMANDS = {
 
 
 def run(argv, out=None, err=None) -> int:
-    """Run one command line; argparse's help and errors go to out/err."""
+    """Run one command line.  A canonical one is read straight from
+    GRAMMAR by _direct_args; any other goes to argparse, whose help goes
+    to out and whose usage errors go to err."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code else EXIT_OK
+    args = _direct_args(argv)
+    if args is None:
+        try:
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_PARSE if exc.code else EXIT_OK
     try:
         if args.budget is None:
             args.budget = default_budget()

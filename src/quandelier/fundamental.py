@@ -391,9 +391,10 @@ def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
     a sorted tuple of element indices (rows of pi_1's Cayley table), in
     the order of permgroup.subgroups.  The projection is the quotient
     of the universal cover by K, on the pairs (a, K h); normal says
-    whether K is, that is whether the covering is Galois.
+    whether K is, that is whether the covering is Galois.  The base is
+    connected when it has one orbit, whatever its grading says.
     """
-    if not quandle.is_connected():
+    if len(qmod.components(quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
     pi1 = pi1_model(quandle, basepoint, budget=budget)
     out = []

@@ -388,32 +388,48 @@ def _options(files):
     }
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_command_lines_end_in_an_exit_code(files, tmp_path, data):
-    # subcommands with their own options, options of other subcommands
-    # and of none, repeated or conflicting, -h, missing files and
-    # --target without --check; argparse's own usage errors keep their
-    # format, and any other failure is one line on standard error
+@st.composite
+def command_lines(draw, files, tmp_path, reorder=False):
+    """A subcommand, or a stray word or option, then mostly an input
+    path, then up to four options: its own, other subcommands' and
+    none's.  With reorder, the path and the options come in a drawn
+    order."""
+    options = _options(files)
+    command = draw(st.sampled_from(
+        [c for c in options if c] * 3 + ["", "valid", "-h", "--budget"]))
+    units = []
+    if draw(st.integers(0, 9)):
+        units.append([draw(st.sampled_from(
+            [files["d3"], files["bundle"], files["map"], files["missing"],
+             str(tmp_path)]))])
+    own = st.sampled_from(options.get(command, options[None]))
+    other = st.sampled_from(sum(options.values(), []))
+    units += draw(st.lists(st.one_of(own, own, own, other), max_size=4))
+    if reorder:
+        units = draw(st.permutations(units))
+    return [command] + sum(units, [])
+
+
+@pytest.fixture
+def line_files(files, tmp_path):
+    """files, with a missing path and valid group and cocycle files."""
     files = dict(files, missing=str(tmp_path / "missing.txt"))
     for kind in ("group", "cocycle"):
         path = tmp_path / f"{kind}.txt"
         path.write_text(VALID[kind])
         files[kind] = str(path)
-    options = _options(files)
-    command = data.draw(st.sampled_from(
-        [c for c in options if c] * 3 + ["", "valid", "-h", "--budget"]))
-    argv = [command]
-    if data.draw(st.integers(0, 9)):
-        argv.append(data.draw(st.sampled_from(
-            [files["d3"], files["bundle"], files["map"], files["missing"],
-             str(tmp_path)])))
-    own = st.sampled_from(options.get(command, options[None]))
-    other = st.sampled_from(sum(options.values(), []))
-    for option in data.draw(st.lists(st.one_of(own, own, own, other),
-                                     max_size=4)):
-        argv += option
+    return files
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_command_lines_end_in_an_exit_code(line_files, tmp_path, data):
+    # subcommands with their own options, options of other subcommands
+    # and of none, repeated or conflicting, -h, missing files and
+    # --target without --check; argparse's own usage errors keep their
+    # format, and any other failure is one line on standard error
+    argv = data.draw(command_lines(line_files, tmp_path))
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out=out, err=err)
     message = err.getvalue()
@@ -424,3 +440,99 @@ def test_command_lines_end_in_an_exit_code(files, tmp_path, data):
     assert message.count("\n") <= 1, (argv, message)
     assert code != 3 or message, argv
     assert code != 0 or not message, (argv, message)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_direct_reading_agrees_with_argparse(line_files, tmp_path, data):
+    # drawn and canonical command lines, their options in drawn orders,
+    # the canonical ones with drawn budgets or a second input file, and
+    # some with all their arguments shuffled: whatever is read from the
+    # option table reads as argparse reads it
+    if data.draw(st.booleans()):
+        argv = data.draw(command_lines(line_files, tmp_path, reorder=True))
+    else:
+        command, *units = data.draw(st.sampled_from(_canonical(line_files)))
+        extra = st.one_of(NUMBERS.map(lambda n: ["--budget", n]),
+                          st.just([line_files["d3"]]))
+        units += data.draw(st.lists(extra, max_size=2))
+        argv = command + sum(data.draw(st.permutations(units)), [])
+    if not data.draw(st.integers(0, 3)):
+        argv = argv[:1] + data.draw(st.permutations(argv[1:]))
+    direct = cli._direct_args(argv)
+    if direct is not None:
+        assert direct == cli.build_parser().parse_args(argv), argv
+
+
+def _reads_argparse(monkeypatch):
+    """Calls of build_parser that run makes, recorded as they happen."""
+    calls = []
+    parser = cli.build_parser
+
+    def recorded():
+        calls.append(1)
+        return parser()
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    return calls
+
+
+def _canonical(files):
+    """Each subcommand as README.md and the benchmark write it: its name,
+    its input file and its options, each a list of arguments."""
+    d3, bundle = files["d3"], files["bundle"]
+    return [[["validate"], [d3]], [["pi1"], [d3]],
+            [["pi1"], [d3], ["--base", "2"]], [["h2"], [d3]],
+            [["h2c"], [d3], ["--coeff", "Z2"]],
+            [["cover"], [d3], ["--universal"]],
+            [["cover"], [d3], ["--enumerate"]],
+            [["cover"], [d3], ["--check", files["map"]], ["--target", d3]],
+            [["ext"], [d3], ["--from-cocycle", files["cocycle"]]],
+            [["ext"], [bundle], ["--extract"]],
+            [["ext"], [bundle], ["--equiv", bundle]]]
+
+
+def test_canonical_command_lines_are_read_directly(line_files, monkeypatch):
+    lines = [line for units in _canonical(line_files)
+             for line in (sum(units, []),
+                          sum(units + [["--budget", "5000"]], []))]
+    for line in lines:
+        assert cli._direct_args(line) == cli.build_parser().parse_args(
+            line), line
+    calls = _reads_argparse(monkeypatch)
+    for line in lines:
+        assert _outcome_of(line)[0] == 0, line
+    assert calls == []
+
+
+def _outcome_of(argv):
+    out, err = io.StringIO(), io.StringIO()
+    return cli.run(argv, out=out, err=err), out.getvalue(), err.getvalue()
+
+
+def test_other_spellings_reach_argparse(line_files, monkeypatch):
+    # each is left to argparse, and ends as the canonical line it spells
+    # out does, or in argparse's help, its usage error or its reading of
+    # a negative budget
+    d3 = line_files["d3"]
+    same = {
+        ("cover", d3, "--univ"): ["cover", d3, "--universal"],
+        ("pi1", d3, "--budget=5"): ["pi1", d3, "--budget", "5"],
+        ("pi1", d3, "--budget", "3000", "--budget", "5"):
+            ["pi1", d3, "--budget", "5"],
+        ("validate", "--", d3): ["validate", d3],
+    }
+    others = [["pi1", d3, "--budget", "-5"], ["-h"], ["pi1", "--help"],
+              ["validate", d3, d3]]
+    for argv in list(same) + others:
+        assert cli._direct_args(list(argv)) is None, argv
+    calls = _reads_argparse(monkeypatch)
+    for argv, canonical in same.items():
+        assert _outcome_of(list(argv)) == _outcome_of(canonical), argv
+    negative, top, pi1, two = map(_outcome_of, others)
+    assert negative == (3, "", "parse error: budget must be positive, "
+                               "got -5\n")
+    assert top[::2] == (0, "") and top[1].startswith("usage: quandelier [-h]")
+    assert pi1[::2] == (0, "") and pi1[1].startswith("usage: quandelier pi1")
+    assert two[:2] == (3, "") and two[2].startswith("usage: quandelier")
+    assert len(calls) == len(same) + len(others)

@@ -761,6 +761,20 @@ def test_check_lifting_counts_orbits_not_grading_classes():
         fund.check_lifting(f, qmod.identity_hom(d4))
 
 
+def test_census_counts_orbits_not_grading_classes():
+    # the total of a trivial Z2 cocycle on dihedral(3) is two copies of
+    # it: one grading class, pulled back from the base, but two orbits
+    d3 = qmod.dihedral(3)
+    z2 = coh.Coeff.from_invariants([2])
+    total = coh.extension_from_cocycle(
+        d3, z2, coh.trivial_cocycle(d3, z2)).total
+    assert total.is_connected()
+    assert len(qmod.components(total)[0]) == 2
+    with pytest.raises(ValueError, match="covering census needs a "
+                                         "connected base"):
+        fund.enumerate_connected_coverings(total, 0)
+
+
 def test_check_lifting_obstruction():
     # the identity of the S4 quandle cannot lift through its universal
     # cover: that would need trivial pi_1
