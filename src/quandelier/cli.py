@@ -13,6 +13,7 @@ import functools
 import math
 import os
 import sys
+from itertools import chain
 
 from . import cohomology as coh, fpgroup, fundamental as fund, quandle as qmod
 from .cohomology import Coeff, Cocycle2
@@ -339,25 +340,24 @@ def _read(path) -> str:
 # printing
 
 
-def _label_rows(labels, rows):
-    """Rows of indices as text lines, each index written as its label."""
-    return "".join([" ".join(map(labels.__getitem__, row)) + "\n"
-                    for row in rows])
+def _write_rows(out, rows):
+    """Write each row, a sequence of strings, as a line once it is joined."""
+    out.writelines(" ".join(row) + "\n" for row in rows)
 
 
 def emit_quandle(quandle: qmod.FiniteQuandle, out):
     """The table, each row read across the labelled distinct columns."""
     labels = _labels(quandle.n)
     texts = [tuple(map(labels.__getitem__, c)) for c in quandle.columns]
-    rows = "".join([" ".join(row) + "\n" for row in
-                    zip(*map(texts.__getitem__, quandle.column_id))])
-    out.write(f"quandle {quandle.n}\n{rows}"
-              f"basepoints {_label_rows(labels, [quandle.basepoints])}")
+    _write_rows(out, chain(
+        [("quandle", str(quandle.n))],
+        zip(*map(texts.__getitem__, quandle.column_id)),
+        [("basepoints", *map(labels.__getitem__, quandle.basepoints))]))
 
 
 def emit_map(mapping, out):
-    print(f"map {len(mapping)}", file=out)
-    print(" ".join(str(v + 1) for v in mapping), file=out)
+    _write_rows(out, [("map", str(len(mapping))),
+                      [str(v + 1) for v in mapping]])
 
 
 def _coeff_spec(coeff: Coeff) -> str:
@@ -367,14 +367,15 @@ def _coeff_spec(coeff: Coeff) -> str:
 
 
 def emit_extension(ext: coh.Extension, out):
-    out.write("extension\n")
+    _write_rows(out, [("extension",)])
     emit_quandle(ext.projection.target, out)
     emit_quandle(ext.total, out)
     emit_map(ext.projection.map, out)
     labels = _labels(ext.total.n)
-    out.write(f"coeff {' '.join(_coeff_spec(c) for c in ext.coeffs)}\n"
-              + "".join(f"action {i + 1}\n{_label_rows(labels, perms)}"
-                        for i, perms in enumerate(ext.action)))
+    _write_rows(out, [("coeff", *map(_coeff_spec, ext.coeffs))])
+    for i, perms in enumerate(ext.action):
+        _write_rows(out, chain([("action", str(i + 1))],
+                               (map(labels.__getitem__, p) for p in perms)))
 
 
 def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):
@@ -382,9 +383,10 @@ def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):
     if len(specs) != 1:
         raise ParseError("cocycle files need a single coefficient group")
     texts = [_exponent_texts(lam) for lam in coeffs]
-    out.write(f"cocycle {quandle.n} over {specs.pop()}\n" + "".join(
-        [" ".join(map(texts[component].__getitem__, row)) + "\n"
-         for component, row in zip(quandle.grading, f.values)]))
+    _write_rows(out, chain(
+        [("cocycle", str(quandle.n), "over", specs.pop())],
+        (map(texts[component].__getitem__, row)
+         for component, row in zip(quandle.grading, f.values))))
 
 
 def _invariants_text(inv) -> str:
@@ -486,7 +488,7 @@ def cmd_cover(args, out) -> int:
         print("covering=true", file=out)
         return EXIT_OK
     if witness is None:
-        y = min(set(range(target.n)) - set(mapping))
+        y = hom.section.index(None)
         print(f"covering=false witness=not-surjective y={y + 1}", file=out)
         return EXIT_SEMANTIC
     a, x, y = witness
@@ -512,16 +514,14 @@ def cmd_ext(args, out) -> int:
         f = coh.cocycle_from_extension(ext)
         emit_cocycle(f, ext.projection.target, ext.coeffs, out)
         return EXIT_OK
-    if args.equiv is not None:
-        e1 = parse_extension_bundle(args.quandle)
-        e2 = parse_extension_bundle(args.equiv)
-        mapping = coh.are_equivalent_extensions(e1, e2)
-        if mapping is None:
-            print("equivalent=false", file=out)
-            return EXIT_SEMANTIC
-        print("equivalent=true", file=out)
-        return EXIT_OK
-    raise ParseError("ext needs --from-cocycle, --extract or --equiv")
+    # --equiv
+    e1 = parse_extension_bundle(args.quandle)
+    e2 = parse_extension_bundle(args.equiv)
+    if coh.are_equivalent_extensions(e1, e2) is None:
+        print("equivalent=false", file=out)
+        return EXIT_SEMANTIC
+    print("equivalent=true", file=out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -275,9 +275,6 @@ class Extension:
     coeffs: tuple
     action: tuple
 
-    def act(self, component: int, lam_elt: int, element: int) -> int:
-        return self.action[component][lam_elt][element]
-
 
 def check_extension(ext: Extension):
     """Verify axioms: equivariant free transitive fibre actions over a

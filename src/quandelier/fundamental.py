@@ -215,18 +215,22 @@ class FundamentalGroup:
     the presentation over the trivial subgroup, or None when pi_1 is
     infinite or over budget; coset g is the element its representative
     word reads.  Built from it on first use: cayley[g][h] = gh, the
-    one group law every covering reads, and the cocycle f of the
-    universal cover Q x pi_1.
+    one group law every covering reads, and then the cocycle f of the
+    universal cover Q x pi_1; without it, they raise as pi1_model does.
     """
 
     quandle: FiniteQuandle
     basepoint: int
     presentation: Pi1Presentation
     regular: CosetTable
+    budget: int
 
     @cached_property
     def cayley(self) -> tuple:
         table = self.regular
+        if table is None:
+            _certify_finite(self.quandle)
+            raise BudgetExceeded(self.budget, "coset enumeration")
         step = (None, *table.action, *reversed(table.action_inv))
         return tuple(zip(*_right_action(table, step,
                                         tuple(range(table.coset_count)))))
@@ -275,7 +279,7 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
         regular = fpgroup.todd_coxeter(pres, [], budget=budget)
     except BudgetExceeded:  # InfiniteGroup included
         regular = None
-    return FundamentalGroup(quandle, basepoint, pres, regular)
+    return FundamentalGroup(quandle, basepoint, pres, regular, budget)
 
 
 def pi1_model(quandle: FiniteQuandle, basepoint: int,
@@ -283,12 +287,11 @@ def pi1_model(quandle: FiniteQuandle, basepoint: int,
               ) -> FundamentalGroup:
     """pi_1 with the finite model every covering reads.  Raises
     InfiniteGroup for a disconnected quandle before anything is built,
-    and BudgetExceeded, as todd_coxeter does, past the budget."""
+    and todd_coxeter's BudgetExceeded past the budget."""
     _certify_finite(quandle)
-    pi1 = fundamental_group(quandle, basepoint, budget=budget)
-    if pi1.regular is None:
-        raise BudgetExceeded(budget, "coset enumeration")
-    return pi1
+    pres = pi1_presentation(quandle, basepoint)
+    regular = fpgroup.todd_coxeter(pres, [], budget=budget)
+    return FundamentalGroup(quandle, basepoint, pres, regular, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ class FiniteQuandle:
     a/b = rho_inv[b][a], each distinct column inverted once, when first
     read.  A covering of an n-element quandle has at most n distinct
     columns, so it costs O(n N); the N x N tables op[a][b] = a*b and
-    inv_op[a][b] = a/b are built only when read, validate keeping its
-    input table as op.
+    inv_op[a][b] = a/b are built only when read.
     generators is the greedy generating set S, one closure: the rho_s
     with s in S generate Inn(Q), so Q3, homomorphisms, coverings,
     lifting and cocycles are checked on S.  grading maps each element
@@ -199,7 +198,7 @@ def _raise_q3(columns, gens):
 
 def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
     """Check the quandle axioms, then assemble the quandle from its
-    distinct columns, keeping op_table as op.
+    distinct columns.
 
     Each check runs once per distinct right-translation column
     C_b: a -> a*b, in range and invertible (Q2) iff it holds each
@@ -237,10 +236,8 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         for i, j in set(zip(column_id, map(column_id.__getitem__, rho))):
             if gather[i](rho) != at_rho(distinct[j]):
                 _raise_q3(columns, gens)
-    quandle = _assemble(tuple(distinct), tuple(column_id), columns, gens,
-                        grading, basepoints)
-    object.__setattr__(quandle, "op", tuple(map(tuple, op_table)))
-    return quandle
+    return _assemble(tuple(distinct), tuple(column_id), columns, gens,
+                     grading, basepoints)
 
 
 def from_columns(columns, over, grading=None, basepoints=None

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -517,6 +518,27 @@ def test_integers_are_ascii_digits_with_an_optional_minus(tmp_path,
                    f"{value!r}\n")
     monkeypatch.setenv("QUANDELIER_BUDGET", "3000")
     assert run(["pi1", path, "--base", "2"])[0] == 0
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_emit_quandle_holds_one_row_at_a_time():
+    # the S7 transposition quandle's universal cover, N = 2520: its
+    # table is about 28 MB of text, built and dropped row by row
+    cover = fund.universal_cover(transposition_quandle(7)).cover
+    assert cover.n == 2520
+    tracemalloc.start()
+    try:
+        cli.emit_quandle(cover, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_emitted_quandle_files_roundtrip(tmp_path, corpus):

@@ -406,6 +406,21 @@ def test_pi1_coset_peak_is_pinned():
             quandle, 0, budget=peak - 1).regular is None, peak
 
 
+def test_an_unenumerated_pi1_has_no_model():
+    # cayley and cocycle raise as pi1_model does: InfiniteGroup on a
+    # disconnected quandle, todd_coxeter's BudgetExceeded otherwise
+    for fg, error in ((fund.fundamental_group(qmod.trivial(2), 0),
+                       InfiniteGroup),
+                      (fund.fundamental_group(transposition_quandle(4), 0,
+                                              budget=1), BudgetExceeded)):
+        assert fg.regular is None
+        for name in ("cayley", "cocycle"):
+            with pytest.raises(error) as info:
+                getattr(fg, name)
+            assert type(info.value) is error, name
+    assert str(info.value) == "coset enumeration exceeded budget at size 1"
+
+
 def test_pi1_of_s7_enumerates_its_own_cosets():
     # 120 cosets at a peak of 174 live: the adjoint enumeration of
     # 2520 cosets would not fit this budget
