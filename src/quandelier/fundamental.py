@@ -14,7 +14,7 @@ are its quotients by the subgroups of pi_1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from operator import add
 
@@ -267,16 +267,43 @@ class FundamentalGroup:
         return fpgroup.abelian_invariants(self.presentation)
 
 
+def _regular(pres: Presentation, budget: int) -> CosetTable:
+    """pi_1's right regular table, enumerated in rounds on the first k
+    relators R' over the trivial subgroup.  A word is trivial in
+    <X | R'> exactly when it fixes coset 0, so a round that closes is
+    pi_1's once every other relator, traced from coset 0, returns
+    there.  The cap grows faster than k as a round's peak grows with k
+    (S10 transpositions: k = 480 closes within 64000, k = 1920 not)."""
+    k, cap = 4 * pres.generator_count + 8, 1000
+    while k < len(pres.relators):
+        prefix = Presentation(pres.generator_count, pres.relators[:k])
+        try:
+            table = fpgroup.todd_coxeter(prefix, [], budget=min(cap, budget))
+        except BudgetExceeded:
+            k, cap = 2 * k, 4 * cap
+            continue
+        if all(reduce(table.apply_letter, r, 0) == 0
+               for r in pres.relators[k:]):
+            return table
+        k *= 2
+    return fpgroup.todd_coxeter(pres, [], budget=budget)
+
+
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
                       ) -> FundamentalGroup:
     """pi_1(Q, basepoint): the presentation always, the finite model when
-    pi_1 is finite within the budget of live cosets; a disconnected
-    quandle has infinite pi_1 and is not enumerated."""
+    pi_1 is finite within the budget; a disconnected quandle has
+    infinite pi_1 and is not enumerated.  The model is enumerated in
+    rounds (_regular): on the first 4|X| + 8 relators, then twice as
+    many after a relator fails its trace or a round reaches min(cap,
+    budget) live cosets, the cap, first 1000, quadrupling on the latter;
+    the last round reads all relators at the budget, so every budget the
+    full enumeration fits gives the model, and some smaller ones do."""
     pres = pi1_presentation(quandle, basepoint)
     try:
         _certify_finite(quandle)
-        regular = fpgroup.todd_coxeter(pres, [], budget=budget)
+        regular = _regular(pres, budget)
     except BudgetExceeded:  # InfiniteGroup included
         regular = None
     return FundamentalGroup(quandle, basepoint, pres, regular, budget)
@@ -285,13 +312,15 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
 def pi1_model(quandle: FiniteQuandle, basepoint: int,
               budget: int = fpgroup.DEFAULT_COSET_BUDGET
               ) -> FundamentalGroup:
-    """pi_1 with the finite model every covering reads.  Raises
-    InfiniteGroup for a disconnected quandle before anything is built,
-    and todd_coxeter's BudgetExceeded past the budget."""
+    """pi_1 with the finite model every covering reads, enumerated in
+    rounds as fundamental_group's is: each round holds at most budget
+    live cosets.  Raises InfiniteGroup for a disconnected quandle before
+    anything is built, and the last round's BudgetExceeded, that of
+    todd_coxeter on all relators, past the budget."""
     _certify_finite(quandle)
     pres = pi1_presentation(quandle, basepoint)
-    regular = fpgroup.todd_coxeter(pres, [], budget=budget)
-    return FundamentalGroup(quandle, basepoint, pres, regular, budget)
+    return FundamentalGroup(quandle, basepoint, pres, _regular(pres, budget),
+                            budget)
 
 
 # ---------------------------------------------------------------------------

@@ -392,10 +392,11 @@ def test_pi1_presentation_stops_reading_once_no_generator_survives(
 
 def test_pi1_coset_peak_is_pinned():
     # the smallest budget that gives pi_1's finite model: a change to
-    # the presentation that moves the peak moves what the pi1 budget
-    # admits
+    # the presentation, or to the rounds of relators it is enumerated
+    # on, that moves the peak moves what the pi1 budget admits (S6 and
+    # S7 close on a verified prefix of their relators)
     inputs = [(transposition_quandle(m), peak)
-              for m, peak in ((5, 7), (6, 36), (7, 174))]
+              for m, peak in ((5, 7), (6, 27), (7, 140))]
     # conj(S5, 3-cycles) on the adjoint's 2 generators: its 6 cosets
     # never exceed 6 live
     inputs.append((_three_cycles(5), 6))
@@ -422,7 +423,7 @@ def test_an_unenumerated_pi1_has_no_model():
 
 
 def test_pi1_of_s7_enumerates_its_own_cosets():
-    # 120 cosets at a peak of 174 live: the adjoint enumeration of
+    # 120 cosets at a peak of 140 live: the adjoint enumeration of
     # 2520 cosets would not fit this budget
     fg = fund.fundamental_group(transposition_quandle(7), 0, budget=1000)
     assert fg.order == 120
@@ -660,12 +661,12 @@ def test_deck_elements_need_no_degree_adjustment(corpus):
 
 
 def test_universal_cover_budget_counts_pi1_cosets():
-    # pi_1's enumeration peaks at 174 live cosets on S7; the adjoint
+    # pi_1's enumeration peaks at 140 live cosets on S7; the adjoint
     # enumeration the cover once read needed 3395
     quandle = transposition_quandle(7)
-    assert fund.universal_cover(quandle, budget=174).cover.n == 2520
+    assert fund.universal_cover(quandle, budget=140).cover.n == 2520
     with pytest.raises(BudgetExceeded):
-        fund.universal_cover(quandle, budget=173)
+        fund.universal_cover(quandle, budget=139)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +709,78 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
         values = coh.Coeff.from_table(fg.cayley, 0)
         assert cocycle_violation(fg.cocycle, quandle, values) is None, name
     assert len(inputs) >= 30
+
+
+def test_pi1_model_is_the_enumeration_on_all_relators(corpus):
+    # the model enumerated on a verified prefix of the relators is the
+    # plain HLT's on all of them: the same order, and tracing each
+    # element's representative word there is a bijection that carries
+    # the Cayley table onto the reference's; f is a pi_1-valued cocycle
+    inputs = _census_inputs(corpus)
+    inputs.append(("conj(S7,transposition)", transposition_quandle(7)))
+    for name, quandle in inputs:
+        fg = fund.pi1_model(quandle, quandle.basepoints[0])
+        ref = todd_coxeter_reference(_plain(fg.presentation))
+        assert fg.order == ref.coset_count, name
+        image = [trace(ref, 0, w) for w in fg.regular.representative_word]
+        assert sorted(image) == list(range(fg.order)), name
+        ref_mul = [[trace(ref, c, w) for w in ref.representative_word]
+                   for c in range(ref.coset_count)]
+        for g, row in enumerate(fg.cayley):
+            assert [ref_mul[image[g]][image[h]] for h in range(fg.order)
+                    ] == [image[gh] for gh in row], name
+        values = coh.Coeff.from_table(fg.cayley, 0)
+        assert cocycle_violation(fg.cocycle, quandle, values) is None, name
+    assert len(inputs) >= 30
+
+
+@pytest.mark.parametrize("relators, budget, rounds, order", [
+    # <x | x^24, ..., x^288> is Z24: the first round, on 4 + 8
+    # relators, closes on 24 cosets, and x^36 traced from coset 0 ends
+    # at 12, so the last round reads all 13 relators and finds Z12
+    ([(1,) * (24 * i) for i in range(1, 13)] + [(1,) * 36], 10**6,
+     [(12, 1000, 24), (13, 10**6, 12)], 12),
+    # <a, b | a^2, ..., a^32> is Z2 * Z: the first round, on 16
+    # relators, reaches min(its cap, the budget) of live cosets; the
+    # last adds b^3 and (ab)^2 and closes on S3
+    ([(1,) * (2 * i) for i in range(1, 17)] + [(2, 2, 2), (1, 2) * 2],
+     10**6, [(16, 1000, None), (18, 10**6, 6)], 6),
+    ([(1,) * (2 * i) for i in range(1, 17)] + [(2, 2, 2), (1, 2) * 2],
+     50, [(16, 50, None), (18, 50, 6)], 6),
+])
+def test_regular_grows_the_relators_until_every_one_is_traced(
+        monkeypatch, relators, budget, rounds, order):
+    generators = max(abs(x) for r in relators for x in r)
+    pres = fpgroup.Presentation(generators, tuple(relators))
+    calls = []
+    enumerate_ = fpgroup.todd_coxeter
+
+    def recorded(presentation, subgroup, budget):
+        calls.append([len(presentation.relators), budget, None])
+        table = enumerate_(presentation, subgroup, budget=budget)
+        calls[-1][2] = table.coset_count
+        return table
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter", recorded)
+    table = fund._regular(pres, budget)
+    assert [tuple(call) for call in calls] == rounds
+    ref = todd_coxeter_reference(pres)
+    assert table.coset_count == ref.coset_count == order
+    for r in relators:
+        assert trace(table, 0, r) == 0
+
+
+def test_regular_raises_the_last_rounds_budget_error():
+    # every round runs out at budget 5 < |S3|, and the last one raises
+    # as todd_coxeter does at that budget on all relators
+    relators = [(1,) * (2 * i) for i in range(1, 17)] + [(2, 2, 2),
+                                                        (1, 2) * 2]
+    pres = fpgroup.Presentation(2, tuple(relators))
+    with pytest.raises(BudgetExceeded) as got:
+        fund._regular(pres, 5)
+    with pytest.raises(BudgetExceeded) as want:
+        fpgroup.todd_coxeter(pres, [], budget=5)
+    assert str(got.value) == str(want.value)
 
 
 def test_subgroups_match_the_permutation_search(corpus):
