@@ -63,9 +63,8 @@ class Coeff:
         k = len(table)
         if not 0 <= identity < k:
             raise ValueError(f"identity {identity} outside the group")
-        for row in table:
-            if sorted(row) != list(range(k)):
-                raise ValueError("rows must be permutations")
+        if any(sorted(row) != list(range(k)) for row in table):
+            raise ValueError("rows must be permutations")
         if any(table[table[a][b]][c] != table[a][table[b][c]]
                for a in range(k) for b in range(k) for c in range(k)):
             raise ValueError("table is not associative")
@@ -124,11 +123,12 @@ def h2_integral(quandle: FiniteQuandle):
 
     The spanning-tree presentation of pi_1(Q, q) is the component's
     2-complex on the adjoint's generating set S modulo a tree, so its
-    abelianisation is H2 of the component (Hurewicz).  The squares on
-    S are the lifts of the adjoint relators on S, which already present
-    Adj(Q), so this complex has the pi_1, and the H1, of the full path
-    complex with its n^3 squares.  A grading class that merges several
-    components reports the one of its basepoint.
+    abelianisation is H2 of the component (Hurewicz); its squares, the
+    lifts of the adjoint relators on S, already present Adj(Q), so it
+    has the H1 of the full path complex with its n^3 squares.  It is
+    read as simplify leaves it, with no rotation classes built, as
+    abelian_invariants reads one row per letter multiset.  A grading
+    class that merges several components reports its basepoint's.
     """
     return [fpgroup.abelian_invariants(
                 fundamental.pi1_presentation(quandle, q))

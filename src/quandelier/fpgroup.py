@@ -7,8 +7,8 @@ construction; relator scans need the raw letters.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
-from operator import add
 
 from .errors import BudgetExceeded
 
@@ -40,39 +40,35 @@ class Presentation:
     relators: tuple
 
     def __post_init__(self):
-        for i, r in enumerate(self.relators):
-            if 0 in r or max(map(abs, r), default=0) > self.generator_count:
-                raise ValueError(f"relator {i} has a letter out of range")
+        def bad(r):
+            return 0 in r or max(map(abs, r), default=0) > self.generator_count
+        if bad(set(chain.from_iterable(self.relators))):  # all at once
+            i = next(i for i, r in enumerate(self.relators) if bad(r))
+            raise ValueError(f"relator {i} has a letter out of range")
 
 
-def _cyclically_reduce(word) -> Word:
-    """Free and cyclic reduction; a reduced word is returned as it is."""
-    if (len(word) < 2 or word[0] + word[-1]) and 0 not in map(
-            add, word, word[1:]):
-        return word
-    word = normalize(word)
-    i, j = 0, len(word)
-    while j - i > 1 and word[i] == -word[j - 1]:
-        i, j = i + 1, j - 1
-    return word[i:j]
+def _unchecked(cls, **fields):
+    """cls(**fields) without its __post_init__ checks, for fields that a
+    construction makes valid (relators renumbered, rotated or inverted
+    from checked ones, a projection built by a covering theorem)."""
+    built = object.__new__(cls)
+    vars(built).update(fields)
+    return built
 
 
 def simplify(generator_count: int, relators, killed=frozenset()):
     """Tietze moves until nothing changes; returns (Presentation, images).
 
-    The relators, any iterable, are read once as they come and then
-    again and again until a reading eliminates nothing; the generators
-    in the set killed (letters) are dead on entry.  A relator of length
-    1 kills its generator, and a relator a b in two distinct generators
-    eliminates the later one as the other's inverse; the relator then
-    goes.  An elimination takes effect at once: a relator is rewritten,
-    cyclically reduced, when it holds a generator eliminated since its
-    last reading, and the first reading reduces them all.  Once no
-    generator survives, no more relators are read.  Duplicates go after
-    each reading, and at the end so do relators equal up to rotation
-    and inversion: each is kept as the least rotation of it or of its
-    inverse, shorter relators first, as coset enumeration fares better
-    so.  The survivors are renumbered in order; images[g] is the
+    The relators, any iterable, are read once as they come, then again
+    until a reading eliminates nothing; the generators in the set killed
+    (letters) are dead on entry.  A relator of length 1 kills its
+    generator, and a relator a b in two distinct generators eliminates
+    the later one as the other's inverse, and goes.  Eliminations take
+    effect at once: the first reading rewrites every relator, a later
+    one each holding a generator eliminated since, substituting and
+    reducing freely and cyclically in one loop.  Once no generator
+    survives, no more relators are read.  The survivors are returned as
+    last read, renumbered, exact duplicates dropped; images[g] is the
     signed letter old generator g (letter g + 1) became, or 0.
     """
     count = generator_count
@@ -82,14 +78,25 @@ def simplify(generator_count: int, relators, killed=frozenset()):
         sub[g] = sub[-g] = 0
     alive = count - len(killed)
     readers = {}  # a -> the generators that read as +-a, where not just a
-    recent = set(range(1, count + 1))
-    while recent:
-        eliminated = set()
-        kept = []
+    dead = set()  # the signed letters eliminated so far
+    before = None  # alive before the last reading
+    while alive != before:
+        first, before, kept = before is None, alive, []
         for w in relators:
-            if not recent.isdisjoint(map(abs, w)):
-                w = _cyclically_reduce(
-                    tuple(filter(None, map(sub.__getitem__, w))))
+            if first or not dead.isdisjoint(w):
+                out = []
+                for x in w:
+                    y = sub[x]
+                    if not y:
+                        continue
+                    if out and out[-1] == -y:
+                        out.pop()
+                    else:
+                        out.append(y)
+                i, j = 0, len(out)
+                while j - i > 1 and out[i] == -out[j - 1]:
+                    i, j = i + 1, j - 1
+                w = tuple(out[i:j])
             if len(w) == 1 or len(w) == 2 and abs(w[0]) != abs(w[1]):
                 a, b = sorted(w, key=abs) if len(w) == 2 else (0, w[0])
                 into, b = (-a if b > 0 else a), abs(b)
@@ -98,15 +105,13 @@ def simplify(generator_count: int, relators, killed=frozenset()):
                     sub[g] = into if sub[g] > 0 else -into
                     sub[-g] = -sub[g]
                 readers.setdefault(abs(into), [abs(into)]).extend(group)
-                recent.add(b)
-                eliminated.add(b)
+                dead.update((b, -b))
                 alive -= 1
                 if not alive:
                     break
             elif w:
                 kept.append(w)
         relators = tuple(dict.fromkeys(kept)) if alive else ()
-        recent = eliminated
     survivors = [g for g in range(1, count + 1) if sub[g] == g]
     number = [0] * (count + 1)
     for k, g in enumerate(survivors, 1):
@@ -114,16 +119,22 @@ def simplify(generator_count: int, relators, killed=frozenset()):
     final = [0] + [number[v] if v > 0 else -number[-v]
                    for v in sub[1:count + 1]]
     final += [-v for v in reversed(final[1:])]  # letters -count .. -1
+    return (Presentation(len(survivors), tuple(
+                tuple(map(final.__getitem__, w)) for w in relators)),
+            tuple(final[1:count + 1]))
 
-    def canonical(w):
-        w = tuple(map(final.__getitem__, w))
+
+def relator_classes(presentation):
+    """The presentation, of its own class, with one relator per class
+    of rotations and inversion, the least rotation of it or of its
+    inverse, shorter ones first, as coset enumeration fares better so."""
+    def least(w):
         return min(v[i:] + v[:i] for v in (w, inverse_word(w))
                    for low in (min(v),) for i in range(len(v)) if v[i] == low)
 
-    return (Presentation(generator_count=len(survivors),
-                         relators=tuple(sorted(dict.fromkeys(
-                             map(canonical, relators)), key=len))),
-            tuple(final[1:count + 1]))
+    return _unchecked(type(presentation), **{**vars(presentation), "relators":
+                      tuple(sorted(dict.fromkeys(map(
+                          least, presentation.relators)), key=len))})
 
 
 @dataclass(frozen=True)
@@ -162,17 +173,14 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
     for k, s in enumerate(gens, 1):
         words[s] = (k,)
     tree = []
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, s in enumerate(gens, 1):
-                y = rho[s][x]
-                if words[y] is None:
-                    words[y] = normalize((-k,) + words[x] + (k,))
-                    tree.append((y, x, s))
-                    nxt.append(y)
-        frontier = nxt
+    queue = list(gens)
+    for x in queue:  # grows while it is read
+        for k, s in enumerate(gens, 1):
+            y = rho[s][x]
+            if words[y] is None:
+                words[y] = normalize((-k,) + words[x] + (k,))
+                tree.append((y, x, s))
+                queue.append(y)
     relators = []
     seen = set()
     for a in range(quandle.n):
@@ -364,20 +372,16 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
     action, action_inv = columns[0::2], columns[1::2]
 
     # Schreier representative words by BFS over generators in order
-    reps = [None] * n
-    reps[0] = ()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in range(ngens):
-                for letter, d in ((g + 1, action[g][c]),
-                                  (-(g + 1), action_inv[g][c])):
-                    if reps[d] is None:
-                        reps[d] = reps[c] + (letter,)
-                        nxt.append(d)
-        frontier = nxt
-    if any(r is None for r in reps):
+    reps = [()] + [None] * (n - 1)
+    queue = [0]
+    for c in queue:  # grows while it is read
+        for g in range(ngens):
+            for letter, d in ((g + 1, action[g][c]),
+                              (-(g + 1), action_inv[g][c])):
+                if reps[d] is None:
+                    reps[d] = reps[c] + (letter,)
+                    queue.append(d)
+    if len(queue) < n:
         raise AssertionError("coset table is not transitive")
 
     return CosetTable(generator_count=ngens, coset_count=n,
@@ -512,12 +516,10 @@ class AbelianInvariants:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
-            if d < 2:
-                raise ValueError("torsion entries must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError("torsion chain must be divisible")
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion entries must be >= 2")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise ValueError("torsion chain must be divisible")
 
     @property
     def order(self):
@@ -526,12 +528,21 @@ class AbelianInvariants:
 
 
 def abelian_invariants(presentation: Presentation) -> AbelianInvariants:
-    """Abelianization of a presented group via SNF of the relator matrix."""
-    entries = {}
-    for i, r in enumerate(presentation.relators):
+    """Abelianization of a presented group via SNF of the relator matrix.
+
+    A relator's row counts its letters, so its rotations share the row
+    and its inverse negates it: one row is kept per letter multiset, up
+    to sign, and zero rows go (70 rows for the 910 relators of pi_1 of
+    the S7 transposition quandle)."""
+    rows = {}
+    for r in dict.fromkeys(tuple(sorted(r)) for r in presentation.relators):
+        row = {}
         for letter in r:
             j = abs(letter) - 1
-            entries[(i, j)] = entries.get((i, j), 0) + (1 if letter > 0 else -1)
+            row[j] = row.get(j, 0) + (1 if letter > 0 else -1)
+        row = tuple(sorted(item for item in row.items() if item[1]))
+        rows[min(row, tuple((j, -v) for j, v in row))] = None
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row}
     nonzero = [d for d in _snf_invariants_sparse(entries) if d]
     return AbelianInvariants(
         free_rank=presentation.generator_count - len(nonzero),

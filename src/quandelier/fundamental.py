@@ -31,13 +31,8 @@ from .quandle import FiniteQuandle, QuandleHom
 def build_complex(quandle: FiniteQuandle, vertices):
     """Boundary words of the 2-cells at the given vertices, lifted when
     read, shortest word first (a stable sort): the lift of w_a at each
-    vertex a and of each relator of quandle.adjoint at every vertex.
-
-    S is quandle.adjoint.generators, the closure search's set, not the
-    greedy one: the adjoint has about n (|S| - 1) relators, one per pair
-    (a, s) less the definitions, each lifted at every vertex, so the
-    complex has about n + n^2 (|S| - 1) cells (conj(S5, 3-cycles): 420
-    on 2 generators, 1220 on the greedy 4).
+    vertex a and of each relator of quandle.adjoint at every vertex,
+    about n + n^2 (|S| - 1) cells on S = quandle.adjoint.generators.
     Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
     is a tuple of signed 1-based edge numbers forming a closed edge
     path.  Letter +k crosses edge (x, k-1) forwards from the current
@@ -92,8 +87,8 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
     then reads C's cells, shortest first, as they are lifted, and stops
     once no generator survives (dihedral(91): after 144 of 8372 cells).
-    On conj(S5, 3-cycles) that S keeps 2 generators and 12 relators,
-    where the greedy set's 4 left 4 and 152.
+    The relators are simplify's survivors, not yet one per rotation
+    class: H2 reads them as they are.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -102,26 +97,22 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
     steps = [(quandle.rho[s], quandle.rho_inv[s]) for s in gens]
     killed = set()  # 1-based edge letters
     paths = [None] * quandle.n
-    paths[basepoint] = ()
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for k, (s, (step, back)) in enumerate(zip(gens, steps), 1):
-                for e, w, letter in ((v * m + k, step[v], s + 1),
-                                     (back[v] * m + k, back[v], -s - 1)):
-                    if paths[w] is None:
-                        paths[w] = paths[v] + (letter,)
-                        killed.add(e)
-                        nxt.append(w)
-        frontier = nxt
+    paths[basepoint], queue = (), [basepoint]
+    for v in queue:  # grows while it is read
+        for k, (s, (step, back)) in enumerate(zip(gens, steps), 1):
+            for e, w, letter in ((v * m + k, step[v], s + 1),
+                                 (back[v] * m + k, back[v], -s - 1)):
+                if paths[w] is None:
+                    paths[w] = paths[v] + (letter,)
+                    killed.add(e)
+                    queue.append(w)
     killed.update(e for a, path in enumerate(paths) if path is None
                   for e in range(a * m + 1, a * m + m + 1))
     cells = build_complex(quandle, [a for a, path in enumerate(paths)
                                     if path is not None])
     pres, images = fpgroup.simplify(quandle.n * m, cells, killed)
-    return Pi1Presentation(pres.generator_count, pres.relators, images,
-                           tuple(paths))
+    return fpgroup._unchecked(Pi1Presentation, **vars(pres), images=images,
+                              paths=tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +140,9 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     The returned table has one generator per element, and its
     representative words are written in element letters.  endpoint[c]
     is the image of the basepoint under the representative word,
-    traced through the right translations.
-
-    H1(Q) is free abelian on the components, so with k >= 2 of them the
-    cosets map onto Z^(k-1): InfiniteGroup is raised before anything is
-    enumerated.  The components counted are the orbits of the right
-    translations, not the grading classes, which a grading pulled back
-    from a base can make coarser.
+    traced through the right translations.  H1(Q) is free abelian on
+    the orbits, so with k >= 2 of them the cosets map onto Z^(k-1):
+    InfiniteGroup is raised before anything is enumerated.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -164,30 +151,24 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
     small = fpgroup.todd_coxeter(adjoint, [adjoint.words[basepoint]],
                                  budget=budget)
     gens = adjoint.generators
-    action = [None] * quandle.n
-    action_inv = [None] * quandle.n
+    action, action_inv = [None] * quandle.n, [None] * quandle.n
     for s, step, back in zip(gens, small.action, small.action_inv):
         action[s], action_inv[s] = step, back
     for x, y, s in adjoint.tree:  # e_x = e_s^-1 e_y e_s
         step, back = action[s], action_inv[s]
-        action[x] = tuple(map(step.__getitem__,
-                              map(action[y].__getitem__, back)))
-        action_inv[x] = tuple(map(step.__getitem__,
-                                  map(action_inv[y].__getitem__, back)))
+        for acts in (action, action_inv):
+            acts[x] = tuple(map(step.__getitem__,
+                                map(acts[y].__getitem__, back)))
     letters = [None] + [s + 1 for s in gens]
     reps = tuple(tuple(letters[k] if k > 0 else -letters[-k] for k in word)
                  for word in small.representative_word)
     table = CosetTable(generator_count=quandle.n,
                        coset_count=small.coset_count, action=tuple(action),
                        action_inv=tuple(action_inv), representative_word=reps)
-    endpoints = []
-    for word in reps:
-        x = basepoint
-        for letter in word:
-            g = abs(letter) - 1
-            x = (quandle.rho if letter > 0 else quandle.rho_inv)[g][x]
-        endpoints.append(x)
-    return table, tuple(endpoints)
+    step = (None, *(quandle.rho[s] for s in gens),
+            *(quandle.rho_inv[s] for s in reversed(gens)))
+    return table, tuple(chain.from_iterable(
+        _right_action(small, step, (basepoint,))))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +176,10 @@ def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
 
 
 def _right_action(table: CosetTable, step, start):
-    """The image of start under each element of the group that table
-    enumerates over the trivial subgroup, given step[x], the action of
-    letter x: element c is its parent times the last letter x of its
-    representative word, so its image is its parent's under step[x]."""
+    """The image of start under each coset's representative word, given
+    step[x], the action of letter x: coset c is its parent times the
+    last letter x of its word, so its image is its parent's under
+    step[x].  Over the trivial subgroup the cosets are the elements."""
     words, images = table.representative_word, [start] * table.coset_count
     for c in sorted(range(1, table.coset_count), key=lambda c: len(words[c])):
         x = words[c][-1]
@@ -269,11 +250,14 @@ class FundamentalGroup:
 
 def _regular(pres: Presentation, budget: int) -> CosetTable:
     """pi_1's right regular table, enumerated in rounds on the first k
-    relators R' over the trivial subgroup.  A word is trivial in
-    <X | R'> exactly when it fixes coset 0, so a round that closes is
-    pi_1's once every other relator, traced from coset 0, returns
-    there.  The cap grows faster than k as a round's peak grows with k
-    (S10 transpositions: k = 480 closes within 64000, k = 1920 not)."""
+    relators R' over the trivial subgroup within min(cap, budget) live
+    cosets: a word is trivial in <X | R'> exactly when it fixes coset 0,
+    so a closed round is pi_1's once every other relator, traced from
+    coset 0, returns there.  k starts at 4|X| + 8, the cap at 1000; a
+    failed trace doubles k, a round over its cap doubles k and
+    quadruples the cap, as the peak grows with k (S10 transpositions:
+    k = 480 closes within 64000, k = 1920 not); the last round reads
+    all relators at the budget."""
     k, cap = 4 * pres.generator_count + 8, 1000
     while k < len(pres.relators):
         prefix = Presentation(pres.generator_count, pres.relators[:k])
@@ -292,15 +276,11 @@ def _regular(pres: Presentation, budget: int) -> CosetTable:
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
                       ) -> FundamentalGroup:
-    """pi_1(Q, basepoint): the presentation always, the finite model when
-    pi_1 is finite within the budget; a disconnected quandle has
-    infinite pi_1 and is not enumerated.  The model is enumerated in
-    rounds (_regular): on the first 4|X| + 8 relators, then twice as
-    many after a relator fails its trace or a round reaches min(cap,
-    budget) live cosets, the cap, first 1000, quadrupling on the latter;
-    the last round reads all relators at the budget, so every budget the
-    full enumeration fits gives the model, and some smaller ones do."""
-    pres = pi1_presentation(quandle, basepoint)
+    """pi_1(Q, basepoint): the presentation, one relator per rotation
+    class, always; the finite model when pi1_model finds it within the
+    budget; a disconnected quandle has infinite pi_1 and is not
+    enumerated."""
+    pres = fpgroup.relator_classes(pi1_presentation(quandle, basepoint))
     try:
         _certify_finite(quandle)
         regular = _regular(pres, budget)
@@ -312,13 +292,14 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
 def pi1_model(quandle: FiniteQuandle, basepoint: int,
               budget: int = fpgroup.DEFAULT_COSET_BUDGET
               ) -> FundamentalGroup:
-    """pi_1 with the finite model every covering reads, enumerated in
-    rounds as fundamental_group's is: each round holds at most budget
-    live cosets.  Raises InfiniteGroup for a disconnected quandle before
-    anything is built, and the last round's BudgetExceeded, that of
-    todd_coxeter on all relators, past the budget."""
+    """pi_1 with the finite model every covering reads, enumerated by
+    _regular on the rotation classes of pi1_presentation's relators, so
+    every budget the full enumeration fits gives the model, and some
+    smaller ones do.  Raises InfiniteGroup for a disconnected quandle
+    before anything is built, and the BudgetExceeded of todd_coxeter on
+    all relators past the budget."""
     _certify_finite(quandle)
-    pres = pi1_presentation(quandle, basepoint)
+    pres = fpgroup.relator_classes(pi1_presentation(quandle, basepoint))
     return FundamentalGroup(quandle, basepoint, pres, _regular(pres, budget),
                             budget)
 
@@ -332,7 +313,9 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     right cosets K g, least element first.  Element i n + a is (a, K g)
     for the i-th coset, over a, so the first n lie over distinct base
     elements and the greedy generating set is as small as the base's.
-    Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b))."""
+    Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b)).
+    The covering theorem makes it a connected covering of Q, so the
+    projection is built unchecked."""
     quandle, mul, n = pi1.quandle, pi1.cayley, pi1.quandle.n
     offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
     # shift[i][t] = n times the index of K g_i t, g_i = cosets[i][0]
@@ -341,8 +324,7 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
                                              rho_b) for row in shift))
                for f_b, rho_b in zip(zip(*pi1.cocycle), quandle.rho)]
-    over = tuple(range(n)) * len(cosets)
-    return QuandleHom(qmod.from_columns(columns, over), quandle, over)
+    return qmod._projection(columns, quandle, len(cosets))
 
 
 @dataclass(frozen=True)
@@ -388,8 +370,7 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     if len(qmod.components(x_side)[0]) > 1:
         raise ValueError("the lifting source must be connected")
     x0 = x_side.basepoints[0]
-    ok, _ = qmod.is_covering(p)
-    if not ok:
+    if not qmod.is_covering(p)[0]:
         raise ValueError("p is not a covering")
     if lift_basepoint is None:
         lift_basepoint = p.section[f.map[x0]]
@@ -397,9 +378,7 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
         raise ValueError("basepoint lift does not sit over f(x)")
 
     cover = p.source
-    lift = {x0: lift_basepoint}
-    path = {x0: ()}
-    queue = [x0]
+    lift, path, queue = {x0: lift_basepoint}, {x0: ()}, [x0]
     for u in queue:  # grows while it is read
         for b in x_side.generators:
             fb = p.section[f.map[b]]
@@ -461,8 +440,7 @@ def monodromy(p: QuandleHom, basepoint: int,
     to a, across the edge and back, each base element lifting to its
     section element.  Raises as pi1_model does.
     """
-    ok, _ = qmod.is_covering(p)
-    if not ok:
+    if not qmod.is_covering(p)[0]:
         raise ValueError("p is not a covering")
     base, rho, rho_inv = p.target, p.source.rho, p.source.rho_inv
     pi1 = pi1_model(base, basepoint, budget=budget)

@@ -79,12 +79,8 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
         raise ValueError("budget must be at least 1")
 
     ident = tuple(range(degree))
-    elements = [ident]
-    seen = {ident}
-    frontier = 0
-    while frontier < len(elements):
-        e = elements[frontier]
-        frontier += 1
+    elements, seen = [ident], {ident}
+    for e in elements:  # grows while it is read
         for g in generators:
             f = mul(e, g)
             if f not in seen:

@@ -259,6 +259,23 @@ def from_columns(columns, over, grading=None, basepoints=None
                      grading, basepoints)
 
 
+def _projection(columns, base, copies) -> "QuandleHom":
+    """x -> x mod n onto the n-element base from the quandle with
+    a * x = columns[x mod n][a] on copies * n elements, numbered as by
+    from_columns, that a covering theorem builds connected (Q x pi_1 and
+    its quotients): no axiom, homomorphism or component is checked."""
+    number = {}  # distinct column -> id, by first occurrence
+    column_id = tuple(number.setdefault(c, len(number))
+                      for c in columns) * copies
+    distinct = tuple(number)
+    rho = tuple(map(distinct.__getitem__, column_id))
+    source = FiniteQuandle(distinct, column_id, (0,) * len(rho), (0,),
+                           _generating_set(rho))
+    over = tuple(range(base.n))
+    return fpgroup._unchecked(QuandleHom, source=source, target=base,
+                              map=over * copies, section=over)
+
+
 def _assemble(columns, column_id, rho, gens, grading, basepoints):
     """The quandle on canonically numbered columns, rho[x] being x's."""
     n = len(column_id)
@@ -424,10 +441,9 @@ class QuandleHom:
             if list(map(f_at, src)) != list(map(tgt.__getitem__, f)):
                 a = next(a for a in range(len(f)) if f[src[a]] != tgt[f[a]])
                 raise NotAHomomorphism((a, s))
-        section = [None] * self.target.n
-        for a in reversed(range(self.source.n)):
-            section[f[a]] = a
-        object.__setattr__(self, "section", tuple(section))
+        least = dict(zip(reversed(f), range(len(f) - 1, -1, -1)))
+        object.__setattr__(self, "section", tuple(map(
+            least.get, range(self.target.n))))
 
     def is_surjective(self) -> bool:
         return None not in self.section
@@ -475,8 +491,7 @@ def pullback(p: QuandleHom, f: QuandleHom):
     fibred product {(x, a~) | f(x) = p(a~)} and leg maps into p's
     source.  Elements are ordered lexicographically.
     """
-    ok, _ = is_covering(p)
-    if not ok:
+    if not is_covering(p)[0]:
         raise ValueError("p is not a covering")
     if not f.target.same_table(p.target):
         raise ValueError("p and f must share a target")
@@ -511,8 +526,7 @@ def union_coverings(coverings):
     for p in coverings:
         if not p.target.same_table(base):
             raise ValueError("coverings must share their base")
-        ok, _ = is_covering(p)
-        if not ok:
+        if not is_covering(p)[0]:
             raise ValueError("input is not a covering")
     # (a, i) is element start[i] + a
     start = list(accumulate((p.source.n for p in coverings), initial=0))

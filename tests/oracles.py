@@ -4,7 +4,8 @@ way: brute-force versions of the checks it makes on a generating set
 Todd-Coxeter kernel as first written, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, the
 Reidemeister-Schreier rewrite of pi_1 before Tietze moves, the
-brute-force route to |H^2|, the universal cover and the covering
+Tietze simplification that also kept one relator per rotation class,
+the brute-force route to |H^2|, the universal cover and the covering
 census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
 deck group on its cosets, a Cayley table's left translations, and the
 orbits and subgroups of a permutation group found by multiplying
@@ -23,7 +24,7 @@ against them."""
 
 from itertools import product
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter
 
 from quandelier import (cohomology as coh, fpgroup, fundamental, permgroup,
                         quandle as qmod)
@@ -276,6 +277,75 @@ def reidemeister_schreier(quandle, basepoint, generators):
     return fpgroup.Presentation(
         generator_count=count,
         relators=tuple(dict.fromkeys(r for r in reduced if r)))
+
+
+def _cyclically_reduce(word):
+    """Free and cyclic reduction; a reduced word is returned as it is."""
+    if (len(word) < 2 or word[0] + word[-1]) and 0 not in map(
+            add, word, word[1:]):
+        return word
+    word = fpgroup.normalize(word)
+    i, j = 0, len(word)
+    while j - i > 1 and word[i] == -word[j - 1]:
+        i, j = i + 1, j - 1
+    return word[i:j]
+
+
+def simplify_reference(generator_count, relators, killed=frozenset()):
+    """fpgroup.simplify as it was written before its rotation classes
+    moved to fpgroup.relator_classes: the same Tietze moves, reading
+    unsigned letters and reducing cyclically in a second step, and at
+    the end each survivor kept as the least rotation of it or of its
+    inverse, deduplicated, shorter relators first.  Returns
+    (Presentation, images)."""
+    count = generator_count
+    sub = list(range(count + 1)) + list(range(-count, 0))
+    for g in killed:
+        sub[g] = sub[-g] = 0
+    alive = count - len(killed)
+    readers = {}
+    recent = set(range(1, count + 1))
+    while recent:
+        eliminated = set()
+        kept = []
+        for w in relators:
+            if not recent.isdisjoint(map(abs, w)):
+                w = _cyclically_reduce(
+                    tuple(filter(None, map(sub.__getitem__, w))))
+            if len(w) == 1 or len(w) == 2 and abs(w[0]) != abs(w[1]):
+                a, b = sorted(w, key=abs) if len(w) == 2 else (0, w[0])
+                into, b = (-a if b > 0 else a), abs(b)
+                group = readers.pop(b, [b])
+                for g in group:
+                    sub[g] = into if sub[g] > 0 else -into
+                    sub[-g] = -sub[g]
+                readers.setdefault(abs(into), [abs(into)]).extend(group)
+                recent.add(b)
+                eliminated.add(b)
+                alive -= 1
+                if not alive:
+                    break
+            elif w:
+                kept.append(w)
+        relators = tuple(dict.fromkeys(kept)) if alive else ()
+        recent = eliminated
+    survivors = [g for g in range(1, count + 1) if sub[g] == g]
+    number = [0] * (count + 1)
+    for k, g in enumerate(survivors, 1):
+        number[g] = k
+    final = [0] + [number[v] if v > 0 else -number[-v]
+                   for v in sub[1:count + 1]]
+    final += [-v for v in reversed(final[1:])]
+
+    def canonical(w):
+        w = tuple(map(final.__getitem__, w))
+        return min(v[i:] + v[:i] for v in (w, fpgroup.inverse_word(w))
+                   for low in (min(v),) for i in range(len(v)) if v[i] == low)
+
+    return (fpgroup.Presentation(generator_count=len(survivors),
+                                 relators=tuple(sorted(dict.fromkeys(
+                                     map(canonical, relators)), key=len))),
+            tuple(final[1:count + 1]))
 
 
 def todd_coxeter_reference(presentation, subgroup_generators=(),

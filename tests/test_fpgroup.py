@@ -8,7 +8,7 @@ from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
 from conftest import cyclic_table
 from oracles import (count_homs_to_abelian, enumerate_homs,
-                     full_adjoint_presentation,
+                     full_adjoint_presentation, simplify_reference,
                      smith_normal_form_with_transforms,
                      todd_coxeter_reference, trace)
 
@@ -45,13 +45,20 @@ S3_PRESENTATION = Presentation(
     relators=((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
 
 
+def _classes(generator_count, relators, killed=frozenset()):
+    """simplify's result with one relator per rotation class, as pi_1's
+    enumeration reads it."""
+    pres, images = fpgroup.simplify(generator_count, relators, killed)
+    return fpgroup.relator_classes(pres), images
+
+
 def test_simplify_kills_and_eliminates():
     # x1 = 1 kills generator 1; x2 x3^-1 = 1 eliminates the later x3 as
     # x2, and x3^3 becomes x2^3, renumbered x1^3 and kept as its least
     # rotation or inverse, x1^-3
     pres = Presentation(generator_count=3,
                         relators=((1,), (2, -3), (3, 3, 3)))
-    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
+    assert _classes(pres.generator_count, pres.relators) == (
         Presentation(generator_count=1, relators=((-1, -1, -1),)),
         (0, 1, 1))
     # x1 x2 x1^-1 reduces cyclically to x2, which dies; x2 x1 x3^-1 then
@@ -59,14 +66,14 @@ def test_simplify_kills_and_eliminates():
     pres = Presentation(generator_count=3,
                         relators=((1, 2, -1), (2, 1, -3), (3, 3, 3),
                                   (3, 3, 3)))
-    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
+    assert _classes(pres.generator_count, pres.relators) == (
         Presentation(generator_count=1, relators=((-1, -1, -1),)),
         (1, 0, 1))
     # a longer relator eliminates nothing, and its rotations and its
     # inverse are one relator
     pres = Presentation(generator_count=2,
                         relators=((1, 2, 2), (2, 1, 2), (-2, -2, -1)))
-    assert fpgroup.simplify(pres.generator_count, pres.relators) == (
+    assert _classes(pres.generator_count, pres.relators) == (
         Presentation(generator_count=2, relators=((-2, -2, -1),)), (1, 2))
 
 
@@ -86,7 +93,7 @@ def test_simplify_keeps_the_least_rotation_or_inverse():
         return min(v[i:] + v[:i] for v in (w, fpgroup.inverse_word(w))
                    for i in range(len(v)))
 
-    assert fpgroup.simplify(3, words) == (
+    assert _classes(3, words) == (
         Presentation(generator_count=3, relators=tuple(
             sorted(dict.fromkeys(map(least, words)), key=len))),
         (1, 2, 3))
@@ -106,17 +113,60 @@ def test_simplify_kills_on_entry_and_stops_reading():
         Presentation(generator_count=0, relators=()), (0, 0, 0))
     assert read == [(1, 2), (2, 3)]
     # the survivors of a dead x1 are renumbered from 1
-    assert fpgroup.simplify(3, [(1, 2, 3, 3)], killed={1}) == (
+    assert _classes(3, [(1, 2, 3, 3)], killed={1}) == (
         Presentation(generator_count=2, relators=((-2, -2, -1),)),
         (0, 1, 2))
 
 
 def test_simplify_keeps_squares_and_s3():
     # a relator g g names one generator: it eliminates nothing
-    assert fpgroup.simplify(2, S3_PRESENTATION.relators) == (
+    assert _classes(2, S3_PRESENTATION.relators) == (
         Presentation(generator_count=2,
                      relators=((-1, -1), (-2, -2), (-2, -1) * 3)),
         (1, 2))
+
+
+def test_simplify_returns_the_survivors_as_last_read():
+    # renumbered, exact duplicates dropped, rotations and inverses kept
+    # until relator_classes keeps one of each class, shortest first
+    relators = ((2, 3, 3), (3, 2, 3), (1, -1, -3, -3, -2), (2, 3, 3),
+                (3, 3), (-3, -3, -2))
+    pres, images = fpgroup.simplify(3, relators, killed={1})
+    assert (pres, images) == (
+        Presentation(generator_count=2, relators=(
+            (1, 2, 2), (2, 1, 2), (-2, -2, -1), (2, 2))), (0, 1, 2))
+    assert fpgroup.relator_classes(pres) == Presentation(
+        generator_count=2, relators=((-2, -2), (-2, -2, -1)))
+    assert fpgroup.abelian_invariants(pres) == fpgroup.abelian_invariants(
+        fpgroup.relator_classes(pres))
+
+
+def test_simplify_matches_the_reference_on_random_streams():
+    # unreduced relators, read once as a stream, with generators killed
+    # on entry: simplify's rotation classes and images are the
+    # reference's, which read unsigned letters and reduced in two steps
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        letters = [x for g in range(1, n + 1) for x in (g, -g)]
+        relators = [tuple(rng.choice(letters)
+                          for _ in range(rng.randint(0, 6)))
+                    for _ in range(rng.randint(0, 10))]
+        killed = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        assert _classes(n, iter(relators), killed) == simplify_reference(
+            n, iter(relators), killed), (n, relators, killed)
+
+
+def test_relator_classes_keep_the_other_fields():
+    # a subclass keeps its type and its other fields
+    pres = fpgroup.AdjointPresentation(
+        generator_count=1, relators=((1, 1), (-1, -1), (1,)),
+        generators=(0,), words=((1,),), tree=())
+    classes = fpgroup.relator_classes(pres)
+    assert type(classes) is fpgroup.AdjointPresentation
+    assert classes == fpgroup.AdjointPresentation(
+        generator_count=1, relators=((-1,), (-1, -1)), generators=(0,),
+        words=((1,),), tree=())
 
 
 def test_todd_coxeter_s3_trivial_subgroup():

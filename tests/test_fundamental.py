@@ -16,8 +16,9 @@ from oracles import (adjusted_deck_perm, census_by_orbits,
                      deck_group, full_adjoint_presentation,
                      generated_subquandle, is_normal, left_translations,
                      path_complex_cells, reidemeister_schreier,
-                     right_action_on_cover, subgroups as oracle_subgroups,
-                     todd_coxeter_reference, trace,
+                     right_action_on_cover, simplify_reference,
+                     subgroups as oracle_subgroups, todd_coxeter_reference,
+                     trace,
                      universal_cover_by_columns)
 
 
@@ -299,6 +300,62 @@ def test_pi1_presentation_is_the_simplified_rewrite(corpus):
             assert _plain(fund.pi1_presentation(quandle, q)) == (
                 fpgroup.simplify(rewrite.generator_count,
                                  rewrite.relators)[0]), (name, q)
+
+
+def test_relator_classes_of_simplify_are_the_reference(corpus):
+    # at 166 basepoints, simplify's survivors, one per rotation class,
+    # are exactly what simplify gave when it built the classes itself,
+    # images included; the raw survivors have the abelianisation of
+    # their classes, and fundamental_group keeps the classes of
+    # pi1_presentation with its images and paths
+    inputs = [(name, quandle, quandle.basepoints) for name, quandle in corpus]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m), (0,))
+               for m in (5, 6, 7)]
+    inputs.append(("conj(S5,3-cycle)", _three_cycles(5), (0,)))
+    inputs += [(f"dihedral({n})", qmod.dihedral(n), (0,))
+               for n in (15, 21, 31, 45, 91)]
+    checked = 0
+    for name, quandle, basepoints in inputs:
+        for q in basepoints:
+            rewrite = reidemeister_schreier(quandle, q,
+                                            quandle.adjoint.generators)
+            pres, images = fpgroup.simplify(rewrite.generator_count,
+                                            rewrite.relators)
+            classes = fpgroup.relator_classes(pres)
+            assert (classes, images) == simplify_reference(
+                rewrite.generator_count, rewrite.relators), (name, q)
+            assert (fpgroup.abelian_invariants(pres)
+                    == fpgroup.abelian_invariants(classes)), (name, q)
+            fg = fund.fundamental_group(quandle, q, budget=1)
+            assert fg.presentation == fpgroup.relator_classes(
+                fund.pi1_presentation(quandle, q)), (name, q)
+            checked += 1
+    assert checked == 166
+
+
+def test_pi1_presentation_checks_its_letters_once(monkeypatch):
+    # simplify's Presentation is checked; the Pi1Presentation built
+    # from it, and the rotation classes fundamental_group keeps, are not
+    # checked again
+    checked = []
+    check = fpgroup.Presentation.__post_init__
+
+    def counting(self):
+        checked.append(type(self))
+        check(self)
+
+    quandle = transposition_quandle(5)
+    quandle.adjoint  # checked once per quandle, when first built
+    monkeypatch.setattr(fpgroup.Presentation, "__post_init__", counting)
+    assert len(coh.h2_integral(quandle)) == 1
+    assert checked == [fpgroup.Presentation]
+    checked.clear()
+    fg = fund.fundamental_group(quandle, 0, budget=1)
+    assert fg.regular is None
+    # simplify's and the one prefix round's, on the first 20 of the 27
+    # classes; the last round reads the classes as they are
+    assert (len(fg.presentation.relators), checked) == (
+        27, [fpgroup.Presentation] * 2)
 
 
 def _three_cycles(m):
@@ -906,6 +963,30 @@ def test_enumerated_coverings_are_coverings():
         # fibre size is the subgroup index in pi_1
         fibre = projection.fibre(0)
         assert len(fibre) * len(sub) == 6
+
+
+def test_theorem_built_projections_pass_the_public_checks(
+        corpus_coverings):
+    # covers and census quotients are built unchecked; re-checked
+    # through the public QuandleHom constructor, each is a
+    # homomorphism with the same section, and qmod.components finds
+    # the one component its grading and basepoint were given, on the
+    # corpus coverings and on the census inputs of S5's transpositions
+    # and 3-cycles
+    projections = [p for _, p in corpus_coverings]
+    for quandle in (transposition_quandle(5), _three_cycles(5)):
+        projections.append(fund.universal_cover(quandle).projection)
+        projections += [p for _, p, _ in
+                        fund.enumerate_connected_coverings(quandle, 0)]
+    for p in projections:
+        again = qmod.QuandleHom(p.source, p.target, p.map)
+        assert again == p and again.section == p.section
+        parts, index = qmod.components(p.source)
+        assert len(parts) == 1
+        assert (p.source.grading, p.source.basepoints) == (index, (0,))
+        assert p.source == qmod.from_columns(p.source.rho,
+                                             range(p.source.n))
+    assert len(projections) >= 80
 
 
 def test_universal_cover_projects_onto_every_covering():
