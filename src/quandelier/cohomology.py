@@ -340,14 +340,14 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
                for b in range(n)]
     basepoints = tuple(start[q] + coeffs[i].identity
                        for i, q in enumerate(quandle.basepoints))
-    total = qmod.from_columns(columns, over, tuple(gr[a] for a in over),
-                              basepoints)
+    projection = qmod.from_columns(columns, quandle, over,
+                                   tuple(gr[a] for a in over), basepoints)
     action = tuple(tuple(tuple(start[a] + (row[u] if gr[a] == i else u)
                                for a in range(n)
                                for u in range(len(tables[a])))
                          for row in lam.table)
                    for i, lam in enumerate(coeffs))
-    return Extension(total=total, projection=QuandleHom(total, quandle, over),
+    return Extension(total=projection.source, projection=projection,
                      coeffs=coeffs, action=action)
 
 
@@ -376,12 +376,13 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
     The quandle must be connected.  hom sends pi_1's element indices
-    (the rows of pi1_model(...).cayley, at the first basepoint) to
+    (the rows of fundamental_group(...).cayley, at the first basepoint) to
     Lambda elements, and the cocycle is hom(f(a,b)) for pi_1's own
     cocycle f, with no cover table built.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    pi1 = fundamental.pi1_model(quandle, quandle.basepoints[0], budget)
+    pi1 = fundamental.fundamental_group(quandle, quandle.basepoints[0],
+                                        budget)
     f = Cocycle2(tuple(tuple(map(hom.__getitem__, row))
                        for row in pi1.cocycle))
     ok, wit = is_cocycle(f, quandle, coeffs)

@@ -190,28 +190,35 @@ def _right_action(table: CosetTable, step, start):
 
 @dataclass(frozen=True)
 class FundamentalGroup:
-    """pi_1(Q, q): a presentation always, a finite model when possible.
+    """pi_1(Q, q), computed only as far as it is read.
 
-    regular, pi_1's right regular representation, is the enumeration of
-    the presentation over the trivial subgroup, or None when pi_1 is
-    infinite or over budget; coset g is the element its representative
-    word reads.  Built from it on first use: cayley[g][h] = gh, the
-    one group law every covering reads, and then the cocycle f of the
-    universal cover Q x pi_1; without it, they raise as pi1_model does.
+    presentation has one relator per rotation class.  regular, pi_1's
+    right regular representation, is its enumeration over the trivial
+    subgroup; coset g is the element its representative word reads.
+    Reading it raises InfiniteGroup for a disconnected quandle before
+    anything is built, or Todd-Coxeter's BudgetExceeded past the
+    budget, and order is then None.  Built from it: cayley[g][h] = gh,
+    the one group law every covering reads, and the cocycle f of the
+    universal cover Q x pi_1.
     """
 
     quandle: FiniteQuandle
     basepoint: int
-    presentation: Pi1Presentation
-    regular: CosetTable
     budget: int
+
+    @cached_property
+    def presentation(self) -> Pi1Presentation:
+        return fpgroup.relator_classes(pi1_presentation(self.quandle,
+                                                        self.basepoint))
+
+    @cached_property
+    def regular(self) -> CosetTable:
+        _certify_finite(self.quandle)
+        return _regular(self.presentation, self.budget)
 
     @cached_property
     def cayley(self) -> tuple:
         table = self.regular
-        if table is None:
-            _certify_finite(self.quandle)
-            raise BudgetExceeded(self.budget, "coset enumeration")
         step = (None, *table.action, *reversed(table.action_inv))
         return tuple(zip(*_right_action(table, step,
                                         tuple(range(table.coset_count)))))
@@ -240,9 +247,12 @@ class FundamentalGroup:
                 f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[rho[x][b]][s]]
         return tuple(map(tuple, f))
 
-    @property
+    @cached_property
     def order(self):
-        return None if self.regular is None else self.regular.coset_count
+        try:
+            return self.regular.coset_count
+        except BudgetExceeded:  # InfiniteGroup included
+            return None
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
         return fpgroup.abelian_invariants(self.presentation)
@@ -257,10 +267,12 @@ def _regular(pres: Presentation, budget: int) -> CosetTable:
     failed trace doubles k, a round over its cap doubles k and
     quadruples the cap, as the peak grows with k (S10 transpositions:
     k = 480 closes within 64000, k = 1920 not); the last round reads
-    all relators at the budget."""
+    all relators at the budget.  Each prefix is built unchecked, as its
+    relators are pres's."""
     k, cap = 4 * pres.generator_count + 8, 1000
     while k < len(pres.relators):
-        prefix = Presentation(pres.generator_count, pres.relators[:k])
+        prefix = fpgroup._unchecked(Presentation, relators=pres.relators[:k],
+                                    generator_count=pres.generator_count)
         try:
             table = fpgroup.todd_coxeter(prefix, [], budget=min(cap, budget))
         except BudgetExceeded:
@@ -276,32 +288,12 @@ def _regular(pres: Presentation, budget: int) -> CosetTable:
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
                       ) -> FundamentalGroup:
-    """pi_1(Q, basepoint): the presentation, one relator per rotation
-    class, always; the finite model when pi1_model finds it within the
-    budget; a disconnected quandle has infinite pi_1 and is not
-    enumerated."""
-    pres = fpgroup.relator_classes(pi1_presentation(quandle, basepoint))
-    try:
-        _certify_finite(quandle)
-        regular = _regular(pres, budget)
-    except BudgetExceeded:  # InfiniteGroup included
-        regular = None
-    return FundamentalGroup(quandle, basepoint, pres, regular, budget)
-
-
-def pi1_model(quandle: FiniteQuandle, basepoint: int,
-              budget: int = fpgroup.DEFAULT_COSET_BUDGET
-              ) -> FundamentalGroup:
-    """pi_1 with the finite model every covering reads, enumerated by
-    _regular on the rotation classes of pi1_presentation's relators, so
-    every budget the full enumeration fits gives the model, and some
-    smaller ones do.  Raises InfiniteGroup for a disconnected quandle
-    before anything is built, and the BudgetExceeded of todd_coxeter on
-    all relators past the budget."""
-    _certify_finite(quandle)
-    pres = fpgroup.relator_classes(pi1_presentation(quandle, basepoint))
-    return FundamentalGroup(quandle, basepoint, pres, _regular(pres, budget),
-                            budget)
+    """pi_1(Q, basepoint), built as far as it is read: the
+    presentation always, the finite model within the budget; a
+    disconnected quandle has infinite pi_1 and is not enumerated."""
+    if not 0 <= basepoint < quandle.n:
+        raise ValueError("basepoint out of range")
+    return FundamentalGroup(quandle, basepoint, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +306,8 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     for the i-th coset, over a, so the first n lie over distinct base
     elements and the greedy generating set is as small as the base's.
     Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b)).
-    The covering theorem makes it a connected covering of Q, so the
-    projection is built unchecked."""
-    quandle, mul, n = pi1.quandle, pi1.cayley, pi1.quandle.n
+    The covering theorem makes it a connected covering of Q."""
+    mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
     offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
     # shift[i][t] = n times the index of K g_i t, g_i = cosets[i][0]
     shift = [tuple(map(offset.__getitem__, mul[coset[0]]))
@@ -324,7 +315,8 @@ def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
                                              rho_b) for row in shift))
                for f_b, rho_b in zip(zip(*pi1.cocycle), quandle.rho)]
-    return qmod._projection(columns, quandle, len(cosets))
+    over = tuple(range(n)) * len(cosets)
+    return qmod.from_columns(columns, quandle, over, (0,) * len(over), (0,))
 
 
 @dataclass(frozen=True)
@@ -343,9 +335,9 @@ def universal_cover(quandle: FiniteQuandle,
                     budget: int = fpgroup.DEFAULT_COSET_BUDGET
                     ) -> UniversalCover:
     """Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b)), f the cocycle of pi_1
-    at the first basepoint; raises as pi1_model does."""
-    pi1 = pi1_model(quandle, quandle.basepoints[0], budget=budget)
-    projection = _quotient(pi1, [(g,) for g in range(pi1.order)])
+    at the first basepoint; raises as FundamentalGroup.regular does."""
+    pi1 = fundamental_group(quandle, quandle.basepoints[0], budget)
+    projection = _quotient(pi1, [(g,) for g in range(len(pi1.cayley))])
     return UniversalCover(base=quandle, cover=projection.source,
                           projection=projection, pi1=pi1)
 
@@ -407,7 +399,7 @@ def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
     """
     if len(qmod.components(quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
-    pi1 = pi1_model(quandle, basepoint, budget=budget)
+    pi1 = fundamental_group(quandle, basepoint, budget)
     out = []
     for sub in permgroup.subgroups(pi1.cayley):
         cosets, normal = _right_cosets(pi1.cayley, sub)
@@ -438,12 +430,14 @@ def monodromy(p: QuandleHom, basepoint: int,
     pi_1's k-th element, the k-th row of pi1.cayley.
     A generator of pi_1 is an edge (a, s), whose loop runs along the tree
     to a, across the edge and back, each base element lifting to its
-    section element.  Raises as pi1_model does.
+    section element.  Raises as FundamentalGroup.regular does, and
+    builds no Cayley table.
     """
     if not qmod.is_covering(p)[0]:
         raise ValueError("p is not a covering")
     base, rho, rho_inv = p.target, p.source.rho, p.source.rho_inv
-    pi1 = pi1_model(base, basepoint, budget=budget)
+    pi1 = fundamental_group(base, basepoint, budget)
+    table = pi1.regular  # before the presentation: it may raise
     pres, gens = pi1.presentation, base.adjoint.generators
     fibre = p.fibre(basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
@@ -460,5 +454,5 @@ def monodromy(p: QuandleHom, basepoint: int,
                               images))
         step.append(tuple(map(pos.__getitem__, images)))
     step = (None, *step, *map(permgroup.inverse, reversed(step)))
-    perms = _right_action(pi1.regular, step, tuple(range(len(fibre))))
+    perms = _right_action(table, step, tuple(range(len(fibre))))
     return pi1, fibre, tuple(perms)

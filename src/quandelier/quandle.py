@@ -19,7 +19,7 @@ from .permgroup import FiniteGroup, Perm
 @dataclass(frozen=True)
 class FiniteQuandle:
     """An n-element quandle held by its distinct right translations
-    C: a -> a*b, built by from_columns.
+    C: a -> a*b, built by validate or from_columns.
 
     columns holds them numbered by first occurrence in b, and
     column_id[b] is the number of b's: a*b = rho[b][a] and
@@ -205,7 +205,9 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
     element once.  Q3 is rho_s C_b = C_{b*s} rho_s for s in the
     generating set S: if rho_c and rho_d are automorphisms, so is
     rho_{c*d} = rho_d rho_c rho_d^-1.  A violation is reported at its
-    first witness in row order."""
+    first witness in row order.  A grading must be constant on the
+    components and numbered 0..k-1, with one basepoint in each class;
+    by default it is the components, with their least elements."""
     n = len(op_table)
     if n < 1:
         raise NotAQuandle("Q1", (), "empty quandle rejected")
@@ -236,60 +238,14 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         for i, j in set(zip(column_id, map(column_id.__getitem__, rho))):
             if gather[i](rho) != at_rho(distinct[j]):
                 _raise_q3(columns, gens)
-    return _assemble(tuple(distinct), tuple(column_id), columns, gens,
-                     grading, basepoints)
-
-
-def from_columns(columns, over, grading=None, basepoints=None
-                 ) -> FiniteQuandle:
-    """The quandle with a * x = columns[over[x]][a], checked for no
-    axiom: the covering and extension theorems build tables whose x*y
-    reads y only through over[y] (Q x_f pi_1 and its quotients,
-    Lambda x_f Q, pullbacks and unions of coverings).  Equal columns
-    are merged, and numbered by first occurrence in x as validate
-    numbers them, in O(n N) for n columns.  The default grading is the
-    components, with minimum-element basepoints."""
-    first = {}  # column -> the least index in columns holding it
-    same = [first.setdefault(column, i) for i, column in enumerate(columns)]
-    number = {}  # that index -> column id, by first occurrence in x
-    column_id = tuple(number.setdefault(same[i], len(number)) for i in over)
-    distinct = tuple(map(columns.__getitem__, number))
-    rho = tuple(map(distinct.__getitem__, column_id))
-    return _assemble(distinct, column_id, rho, _generating_set(rho),
-                     grading, basepoints)
-
-
-def _projection(columns, base, copies) -> "QuandleHom":
-    """x -> x mod n onto the n-element base from the quandle with
-    a * x = columns[x mod n][a] on copies * n elements, numbered as by
-    from_columns, that a covering theorem builds connected (Q x pi_1 and
-    its quotients): no axiom, homomorphism or component is checked."""
-    number = {}  # distinct column -> id, by first occurrence
-    column_id = tuple(number.setdefault(c, len(number))
-                      for c in columns) * copies
-    distinct = tuple(number)
-    rho = tuple(map(distinct.__getitem__, column_id))
-    source = FiniteQuandle(distinct, column_id, (0,) * len(rho), (0,),
-                           _generating_set(rho))
-    over = tuple(range(base.n))
-    return fpgroup._unchecked(QuandleHom, source=source, target=base,
-                              map=over * copies, section=over)
-
-
-def _assemble(columns, column_id, rho, gens, grading, basepoints):
-    """The quandle on canonically numbered columns, rho[x] being x's."""
-    n = len(column_id)
-    parts, part_index = _orbits(rho, gens)
-    if grading is None:
-        grading = part_index
-    else:
-        grading = tuple(grading)
-        if len(grading) != n:
-            raise ValueError("grading length mismatch")
-        # constant on components, so preserved: a*b lies in a's
-        for part in parts:
-            if len({grading[a] for a in part}) != 1:
-                raise ValueError(f"grading splits the component {part}")
+    parts, index = _orbits(columns, gens)
+    grading = index if grading is None else tuple(grading)
+    if len(grading) != n:
+        raise ValueError("grading length mismatch")
+    # constant on components, so preserved: a*b lies in a's
+    for part in parts:
+        if len({grading[a] for a in part}) != 1:
+            raise ValueError(f"grading splits the component {part}")
     classes = sorted(set(grading))
     if classes != list(range(len(classes))):
         raise ValueError("grading indices must be 0..k-1")
@@ -302,9 +258,40 @@ def _assemble(columns, column_id, rho, gens, grading, basepoints):
         for i, q in enumerate(basepoints):
             if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
-    return FiniteQuandle(columns=columns, column_id=column_id,
+    return FiniteQuandle(columns=tuple(distinct), column_id=tuple(column_id),
                          grading=grading, basepoints=basepoints,
                          generators=gens)
+
+
+def from_columns(columns, base, over, grading=None, basepoints=None
+                 ) -> "QuandleHom":
+    """The covering projection x -> over[x] onto base from the quandle
+    with a * x = columns[over[x]][a], checked for no axiom and no
+    homomorphism: the covering and extension theorems build tables
+    whose x*y reads y only through over[y], and make them coverings
+    (Q x_f pi_1 and its quotients, Lambda x_f Q, pullbacks and unions
+    of coverings).  Equal columns are merged, and numbered by first
+    occurrence in x as validate numbers them, in O(n N) for n columns.
+    A grading given, with its basepoints, is trusted, as the theorems
+    pull it back or make the total connected; by default it is the
+    components, with their least elements."""
+    over = tuple(over)
+    number = {}  # distinct column -> id, by first occurrence in x
+    ids = [None] * len(columns)
+    for b in dict.fromkeys(over):
+        ids[b] = number.setdefault(columns[b], len(number))
+    column_id = tuple(map(ids.__getitem__, over))
+    distinct = tuple(number)
+    rho = tuple(map(distinct.__getitem__, column_id))
+    gens = _generating_set(rho)
+    if grading is None:
+        parts, grading = _orbits(rho, gens)
+        basepoints = tuple(part[0] for part in parts)
+    source = FiniteQuandle(distinct, column_id, tuple(grading),
+                           tuple(basepoints), gens)
+    return fpgroup._unchecked(QuandleHom, source=source, target=base,
+                              map=over, section=tuple(map(
+                                  over.index, range(base.n))))
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +491,8 @@ def pullback(p: QuandleHom, f: QuandleHom):
     column = [tuple(index[(x_side.rho[y][x], cover.rho[lift][a])]
                     for x, a in elements)
               for y, lift in enumerate(p.section[v] for v in f.map)]
-    over = tuple(x for (x, _) in elements)
-    total = from_columns(column, over)
-    projection = QuandleHom(total, x_side, over)
-    leg = QuandleHom(total, cover, tuple(a for (_, a) in elements))
+    projection = from_columns(column, x_side, (x for (x, _) in elements))
+    leg = QuandleHom(projection.source, cover, tuple(a for (_, a) in elements))
     return projection, leg
 
 
@@ -533,5 +518,4 @@ def union_coverings(coverings):
     column = [tuple(start[i] + x for i, p in enumerate(coverings)
                     for x in p.source.rho[p.section[y]])
               for y in range(base.n)]
-    over = tuple(v for p in coverings for v in p.map)
-    return QuandleHom(from_columns(column, over), base, over)
+    return from_columns(column, base, (v for p in coverings for v in p.map))

@@ -351,11 +351,11 @@ def test_pi1_presentation_checks_its_letters_once(monkeypatch):
     assert checked == [fpgroup.Presentation]
     checked.clear()
     fg = fund.fundamental_group(quandle, 0, budget=1)
-    assert fg.regular is None
-    # simplify's and the one prefix round's, on the first 20 of the 27
-    # classes; the last round reads the classes as they are
+    assert fg.order is None
+    # simplify's only: the prefix round, on the first 20 of the 27
+    # classes, and the last round read the checked classes as they are
     assert (len(fg.presentation.relators), checked) == (
-        27, [fpgroup.Presentation] * 2)
+        27, [fpgroup.Presentation])
 
 
 def _three_cycles(m):
@@ -459,24 +459,64 @@ def test_pi1_coset_peak_is_pinned():
     inputs.append((_three_cycles(5), 6))
     for quandle, peak in inputs:
         assert fund.fundamental_group(
-            quandle, 0, budget=peak).regular is not None, peak
-        assert fund.fundamental_group(
-            quandle, 0, budget=peak - 1).regular is None, peak
+            quandle, 0, budget=peak).order is not None, peak
+        fg = fund.fundamental_group(quandle, 0, budget=peak - 1)
+        assert fg.order is None, peak
+        with pytest.raises(BudgetExceeded):
+            fg.regular
 
 
 def test_an_unenumerated_pi1_has_no_model():
-    # cayley and cocycle raise as pi1_model does: InfiniteGroup on a
-    # disconnected quandle, todd_coxeter's BudgetExceeded otherwise
+    # regular, cayley and cocycle raise InfiniteGroup on a disconnected
+    # quandle, todd_coxeter's BudgetExceeded otherwise
     for fg, error in ((fund.fundamental_group(qmod.trivial(2), 0),
                        InfiniteGroup),
                       (fund.fundamental_group(transposition_quandle(4), 0,
                                               budget=1), BudgetExceeded)):
-        assert fg.regular is None
-        for name in ("cayley", "cocycle"):
+        assert fg.order is None
+        for name in ("regular", "cayley", "cocycle"):
             with pytest.raises(error) as info:
                 getattr(fg, name)
             assert type(info.value) is error, name
     assert str(info.value) == "coset enumeration exceeded budget at size 1"
+
+
+def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
+    # the presentation alone enumerates nothing; the covering consumers
+    # read the model first, so a disconnected base builds no
+    # presentation, and monodromy builds no Cayley table; past the
+    # budget, regular raises todd_coxeter's own error
+    enumerate_ = fpgroup.todd_coxeter
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter", no_enumeration)
+    fg = fund.fundamental_group(transposition_quandle(5), 0)
+    assert fg.presentation.generator_count == 3
+    monkeypatch.setattr(fpgroup, "todd_coxeter", enumerate_)
+
+    def no_presentation(*args, **kwargs):
+        raise AssertionError("presentation built")
+
+    quandle = qmod.trivial(2)
+    monkeypatch.setattr(fund, "pi1_presentation", no_presentation)
+    with pytest.raises(InfiniteGroup):
+        fund.universal_cover(quandle)
+    with pytest.raises(InfiniteGroup):
+        fund.monodromy(qmod.identity_hom(quandle), 0)
+    monkeypatch.undo()
+
+    cover = fund.universal_cover(transposition_quandle(5))
+    pi1 = fund.monodromy(cover.projection, 0)[0]
+    assert pi1.order == 6 and "cayley" not in vars(pi1)
+
+    fg = fund.fundamental_group(transposition_quandle(4), 0, budget=1)
+    with pytest.raises(BudgetExceeded) as got:
+        fg.regular
+    with pytest.raises(BudgetExceeded) as want:
+        fpgroup.todd_coxeter(fg.presentation, [], budget=1)
+    assert str(got.value) == str(want.value)
 
 
 def test_pi1_of_s7_enumerates_its_own_cosets():
@@ -518,7 +558,9 @@ def test_fundamental_group_of_a_disconnected_quandle_enumerates_nothing(
     quandle.adjoint  # the presentation may be built, not enumerated
     monkeypatch.setattr(fpgroup, "todd_coxeter", no_enumeration)
     fg = fund.fundamental_group(quandle, 0, budget=10**9)
-    assert fg.order is None and fg.regular is None
+    assert fg.order is None
+    with pytest.raises(InfiniteGroup):
+        fg.regular
     assert fg.abelian_invariants() == coh.h2_integral(quandle)[0]
 
 
@@ -776,7 +818,7 @@ def test_pi1_model_is_the_enumeration_on_all_relators(corpus):
     inputs = _census_inputs(corpus)
     inputs.append(("conj(S7,transposition)", transposition_quandle(7)))
     for name, quandle in inputs:
-        fg = fund.pi1_model(quandle, quandle.basepoints[0])
+        fg = fund.fundamental_group(quandle, quandle.basepoints[0])
         ref = todd_coxeter_reference(_plain(fg.presentation))
         assert fg.order == ref.coset_count, name
         image = [trace(ref, 0, w) for w in fg.regular.representative_word]
@@ -846,7 +888,7 @@ def test_subgroups_match_the_permutation_search(corpus):
     # census marks normal exactly the subgroups that are
     for name, quandle in _census_inputs(corpus):
         q = quandle.basepoints[0]
-        fg = fund.pi1_model(quandle, q)
+        fg = fund.fundamental_group(quandle, q)
         group = left_translations(fg.cayley)
         index = {g: i for i, g in enumerate(group.elements)}
         want = oracle_subgroups(group)
@@ -966,27 +1008,56 @@ def test_enumerated_coverings_are_coverings():
 
 
 def test_theorem_built_projections_pass_the_public_checks(
-        corpus_coverings):
-    # covers and census quotients are built unchecked; re-checked
-    # through the public QuandleHom constructor, each is a
-    # homomorphism with the same section, and qmod.components finds
-    # the one component its grading and basepoint were given, on the
-    # corpus coverings and on the census inputs of S5's transpositions
-    # and 3-cycles
-    projections = [p for _, p in corpus_coverings]
+        corpus, corpus_coverings):
+    # covers, census quotients, extension totals, pullbacks and unions
+    # are built unchecked, with their gradings trusted; re-checked
+    # through the public QuandleHom constructor, each is a homomorphism
+    # with the same section, and validate rebuilds its source from its
+    # table with the grading and basepoints it was given.  Covers and
+    # census quotients are connected: qmod.components finds the one
+    # component their grading and basepoint were given
+    connected = [p for _, p in corpus_coverings]
     for quandle in (transposition_quandle(5), _three_cycles(5)):
-        projections.append(fund.universal_cover(quandle).projection)
-        projections += [p for _, p, _ in
-                        fund.enumerate_connected_coverings(quandle, 0)]
-    for p in projections:
-        again = qmod.QuandleHom(p.source, p.target, p.map)
-        assert again == p and again.section == p.section
+        connected.append(fund.universal_cover(quandle).projection)
+        connected += [p for _, p, _ in
+                      fund.enumerate_connected_coverings(quandle, 0)]
+    for p in connected:
         parts, index = qmod.components(p.source)
         assert len(parts) == 1
         assert (p.source.grading, p.source.basepoints) == (index, (0,))
-        assert p.source == qmod.from_columns(p.source.rho,
-                                             range(p.source.n))
-    assert len(projections) >= 80
+        assert p.source == qmod.from_columns(
+            p.source.rho, p.source, range(p.source.n)).source
+    # extension totals: the Z2 and Z3 coboundaries of every corpus
+    # quandle, graded by its components, and Q x_f pi_1 with pi_1's own
+    # cocycle on each connected one
+    extensions = []
+    for _, quandle in corpus:
+        for k in (2, 3):
+            lam = coh.Coeff.from_invariants([k])
+            g = tuple(a % k for a in range(quandle.n))
+            extensions.append(coh.extension_from_cocycle(
+                quandle, lam, coh.coboundary(quandle, lam, g)).projection)
+        if quandle.is_connected():
+            fg = fund.fundamental_group(quandle, quandle.basepoints[0])
+            extensions.append(coh.extension_from_cocycle(
+                quandle, coh.Coeff.from_table(fg.cayley, 0),
+                fg.cocycle).projection)
+    assert any(p.source.component_count > 1 for p in extensions)
+    # each corpus covering pulled back along its base's universal
+    # cover, and the union of each base's coverings
+    by_base, combined = {}, []
+    for name, p in corpus_coverings:
+        by_base.setdefault(name, []).append(p)
+    for coverings in by_base.values():
+        combined += [qmod.pullback(p, coverings[0])[0] for p in coverings]
+        combined.append(qmod.union_coverings(coverings))
+    for p in connected + extensions + combined:
+        again = qmod.QuandleHom(p.source, p.target, p.map)
+        assert again == p and again.section == p.section
+        assert qmod.validate(p.source.op, grading=p.source.grading,
+                             basepoints=p.source.basepoints) == p.source
+    assert len(connected) >= 80 and len(extensions) >= 200
+    assert len(combined) >= 100
 
 
 def test_universal_cover_projects_onto_every_covering():
