@@ -11,11 +11,9 @@ from itertools import accumulate, product
 from math import prod
 
 from . import fpgroup, fundamental, quandle as qmod
-from .errors import BudgetExceeded, NotACocycle
+from .errors import NotACocycle
 from .fpgroup import AbelianInvariants
 from .quandle import FiniteQuandle, QuandleHom
-
-DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -195,54 +193,42 @@ def coboundary(quandle: FiniteQuandle, coeffs, g) -> Cocycle2:
     return Cocycle2(tuple(rows))
 
 
-def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs,
-                     budget: int = DEFAULT_SEARCH_BUDGET):
-    """Find a rescaling g with f = g^-1 f2 g, or report absence.
+def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs):
+    """Find a rescaling g with f = g^-1 f2 g between the cocycles f and
+    f2, or report absence.
 
-    The relation propagates g along quandle edges a -> a*b, which
-    reach exactly the orbit of the right translations, so only the
-    value at each orbit's least element is free; trying those finitely
-    many seeds, in the coefficient group of the orbit's grading class,
-    is a complete search for any coefficient group.  A grading class
-    may hold several orbits, each searched on its own.
+    The relation propagates g along edges a -> a*s, s in S, which reach
+    the whole orbit, so only the value at each orbit's least element is
+    free; trying those seeds, in the orbit's coefficient group, takes at
+    most |Lambda| n |S| steps.  As in is_cocycle, the y whose right
+    translations (u, a) -> (u g(a)^-1, a) carries from Lambda x_f Q to
+    Lambda x_f2 Q form a subquandle, so agreeing on S is enough.
     """
     coeffs = graded_coefficients(quandle, coeffs)
     va = f.values if isinstance(f, Cocycle2) else f
     vb = f2.values if isinstance(f2, Cocycle2) else f2
-    n, rho = quandle.n, quandle.rho
-    g = [None] * n
-    steps = 0
+    rho, gens, g = quandle.rho, quandle.generators, {}
     for part in qmod.components(quandle)[0]:
         lam = coeffs[quandle.grading[part[0]]]
         for seed in range(lam.order):
-            assignment = {part[0]: seed}
-            queue = [part[0]]
-            consistent = True
-            while queue and consistent:
-                a = queue.pop(0)
-                for b in range(n):
-                    steps += 1
-                    if steps > budget:
-                        raise BudgetExceeded(steps, "cohomology search")
-                    c = rho[b][a]
-                    # g(a*b) = f2(a,b)^-1 g(a) f(a,b)
-                    val = lam.mul(lam.mul(lam.inv(vb[a][b]), assignment[a]),
-                                  va[a][b])
-                    if c not in assignment:
-                        assignment[c] = val
-                        queue.append(c)
-                    elif assignment[c] != val:
-                        consistent = False
-                        break
-            # every pair (a, b) of the orbit was either defined or
-            # compared, so a consistent assignment is a rescaling
-            if consistent:
-                for a in part:
-                    g[a] = assignment[a]
+            assignment, reached = {part[0]: seed}, [part[0]]
+            # reached grows while the pairs are read
+            for a, s in ((a, s) for a in reached for s in gens):
+                c = rho[s][a]
+                # g(a*s) = f2(a,s)^-1 g(a) f(a,s)
+                val = lam.mul(lam.mul(lam.inv(vb[a][s]), assignment[a]),
+                              va[a][s])
+                if c not in assignment:
+                    assignment[c] = val
+                    reached.append(c)
+                elif assignment[c] != val:
+                    break
+            else:
+                g.update(assignment)
                 break
         else:
             return None
-    return tuple(g)
+    return tuple(map(g.__getitem__, range(quandle.n)))
 
 
 def h2_with_coefficients(quandle: FiniteQuandle, coeffs):
@@ -408,8 +394,7 @@ def hom_from_extension(ext: Extension,
     return [shift[fibre[perm[0]]] for perm in perms]
 
 
-def are_equivalent_extensions(e1: Extension, e2: Extension,
-                              budget: int = DEFAULT_SEARCH_BUDGET):
+def are_equivalent_extensions(e1: Extension, e2: Extension):
     """A projection-respecting equivariant isomorphism, or None.
 
     Two extensions are equivalent exactly when their cocycles, read off
@@ -426,8 +411,7 @@ def are_equivalent_extensions(e1: Extension, e2: Extension,
     if e1.total.n != e2.total.n:
         return None
     g = are_cohomologous(cocycle_from_extension(e1),
-                         cocycle_from_extension(e2), base, e1.coeffs,
-                         budget=budget)
+                         cocycle_from_extension(e2), base, e1.coeffs)
     if g is None:
         return None
     phi = [None] * e1.total.n

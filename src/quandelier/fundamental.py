@@ -197,7 +197,8 @@ class FundamentalGroup:
     subgroup; coset g is the element its representative word reads.
     Reading it raises InfiniteGroup for a disconnected quandle before
     anything is built, or Todd-Coxeter's BudgetExceeded past the
-    budget, and order is then None.  Built from it: cayley[g][h] = gh,
+    budget, and order is then None; the error is kept, so every later
+    read raises it again at once.  Built from it: cayley[g][h] = gh,
     the one group law every covering reads, and the cocycle f of the
     universal cover Q x pi_1.
     """
@@ -212,9 +213,18 @@ class FundamentalGroup:
                                                         self.basepoint))
 
     @cached_property
+    def _enumeration(self):  # regular, or the error reading it raises
+        try:
+            _certify_finite(self.quandle)
+            return _regular(self.presentation, self.budget)
+        except BudgetExceeded as error:  # InfiniteGroup included
+            return error.with_traceback(None)
+
+    @property
     def regular(self) -> CosetTable:
-        _certify_finite(self.quandle)
-        return _regular(self.presentation, self.budget)
+        if isinstance(self._enumeration, BudgetExceeded):
+            raise self._enumeration
+        return self._enumeration
 
     @cached_property
     def cayley(self) -> tuple:
@@ -247,12 +257,10 @@ class FundamentalGroup:
                 f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[rho[x][b]][s]]
         return tuple(map(tuple, f))
 
-    @cached_property
+    @property
     def order(self):
-        try:
-            return self.regular.coset_count
-        except BudgetExceeded:  # InfiniteGroup included
-            return None
+        table = self._enumeration
+        return None if isinstance(table, BudgetExceeded) else table.coset_count
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
         return fpgroup.abelian_invariants(self.presentation)

@@ -92,46 +92,45 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
                        generators=generators, identity_index=0)
 
 
-def _close(cayley, seeds) -> frozenset:
-    """The subgroup generated by the seed elements: a BFS from the
-    identity 0 that multiplies on the right by each seed.  In a finite
-    group that monoid is already closed under inverses."""
-    members = [0]
-    seen = {0}
-    for x in members:
-        row = cayley[x]
+def _close(column, sub, seeds) -> frozenset:
+    """The subgroup the seeds generate, given a subgroup sub of it and
+    column[y][x] = xy: the right cosets sub r reached from 1 by right
+    products with the seeds, as h r s lies in sub rs (Dimino).  In a
+    finite group that monoid is already closed under inverses."""
+    members, reps = set(sub), [0]
+    for r in reps:  # grows while it is read
         for s in seeds:
-            y = row[s]
-            if y not in seen:
-                seen.add(y)
-                members.append(y)
-    return frozenset(seen)
+            y = column[s][r]
+            if y not in members:
+                members.update(map(column[y].__getitem__, sub))
+                reps.append(y)
+    return frozenset(members)
 
 
 def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
-    """All subgroups of the group with the given Cayley table, identity
-    0, not just up to conjugacy, as sorted tuples of element indices.
+    """Every subgroup, not one per class, of the group with this Cayley
+    table and identity 0: sorted index tuples, by (order, tuple).
 
-    Seeds with the cyclic subgroups and joins each pair of found
-    subgroups, the joins found included, until a fixed point; a join is
-    closed from the generators of its two parts.  Output is ordered by
-    (order, sorted element indices) and always includes the trivial and
-    full subgroup.
+    From each conjugacy class's first subgroup A, the trivial one first,
+    closes <A, g> = <A, agb> for one g per double coset AgA; a new
+    closure J brings its whole class, every h^-1 J h.  Every subgroup is
+    <1, g1, ..., gk> and the found set is a union of classes, so none is
+    missed.
     """
     if len(cayley) > budget:
         raise BudgetExceeded(len(cayley), "subgroup search")
-    gens = {frozenset({0}): ()}
-    for i in range(len(cayley)):
-        gens.setdefault(_close(cayley, (i,)), (i,))
-    found = list(gens)
-    for j, b in enumerate(found):
-        for a in found[:j]:
-            if a <= b or b <= a:
-                continue
-            seeds = gens[a] + gens[b]
-            join = _close(cayley, seeds)
-            if join not in gens:
-                gens[join] = seeds
-                found.append(join)
-    return sorted((tuple(sorted(s)) for s in found),
-                  key=lambda s: (len(s), s))
+    column = tuple(zip(*cayley))
+    conj = [tuple(map(column[h].__getitem__, cayley[row.index(0)]))
+            for h, row in enumerate(cayley)]  # conj[h][x] = h^-1 x h
+    found, classes = {frozenset({0})}, [(frozenset({0}), ())]
+    for a, seeds in classes:  # grows while it is read
+        covered = set(a)
+        for g in range(len(cayley)):
+            if g not in covered:  # one g per double coset AgA
+                covered.update(column[b][column[g][x]] for x in a for b in a)
+                j = _close(column, a, seeds + (g,))
+                if j not in found:
+                    found.update(frozenset(map(h.__getitem__, j))
+                                 for h in conj)
+                    classes.append((j, seeds + (g,)))
+    return sorted(map(tuple, map(sorted, found)), key=lambda s: (len(s), s))

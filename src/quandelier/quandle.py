@@ -487,10 +487,13 @@ def pullback(p: QuandleHom, f: QuandleHom):
                 if f.map[x] == p.map[a]]
     index = {e: i for i, e in enumerate(elements)}
     # (x, a)*(y, b) = (x*y, a*b), and a*b reads b only through
-    # p(b) = f(y), so column (y, b) is column y
-    column = [tuple(index[(x_side.rho[y][x], cover.rho[lift][a])]
-                    for x, a in elements)
-              for y, lift in enumerate(p.section[v] for v in f.map)]
+    # p(b) = f(y), so column (y, b) is column y, which reads y only
+    # through its own column and f(y)
+    keys, built = tuple(zip(x_side.column_id, f.map)), {}
+    for k, v in dict.fromkeys(keys):
+        rho_x, rho_a = x_side.columns[k], cover.rho[p.section[v]]
+        built[k, v] = tuple(index[(rho_x[x], rho_a[a])] for x, a in elements)
+    column = tuple(map(built.__getitem__, keys))
     projection = from_columns(column, x_side, (x for (x, _) in elements))
     leg = QuandleHom(projection.source, cover, tuple(a for (_, a) in elements))
     return projection, leg

@@ -519,6 +519,39 @@ def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+def test_a_failed_pi1_enumeration_runs_once(monkeypatch):
+    # at budget 139 every round on S7's transpositions runs out; order,
+    # regular, cayley and cocycle then read the one failure, so the
+    # rounds run once, not once per read, and the error is the same
+    calls = []
+    enumerate_ = fpgroup.todd_coxeter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter", counted)
+    fg = fund.fundamental_group(transposition_quandle(7), 0, budget=139)
+    assert fg.order is None
+    errors = []
+    for read in ("regular", "cayley", "cocycle", "regular"):
+        with pytest.raises(BudgetExceeded) as got:
+            getattr(fg, read)
+        errors.append(got.value)
+    assert len(calls) == 5
+    assert all(error is errors[0] for error in errors)
+    # a disconnected quandle is certified infinite once
+    certified = []
+    certify = fund._certify_finite
+    monkeypatch.setattr(fund, "_certify_finite",
+                        lambda q: certified.append(q) or certify(q))
+    fg = fund.fundamental_group(qmod.trivial(2), 0)
+    for _ in range(3):
+        with pytest.raises(InfiniteGroup):
+            fg.cayley
+    assert fg.order is None and len(certified) == 1
+
+
 def test_pi1_of_s7_enumerates_its_own_cosets():
     # 120 cosets at a peak of 140 live: the adjoint enumeration of
     # 2520 cosets would not fit this budget
@@ -547,6 +580,25 @@ def test_pi1_of_the_s8_transposition_quandle():
     assert fg.order == 720
     assert fg.abelian_invariants() == fpgroup.AbelianInvariants(
         free_rank=0, torsion=(2,))
+
+
+def test_pi1_of_the_s8_transposition_quandle_has_1455_subgroups():
+    # pi_1 is S6 (OEIS A005432); symmetric_group(8) would pass
+    # closure's element budget, so the quandle is built on pairs
+    fg = fund.fundamental_group(_transpositions_on_pairs(8), 0)
+    assert len(permgroup.subgroups(fg.cayley)) == 1455
+
+
+def test_subgroups_are_closed_under_conjugation():
+    # every h^-1 K h of every subgroup K of pi_1 (S5) is listed too
+    mul = fund.fundamental_group(transposition_quandle(7), 0).cayley
+    found = permgroup.subgroups(mul)
+    assert len(found) == 156
+    listed = set(found)
+    for h, row in enumerate(mul):
+        h_inv = row.index(0)
+        for sub in found:
+            assert tuple(sorted(mul[mul[h_inv][k]][h] for k in sub)) in listed
 
 
 def test_fundamental_group_of_a_disconnected_quandle_enumerates_nothing(
