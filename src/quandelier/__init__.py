@@ -9,7 +9,7 @@ from .quandle import (FiniteQuandle, QuandleHom, alexander, conj_class,
                       union_coverings, validate)
 from .fundamental import (enumerate_connected_coverings, fundamental_group,
                           monodromy, universal_cover)
-from .cohomology import (Coeff, Cocycle2, Extension, are_cohomologous,
+from .cohomology import (Coeff, Extension, are_cohomologous,
                          are_equivalent_extensions, cocycle_from_extension,
                          extension_from_cocycle, h2_integral,
                          h2_with_coefficients, is_cocycle)
@@ -25,7 +25,7 @@ __all__ = [
     "union_coverings", "validate",
     "enumerate_connected_coverings", "fundamental_group", "monodromy",
     "universal_cover",
-    "Coeff", "Cocycle2", "Extension", "are_cohomologous",
+    "Coeff", "Extension", "are_cohomologous",
     "are_equivalent_extensions", "cocycle_from_extension",
     "extension_from_cocycle", "h2_integral", "h2_with_coefficients",
     "is_cocycle",

@@ -16,7 +16,7 @@ import sys
 from itertools import chain
 
 from . import cohomology as coh, fpgroup, fundamental as fund, quandle as qmod
-from .cohomology import Coeff, Cocycle2
+from .cohomology import Coeff
 from .errors import (BudgetExceeded, NotACocycle, NotAHomomorphism,
                      NotAQuandle, ParseError, QuandelierError)
 
@@ -246,7 +246,7 @@ def _exponent_entry(token, coeff: Coeff) -> int:
 
 
 def parse_cocycle_file(path, quandle: qmod.FiniteQuandle):
-    """CocycleFile -> (Cocycle2, per-component Coeff tuple)."""
+    """CocycleFile -> (cocycle rows, per-component Coeff tuple)."""
     lines = _tokens(_read(path))
     if not lines or lines[0][0] != "cocycle":
         raise ParseError("expected a 'cocycle <n> over <spec>' header")
@@ -269,7 +269,7 @@ def parse_cocycle_file(path, quandle: qmod.FiniteQuandle):
     for a in range(n):
         if values[a][a] != coeff.identity:
             raise ParseError(f"diagonal entry at {a + 1} is not the identity")
-    return Cocycle2(tuple(values)), coh.graded_coefficients(quandle, coeff)
+    return tuple(values), coh.graded_coefficients(quandle, coeff)
 
 
 def parse_extension_bundle(path) -> coh.Extension:
@@ -378,7 +378,7 @@ def emit_extension(ext: coh.Extension, out):
                                (map(labels.__getitem__, p) for p in perms)))
 
 
-def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):
+def emit_cocycle(f, quandle: qmod.FiniteQuandle, coeffs, out):
     specs = {_coeff_spec(c) for c in coeffs}
     if len(specs) != 1:
         raise ParseError("cocycle files need a single coefficient group")
@@ -386,7 +386,7 @@ def emit_cocycle(f: Cocycle2, quandle: qmod.FiniteQuandle, coeffs, out):
     _write_rows(out, chain(
         [("cocycle", str(quandle.n), "over", specs.pop())],
         (map(texts[component].__getitem__, row)
-         for component, row in zip(quandle.grading, f.values))))
+         for component, row in zip(quandle.grading, f))))
 
 
 def _invariants_text(inv) -> str:

@@ -134,26 +134,15 @@ def h2_integral(quandle: FiniteQuandle):
 
 
 # ---------------------------------------------------------------------------
-# cocycles
+# cocycles: a graded 2-cochain is its tuple of n rows, f[a][b] in the
+# group of a's component, with identity on the diagonal
 
 
-@dataclass(frozen=True)
-class Cocycle2:
-    """A graded 2-cochain: values[a][b] lies in the group of a's
-    component, with identity on the diagonal."""
-
-    values: tuple
-
-    def __getitem__(self, pair):
-        a, b = pair
-        return self.values[a][b]
-
-
-def trivial_cocycle(quandle: FiniteQuandle, coeffs) -> Cocycle2:
+def trivial_cocycle(quandle: FiniteQuandle, coeffs) -> tuple:
     coeffs = graded_coefficients(quandle, coeffs)
-    return Cocycle2(tuple(
+    return tuple(
         tuple(coeffs[quandle.grading[a]].identity for _ in range(quandle.n))
-        for a in range(quandle.n)))
+        for a in range(quandle.n))
 
 
 def is_cocycle(f, quandle: FiniteQuandle, coeffs):
@@ -165,24 +154,22 @@ def is_cocycle(f, quandle: FiniteQuandle, coeffs):
     the c with rho_c automorphic form a subquandle: c in S suffices.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    values = f.values if isinstance(f, Cocycle2) else tuple(
-        tuple(row) for row in f)
     n, rho, gr = quandle.n, quandle.rho, quandle.grading
     for a in range(n):
-        if values[a][a] != coeffs[gr[a]].identity:
+        if f[a][a] != coeffs[gr[a]].identity:
             return False, (a, a, a)
     for a in range(n):
         lam = coeffs[gr[a]]
         for b in range(n):
             for c in quandle.generators:
-                lhs = lam.mul(values[a][b], values[rho[b][a]][c])
-                rhs = lam.mul(values[a][c], values[rho[c][a]][rho[c][b]])
+                lhs = lam.mul(f[a][b], f[rho[b][a]][c])
+                rhs = lam.mul(f[a][c], f[rho[c][a]][rho[c][b]])
                 if lhs != rhs:
                     return False, (a, b, c)
     return True, None
 
 
-def coboundary(quandle: FiniteQuandle, coeffs, g) -> Cocycle2:
+def coboundary(quandle: FiniteQuandle, coeffs, g) -> tuple:
     """The cocycle g(a)^-1 g(a*b) obtained by rescaling the trivial one."""
     coeffs = graded_coefficients(quandle, coeffs)
     rows = []
@@ -190,7 +177,7 @@ def coboundary(quandle: FiniteQuandle, coeffs, g) -> Cocycle2:
         lam = coeffs[quandle.grading[a]]
         rows.append(tuple(lam.mul(lam.inv(g[a]), g[column[a]])
                           for column in quandle.rho))
-    return Cocycle2(tuple(rows))
+    return tuple(rows)
 
 
 def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs):
@@ -205,8 +192,6 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs):
     Lambda x_f2 Q form a subquandle, so agreeing on S is enough.
     """
     coeffs = graded_coefficients(quandle, coeffs)
-    va = f.values if isinstance(f, Cocycle2) else f
-    vb = f2.values if isinstance(f2, Cocycle2) else f2
     rho, gens, g = quandle.rho, quandle.generators, {}
     for part in qmod.components(quandle)[0]:
         lam = coeffs[quandle.grading[part[0]]]
@@ -216,8 +201,8 @@ def are_cohomologous(f, f2, quandle: FiniteQuandle, coeffs):
             for a, s in ((a, s) for a in reached for s in gens):
                 c = rho[s][a]
                 # g(a*s) = f2(a,s)^-1 g(a) f(a,s)
-                val = lam.mul(lam.mul(lam.inv(vb[a][s]), assignment[a]),
-                              va[a][s])
+                val = lam.mul(lam.mul(lam.inv(f2[a][s]), assignment[a]),
+                              f[a][s])
                 if c not in assignment:
                     assignment[c] = val
                     reached.append(c)
@@ -314,14 +299,13 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
     ok, wit = is_cocycle(f, quandle, coeffs)
     if not ok:
         raise NotACocycle(wit)
-    values = f.values if isinstance(f, Cocycle2) else f
     n, rho, gr = quandle.n, quandle.rho, quandle.grading
     tables = [coeffs[gr[a]].table for a in range(n)]
     # (u, a) is element start[a] + u, and u v is tables[a][u][v]
     start = list(accumulate(map(len, tables), initial=0))
     over = tuple(a for a in range(n) for _ in tables[a])
     # (u,a)*(v,b) does not read v: one column per base element b
-    columns = [tuple(start[c] + row[values[a][b]]
+    columns = [tuple(start[c] + row[f[a][b]]
                      for a, c in enumerate(rho[b]) for row in tables[a])
                for b in range(n)]
     basepoints = tuple(start[q] + coeffs[i].identity
@@ -337,10 +321,11 @@ def extension_from_cocycle(quandle: FiniteQuandle, coeffs, f) -> Extension:
                      coeffs=coeffs, action=action)
 
 
-def cocycle_from_extension(ext: Extension) -> Cocycle2:
+def cocycle_from_extension(ext: Extension) -> tuple:
     """Read the cocycle off the projection's least-element section s:
     s(a)*s(b) = f(a,b) s(a*b), f(a,b) the least k sending s(a*b) there,
-    looked up per base element c in moves[c]: k.s(c) -> k."""
+    looked up per base element c in moves[c]: k.s(c) -> k.  Raises
+    ValueError where no k does, as the action is not transitive."""
     base, section = ext.projection.target, ext.projection.section
     moves = [{perm[s]: k for k, perm in reversed(tuple(enumerate(
                  ext.action[base.grading[c]])))}
@@ -349,8 +334,8 @@ def cocycle_from_extension(ext: Extension) -> Cocycle2:
                    base.rho[b], map(ext.total.rho[s].__getitem__, section))]
                for b, s in enumerate(section)]
     if any(None in column for column in columns):
-        raise AssertionError("fibre action misses the product")
-    return Cocycle2(tuple(zip(*columns)))
+        raise ValueError("fibre action misses the product")
+    return tuple(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +343,7 @@ def cocycle_from_extension(ext: Extension) -> Cocycle2:
 
 
 def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
-                     budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> Cocycle2:
+                     budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> tuple:
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
     The quandle must be connected.  hom sends pi_1's element indices
@@ -369,8 +354,7 @@ def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
     coeffs = graded_coefficients(quandle, coeffs)
     pi1 = fundamental.fundamental_group(quandle, quandle.basepoints[0],
                                         budget)
-    f = Cocycle2(tuple(tuple(map(hom.__getitem__, row))
-                       for row in pi1.cocycle))
+    f = tuple(tuple(map(hom.__getitem__, row)) for row in pi1.cocycle)
     ok, wit = is_cocycle(f, quandle, coeffs)
     if not ok:
         raise ValueError(f"hom was not relator-consistent, witness {wit}")

@@ -5,7 +5,7 @@ Elements are always 0-based indices; 1-based indexing exists only at
 the CLI boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
@@ -289,9 +289,7 @@ def from_columns(columns, base, over, grading=None, basepoints=None
         basepoints = tuple(part[0] for part in parts)
     source = FiniteQuandle(distinct, column_id, tuple(grading),
                            tuple(basepoints), gens)
-    return fpgroup._unchecked(QuandleHom, source=source, target=base,
-                              map=over, section=tuple(map(
-                                  over.index, range(base.n))))
+    return fpgroup._unchecked(QuandleHom, source=source, target=base, map=over)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +403,12 @@ class QuandleHom:
 
     section[y] is the least preimage of target element y, or None off
     the image: the one lift of each base element that coverings,
-    lifting and extensions read.
+    lifting and extensions read, computed on first use.
     """
 
     source: FiniteQuandle
     target: FiniteQuandle
     map: tuple
-    section: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
@@ -428,9 +425,12 @@ class QuandleHom:
             if list(map(f_at, src)) != list(map(tgt.__getitem__, f)):
                 a = next(a for a in range(len(f)) if f[src[a]] != tgt[f[a]])
                 raise NotAHomomorphism((a, s))
+
+    @cached_property
+    def section(self) -> tuple:
+        f = self.map
         least = dict(zip(reversed(f), range(len(f) - 1, -1, -1)))
-        object.__setattr__(self, "section", tuple(map(
-            least.get, range(self.target.n))))
+        return tuple(map(least.get, range(self.target.n)))
 
     def is_surjective(self) -> bool:
         return None not in self.section
@@ -495,7 +495,9 @@ def pullback(p: QuandleHom, f: QuandleHom):
         built[k, v] = tuple(index[(rho_x[x], rho_a[a])] for x, a in elements)
     column = tuple(map(built.__getitem__, keys))
     projection = from_columns(column, x_side, (x for (x, _) in elements))
-    leg = QuandleHom(projection.source, cover, tuple(a for (_, a) in elements))
+    # a homomorphism, as the fibred product's operation is coordinatewise
+    leg = fpgroup._unchecked(QuandleHom, source=projection.source,
+                             target=cover, map=tuple(a for (_, a) in elements))
     return projection, leg
 
 

@@ -687,7 +687,7 @@ def enumerate_cocycles(quandle, coeffs, budget=1 << 20):
         for (a, b), v in zip(slots, choice):
             values[a][b] = v
         if cocycle_violation(values, quandle, coeffs) is None:
-            out.append(coh.Cocycle2(tuple(tuple(r) for r in values)))
+            out.append(tuple(tuple(r) for r in values))
     return out
 
 
@@ -1018,15 +1018,14 @@ def pullback_cocycle(f_hom, f, coeffs):
     """
     target, source = f_hom.target, f_hom.source
     coeffs = coh.graded_coefficients(target, coeffs)
-    values = f.values if isinstance(f, coh.Cocycle2) else f
-    rows = tuple(tuple(values[f_hom.map[x]][f_hom.map[y]]
+    rows = tuple(tuple(f[f_hom.map[x]][f_hom.map[y]]
                        for y in range(source.n))
                  for x in range(source.n))
     comp_map = [None] * source.component_count
     for x in range(source.n):
         comp_map[source.grading[x]] = target.grading[f_hom.map[x]]
-    return coh.Cocycle2(rows), tuple(coeffs[comp_map[i]]
-                                     for i in range(source.component_count))
+    return rows, tuple(coeffs[comp_map[i]]
+                       for i in range(source.component_count))
 
 
 def enumerate_homs(presentation, cayley, budget=1 << 20):

@@ -320,7 +320,7 @@ def test_cocycle_rows_are_read_as_entry_by_entry(tmp_path, spec, data):
                     + "".join(" ".join(row) + "\n" for row in rows))
 
     def read():
-        return cli.parse_cocycle_file(str(path), D3)[0].values
+        return cli.parse_cocycle_file(str(path), D3)[0]
 
     def reference():
         values = tuple(tuple(oracles.cocycle_entry_entrywise(t, coeff)

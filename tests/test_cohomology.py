@@ -208,7 +208,7 @@ def test_cocycle_verdict_on_s_matches_the_full_check(corpus):
             for _ in range(3):
                 bound = [list(row) for row in coh.coboundary(
                     quandle, coeffs,
-                    [rng.randrange(k) for k in orders]).values]
+                    [rng.randrange(k) for k in orders])]
                 noise = [[coeffs[gr[a]].identity if a == b
                           else rng.randrange(orders[a]) for b in range(n)]
                          for a in range(n)]
@@ -292,7 +292,7 @@ def _homs_to_cyclic(pi1, k):
 def _is_rescaling(g, f, f2, quandle, lam):
     """f(a,b) = g(a)^-1 f2(a,b) g(a*b) on every pair (a, b)."""
     op = quandle.op
-    return all(f[a, b] == lam.mul(lam.mul(lam.inv(g[a]), f2[a, b]),
+    return all(f[a][b] == lam.mul(lam.mul(lam.inv(g[a]), f2[a][b]),
                                   g[op[a][b]])
                for a in range(quandle.n) for b in range(quandle.n))
 
@@ -372,6 +372,44 @@ def test_cocycle_extension_roundtrip():
     assert coh.are_cohomologous(f, back, quandle, Z2) is not None
 
 
+def test_cocycle_is_read_back_off_its_extension(corpus):
+    # Lambda x_f Q's least-element section is (e, a), so the cocycle read
+    # off it is f itself, as the same plain rows: the trivial cocycle, a
+    # coboundary, the cocycle of each hom pi_1 -> Z2, and pi_1's own
+    # cocycle over pi_1's table, on every connected corpus quandle
+    checked = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            continue
+        pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
+        g = tuple(a % 3 for a in range(quandle.n))
+        pairs = [(Z2, coh.trivial_cocycle(quandle, Z2)),
+                 (Z3, coh.coboundary(quandle, Z3, g)),
+                 (coh.Coeff.from_table(pi1.cayley, 0), pi1.cocycle)]
+        pairs += [(Z2, coh.cocycle_from_hom(quandle, Z2, hom))
+                  for hom in _homs_to_cyclic(pi1, 2)]
+        for lam, f in pairs:
+            ext = coh.extension_from_cocycle(quandle, lam, f)
+            back = coh.cocycle_from_extension(ext)
+            assert type(back) is tuple and back == f, name
+        checked += 1
+    assert checked >= 30
+
+
+def test_cocycle_from_extension_rejects_an_intransitive_action():
+    # an action fixing every element has the section as its only
+    # orbits, and this coboundary's s(0)*s(1) = (1, 2) lies off them
+    quandle = qmod.dihedral(3)
+    ext = coh.extension_from_cocycle(
+        quandle, Z2, coh.coboundary(quandle, Z2, (0, 1, 1)))
+    fixed = coh.Extension(
+        total=ext.total, projection=ext.projection, coeffs=ext.coeffs,
+        action=((tuple(range(ext.total.n)),) * 2,))
+    assert not coh.check_extension(fixed)[0]
+    with pytest.raises(ValueError, match="fibre action misses the product"):
+        coh.cocycle_from_extension(fixed)
+
+
 def test_hom_extension_roundtrip():
     quandle, f, hom = _nontrivial_s4_cocycle()
     ext = coh.extension_from_cocycle(quandle, Z2, f)
@@ -429,11 +467,11 @@ def _compare_equivalence_searches(pairs):
 
 def _rescaled(quandle, lam, f, g):
     """The cocycle g(a) f(a,b) g(a*b)^-1, cohomologous to f."""
-    return coh.Cocycle2(tuple(
-        tuple(lam.mul(lam.mul(g[a], f[a, b]),
+    return tuple(
+        tuple(lam.mul(lam.mul(g[a], f[a][b]),
                       lam.inv(g[quandle.op[a][b]]))
               for b in range(quandle.n))
-        for a in range(quandle.n)))
+        for a in range(quandle.n))
 
 
 def test_equivalence_matches_the_propagation_search(corpus):
@@ -503,13 +541,13 @@ def test_cohomology_search_covers_every_orbit_of_a_grading_class():
     assert coh.are_cohomologous(triv, triv, total, Z3) == (0,) * total.n
     rescaled = _rescaled(total, Z3, triv, (1, 2, 0, 0, 1, 1))
     g = coh.are_cohomologous(rescaled, triv, total, Z3)
-    assert coh.coboundary(total, Z3, g).values == rescaled.values
+    assert coh.coboundary(total, Z3, g) == rescaled
     # 1 on the pairs across the two orbits: a cocycle, as a*b stays in
     # a's orbit, but no coboundary, as a*a' = a for a' the copy of a
     orbit = qmod.components(total)[1]
-    across = coh.Cocycle2(tuple(
+    across = tuple(
         tuple(int(orbit[a] != orbit[b]) for b in range(total.n))
-        for a in range(total.n)))
+        for a in range(total.n))
     assert coh.is_cocycle(across, total, Z3)[0]
     assert coh.are_cohomologous(across, triv, total, Z3) is None
     exts = [coh.extension_from_cocycle(total, Z3, f)

@@ -1067,7 +1067,8 @@ def test_theorem_built_projections_pass_the_public_checks(
     # with the same section, and validate rebuilds its source from its
     # table with the grading and basepoints it was given.  Covers and
     # census quotients are connected: qmod.components finds the one
-    # component their grading and basepoint were given
+    # component their grading and basepoint were given.  The legs of the
+    # pullbacks, built unchecked too, pass the same constructor
     connected = [p for _, p in corpus_coverings]
     for quandle in (transposition_quandle(5), _three_cycles(5)):
         connected.append(fund.universal_cover(quandle).projection)
@@ -1097,19 +1098,23 @@ def test_theorem_built_projections_pass_the_public_checks(
     assert any(p.source.component_count > 1 for p in extensions)
     # each corpus covering pulled back along its base's universal
     # cover, and the union of each base's coverings
-    by_base, combined = {}, []
+    by_base, combined, legs = {}, [], []
     for name, p in corpus_coverings:
         by_base.setdefault(name, []).append(p)
     for coverings in by_base.values():
-        combined += [qmod.pullback(p, coverings[0])[0] for p in coverings]
+        for p in coverings:
+            projection, leg = qmod.pullback(p, coverings[0])
+            combined.append(projection)
+            legs.append(leg)
         combined.append(qmod.union_coverings(coverings))
-    for p in connected + extensions + combined:
+    for p in connected + extensions + combined + legs:
         again = qmod.QuandleHom(p.source, p.target, p.map)
         assert again == p and again.section == p.section
+    for p in connected + extensions + combined:
         assert qmod.validate(p.source.op, grading=p.source.grading,
                              basepoints=p.source.basepoints) == p.source
     assert len(connected) >= 80 and len(extensions) >= 200
-    assert len(combined) >= 100
+    assert len(combined) >= 100 and len(legs) >= 70
 
 
 def test_universal_cover_projects_onto_every_covering():
