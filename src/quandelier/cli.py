@@ -706,6 +706,9 @@ def run(argv, out=None, err=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=err)
         return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=err)
+        return EXIT_BUDGET
     except NotAQuandle as exc:
         print(f"invalid quandle: {exc}", file=err)
         return EXIT_SEMANTIC

@@ -6,6 +6,7 @@ H^2 with (possibly non-abelian, graded) coefficients is handled through
 coverings and with homomorphisms out of the fundamental group.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from math import prod
@@ -259,12 +260,8 @@ def check_extension(ext: Extension):
     if not ok:
         return False, f"projection is not a covering: {wit}"
     total, base = ext.total, ext.projection.target
+    size = Counter(ext.projection.map)
     for i, lam in enumerate(ext.coeffs):
-        fibres = {}
-        for x in range(total.n):
-            q = ext.projection.map[x]
-            if base.grading[q] == i:
-                fibres.setdefault(q, []).append(x)
         acts = ext.action[i]
         for perm in acts:
             for x in range(total.n):
@@ -279,9 +276,10 @@ def check_extension(ext: Extension):
                 if list(map(acts[k].__getitem__, acts[m])) != list(
                         acts[lam.mul(k, m)]):
                     return False, "action is not a homomorphism"
-        for q, fib in fibres.items():
-            hit = {perm[fib[0]] for perm in acts}
-            if len(hit) != lam.order or hit != set(fib):
+        # acts keeps fibres and is an action: one point per fibre settles it
+        for q, x in enumerate(ext.projection.section):
+            if base.grading[q] == i and not size[q] == lam.order == len(
+                    {perm[x] for perm in acts}):
                 return False, f"action not free/transitive on fibre of {q}"
         for perm in acts:
             for y in total.generators:

@@ -397,22 +397,20 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
 
 def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
                                   budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """All pointed connected coverings of a connected base: triples
-    (K, covering projection, normal), one for each subgroup K of pi_1,
-    a sorted tuple of element indices (rows of pi_1's Cayley table), in
-    the order of permgroup.subgroups.  The projection is the quotient
-    of the universal cover by K, on the pairs (a, K h); normal says
-    whether K is, that is whether the covering is Galois.  The base is
-    connected when it has one orbit, whatever its grading says.
+    """All pointed connected coverings of a connected base (one orbit,
+    whatever its grading says): an iterator of triples (K, covering
+    projection, normal), one per subgroup K of pi_1, a sorted tuple of
+    element indices (rows of pi_1's Cayley table), in the order of
+    permgroup.subgroups.  Each projection, the universal cover modulo K
+    on the pairs (a, K h), is built when reached; normal says whether K
+    is normal, the covering Galois.  Every error raises from the call.
     """
     if len(qmod.components(quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
     pi1 = fundamental_group(quandle, basepoint, budget)
-    out = []
-    for sub in permgroup.subgroups(pi1.cayley):
-        cosets, normal = _right_cosets(pi1.cayley, sub)
-        out.append((sub, _quotient(pi1, cosets), normal))
-    return out
+    return ((sub, _quotient(pi1, cosets), normal)
+            for sub in permgroup.subgroups(pi1.cayley)
+            for cosets, normal in [_right_cosets(pi1.cayley, sub)])
 
 
 def _right_cosets(mul, sub):

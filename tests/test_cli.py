@@ -359,6 +359,33 @@ def test_cover_enumerate_s6_is_pinned(tmp_path):
     assert out.count("galois=true") == 4
 
 
+def test_out_of_memory_ends_in_one_line(tmp_path, monkeypatch):
+    # the census writes each line as its covering is built, so the lines
+    # before the failing quotient stay; the error is one stderr line
+    quotient, calls = fund._quotient, []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError
+        return quotient(*args)
+
+    monkeypatch.setattr(fund, "_quotient", third_fails)
+    path = write_quandle(tmp_path, "s5.txt", transposition_quandle(5))
+    code, out, err = run(["cover", path, "--enumerate"])
+    assert code == cli.EXIT_BUDGET == 2
+    assert out == ("covering 1: fibre=6 galois=true\n"
+                   "covering 2: fibre=3 galois=false\n")
+    assert err == "budget exceeded: out of memory\n"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fund, "universal_cover", no_memory)
+    assert run(["cover", path, "--universal"]) == (
+        2, "", "budget exceeded: out of memory\n")
+
+
 def test_cover_check_true_and_false(tmp_path):
     d8 = write_quandle(tmp_path, "d8.txt", qmod.dihedral(8))
     d4 = write_quandle(tmp_path, "d4.txt", qmod.dihedral(4))

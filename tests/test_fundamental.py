@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -960,7 +961,7 @@ def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
     quandle = transposition_quandle(5)
     cover = fund.universal_cover(quandle)
     assert cover.cover.n == 60
-    assert len(fund.enumerate_connected_coverings(quandle, 0)) == 6
+    assert len(list(fund.enumerate_connected_coverings(quandle, 0))) == 6
     group, fibre, _ = fund.monodromy(cover.projection, 0)
     assert group.order == len(fibre) == 6
     # pi_1 = S3: the sign sends its three involutions to 1
@@ -1033,7 +1034,8 @@ def test_check_lifting_obstruction():
 
 def test_enumerate_coverings_of_odd_dihedral():
     for n in (3, 5, 7):
-        coverings = fund.enumerate_connected_coverings(qmod.dihedral(n), 0)
+        coverings = list(fund.enumerate_connected_coverings(qmod.dihedral(n),
+                                                            0))
         assert len(coverings) == 1
 
 
@@ -1041,12 +1043,42 @@ def test_enumerate_coverings_counts():
     # pi_1 of the S_m transposition quandle has as many subgroups as
     # S_(m-2): 2, 6, 30 and 156 for m = 4..7 (OEIS A005432)
     for m, count in ((4, 2), (5, 6), (6, 30)):
-        assert len(fund.enumerate_connected_coverings(
-            transposition_quandle(m), 0)) == count, m
+        assert len(list(fund.enumerate_connected_coverings(
+            transposition_quandle(m), 0))) == count, m
     # S7's full census would build 90825 quotient elements, so its
     # subgroups are counted alone
     pi1 = fund.fundamental_group(transposition_quandle(7), 0)
     assert len(permgroup.subgroups(pi1.cayley)) == 156
+
+
+def test_census_holds_one_covering_at_a_time():
+    # the S7 census builds 156 quotients, 90825 elements in all; read
+    # one at a time, it peaks near the largest one (the universal
+    # cover, N = 2520), where a list of them all holds about 50 MiB
+    quandle = transposition_quandle(7)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in fund.enumerate_connected_coverings(quandle, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 156
+    assert peak < 10 * 2**20, peak
+
+
+def test_census_raises_from_the_call(monkeypatch):
+    # pi_1 and its subgroups are found before the iterator is returned,
+    # so every error comes from the call, with no quotient built
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("a quotient was built")
+
+    monkeypatch.setattr(fund, "_quotient", no_quotient)
+    fund.enumerate_connected_coverings(transposition_quandle(5), 0)
+    with pytest.raises(ValueError, match="connected base"):
+        fund.enumerate_connected_coverings(qmod.q_mn(2, 2), 0)
+    with pytest.raises(BudgetExceeded):
+        fund.enumerate_connected_coverings(transposition_quandle(5), 0,
+                                           budget=2)
 
 
 def test_enumerated_coverings_are_coverings():
@@ -1142,7 +1174,7 @@ def test_census_is_the_galois_correspondence(corpus):
     pairs = 0
     for name, quandle in inputs:
         q = quandle.basepoints[0]
-        census = fund.enumerate_connected_coverings(quandle, q)
+        census = list(fund.enumerate_connected_coverings(quandle, q))
         for sub, p, normal in census:
             pi1, fibre, perms = fund.monodromy(p, q)
             assert fibre[0] == q == p.source.basepoints[0], name
