@@ -311,14 +311,14 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
 def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
     """Q x pi_1 modulo a subgroup K acting from the left, given by its
     right cosets K g, least element first.  Element i n + a is (a, K g)
-    for the i-th coset, over a, so the first n lie over distinct base
-    elements and the greedy generating set is as small as the base's.
-    Every element over b acts by column b: (a, K g) -> (a*b, K g f(a,b)).
-    The covering theorem makes it a connected covering of Q."""
+    for the i-th coset, over a.  Every element over b acts by column b:
+    (a, K g) -> (a*b, K g f(a,b)).  The covering theorem makes it a
+    connected covering of Q."""
     mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
     offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
-    # shift[i][t] = n times the index of K g_i t, g_i = cosets[i][0]
-    shift = [tuple(map(offset.__getitem__, mul[coset[0]]))
+    values = set(chain.from_iterable(pi1.cocycle))
+    # shift[i][t] = n times the index of K cosets[i][0] t, t a value of f
+    shift = [{t: offset[mul[coset[0]][t]] for t in values}
              for coset in cosets]
     columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
                                              rho_b) for row in shift))

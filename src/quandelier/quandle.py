@@ -26,10 +26,10 @@ class FiniteQuandle:
     a/b = rho_inv[b][a], each distinct column inverted once, when first
     read.  A covering of an n-element quandle has at most n distinct
     columns, so it costs O(n N); the N x N tables op[a][b] = a*b and
-    inv_op[a][b] = a/b are built only when read.
-    generators is the greedy generating set S, one closure: the rho_s
-    with s in S generate Inn(Q), so Q3, homomorphisms, coverings,
-    lifting and cocycles are checked on S.  grading maps each element
+    inv_op[a][b] = a/b are built only when read, and so is generators,
+    the greedy generating set S, one closure: the rho_s with s in S
+    generate Inn(Q), so Q3, homomorphisms, coverings, lifting and
+    cocycles are checked on S.  grading maps each element
     to a component index (default: its connected component); basepoints
     picks one element per grading class (default: the minimum of each
     class).  adjoint is Adj(Q) with its words w_x, built on first use
@@ -43,7 +43,6 @@ class FiniteQuandle:
     column_id: tuple
     grading: tuple
     basepoints: tuple
-    generators: tuple
 
     @property
     def n(self) -> int:
@@ -64,6 +63,10 @@ class FiniteQuandle:
     @cached_property
     def rho(self) -> tuple:
         return tuple(map(self.columns.__getitem__, self.column_id))
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _generating_set(self.rho)
 
     @cached_property
     def rho_inv(self) -> tuple:
@@ -259,8 +262,7 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
             if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
     return FiniteQuandle(columns=tuple(distinct), column_id=tuple(column_id),
-                         grading=grading, basepoints=basepoints,
-                         generators=gens)
+                         grading=grading, basepoints=basepoints)
 
 
 def from_columns(columns, base, over, grading=None, basepoints=None
@@ -274,7 +276,8 @@ def from_columns(columns, base, over, grading=None, basepoints=None
     occurrence in x as validate numbers them, in O(n N) for n columns.
     A grading given, with its basepoints, is trusted, as the theorems
     pull it back or make the total connected; by default it is the
-    components, with their least elements."""
+    components, with their least elements, the one case that searches
+    the generating set, which is otherwise found when first read."""
     over = tuple(over)
     number = {}  # distinct column -> id, by first occurrence in x
     ids = [None] * len(columns)
@@ -282,13 +285,12 @@ def from_columns(columns, base, over, grading=None, basepoints=None
         ids[b] = number.setdefault(columns[b], len(number))
     column_id = tuple(map(ids.__getitem__, over))
     distinct = tuple(number)
-    rho = tuple(map(distinct.__getitem__, column_id))
-    gens = _generating_set(rho)
     if grading is None:
-        parts, grading = _orbits(rho, gens)
+        rho = tuple(map(distinct.__getitem__, column_id))
+        parts, grading = _orbits(rho, _generating_set(rho))
         basepoints = tuple(part[0] for part in parts)
     source = FiniteQuandle(distinct, column_id, tuple(grading),
-                           tuple(basepoints), gens)
+                           tuple(basepoints))
     return fpgroup._unchecked(QuandleHom, source=source, target=base, map=over)
 
 

@@ -181,8 +181,9 @@ def validate_rowwise(op_table, grading=None, basepoints=None):
     column_id = tuple(number.setdefault(c, len(number)) for c in columns)
     quandle = qmod.FiniteQuandle(
         columns=tuple(number), column_id=column_id, grading=grading,
-        basepoints=basepoints, generators=gens)
+        basepoints=basepoints)
     assert (quandle.op, quandle.inv_op) == (op, inv_op)
+    assert quandle.generators == gens
     return quandle
 
 

@@ -132,13 +132,18 @@ def test_validate_matches_the_rowwise_reference(corpus, covering_tables):
     # checking every row and column, and so does from_columns, which
     # assembles the theorem-built tables without checking them
     for _, quandle in corpus:
-        assert qmod.validate(quandle.op) == oracles.validate_rowwise(
-            quandle.op)
+        checked = qmod.validate(quandle.op)
+        expected = oracles.validate_rowwise(quandle.op)
+        assert checked == expected
+        assert checked.generators == expected.generators
     for built, kwargs, base_size in covering_tables:
-        # every field, generators included
+        # every field, and generators, derived when read
         expected = oracles.validate_rowwise(built.op, **kwargs)
         assert built == expected
-        assert qmod.validate(built.op, **kwargs) == expected
+        assert built.generators == expected.generators
+        checked = qmod.validate(built.op, **kwargs)
+        assert checked == expected
+        assert checked.generators == expected.generators
         assert len(set(zip(*built.op))) <= base_size
     assert len(covering_tables) >= 200
 
@@ -173,6 +178,33 @@ def broken_covering_tables(op, rng):
             for c in targets:
                 out[-1][x][c], out[-1][y][c] = out[-1][y][c], out[-1][x][c]
     return out
+
+
+def test_theorem_built_tables_search_no_generating_set(monkeypatch):
+    # the universal cover, the census quotients and an extension total
+    # are built with their gradings, so S is searched only when read
+    bases = [transposition_quandle(4), qmod.conj_class(
+        symmetric_group(5), (1, 2, 0, 3, 4))]
+    for base in bases:
+        base.generators  # the base's own, read by pi_1 and is_cocycle
+    search, calls = qmod._generating_set, []
+    monkeypatch.setattr(qmod, "_generating_set",
+                        lambda rho: calls.append(rho) or search(rho))
+    built = []
+    for base in bases:
+        built.append(fund.universal_cover(base).cover)
+        built += [p.source for _, p, _ in fund.enumerate_connected_coverings(
+            base, base.basepoints[0])]
+        lam = coh.Coeff.from_invariants([3])
+        g = tuple(a % 3 for a in range(base.n))
+        built.append(coh.extension_from_cocycle(
+            base, lam, coh.coboundary(base, lam, g)).total)
+    assert len(built) >= 8 and calls == []
+    found = [q.generators for q in built]
+    assert len(calls) == len(built)
+    for q, gens in zip(built, found):
+        assert gens == qmod.validate(q.op, q.grading,
+                                     q.basepoints).generators
 
 
 def test_validate_finds_the_rowwise_witness_on_broken_coverings(
