@@ -1,19 +1,21 @@
 """Command-line front end.
 
-File formats are 1-based, line oriented and diff-able; all internal
-indices are 0-based and converted only at parse/print time.  Exit
-codes: 0 success, 1 semantic failure (validation or check false),
-2 budget exceeded or group provably infinite, 3 parse error.
+Command lines are read from one table, GRAMMAR, which the help is also
+built from.  File formats are 1-based, line oriented and diff-able; all
+internal indices are 0-based and converted only at parse/print time.
+Exit codes: 0 success, 1 semantic failure (validation or check false),
+2 budget exceeded or group provably infinite, 3 parse error, which a
+command line that GRAMMAR does not read ends in too.  Every failure is
+one line on stderr.
 """
 
-import argparse
 import collections
-import contextlib
 import functools
 import math
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from . import cohomology as coh, fpgroup, fundamental as fund, quandle as qmod
 from .cohomology import Coeff
@@ -461,7 +463,7 @@ def cmd_cover(args, out) -> int:
         coverings = fund.enumerate_connected_coverings(quandle, q,
                                                        budget=args.budget)
         for j, (_, projection, normal) in enumerate(coverings):
-            fibre = len(projection.fibre(q))
+            fibre = projection.source.n // quandle.n
             galois = "true" if normal else "false"
             print(f"covering {j + 1}: fibre={fibre} galois={galois}",
                   file=out)
@@ -529,27 +531,26 @@ def cmd_ext(args, out) -> int:
 
 
 class Option(collections.namedtuple(
-        "Option", "flag value help metavar required exclusive",
-        defaults=(None, False, False))):
+        "Option", "flag value help metavar one_of",
+        defaults=(None, False))):
     """One option of a subcommand.  value reads its value (integer or
     str), or is None for a switch, which takes none and is stored as
-    True; required options must be given, and of a subcommand's
-    exclusive options exactly one must be."""
+    True.  Of a subcommand's one_of options exactly one must be given:
+    a lone one is required, several exclude each other."""
 
     __slots__ = ()
 
     @property
     def dest(self) -> str:
-        """The namespace attribute, named from the flag as argparse
-        names it."""
+        """The attribute the option is stored as, named from its flag."""
         return self.flag[2:].replace("-", "_")
 
 
 BUDGET = Option("--budget", integer, "enumeration budget override")
 
-# The command grammar, read by build_parser and _direct_args: each
+# The command grammar, read by _direct_args and help_text alone: each
 # subcommand's help text and the options that follow its one input
-# file, in the order its --help lists them.
+# file, in the order the help lists them.
 GRAMMAR = {
     "validate": ("check the quandle axioms", (BUDGET,)),
     "pi1": ("fundamental group at a basepoint", (
@@ -561,113 +562,100 @@ GRAMMAR = {
         BUDGET,
         Option("--coeff", str,
                "group spec, e.g. Z2 or Z2xZ4, or a group file",
-               required=True))),
+               one_of=True))),
     "cover": ("universal cover, covering census, or covering check", (
         BUDGET,
         Option("--universal", None,
                "emit the universal cover and its projection",
-               exclusive=True),
+               one_of=True),
         Option("--enumerate", None,
                "list one pointed connected covering per subgroup of pi1",
-               exclusive=True),
+               one_of=True),
         Option("--check", str, "test whether a map file is a covering",
-               "MAPFILE", exclusive=True),
+               "MAPFILE", one_of=True),
         Option("--target", str, "target quandle for --check",
                "QUANDLEFILE"))),
     "ext": ("build, extract or compare extensions", (
         BUDGET,
         Option("--from-cocycle", str, "build the extension of a cocycle",
-               "COCYCLEFILE", exclusive=True),
+               "COCYCLEFILE", one_of=True),
         Option("--extract", None,
                "read an extension bundle, print its cocycle",
-               exclusive=True),
+               one_of=True),
         Option("--equiv", str,
                "compare against another extension bundle", "BUNDLE",
-               exclusive=True))),
+               one_of=True))),
 }
-# what _direct_args reads each subcommand by: its options by flag, its
-# namespace before any option is read, and the flags of its required
-# options and of its exclusive ones
-_READERS = {
-    name: ({option.flag: option for option in options},
-           {"command": name, "quandle": None,
-            **{option.dest: False if option.value is None else None
-               for option in options}},
-           {option.flag for option in options if option.required},
-           {option.flag for option in options if option.exclusive})
-    for name, (_, options) in GRAMMAR.items()}
+
+
+def help_text() -> str:
+    """The help, built from GRAMMAR: each subcommand's help text, then
+    its options, each with the name of its value if it takes one."""
+    lines = ["usage: quandelier COMMAND FILE [OPTION]...",
+             "Options are spelt in full and given at most once, a value as",
+             "the next argument; of a command's options marked *, exactly",
+             "one must be given."]
+    for name, (text, options) in GRAMMAR.items():
+        lines.append(f"\n{name} FILE: {text}")
+        for o in options:
+            value = f" {o.metavar or o.dest.upper()}" if o.value else ""
+            lines.append(f"  {'*' if o.one_of else ' '} "
+                         f"{o.flag + value:<28}{o.help}")
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for GRAMMAR, built once per process:
-    parse_args keeps no state between calls.  run uses it only for the
-    command lines _direct_args declines: help, usage errors and the
-    spellings that only argparse reads."""
-    parser = argparse.ArgumentParser(
-        prog="quandelier",
-        description="Finite quandles: validation, fundamental groups, "
-                    "homology, coverings and extensions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in GRAMMAR.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("quandle", help="input file")
-        group = None
-        for option in options:
-            where = p
-            if option.exclusive:
-                if group is None:
-                    group = p.add_mutually_exclusive_group(required=True)
-                where = group
-            if option.value is None:
-                where.add_argument(option.flag, action="store_true",
-                                   help=option.help)
-            else:
-                where.add_argument(option.flag, type=option.value,
-                                   required=option.required,
-                                   metavar=option.metavar, help=option.help)
-    return parser
+def build_parser():
+    """What _direct_args reads each subcommand by, built from GRAMMAR
+    once per process: its options by flag, its arguments before any is
+    read, and the flags of its one_of options."""
+    return {name: ({o.flag: o for o in options},
+                   {"command": name, "quandle": None,
+                    **{o.dest: None for o in options}},
+                   tuple(o.flag for o in options if o.one_of))
+            for name, (_, options) in GRAMMAR.items()}
 
 
-def _direct_args(argv):
-    """The namespace parse_args makes of a canonical command line, or
-    None.  Canonical is a subcommand, then its one input file and its
-    options in any order, each option spelt out in full and given at
-    most once, with its value (not starting with '-') as the next
-    argument; its required options are there, and one of its exclusive
-    ones.  Anything else -- -h, an abbreviation, '--opt=value', '--', a
-    repeat, a value that is not an integer where one is wanted -- is
-    left to argparse, with its help and usage errors."""
-    if not argv or argv[0] not in _READERS:
-        return None
-    options, defaults, required, exclusive = _READERS[argv[0]]
-    values = dict(defaults)
-    seen = set()
-    tokens = iter(argv[1:])
+def _direct_args(argv) -> SimpleNamespace:
+    """The arguments of a command line, read from GRAMMAR: a subcommand,
+    then its one input file and its options in any order, each spelt
+    out in full and given at most once, a value as the next argument
+    (not starting with '--'), and exactly one of its one_of options;
+    anything else raises a ParseError that names what is wrong."""
+    readers = build_parser()
+    if not argv or argv[0] not in readers:
+        raise ParseError(f"expected a command ({', '.join(GRAMMAR)}), "
+                         f"got {' '.join(argv[:1])!r}")
+    name, tokens = argv[0], iter(argv[1:])
+    options, defaults, one_of = readers[name]
+    values, seen = dict(defaults), set()
     for token in tokens:
         if not token.startswith("-"):
             if values["quandle"] is not None:
-                return None
+                raise ParseError(f"{name} takes one input file: {token!r}")
             values["quandle"] = token
             continue
         option = options.get(token)
-        if option is None or token in seen:
-            return None
+        if option is None:
+            raise ParseError(f"{name} has no option {token!r}")
+        if token in seen:
+            raise ParseError(f"{token} is given twice")
         seen.add(token)
         if option.value is None:
             values[option.dest] = True
             continue
-        text = next(tokens, "-")
-        if text.startswith("-"):
-            return None
+        text = next(tokens, "--")
+        if text.startswith("--"):
+            raise ParseError(f"{token} needs a value")
         try:
             values[option.dest] = option.value(text)
         except ValueError:
-            return None
-    if (values["quandle"] is None or not required <= seen
-            or exclusive and len(exclusive & seen) != 1):
-        return None
-    return argparse.Namespace(**values)
+            raise ParseError(f"{token} is not an integer: {text!r}")
+    if values["quandle"] is None:
+        raise ParseError(f"{name} needs an input file")
+    if one_of and sum(flag in seen for flag in one_of) != 1:
+        raise ParseError(f"{name} needs exactly one of {', '.join(one_of)}")
+    return SimpleNamespace(**values)
 
 
 COMMANDS = {
@@ -681,20 +669,16 @@ COMMANDS = {
 
 
 def run(argv, out=None, err=None) -> int:
-    """Run one command line.  A canonical one is read straight from
-    GRAMMAR by _direct_args; any other goes to argparse, whose help goes
-    to out and whose usage errors go to err."""
+    """Run one command line.  One holding -h or --help prints the help
+    to out; any other is read by _direct_args, and every input error
+    ends in one line on err."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = _direct_args(argv)
-    if args is None:
-        try:
-            with (contextlib.redirect_stdout(out),
-                  contextlib.redirect_stderr(err)):
-                args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_PARSE if exc.code else EXIT_OK
+    if "-h" in argv or "--help" in argv:
+        out.write(help_text())
+        return EXIT_OK
     try:
+        args = _direct_args(argv)
         if args.budget is None:
             args.budget = default_budget()
         if args.budget < 1:

@@ -113,9 +113,10 @@ def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
 
     From each conjugacy class's first subgroup A, the trivial one first,
     closes <A, g> = <A, agb> for one g per double coset AgA; a new
-    closure J brings its whole class, every h^-1 J h.  Every subgroup is
-    <1, g1, ..., gk> and the found set is a union of classes, so none is
-    missed.
+    closure J brings its whole class, h^-1 J h for one h per right coset
+    N(J)h of its normaliser, as J is generated by its seeds: N(J) holds
+    the h with every h^-1 s h in J.  Every subgroup is <1, g1, ..., gk>
+    and the found set is a union of classes, so none is missed.
     """
     if len(cayley) > budget:
         raise BudgetExceeded(len(cayley), "subgroup search")
@@ -128,9 +129,16 @@ def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
         for g in range(len(cayley)):
             if g not in covered:  # one g per double coset AgA
                 covered.update(column[b][column[g][x]] for x in a for b in a)
-                j = _close(column, a, seeds + (g,))
+                grown = seeds + (g,)
+                j = _close(column, a, grown)
                 if j not in found:
-                    found.update(frozenset(map(h.__getitem__, j))
-                                 for h in conj)
-                    classes.append((j, seeds + (g,)))
+                    normaliser = [h for h, c in enumerate(conj)
+                                  if j.issuperset(map(c.__getitem__, grown))]
+                    reached = set()
+                    for h, c in enumerate(conj):
+                        if h not in reached:  # one h per coset N(J)h
+                            reached.update(map(column[h].__getitem__,
+                                               normaliser))
+                            found.add(frozenset(map(c.__getitem__, j)))
+                    classes.append((j, grown))
     return sorted(map(tuple, map(sorted, found)), key=lambda s: (len(s), s))

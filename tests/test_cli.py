@@ -128,11 +128,7 @@ def test_parser_keeps_no_state_between_runs(tmp_path):
 
 
 def test_usage_error_goes_to_the_given_err_stream(capsys):
-    code, out, err = run(["pi1"])
-    assert code == 3
-    assert out == ""
-    assert err.startswith("usage: quandelier pi1")
-    assert "the following arguments are required: quandle" in err
+    assert run(["pi1"]) == (3, "", "parse error: pi1 needs an input file\n")
     assert capsys.readouterr() == ("", "")
 
 
@@ -145,13 +141,77 @@ def test_help_goes_to_the_given_out_stream(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# each command line GRAMMAR does not read, with its one-line reason;
+# D3 stands for a quandle file, MISSING for a path that does not exist
+ONE_OF = {"cover": "--universal, --enumerate, --check",
+          "ext": "--from-cocycle, --extract, --equiv"}
+NOT_READ = [
+    ([], "expected a command (validate, pi1, h2, h2c, cover, ext), got ''"),
+    (["valid", "D3"], "expected a command (validate, pi1, h2, h2c, cover, "
+                      "ext), got 'valid'"),
+    (["D3", "validate"], "expected a command (validate, pi1, h2, h2c, "
+                         "cover, ext), got 'D3'"),
+    (["validate"], "validate needs an input file"),
+    (["h2", "--budget", "5"], "h2 needs an input file"),
+    (["validate", "MISSING"],
+     "cannot read MISSING: No such file or directory"),
+    (["validate", "D3", "D3"], "validate takes one input file: 'D3'"),
+    (["pi1", "D3", "--nope"], "pi1 has no option '--nope'"),
+    (["pi1", "D3", "-x"], "pi1 has no option '-x'"),
+    (["cover", "D3", "--univ"], "cover has no option '--univ'"),
+    (["pi1", "D3", "--budget=5"], "pi1 has no option '--budget=5'"),
+    (["validate", "--", "D3"], "validate has no option '--'"),
+    (["h2", "D3", "--coeff", "Z2"], "h2 has no option '--coeff'"),
+    (["pi1", "D3", "--base", "1", "--base", "1"], "--base is given twice"),
+    (["cover", "D3", "--universal", "--universal"],
+     "--universal is given twice"),
+    (["pi1", "D3", "--budget"], "--budget needs a value"),
+    (["h2c", "D3", "--coeff", "--budget", "5"], "--coeff needs a value"),
+    (["pi1", "D3", "--base", "\u0661"], "--base is not an integer: '\u0661'"),
+    (["pi1", "D3", "--base", "+1"], "--base is not an integer: '+1'"),
+    (["pi1", "D3", "--budget", "1_000"],
+     "--budget is not an integer: '1_000'"),
+    (["pi1", "D3", "--budget", " 7 "], "--budget is not an integer: ' 7 '"),
+    (["h2c", "D3"], "h2c needs exactly one of --coeff"),
+    (["cover", "D3"], f"cover needs exactly one of {ONE_OF['cover']}"),
+    (["cover", "D3", "--universal", "--check", "D3"],
+     f"cover needs exactly one of {ONE_OF['cover']}"),
+    (["ext", "D3"], f"ext needs exactly one of {ONE_OF['ext']}"),
+    (["ext", "D3", "--extract", "--equiv", "D3"],
+     f"ext needs exactly one of {ONE_OF['ext']}"),
+]
+HELP = [[flag] for flag in ("-h", "--help")] + [
+    [command, flag] for command in cli.GRAMMAR
+    for flag in ("-h", "--help")]
+
+
+@pytest.mark.parametrize("argv, message", NOT_READ + [
+    (argv, None) for argv in HELP])
+def test_each_command_line_ends_in_help_or_one_parse_error(tmp_path, argv,
+                                                           message):
+    # -h and --help print the help, which names every option, and exit 0;
+    # anything else GRAMMAR does not read is one parse error line, exit 3
+    names = {"D3": write_quandle(tmp_path, "d3.txt", qmod.dihedral(3)),
+             "MISSING": str(tmp_path / "missing.txt")}
+    code, out, err = run([names.get(arg, arg) for arg in argv])
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: quandelier COMMAND FILE")
+        for _, options in cli.GRAMMAR.values():
+            assert all(option.flag in out for option in options)
+        return
+    for name, path in names.items():
+        message = message.replace(name, path)
+    assert (code, out, err) == (3, "", f"parse error: {message}\n")
+
+
 def test_default_streams_are_read_at_call_time(tmp_path, capsys):
     path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
     assert cli.run(["validate", path]) == 0
     assert cli.run(["pi1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "ok n=3 components=1 connected=true\n"
-    assert captured.err.startswith("usage: quandelier pi1")
+    assert captured.err == "parse error: pi1 needs an input file\n"
 
 
 def test_pi1_explicit_base(tmp_path):
@@ -359,6 +419,29 @@ def test_cover_enumerate_s6_is_pinned(tmp_path):
     assert out.count("galois=true") == 4
 
 
+@pytest.mark.parametrize("quandle", [
+    transposition_quandle(5), transposition_quandle(6),
+    qmod.conj_class(symmetric_group(5), (1, 2, 0, 3, 4))],
+    ids=["S5", "S6", "conj(S5,3-cycle)"])
+def test_cover_enumerate_reads_fibre_sizes_off_the_orders(tmp_path,
+                                                         monkeypatch,
+                                                         quandle):
+    # a covering of a connected quandle has N/n points in every fibre,
+    # so the census prints each fibre's size without scanning one
+    q = quandle.basepoints[0]
+    expected = "".join(
+        f"covering {j + 1}: fibre={len(projection.fibre(q))} "
+        f"galois={'true' if normal else 'false'}\n"
+        for j, (_, projection, normal) in enumerate(
+            fund.enumerate_connected_coverings(quandle, q)))
+    path = write_quandle(tmp_path, "q.txt", quandle)
+
+    def no_scan(self, q):
+        raise AssertionError("a fibre was scanned")
+    monkeypatch.setattr(qmod.QuandleHom, "fibre", no_scan)
+    assert run(["cover", path, "--enumerate"]) == (0, expected, "")
+
+
 def test_out_of_memory_ends_in_one_line(tmp_path, monkeypatch):
     # the census writes each line as its covering is built, so the lines
     # before the failing quotient stay; the error is one stderr line
@@ -528,14 +611,9 @@ def test_non_positive_budget_is_a_parse_error(tmp_path, monkeypatch):
 def test_integers_are_ascii_digits_with_an_optional_minus(tmp_path,
                                                          monkeypatch):
     # --base, --budget and QUANDELIER_BUDGET read integers as the input
-    # files do: no '+', '_', surrounding space or non-ASCII digit
+    # files do: no '+', '_', surrounding space or non-ASCII digit (the
+    # option values are pinned with the other command line errors above)
     path = write_quandle(tmp_path, "d3.txt", qmod.dihedral(3))
-    usage = ("usage: quandelier pi1 [-h] [--budget BUDGET] [--base BASE] "
-             "quandle\nquandelier pi1: error: argument ")
-    for option, value in (("--base", "\u0661"), ("--base", "+1"),
-                          ("--budget", "1_000"), ("--budget", " 7 ")):
-        assert run(["pi1", path, option, value]) == (
-            3, "", f"{usage}{option}: invalid integer value: {value!r}\n")
     assert run(["pi1", path, "--budget", "-5"]) == (
         3, "", "parse error: budget must be positive, got -5\n")
     for value in ("+3000", "1_000", "\u0663"):
