@@ -453,15 +453,16 @@ def cmd_h2c(args, out) -> int:
 
 def cmd_cover(args, out) -> int:
     quandle = parse_quandle_file(args.quandle)
+    if args.universal or args.enumerate:
+        pi1 = fund.fundamental_group(quandle, quandle.basepoints[0],
+                                     budget=args.budget)
     if args.universal:
-        cover = fund.universal_cover(quandle, budget=args.budget)
+        cover = fund.universal_cover(pi1)
         emit_quandle(cover.cover, out)
         emit_map(cover.projection.map, out)
         return EXIT_OK
     if args.enumerate:
-        q = quandle.basepoints[0]
-        coverings = fund.enumerate_connected_coverings(quandle, q,
-                                                       budget=args.budget)
+        coverings = fund.enumerate_connected_coverings(pi1)
         for j, (_, projection, normal) in enumerate(coverings):
             fibre = projection.source.n // quandle.n
             galois = "true" if normal else "false"

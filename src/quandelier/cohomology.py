@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product
 from math import prod
 
-from . import fpgroup, fundamental, quandle as qmod
+from . import fundamental, quandle as qmod
 from .errors import NotACocycle
 from .fpgroup import AbelianInvariants
 from .quandle import FiniteQuandle, QuandleHom
@@ -118,19 +118,18 @@ def graded_coefficients(quandle: FiniteQuandle, coeff):
 
 
 def h2_integral(quandle: FiniteQuandle):
-    """H2 per component, as the abelianised fundamental group.
+    """H2 per component, as the abelianised fundamental group, read by
+    FundamentalGroup.abelian_invariants at each basepoint.
 
     The spanning-tree presentation of pi_1(Q, q) is the component's
     2-complex on the adjoint's generating set S modulo a tree, so its
     abelianisation is H2 of the component (Hurewicz); its squares, the
     lifts of the adjoint relators on S, already present Adj(Q), so it
-    has the H1 of the full path complex with its n^3 squares.  It is
-    read as simplify leaves it, with no rotation classes built, as
-    abelian_invariants reads one row per letter multiset.  A grading
-    class that merges several components reports its basepoint's.
+    has the H1 of the full path complex with its n^3 squares.  Nothing
+    is enumerated.  A grading class that merges several components
+    reports its basepoint's.
     """
-    return [fpgroup.abelian_invariants(
-                fundamental.pi1_presentation(quandle, q))
+    return [fundamental.fundamental_group(quandle, q).abelian_invariants()
             for q in quandle.basepoints]
 
 
@@ -260,9 +259,15 @@ def check_extension(ext: Extension):
     if not ok:
         return False, f"projection is not a covering: {wit}"
     total, base = ext.total, ext.projection.target
+    if len(ext.coeffs) != base.component_count:
+        return False, "not one coefficient group per component"
+    every = list(range(total.n))
+    if len(ext.action) != len(ext.coeffs) or any(
+            len(acts) != lam.order or any(sorted(p) != every for p in acts)
+            for lam, acts in zip(ext.coeffs, ext.action)):
+        return False, "not one permutation of the total per group element"
     size = Counter(ext.projection.map)
-    for i, lam in enumerate(ext.coeffs):
-        acts = ext.action[i]
+    for i, (lam, acts) in enumerate(zip(ext.coeffs, ext.action)):
         for perm in acts:
             for x in range(total.n):
                 q = ext.projection.map[x]
@@ -340,37 +345,32 @@ def cocycle_from_extension(ext: Extension) -> tuple:
 # the correspondence with Hom(pi_1, Lambda)
 
 
-def cocycle_from_hom(quandle: FiniteQuandle, coeffs, hom,
-                     budget: int = fpgroup.DEFAULT_COSET_BUDGET) -> tuple:
+def cocycle_from_hom(pi1: fundamental.FundamentalGroup, coeffs, hom) -> tuple:
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
-    The quandle must be connected.  hom sends pi_1's element indices
-    (the rows of fundamental_group(...).cayley, at the first basepoint) to
-    Lambda elements, and the cocycle is hom(f(a,b)) for pi_1's own
-    cocycle f, with no cover table built.
+    The base must be connected.  hom sends pi1's element indices (the
+    rows of pi1.cayley) to Lambda elements, and the cocycle is
+    hom(f(a,b)) for pi1's own cocycle f, with no cover table built.
+    Raises ValueError if hom has not pi1.order entries.
     """
-    coeffs = graded_coefficients(quandle, coeffs)
-    pi1 = fundamental.fundamental_group(quandle, quandle.basepoints[0],
-                                        budget)
+    coeffs = graded_coefficients(pi1.quandle, coeffs)
+    if len(hom) != len(pi1.cayley):
+        raise ValueError("hom needs one value per element of pi_1")
     f = tuple(tuple(map(hom.__getitem__, row)) for row in pi1.cocycle)
-    ok, wit = is_cocycle(f, quandle, coeffs)
+    ok, wit = is_cocycle(f, pi1.quandle, coeffs)
     if not ok:
         raise ValueError(f"hom was not relator-consistent, witness {wit}")
     return f
 
 
-def hom_from_extension(ext: Extension,
-                       budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """Monodromy of an extension as the map pi_1 -> Lambda.
-
-    The base must be connected (monodromy raises InfiniteGroup
-    otherwise).  Returns a list aligned with the rows of pi_1's Cayley
-    table at the base's first basepoint; entry k is the Lambda element
-    by which the k-th pi_1 element shifts the basepoint's least lift,
-    the fibre's first element.
+def hom_from_extension(ext: Extension, pi1: fundamental.FundamentalGroup):
+    """Monodromy of an extension as the map pi1 -> Lambda, pi1 of its
+    connected base (monodromy raises ValueError or InfiniteGroup
+    otherwise): entry k is the Lambda element by which the k-th element,
+    row k of pi1.cayley, shifts the basepoint's least lift, the fibre's
+    first element.
     """
-    q = ext.projection.target.basepoints[0]
-    _, fibre, perms = fundamental.monodromy(ext.projection, q, budget=budget)
+    fibre, perms = fundamental.monodromy(ext.projection, pi1)
     shift = {ext.action[0][k][fibre[0]]: k
              for k in range(ext.coeffs[0].order)}
     return [shift[fibre[perm[0]]] for perm in perms]

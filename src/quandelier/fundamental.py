@@ -192,8 +192,8 @@ def _right_action(table: CosetTable, step, start):
 class FundamentalGroup:
     """pi_1(Q, q), computed only as far as it is read.
 
-    presentation has one relator per rotation class.  regular, pi_1's
-    right regular representation, is its enumeration over the trivial
+    presentation is pi1_presentation's.  regular, pi_1's right regular
+    representation, enumerates its rotation classes over the trivial
     subgroup; coset g is the element its representative word reads.
     Reading it raises InfiniteGroup for a disconnected quandle before
     anything is built, or Todd-Coxeter's BudgetExceeded past the
@@ -209,14 +209,14 @@ class FundamentalGroup:
 
     @cached_property
     def presentation(self) -> Pi1Presentation:
-        return fpgroup.relator_classes(pi1_presentation(self.quandle,
-                                                        self.basepoint))
+        return pi1_presentation(self.quandle, self.basepoint)
 
     @cached_property
     def _enumeration(self):  # regular, or the error reading it raises
         try:
             _certify_finite(self.quandle)
-            return _regular(self.presentation, self.budget)
+            return _regular(fpgroup.relator_classes(self.presentation),
+                            self.budget)
         except BudgetExceeded as error:  # InfiniteGroup included
             return error.with_traceback(None)
 
@@ -296,9 +296,9 @@ def _regular(pres: Presentation, budget: int) -> CosetTable:
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,
                       budget: int = fpgroup.DEFAULT_COSET_BUDGET
                       ) -> FundamentalGroup:
-    """pi_1(Q, basepoint), built as far as it is read: the
-    presentation always, the finite model within the budget; a
-    disconnected quandle has infinite pi_1 and is not enumerated."""
+    """pi_1(Q, basepoint), built as far as it is read and made nowhere
+    else: the presentation always, the finite model within the budget;
+    a disconnected quandle has infinite pi_1 and is not enumerated."""
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
     return FundamentalGroup(quandle, basepoint, budget)
@@ -339,14 +339,11 @@ class UniversalCover:
     pi1: FundamentalGroup
 
 
-def universal_cover(quandle: FiniteQuandle,
-                    budget: int = fpgroup.DEFAULT_COSET_BUDGET
-                    ) -> UniversalCover:
-    """Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b)), f the cocycle of pi_1
-    at the first basepoint; raises as FundamentalGroup.regular does."""
-    pi1 = fundamental_group(quandle, quandle.basepoints[0], budget)
+def universal_cover(pi1: FundamentalGroup) -> UniversalCover:
+    """Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b)), f the cocycle of
+    pi1; raises as FundamentalGroup.regular does."""
     projection = _quotient(pi1, [(g,) for g in range(len(pi1.cayley))])
-    return UniversalCover(base=quandle, cover=projection.source,
+    return UniversalCover(base=pi1.quandle, cover=projection.source,
                           projection=projection, pi1=pi1)
 
 
@@ -374,6 +371,8 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
         raise ValueError("p is not a covering")
     if lift_basepoint is None:
         lift_basepoint = p.section[f.map[x0]]
+    if not 0 <= lift_basepoint < p.source.n:
+        raise ValueError("lift basepoint outside the cover")
     if p.map[lift_basepoint] != f.map[x0]:
         raise ValueError("basepoint lift does not sit over f(x)")
 
@@ -395,19 +394,17 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
     return "lift", QuandleHom(x_side, p.source, mapping)
 
 
-def enumerate_connected_coverings(quandle: FiniteQuandle, basepoint: int,
-                                  budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """All pointed connected coverings of a connected base (one orbit,
-    whatever its grading says): an iterator of triples (K, covering
-    projection, normal), one per subgroup K of pi_1, a sorted tuple of
-    element indices (rows of pi_1's Cayley table), in the order of
+def enumerate_connected_coverings(pi1: FundamentalGroup):
+    """All pointed connected coverings of pi1's base, checked to be one
+    orbit, whatever its grading says, before pi1 is read: an iterator
+    of triples (K, covering projection, normal), one per subgroup K of
+    pi_1, a sorted tuple of rows of pi1.cayley, in the order of
     permgroup.subgroups.  Each projection, the universal cover modulo K
     on the pairs (a, K h), is built when reached; normal says whether K
     is normal, the covering Galois.  Every error raises from the call.
     """
-    if len(qmod.components(quandle)[0]) > 1:
+    if len(qmod.components(pi1.quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
-    pi1 = fundamental_group(quandle, basepoint, budget)
     return ((sub, _quotient(pi1, cosets), normal)
             for sub in permgroup.subgroups(pi1.cayley)
             for cosets, normal in [_right_cosets(pi1.cayley, sub)])
@@ -427,25 +424,25 @@ def _right_cosets(mul, sub):
     return cosets, normal
 
 
-def monodromy(p: QuandleHom, basepoint: int,
-              budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """Action of pi_1(Q, basepoint) on the fibre over the basepoint.
+def monodromy(p: QuandleHom, pi1: FundamentalGroup):
+    """Action of pi1 = pi_1(Q, q) on the fibre of p over q.
 
-    Returns (pi1, fibre tuple, permutations), pi1 the FundamentalGroup:
-    permutations[k] sends fibre position i to that of fibre[i] times
-    pi_1's k-th element, the k-th row of pi1.cayley.
+    Returns (fibre tuple, permutations): permutations[k] sends fibre
+    position i to that of fibre[i] times pi_1's k-th element, the k-th
+    row of pi1.cayley.
     A generator of pi_1 is an edge (a, s), whose loop runs along the tree
     to a, across the edge and back, each base element lifting to its
-    section element.  Raises as FundamentalGroup.regular does, and
-    builds no Cayley table.
+    section element.  Raises ValueError if pi1 is not of p's base, and
+    as FundamentalGroup.regular does; builds no Cayley table.
     """
     if not qmod.is_covering(p)[0]:
         raise ValueError("p is not a covering")
     base, rho, rho_inv = p.target, p.source.rho, p.source.rho_inv
-    pi1 = fundamental_group(base, basepoint, budget)
+    if not pi1.quandle.same_table(base):
+        raise ValueError("pi1 is not of the covering's base")
     table = pi1.regular  # before the presentation: it may raise
     pres, gens = pi1.presentation, base.adjoint.generators
-    fibre = p.fibre(basepoint)
+    fibre = p.fibre(pi1.basepoint)
     pos = {x: i for i, x in enumerate(fibre)}
     step = []
     for j in range(1, pres.generator_count + 1):
@@ -461,4 +458,4 @@ def monodromy(p: QuandleHom, basepoint: int,
         step.append(tuple(map(pos.__getitem__, images)))
     step = (None, *step, *map(permgroup.inverse, reversed(step)))
     perms = _right_action(table, step, tuple(range(len(fibre))))
-    return pi1, fibre, tuple(perms)
+    return fibre, tuple(perms)

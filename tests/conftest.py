@@ -148,7 +148,8 @@ def corpus_coverings(corpus):
     out = []
     for name, quandle in corpus:
         if quandle.is_connected():
-            out.append((name, fund.universal_cover(quandle).projection))
-            out += [(name, p) for _, p, _ in fund.enumerate_connected_coverings(
-                quandle, quandle.basepoints[0])]
+            pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
+            out.append((name, fund.universal_cover(pi1).projection))
+            out += [(name, p)
+                    for _, p, _ in fund.enumerate_connected_coverings(pi1)]
     return out

@@ -41,9 +41,9 @@ def test_criterion_1_odd_dihedral_simply_connected():
             # both pipelines: the stabilizer model and the presentation
             assert len(fg.cayley) == 1
             assert fpgroup.todd_coxeter(fg.presentation, []).coset_count == 1
-            cover = fund.universal_cover(quandle)
+            cover = fund.universal_cover(fg)
             assert cover.cover.n == n
-            coverings = list(fund.enumerate_connected_coverings(quandle, 0))
+            coverings = list(fund.enumerate_connected_coverings(fg))
             assert len(coverings) == 1
             assert time.monotonic() - start < 1.0
 
@@ -62,7 +62,7 @@ def test_criterion_2_symmetric_group_quandles():
         assert h2 == fpgroup.AbelianInvariants(free_rank=0, torsion=(2,))
         ((_, classes),) = coh.h2_with_coefficients(q4, Z2)
         assert classes == 2
-        assert len(list(fund.enumerate_connected_coverings(q4, 0))) == 2
+        assert len(list(fund.enumerate_connected_coverings(fg))) == 2
 
         q5 = transposition_quandle(5)
         assert q5.n == 10
@@ -74,7 +74,7 @@ def test_criterion_2_symmetric_group_quandles():
         assert (inv.free_rank, inv.torsion) == (0, (2,))
         (h2,) = coh.h2_integral(q5)
         assert h2 == fpgroup.AbelianInvariants(free_rank=0, torsion=(2,))
-        assert len(list(fund.enumerate_connected_coverings(q5, 0))) == 6
+        assert len(list(fund.enumerate_connected_coverings(fg))) == 6
 
         assert time.monotonic() - start < 5.0
 
@@ -167,7 +167,8 @@ def test_criterion_6_covering_composition_failure():
 def test_criterion_7_roundtrips():
     with criterion(7, "cocycle and hom roundtrips through extensions"):
         quandle = transposition_quandle(4)
-        order = fund.universal_cover(quandle).pi1.order
+        pi1 = fund.fundamental_group(quandle, 0)
+        order = fund.universal_cover(pi1).pi1.order
         # all homs pi_1 -> Z2: pi_1 = Z2, so exactly two
         all_homs = []
         for image in range(2):
@@ -175,23 +176,25 @@ def test_criterion_7_roundtrips():
             all_homs.append(hom)
         assert len(all_homs) == 2
         for hom in all_homs:
-            f = coh.cocycle_from_hom(quandle, Z2, hom)
+            f = coh.cocycle_from_hom(pi1, Z2, hom)
             ext = coh.extension_from_cocycle(quandle, Z2, f)
             back = coh.cocycle_from_extension(ext)
             assert coh.are_cohomologous(f, back, quandle, Z2) is not None
-            assert coh.hom_from_extension(ext) == hom
+            assert coh.hom_from_extension(ext, pi1) == hom
 
 
 def test_criterion_8_universal_cover_axioms(corpus):
     with criterion(8, "universal cover structure over the corpus"):
         built = 0
         for name, quandle in corpus:
+            pi1 = fund.fundamental_group(quandle, quandle.basepoints[0],
+                                         budget=20000)
             if not quandle.is_connected():
                 # infinite degree-zero part, certified without enumerating
                 with pytest.raises(InfiniteGroup):
-                    fund.universal_cover(quandle, budget=20000)
+                    fund.universal_cover(pi1)
                 continue
-            cover = fund.universal_cover(quandle, budget=20000)
+            cover = fund.universal_cover(pi1)
             built += 1
             assert qmod.is_covering(cover.projection)[0], name
             # components of the cover biject with components of the base

@@ -85,8 +85,9 @@ def test_theorem_built_tables_make_no_validate_call(monkeypatch):
     base = transposition_quandle(4)
     z2 = coh.Coeff.from_invariants([2])
     monkeypatch.setattr(qmod, "validate", refuse)
-    universal = fund.universal_cover(base).projection
-    census = [p for _, p, _ in fund.enumerate_connected_coverings(base, 0)]
+    pi1 = fund.fundamental_group(base, 0)
+    universal = fund.universal_cover(pi1).projection
+    census = [p for _, p, _ in fund.enumerate_connected_coverings(pi1)]
     coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
     qmod.pullback(census[-1], universal)
     qmod.union_coverings(census)

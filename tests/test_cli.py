@@ -101,6 +101,21 @@ def test_pi1_budget_exit(tmp_path):
     assert out == "pi1 order=unknown(budget) ab=rank 1 torsion 2\n"
 
 
+def test_pi1_abelianises_without_rotation_classes(tmp_path, monkeypatch):
+    # pi_1 is abelianised as pi1_presentation leaves it, and only its
+    # enumeration reads the rotation classes: a disconnected input,
+    # never enumerated, builds none
+    classes, calls = fpgroup.relator_classes, []
+    monkeypatch.setattr(fpgroup, "relator_classes",
+                        lambda pres: calls.append(pres) or classes(pres))
+    path = write_quandle(tmp_path, "t2.txt", qmod.trivial(2))
+    assert run(["pi1", path]) == (
+        2, "pi1 order=unknown(budget) ab=rank 1 torsion -\n", "")
+    assert calls == []
+    path = write_quandle(tmp_path, "s4.txt", transposition_quandle(4))
+    assert run(["pi1", path])[0] == 0 and len(calls) == 1
+
+
 def test_disconnected_exits_at_once_at_default_budget(tmp_path):
     # certified infinite: no enumeration runs up the default budget
     path = write_quandle(tmp_path, "d4.txt", qmod.dihedral(4))
@@ -433,7 +448,8 @@ def test_cover_enumerate_reads_fibre_sizes_off_the_orders(tmp_path,
         f"covering {j + 1}: fibre={len(projection.fibre(q))} "
         f"galois={'true' if normal else 'false'}\n"
         for j, (_, projection, normal) in enumerate(
-            fund.enumerate_connected_coverings(quandle, q)))
+            fund.enumerate_connected_coverings(
+                fund.fundamental_group(quandle, q))))
     path = write_quandle(tmp_path, "q.txt", quandle)
 
     def no_scan(self, q):
@@ -525,10 +541,11 @@ def _cocycle_file(tmp_path, quandle, f, coeffs, name="coc.txt"):
 def test_ext_from_cocycle_and_extract(tmp_path):
     quandle = transposition_quandle(4)
     base = write_quandle(tmp_path, "s4.txt", quandle)
-    order = fund.universal_cover(quandle).pi1.order
+    pi1 = fund.fundamental_group(quandle, 0)
+    order = fund.universal_cover(pi1).pi1.order
     hom = [0 if k == 0 else 1 for k in range(order)]
     z2 = coh.Coeff.from_invariants([2])
-    f = coh.cocycle_from_hom(quandle, z2, hom)
+    f = coh.cocycle_from_hom(pi1, z2, hom)
     coeffs = coh.graded_coefficients(quandle, z2)
     cpath = _cocycle_file(tmp_path, quandle, f, coeffs)
 
@@ -635,7 +652,8 @@ class _Discard(io.TextIOBase):
 def test_emit_quandle_holds_one_row_at_a_time():
     # the S7 transposition quandle's universal cover, N = 2520: its
     # table is about 28 MB of text, built and dropped row by row
-    cover = fund.universal_cover(transposition_quandle(7)).cover
+    cover = fund.universal_cover(
+        fund.fundamental_group(transposition_quandle(7), 0)).cover
     assert cover.n == 2520
     tracemalloc.start()
     try:

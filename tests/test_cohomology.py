@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -167,6 +168,23 @@ def test_h2_and_pi1_order_survive_relabelling(corpus):
         assert (orders[0] is None) == (len(h2) > 1), name
 
 
+def test_h2_is_the_abelianised_fundamental_group(corpus, monkeypatch):
+    # one abelianisation of pi_1: h2_integral reads FundamentalGroup's
+    # at each basepoint, also where one grading class holds two orbits
+    made, fundamental_group = [], fund.fundamental_group
+    monkeypatch.setattr(fund, "fundamental_group", lambda quandle, q: (
+        made.append(q) or fundamental_group(quandle, q)))
+    base = qmod.dihedral(3)
+    total = coh.extension_from_cocycle(
+        base, Z2, coh.trivial_cocycle(base, Z2)).total
+    for quandle in [quandle for _, quandle in corpus] + [total]:
+        made.clear()
+        assert coh.h2_integral(quandle) == [
+            fundamental_group(quandle, b).abelian_invariants()
+            for b in quandle.basepoints]
+        assert made == list(quandle.basepoints)
+
+
 # ---------------------------------------------------------------------------
 # cocycles, coboundaries, classes
 
@@ -310,7 +328,7 @@ def test_are_cohomologous_returns_valid_rescaling(corpus):
             cocycles = [coh.trivial_cocycle(quandle, lam)]
             if quandle.is_connected():
                 pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
-                cocycles += [coh.cocycle_from_hom(quandle, lam, hom)
+                cocycles += [coh.cocycle_from_hom(pi1, lam, hom)
                              for hom in _homs_to_cyclic(pi1, lam.order)]
             if lam.order ** (n * n - n) <= 1 << 12:
                 cocycles = enumerate_cocycles(quandle, lam)
@@ -336,11 +354,12 @@ def test_are_cohomologous_returns_valid_rescaling(corpus):
 
 
 def _nontrivial_s4_cocycle():
-    quandle = transposition_quandle(4)
+    """(pi_1 of the S4 transposition quandle, a cocycle, its hom)."""
+    pi1 = fund.fundamental_group(transposition_quandle(4), 0)
     # pi_1 = Z2: the hom onto Z2 sends all but the identity 0 to 1
-    order = fund.universal_cover(quandle).pi1.order
+    order = fund.universal_cover(pi1).pi1.order
     hom = [0 if k == 0 else 1 for k in range(order)]
-    return quandle, coh.cocycle_from_hom(quandle, Z2, hom), hom
+    return pi1, coh.cocycle_from_hom(pi1, Z2, hom), hom
 
 
 def test_extension_from_trivial_cocycle_splits():
@@ -356,7 +375,8 @@ def test_extension_from_trivial_cocycle_splits():
 
 
 def test_extension_from_nontrivial_cocycle_is_connected():
-    quandle, f, _ = _nontrivial_s4_cocycle()
+    pi1, f, _ = _nontrivial_s4_cocycle()
+    quandle = pi1.quandle
     ext = coh.extension_from_cocycle(quandle, Z2, f)
     assert ext.total.n == 12
     assert coh.check_extension(ext) == (True, None)
@@ -366,7 +386,8 @@ def test_extension_from_nontrivial_cocycle_is_connected():
 
 
 def test_cocycle_extension_roundtrip():
-    quandle, f, _ = _nontrivial_s4_cocycle()
+    pi1, f, _ = _nontrivial_s4_cocycle()
+    quandle = pi1.quandle
     ext = coh.extension_from_cocycle(quandle, Z2, f)
     back = coh.cocycle_from_extension(ext)
     assert coh.are_cohomologous(f, back, quandle, Z2) is not None
@@ -386,7 +407,7 @@ def test_cocycle_is_read_back_off_its_extension(corpus):
         pairs = [(Z2, coh.trivial_cocycle(quandle, Z2)),
                  (Z3, coh.coboundary(quandle, Z3, g)),
                  (coh.Coeff.from_table(pi1.cayley, 0), pi1.cocycle)]
-        pairs += [(Z2, coh.cocycle_from_hom(quandle, Z2, hom))
+        pairs += [(Z2, coh.cocycle_from_hom(pi1, Z2, hom))
                   for hom in _homs_to_cyclic(pi1, 2)]
         for lam, f in pairs:
             ext = coh.extension_from_cocycle(quandle, lam, f)
@@ -411,9 +432,9 @@ def test_cocycle_from_extension_rejects_an_intransitive_action():
 
 
 def test_hom_extension_roundtrip():
-    quandle, f, hom = _nontrivial_s4_cocycle()
-    ext = coh.extension_from_cocycle(quandle, Z2, f)
-    assert coh.hom_from_extension(ext) == hom
+    pi1, f, hom = _nontrivial_s4_cocycle()
+    ext = coh.extension_from_cocycle(pi1.quandle, Z2, f)
+    assert coh.hom_from_extension(ext, pi1) == hom
 
 
 def test_equivalence_respects_cohomology_classes():
@@ -426,7 +447,8 @@ def test_equivalence_respects_cohomology_classes():
 
 
 def test_inequivalent_extensions_detected():
-    quandle, f, _ = _nontrivial_s4_cocycle()
+    pi1, f, _ = _nontrivial_s4_cocycle()
+    quandle = pi1.quandle
     e1 = coh.extension_from_cocycle(quandle, Z2, f)
     e0 = coh.extension_from_cocycle(quandle, Z2,
                                     coh.trivial_cocycle(quandle, Z2))
@@ -498,11 +520,12 @@ def test_equivalence_matches_the_propagation_search(corpus):
     # criterion 7 inputs: the two homs pi_1 = Z2 -> Z2 of the S4
     # transposition quandle, each also with a rescaled cocycle
     quandle = transposition_quandle(4)
-    order = fund.universal_cover(quandle).pi1.order
+    pi1 = fund.fundamental_group(quandle, 0)
+    order = fund.universal_cover(pi1).pi1.order
     exts = []
     for image in range(2):
         hom = [0 if k == 0 else image for k in range(order)]
-        f = coh.cocycle_from_hom(quandle, Z2, hom)
+        f = coh.cocycle_from_hom(pi1, Z2, hom)
         exts.append(coh.extension_from_cocycle(quandle, Z2, f))
         exts.append(coh.extension_from_cocycle(
             quandle, Z2, _rescaled(quandle, Z2, f, (1, 0, 0, 1, 1, 0))))
@@ -519,7 +542,7 @@ def test_equivalence_matches_the_propagation_search(corpus):
     cocycles = []
     for image in [e] + involutions[:2]:
         hom = [e if k == 0 else image for k in range(order)]
-        cocycles.append(coh.cocycle_from_hom(quandle, s3, hom))
+        cocycles.append(coh.cocycle_from_hom(pi1, s3, hom))
     g = tuple(involutions[0] if a % 2 else e for a in range(quandle.n))
     cocycles.append(_rescaled(quandle, s3, cocycles[1], g))
     exts = [coh.extension_from_cocycle(quandle, s3, f) for f in cocycles]
@@ -594,13 +617,69 @@ def test_check_extension_rejects_an_action_reversed_on_one_fibre():
 def test_cocycle_from_hom_builds_no_universal_cover(monkeypatch):
     # the cocycle needs pi_1's Cayley table and cocycle, not the
     # cover's N x N table
-    quandle, f, hom = _nontrivial_s4_cocycle()
+    pi1, f, hom = _nontrivial_s4_cocycle()
+    fresh = fund.fundamental_group(pi1.quandle, 0)  # nothing cached
 
     def no_cover(*args, **kwargs):
         raise AssertionError("universal cover built")
 
     monkeypatch.setattr(fund, "universal_cover", no_cover)
-    assert coh.cocycle_from_hom(quandle, Z2, hom) == f
+    assert coh.cocycle_from_hom(fresh, Z2, hom) == f
+
+
+def test_the_roundtrip_enumerates_pi1_once(monkeypatch):
+    # criterion 7's roundtrip on the S5 transposition quandle, on one
+    # pi_1: the universal cover, the cocycle of a hom, its extension and
+    # the extension's hom all read the same enumeration
+    calls, enumerate_ = [], fpgroup.todd_coxeter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter", counted)
+    pi1 = fund.fundamental_group(transposition_quandle(5), 0)
+    mul = fund.universal_cover(pi1).pi1.cayley
+    # pi_1 = S3: the sign sends its three involutions to 1
+    sign = [int(g != 0 and mul[g][g] == 0) for g in range(pi1.order)]
+    assert sum(sign) == 3
+    f = coh.cocycle_from_hom(pi1, Z2, sign)
+    ext = coh.extension_from_cocycle(pi1.quandle, Z2, f)
+    assert coh.hom_from_extension(ext, pi1) == sign
+    assert len(calls) == 1
+
+
+def test_pi1_readers_check_their_pi1():
+    # the extension's hom needs pi_1 of its base, here of the S4
+    # transposition quandle, not of dihedral(6), the same size; a hom
+    # needs one value per element
+    pi1, f, hom = _nontrivial_s4_cocycle()
+    ext = coh.extension_from_cocycle(pi1.quandle, Z2, f)
+    other = fund.fundamental_group(qmod.dihedral(6), 0)
+    with pytest.raises(ValueError, match="not of the covering's base"):
+        coh.hom_from_extension(ext, other)
+    assert coh.hom_from_extension(ext, pi1) == hom
+    for wrong in (hom[:1], hom + [0]):
+        with pytest.raises(ValueError, match="one value per element"):
+            coh.cocycle_from_hom(pi1, Z2, wrong)
+
+
+def test_check_extension_rejects_malformed_shapes():
+    # trivial(2)'s Z2 extension cut short four ways: one group for two
+    # components, one action for two groups, one permutation for two
+    # elements, a permutation of fewer elements than the total; each
+    # is a reason, not an acceptance or an IndexError
+    quandle = qmod.trivial(2)
+    ext = coh.extension_from_cocycle(quandle, Z2,
+                                     coh.trivial_cocycle(quandle, Z2))
+    assert coh.check_extension(ext) == (True, None)
+    first, second = ext.action
+    for bad in (replace(ext, coeffs=ext.coeffs[:1]),
+                replace(ext, action=ext.action[:1]),
+                replace(ext, action=(first[:1], second)),
+                replace(ext, action=((first[0][:-1], first[1]), second))):
+        ok, reason = coh.check_extension(bad)
+        assert not ok and reason
 
 
 def test_check_extension_rejects_broken_action():

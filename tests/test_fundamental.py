@@ -307,8 +307,8 @@ def test_relator_classes_of_simplify_are_the_reference(corpus):
     # at 166 basepoints, simplify's survivors, one per rotation class,
     # are exactly what simplify gave when it built the classes itself,
     # images included; the raw survivors have the abelianisation of
-    # their classes, and fundamental_group keeps the classes of
-    # pi1_presentation with its images and paths
+    # their classes, and fundamental_group keeps pi1_presentation as it
+    # is, with its images and paths
     inputs = [(name, quandle, quandle.basepoints) for name, quandle in corpus]
     inputs += [(f"conj(S{m},transposition)", transposition_quandle(m), (0,))
                for m in (5, 6, 7)]
@@ -328,16 +328,16 @@ def test_relator_classes_of_simplify_are_the_reference(corpus):
             assert (fpgroup.abelian_invariants(pres)
                     == fpgroup.abelian_invariants(classes)), (name, q)
             fg = fund.fundamental_group(quandle, q, budget=1)
-            assert fg.presentation == fpgroup.relator_classes(
-                fund.pi1_presentation(quandle, q)), (name, q)
+            assert fg.presentation == fund.pi1_presentation(
+                quandle, q), (name, q)
             checked += 1
     assert checked == 166
 
 
 def test_pi1_presentation_checks_its_letters_once(monkeypatch):
     # simplify's Presentation is checked; the Pi1Presentation built
-    # from it, and the rotation classes fundamental_group keeps, are not
-    # checked again
+    # from it, and the rotation classes fundamental_group enumerates,
+    # are not checked again
     checked = []
     check = fpgroup.Presentation.__post_init__
 
@@ -355,8 +355,8 @@ def test_pi1_presentation_checks_its_letters_once(monkeypatch):
     assert fg.order is None
     # simplify's only: the prefix round, on the first 20 of the 27
     # classes, and the last round read the checked classes as they are
-    assert (len(fg.presentation.relators), checked) == (
-        27, [fpgroup.Presentation])
+    assert (len(fpgroup.relator_classes(fg.presentation).relators),
+            checked) == (27, [fpgroup.Presentation])
 
 
 def _three_cycles(m):
@@ -503,13 +503,16 @@ def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
     quandle = qmod.trivial(2)
     monkeypatch.setattr(fund, "pi1_presentation", no_presentation)
     with pytest.raises(InfiniteGroup):
-        fund.universal_cover(quandle)
+        fund.universal_cover(fund.fundamental_group(quandle, 0))
     with pytest.raises(InfiniteGroup):
-        fund.monodromy(qmod.identity_hom(quandle), 0)
+        fund.monodromy(qmod.identity_hom(quandle),
+                       fund.fundamental_group(quandle, 0))
     monkeypatch.undo()
 
-    cover = fund.universal_cover(transposition_quandle(5))
-    pi1 = fund.monodromy(cover.projection, 0)[0]
+    quandle = transposition_quandle(5)
+    cover = fund.universal_cover(fund.fundamental_group(quandle, 0))
+    pi1 = fund.fundamental_group(quandle, 0)
+    fund.monodromy(cover.projection, pi1)
     assert pi1.order == 6 and "cayley" not in vars(pi1)
 
     fg = fund.fundamental_group(transposition_quandle(4), 0, budget=1)
@@ -729,15 +732,21 @@ def test_fundamental_group_infinite_keeps_presentation():
 # the universal cover
 
 
+def _s4_cover():
+    return fund.universal_cover(
+        fund.fundamental_group(transposition_quandle(4), 0))
+
+
 def test_universal_cover_of_odd_dihedral_is_itself():
     for n in (3, 5, 7):
-        cover = fund.universal_cover(qmod.dihedral(n))
+        cover = fund.universal_cover(
+            fund.fundamental_group(qmod.dihedral(n), 0))
         assert cover.cover.n == n
         assert qmod.is_covering(cover.projection)[0]
 
 
 def test_universal_cover_of_s4_quandle():
-    cover = fund.universal_cover(transposition_quandle(4))
+    cover = _s4_cover()
     assert cover.cover.n == 12
     assert qmod.is_covering(cover.projection)[0]
     assert cover.cover.is_connected()
@@ -745,7 +754,7 @@ def test_universal_cover_of_s4_quandle():
 
 def test_universal_cover_of_s7_quandle_has_one_column_per_base_element():
     base = transposition_quandle(7)
-    cover = fund.universal_cover(base)
+    cover = fund.universal_cover(fund.fundamental_group(base, 0))
     assert cover.cover.n == 2520
     assert len(set(zip(*cover.cover.op))) <= base.n == 21
     assert qmod.is_covering(cover.projection)[0]
@@ -753,7 +762,7 @@ def test_universal_cover_of_s7_quandle_has_one_column_per_base_element():
 
 def test_universal_cover_element_bookkeeping():
     # cover element g n + a is (a, g) in Q x pi_1, over a
-    cover = fund.universal_cover(transposition_quandle(4))
+    cover = _s4_cover()
     n, order = cover.base.n, cover.pi1.order
     assert cover.cover.n == n * order
     for x in range(cover.cover.n):
@@ -765,11 +774,12 @@ def test_disconnected_quandle_has_infinite_enumeration():
     # the coset space surjects onto a free abelian group of rank
     # (number of components - 1), so any disconnected quandle trips
     with pytest.raises(BudgetExceeded):
-        fund.universal_cover(qmod.dihedral(4), budget=3000)
+        fund.universal_cover(
+            fund.fundamental_group(qmod.dihedral(4), 0, budget=3000))
 
 
 def test_deck_group_acts_freely_on_fibres():
-    cover = fund.universal_cover(transposition_quandle(4))
+    cover = _s4_cover()
     deck = left_translations(cover.pi1.cayley, cover.base.n)
     fibre = cover.projection.fibre(cover.base.basepoints[0])
     for g in deck.elements:
@@ -782,7 +792,7 @@ def test_deck_group_acts_freely_on_fibres():
 def test_deck_commutes_with_inner_action():
     # deck transformations are covering automorphisms: they commute
     # with every right translation of the cover
-    cover = fund.universal_cover(transposition_quandle(4))
+    cover = _s4_cover()
     op = cover.cover.op
     deck = left_translations(cover.pi1.cayley, cover.base.n)
     for g in deck.elements:
@@ -816,9 +826,10 @@ def test_universal_cover_budget_counts_pi1_cosets():
     # pi_1's enumeration peaks at 140 live cosets on S7; the adjoint
     # enumeration the cover once read needed 3395
     quandle = transposition_quandle(7)
-    assert fund.universal_cover(quandle, budget=140).cover.n == 2520
+    assert fund.universal_cover(fund.fundamental_group(
+        quandle, 0, budget=140)).cover.n == 2520
     with pytest.raises(BudgetExceeded):
-        fund.universal_cover(quandle, budget=139)
+        fund.universal_cover(fund.fundamental_group(quandle, 0, budget=139))
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +857,7 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
     inputs = _census_inputs(corpus)
     for name, quandle in inputs:
         q = quandle.basepoints[0]
-        cover = fund.universal_cover(quandle)
+        cover = fund.universal_cover(fund.fundamental_group(quandle, q))
         kind, lift = fund.check_lifting(
             cover.projection, universal_cover_by_columns(quandle)[0])
         assert kind == "lift", name
@@ -854,7 +865,7 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
         fg = cover.pi1
         assert fg.cayley == deck_group(
             fg.regular, (q,) * fg.order, q).elements, name
-        coverings = fund.enumerate_connected_coverings(quandle, q)
+        coverings = fund.enumerate_connected_coverings(fg)
         assert sorted((len(p.fibre(q)), normal)
                       for _, p, normal in coverings) == sorted(
             census_by_orbits(quandle, q)), name
@@ -872,7 +883,8 @@ def test_pi1_model_is_the_enumeration_on_all_relators(corpus):
     inputs.append(("conj(S7,transposition)", transposition_quandle(7)))
     for name, quandle in inputs:
         fg = fund.fundamental_group(quandle, quandle.basepoints[0])
-        ref = todd_coxeter_reference(_plain(fg.presentation))
+        ref = todd_coxeter_reference(
+            _plain(fpgroup.relator_classes(fg.presentation)))
         assert fg.order == ref.coset_count, name
         image = [trace(ref, 0, w) for w in fg.regular.representative_word]
         assert sorted(image) == list(range(fg.order)), name
@@ -948,7 +960,7 @@ def test_subgroups_match_the_permutation_search(corpus):
         assert permgroup.subgroups(fg.cayley) == [
             tuple(sorted(index[g] for g in sub.elements))
             for sub in want], name
-        census = fund.enumerate_connected_coverings(quandle, q)
+        census = fund.enumerate_connected_coverings(fg)
         assert [normal for _, _, normal in census] == [
             is_normal(sub, group) for sub in want], name
 
@@ -959,19 +971,20 @@ def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
 
     monkeypatch.setattr(fund, "adj0_enumeration", no_adjoint)
     quandle = transposition_quandle(5)
-    cover = fund.universal_cover(quandle)
+    pi1 = fund.fundamental_group(quandle, 0)
+    cover = fund.universal_cover(pi1)
     assert cover.cover.n == 60
-    assert len(list(fund.enumerate_connected_coverings(quandle, 0))) == 6
-    group, fibre, _ = fund.monodromy(cover.projection, 0)
-    assert group.order == len(fibre) == 6
+    assert len(list(fund.enumerate_connected_coverings(pi1))) == 6
+    fibre, _ = fund.monodromy(cover.projection, pi1)
+    assert pi1.order == len(fibre) == 6
     # pi_1 = S3: the sign sends its three involutions to 1
     mul = cover.pi1.cayley
     sign = [int(g != 0 and mul[g][g] == 0) for g in range(6)]
     assert sum(sign) == 3
     z2 = coh.Coeff.from_invariants([2])
-    f = coh.cocycle_from_hom(quandle, z2, sign)
+    f = coh.cocycle_from_hom(pi1, z2, sign)
     ext = coh.extension_from_cocycle(quandle, z2, f)
-    assert coh.hom_from_extension(ext) == sign
+    assert coh.hom_from_extension(ext, pi1) == sign
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +995,7 @@ def test_check_lifting_simply_connected_base():
     # pi_1(D3) is trivial, so the identity lifts through the universal
     # cover (which is an isomorphism there)
     quandle = qmod.dihedral(3)
-    cover = fund.universal_cover(quandle)
+    cover = fund.universal_cover(fund.fundamental_group(quandle, 0))
     kind, lift = fund.check_lifting(qmod.identity_hom(quandle),
                                     cover.projection)
     assert kind == "lift"
@@ -1012,14 +1025,34 @@ def test_census_counts_orbits_not_grading_classes():
     assert len(qmod.components(total)[0]) == 2
     with pytest.raises(ValueError, match="covering census needs a "
                                          "connected base"):
-        fund.enumerate_connected_coverings(total, 0)
+        fund.enumerate_connected_coverings(fund.fundamental_group(total, 0))
+
+
+def test_check_lifting_rejects_a_lift_basepoint_off_the_cover():
+    # dihedral(3) is its own universal cover; -3 would read p.map from
+    # its end and sit over f(x)
+    quandle = qmod.dihedral(3)
+    p = fund.universal_cover(fund.fundamental_group(quandle, 0)).projection
+    f = qmod.identity_hom(quandle)
+    for bad in (-3, 3):
+        with pytest.raises(ValueError, match="outside the cover"):
+            fund.check_lifting(f, p, lift_basepoint=bad)
+    assert fund.check_lifting(f, p, lift_basepoint=0)[0] == "lift"
+
+
+def test_monodromy_checks_its_pi1():
+    # pi_1 of another table, even of one the same size, is refused
+    cover = _s4_cover()
+    for other in (qmod.dihedral(3), qmod.dihedral(6)):
+        with pytest.raises(ValueError, match="not of the covering's base"):
+            fund.monodromy(cover.projection, fund.fundamental_group(other, 0))
 
 
 def test_check_lifting_obstruction():
     # the identity of the S4 quandle cannot lift through its universal
     # cover: that would need trivial pi_1
     quandle = transposition_quandle(4)
-    cover = fund.universal_cover(quandle)
+    cover = fund.universal_cover(fund.fundamental_group(quandle, 0))
     kind, witness = fund.check_lifting(qmod.identity_hom(quandle),
                                        cover.projection)
     assert kind == "witness"
@@ -1034,8 +1067,8 @@ def test_check_lifting_obstruction():
 
 def test_enumerate_coverings_of_odd_dihedral():
     for n in (3, 5, 7):
-        coverings = list(fund.enumerate_connected_coverings(qmod.dihedral(n),
-                                                            0))
+        coverings = list(fund.enumerate_connected_coverings(
+            fund.fundamental_group(qmod.dihedral(n), 0)))
         assert len(coverings) == 1
 
 
@@ -1043,8 +1076,8 @@ def test_enumerate_coverings_counts():
     # pi_1 of the S_m transposition quandle has as many subgroups as
     # S_(m-2): 2, 6, 30 and 156 for m = 4..7 (OEIS A005432)
     for m, count in ((4, 2), (5, 6), (6, 30)):
-        assert len(list(fund.enumerate_connected_coverings(
-            transposition_quandle(m), 0))) == count, m
+        pi1 = fund.fundamental_group(transposition_quandle(m), 0)
+        assert len(list(fund.enumerate_connected_coverings(pi1))) == count, m
     # S7's full census would build 90825 quotient elements, so its
     # subgroups are counted alone
     pi1 = fund.fundamental_group(transposition_quandle(7), 0)
@@ -1058,7 +1091,8 @@ def test_census_holds_one_covering_at_a_time():
     quandle = transposition_quandle(7)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in fund.enumerate_connected_coverings(quandle, 0))
+        count = sum(1 for _ in fund.enumerate_connected_coverings(
+            fund.fundamental_group(quandle, 0)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1073,17 +1107,19 @@ def test_census_raises_from_the_call(monkeypatch):
         raise AssertionError("a quotient was built")
 
     monkeypatch.setattr(fund, "_quotient", no_quotient)
-    fund.enumerate_connected_coverings(transposition_quandle(5), 0)
+    s5 = transposition_quandle(5)
+    fund.enumerate_connected_coverings(fund.fundamental_group(s5, 0))
     with pytest.raises(ValueError, match="connected base"):
-        fund.enumerate_connected_coverings(qmod.q_mn(2, 2), 0)
+        fund.enumerate_connected_coverings(
+            fund.fundamental_group(qmod.q_mn(2, 2), 0))
     with pytest.raises(BudgetExceeded):
-        fund.enumerate_connected_coverings(transposition_quandle(5), 0,
-                                           budget=2)
+        fund.enumerate_connected_coverings(
+            fund.fundamental_group(s5, 0, budget=2))
 
 
 def test_enumerated_coverings_are_coverings():
     for sub, projection, _ in fund.enumerate_connected_coverings(
-            transposition_quandle(5), 0):
+            fund.fundamental_group(transposition_quandle(5), 0)):
         assert qmod.is_covering(projection)[0]
         assert projection.source.is_connected()
         # fibre size is the subgroup index in pi_1
@@ -1103,9 +1139,10 @@ def test_theorem_built_projections_pass_the_public_checks(
     # pullbacks, built unchecked too, pass the same constructor
     connected = [p for _, p in corpus_coverings]
     for quandle in (transposition_quandle(5), _three_cycles(5)):
-        connected.append(fund.universal_cover(quandle).projection)
+        pi1 = fund.fundamental_group(quandle, 0)
+        connected.append(fund.universal_cover(pi1).projection)
         connected += [p for _, p, _ in
-                      fund.enumerate_connected_coverings(quandle, 0)]
+                      fund.enumerate_connected_coverings(pi1)]
     for p in connected:
         parts, index = qmod.components(p.source)
         assert len(parts) == 1
@@ -1150,9 +1187,9 @@ def test_theorem_built_projections_pass_the_public_checks(
 
 
 def test_universal_cover_projects_onto_every_covering():
-    quandle = transposition_quandle(4)
-    cover = fund.universal_cover(quandle)
-    for _, projection, _ in fund.enumerate_connected_coverings(quandle, 0):
+    pi1 = fund.fundamental_group(transposition_quandle(4), 0)
+    cover = fund.universal_cover(pi1)
+    for _, projection, _ in fund.enumerate_connected_coverings(pi1):
         kind, lift = fund.check_lifting(cover.projection, projection)
         assert kind == "lift"
         morphism = qmod.QuandleHom(cover.cover, projection.source, lift.map)
@@ -1174,9 +1211,10 @@ def test_census_is_the_galois_correspondence(corpus):
     pairs = 0
     for name, quandle in inputs:
         q = quandle.basepoints[0]
-        census = list(fund.enumerate_connected_coverings(quandle, q))
+        pi1 = fund.fundamental_group(quandle, q)
+        census = list(fund.enumerate_connected_coverings(pi1))
         for sub, p, normal in census:
-            pi1, fibre, perms = fund.monodromy(p, q)
+            fibre, perms = fund.monodromy(p, pi1)
             assert fibre[0] == q == p.source.basepoints[0], name
             stabilisers = {tuple(k for k, perm in enumerate(perms)
                                  if perm[i] == i)
@@ -1204,12 +1242,12 @@ def test_coverings_build_no_square_table():
     # transposition quandle, read as `cover --universal` and
     # `cover --enumerate` read them, are held by their 15 distinct
     # columns alone: no N x N table, and no inverse, is built
-    quandle = transposition_quandle(6)
-    cover = fund.universal_cover(quandle)
+    pi1 = fund.fundamental_group(transposition_quandle(6), 0)
+    cover = fund.universal_cover(pi1)
     cli.emit_quandle(cover.cover, io.StringIO())
     cli.emit_map(cover.projection.map, io.StringIO())
     built = [cover.cover]
-    for _, p, _ in fund.enumerate_connected_coverings(quandle, 0):
+    for _, p, _ in fund.enumerate_connected_coverings(pi1):
         assert len(p.fibre(0)) * p.target.n == p.source.n
         built.append(p.source)
     assert len(built) == 31 and cover.cover.n == 360
@@ -1230,7 +1268,7 @@ def conj(a, b):
     swap = {b[0]: b[1], b[1]: b[0]}
     return index[tuple(sorted(swap.get(x, x) for x in a))]
 quandle = qmod.validate([[conj(a, b) for b in pairs] for a in pairs])
-cover = fund.universal_cover(quandle)
+cover = fund.universal_cover(fund.fundamental_group(quandle, 0))
 sys.exit(0 if (cover.cover.n, len(cover.cover.columns)) == (20160, 28) else 4)
 """
 
@@ -1251,9 +1289,9 @@ def test_s8_universal_cover_fits_in_a_gigabyte():
 
 
 def test_monodromy_of_universal_cover_is_regular():
-    quandle = transposition_quandle(4)
-    cover = fund.universal_cover(quandle)
-    deck, fibre, perms = fund.monodromy(cover.projection, 0)
+    cover = _s4_cover()
+    deck = cover.pi1
+    fibre, perms = fund.monodromy(cover.projection, deck)
     assert len(fibre) == deck.order
     # the action on the fibre is free and transitive
     for perm in perms:
@@ -1264,7 +1302,8 @@ def test_monodromy_of_universal_cover_is_regular():
 
 def test_monodromy_of_trivial_covering_is_trivial():
     quandle = qmod.dihedral(3)
-    deck, fibre, perms = fund.monodromy(qmod.identity_hom(quandle), 0)
+    fibre, perms = fund.monodromy(qmod.identity_hom(quandle),
+                                  fund.fundamental_group(quandle, 0))
     assert fibre == (0,)
     assert set(perms) == {(0,)}
 
@@ -1281,9 +1320,10 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
         if not quandle.is_connected():
             continue
         q = quandle.basepoints[0]
-        coverings = [fund.universal_cover(quandle).projection]
+        group = fund.fundamental_group(quandle, q)
+        coverings = [fund.universal_cover(group).projection]
         coverings += [p for _, p, _ in
-                      fund.enumerate_connected_coverings(quandle, q)]
+                      fund.enumerate_connected_coverings(group)]
         table, ends = fund.adj0_enumeration(quandle, q)
         stabilizer = [w for w, e in zip(table.representative_word, ends)
                       if e == q]
@@ -1301,10 +1341,10 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
                              else p.source.inv_op[x][b])
                     images.append(pos[x])
                 want.append(tuple(images))
-            group, got_fibre, perms = fund.monodromy(p, q)
+            got_fibre, perms = fund.monodromy(p, group)
             assert got_fibre == fibre
             assert sorted(perms) == sorted(want), name
-            mul = fund.fundamental_group(quandle, q).cayley
+            mul = group.cayley
             assert group.order == len(perms) == len(mul)
             for g, row in enumerate(mul):
                 for h, gh in enumerate(row):

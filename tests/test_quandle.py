@@ -192,9 +192,10 @@ def test_theorem_built_tables_search_no_generating_set(monkeypatch):
                         lambda rho: calls.append(rho) or search(rho))
     built = []
     for base in bases:
-        built.append(fund.universal_cover(base).cover)
-        built += [p.source for _, p, _ in fund.enumerate_connected_coverings(
-            base, base.basepoints[0])]
+        pi1 = fund.fundamental_group(base, base.basepoints[0])
+        built.append(fund.universal_cover(pi1).cover)
+        built += [p.source
+                  for _, p, _ in fund.enumerate_connected_coverings(pi1)]
         lam = coh.Coeff.from_invariants([3])
         g = tuple(a % 3 for a in range(base.n))
         built.append(coh.extension_from_cocycle(
@@ -348,7 +349,7 @@ def test_generating_set_sizes_of_benchmark_inputs():
     assert len(qmod.dihedral(31).generators) == 2
     s6 = transposition_quandle(6)
     assert len(s6.generators) == 5
-    cover = fund.universal_cover(s6).cover
+    cover = fund.universal_cover(fund.fundamental_group(s6, 0)).cover
     assert cover.n == 360
     assert len(cover.generators) == 5
 
