@@ -1,5 +1,5 @@
-"""Finitely presented groups: adjoint presentations, HLT coset
-enumeration, exact Smith normal form, and abelian invariants.
+"""Finitely presented groups: adjoint presentations, Tietze moves,
+HLT coset enumeration, exact Smith normal form, and abelian invariants.
 
 Words are tuples of signed 1-based generator numbers: letter +k is
 generator k-1, letter -k its inverse.  Words are not reduced on
@@ -9,6 +9,7 @@ construction; relator scans need the raw letters.
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
+from operator import neg
 
 from .errors import BudgetExceeded
 
@@ -17,21 +18,8 @@ DEFAULT_COSET_BUDGET = 1_000_000
 Word = tuple
 
 
-def normalize(word) -> Word:
-    """Freely reduce a word (cancel adjacent inverse pairs)."""
-    out = []
-    for letter in word:
-        if letter == 0:
-            raise ValueError("0 is not a valid letter")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def inverse_word(word) -> Word:
-    return tuple(-letter for letter in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 @dataclass(frozen=True)
@@ -57,19 +45,27 @@ def _unchecked(cls, **fields):
 
 
 def simplify(generator_count: int, relators, killed=frozenset()):
+    """simplify_cells on words, cells whose letters step to themselves."""
+    n = generator_count
+    return simplify_cells(n, {x: ((x, 0),) for x in range(-n, n + 1)},
+                          ((w, 0) for w in relators), killed)
+
+
+def simplify_cells(generator_count: int, step, cells, killed=frozenset()):
     """Tietze moves until nothing changes; returns (Presentation, images).
 
-    The relators, any iterable, are read once as they come, then again
-    until a reading eliminates nothing; the generators in the set killed
-    (letters) are dead on entry.  A relator of length 1 kills its
-    generator, and a relator a b in two distinct generators eliminates
-    the later one as the other's inverse, and goes.  Eliminations take
-    effect at once: the first reading rewrites every relator, a later
-    one each holding a generator eliminated since, substituting and
-    reducing freely and cyclically in one loop.  Once no generator
-    survives, no more relators are read.  The survivors are returned as
-    last read, renumbered, exact duplicates dropped; images[g] is the
-    signed letter old generator g (letter g + 1) became, or 0.
+    Each cell (word, start) is read once as it comes and lifted letter
+    by letter: letter x at vertex v reads generator letter e and reaches
+    v', (e, v') = step[x][v].  The survivors are read again until a
+    reading eliminates nothing; the generators in killed (letters) are
+    dead on entry.  A relator of length 1 kills its generator, a relator
+    a b in two distinct generators eliminates the later one as the
+    other's inverse, and goes, at once: each letter is substituted as it
+    is read, and reduced freely and cyclically in the same loop; a later
+    reading rewrites only relators holding a generator eliminated since.
+    Once no generator survives, no more cells are read.  The survivors
+    are returned as last read, renumbered, exact duplicates dropped;
+    images[g] is the letter old generator g (letter g + 1) became, or 0.
     """
     count = generator_count
     # letter -> the letter it now reads as, or 0
@@ -79,20 +75,27 @@ def simplify(generator_count: int, relators, killed=frozenset()):
     alive = count - len(killed)
     readers = {}  # a -> the generators that read as +-a, where not just a
     dead = set()  # the signed letters eliminated so far
-    before = None  # alive before the last reading
+    before, relators = None, cells  # alive before the last reading
     while alive != before:
         first, before, kept = before is None, alive, []
         for w in relators:
             if first or not dead.isdisjoint(w):
                 out = []
-                for x in w:
-                    y = sub[x]
-                    if not y:
-                        continue
-                    if out and out[-1] == -y:
-                        out.pop()
-                    else:
-                        out.append(y)
+                if first:
+                    w, v = w
+                    for x in w:
+                        e, v = step[x][v]
+                        y = sub[e]
+                        if y and out and out[-1] == -y:
+                            out.pop()
+                        elif y:
+                            out.append(y)
+                else:
+                    for y in map(sub.__getitem__, w):
+                        if y and out and out[-1] == -y:
+                            out.pop()
+                        elif y:
+                            out.append(y)
                 i, j = 0, len(out)
                 while j - i > 1 and out[i] == -out[j - 1]:
                     i, j = i + 1, j - 1
@@ -113,9 +116,7 @@ def simplify(generator_count: int, relators, killed=frozenset()):
                 kept.append(w)
         relators = tuple(dict.fromkeys(kept)) if alive else ()
     survivors = [g for g in range(1, count + 1) if sub[g] == g]
-    number = [0] * (count + 1)
-    for k, g in enumerate(survivors, 1):
-        number[g] = k
+    number = dict(zip([0] + survivors, range(count + 1)))
     final = [0] + [number[v] if v > 0 else -number[-v]
                    for v in sub[1:count + 1]]
     final += [-v for v in reversed(final[1:])]  # letters -count .. -1
@@ -124,17 +125,20 @@ def simplify(generator_count: int, relators, killed=frozenset()):
             tuple(final[1:count + 1]))
 
 
-def relator_classes(presentation):
-    """The presentation, of its own class, with one relator per class
-    of rotations and inversion, the least rotation of it or of its
-    inverse, shorter ones first, as coset enumeration fares better so."""
-    def least(w):
-        return min(v[i:] + v[:i] for v in (w, inverse_word(w))
-                   for low in (min(v),) for i in range(len(v)) if v[i] == low)
+def least_rotation(word) -> Word:
+    """The least rotation of the word or of its inverse, its class's."""
+    return min(v[i:] + v[:i] for v in (word, inverse_word(word))
+               for low in (min(v),) for i in range(len(v)) if v[i] == low)
 
-    return _unchecked(type(presentation), **{**vars(presentation), "relators":
-                      tuple(sorted(dict.fromkeys(map(
-                          least, presentation.relators)), key=len))})
+
+def rotation_classes(relators):
+    """One relator per class of rotations and inversion, shorter first,
+    as coset enumeration fares better so; each canonicalised when read."""
+    seen = set()
+    for w in map(least_rotation, sorted(relators, key=len)):
+        if w not in seen:
+            seen.add(w)
+            yield w
 
 
 @dataclass(frozen=True)
@@ -155,38 +159,40 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
     passes the smallest set its closure search finds.
 
     Adj(Q) is presented by one generator e_x per element and the
-    relators e_s^-1 e_a e_s e_{a*s}^-1 for a in Q and s in the
-    generating set S: conjugation by c*d = d^-1 c d acts as
-    rho_d rho_c rho_d^-1 = rho_{c*d} (Q3), so the pairs with s in S
-    suffice.  Tietze moves then eliminate every e_x with x not in S by
-    a word w_x over S: letter k is e_s for s = S[k-1].  A BFS from S,
-    in order, along the right translations x -> x*s with s in S reaches
-    every element, as S generates Q; each element x*s it reaches first
-    gets the free reduction of w_{x*s} = s^-1 w_x s, as
-    e_{x*s} = e_s^-1 e_x e_s in Adj(Q).  What is left has |S|
-    generators and the relators s^-1 w_a s w_{a*s}^-1, free-reduced and
-    deduplicated; the pairs used as definitions, and a = s, reduce to
-    the empty word and are omitted.
+    relators e_s^-1 e_a e_s e_{a*s}^-1 for a in Q and s in S: as
+    rho_{c*d} = rho_d rho_c rho_d^-1 (Q3), the pairs with s in S
+    suffice.  Tietze moves eliminate each e_x, x not in S, by a word
+    w_x over S, letter k being e_s for s = S[k-1]: a BFS from S, in
+    order, along x -> x*s reaches every element, and gives each x*s it
+    reaches first w_{x*s} = s^-1 w_x s.  By induction every w_x is
+    p^-1 t p, t a letter and p a word of positive letters, so
+    s^-1 w_x s is reduced as it stands unless w_x = s.  The relators
+    left, s^-1 w_a s w_{a*s}^-1, are reduced by cutting the common
+    suffix of s^-1 w_a s and w_{a*s}, and deduplicated; those of the
+    definitions and of w_a = s are empty and omitted.
     """
     rho, gens = quandle.rho, tuple(gens)
     words = [None] * quandle.n
     for k, s in enumerate(gens, 1):
         words[s] = (k,)
-    tree = []
-    queue = list(gens)
+    tree, queue = [], list(gens)
     for x in queue:  # grows while it is read
         for k, s in enumerate(gens, 1):
             y = rho[s][x]
             if words[y] is None:
-                words[y] = normalize((-k,) + words[x] + (k,))
+                words[y] = (-k,) + words[x] + (k,)
                 tree.append((y, x, s))
                 queue.append(y)
-    relators = []
-    seen = set()
+    relators, seen = [], set()
     for a in range(quandle.n):
         for k, s in enumerate(gens, 1):
-            w = normalize((-k,) + words[a] + (k,)
-                          + inverse_word(words[rho[s][a]]))
+            if words[a] == (k,):
+                continue
+            u, v = (-k,) + words[a] + (k,), words[rho[s][a]]
+            i, j = len(u), len(v)
+            while i and j and u[i - 1] == v[j - 1]:
+                i, j = i - 1, j - 1
+            w = u[:i] + inverse_word(v[:j])
             if w and w not in seen:
                 seen.add(w)
                 relators.append(w)

@@ -2,20 +2,19 @@
 
 pi_1(Q, q) is the stabilizer of q in Adj(Q), where e_b sends a to a*b,
 modulo <e_q>.  Its presentation is the Reidemeister-Schreier rewrite of
-the adjoint presentation, on the adjoint's own generating set S, over
-the Schreier graph of q's component, Tietze-simplified while the cells
-are lifted shortest first, until no generator survives; its
-abelianisation is H2, and its enumeration over
-the trivial subgroup its finite model, from which come pi_1's Cayley
-table and a pi_1-valued cocycle f on Q.  Every covering reads that
-model: the universal cover is Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b))
-and deck group pi_1 acting from the left, and the connected coverings
-are its quotients by the subgroups of pi_1.
+the adjoint presentation on its own generating set S over the Schreier
+graph of q's component, Tietze-simplified while each cell is lifted,
+shortest first, until no generator survives; its abelianisation is H2,
+and its enumeration over the trivial subgroup its finite model, whence
+pi_1's Cayley table and a pi_1-valued cocycle f on Q.  Every covering
+reads that model: the universal cover is Q x pi_1 with (a,g)*(b,h) =
+(a*b, g f(a,b)) and deck group pi_1 acting from the left, and the
+connected coverings are its quotients by the subgroups of pi_1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 from operator import add
 
 from . import fpgroup, permgroup, quandle as qmod
@@ -29,37 +28,27 @@ from .quandle import FiniteQuandle, QuandleHom
 
 
 def build_complex(quandle: FiniteQuandle, vertices):
-    """Boundary words of the 2-cells at the given vertices, lifted when
-    read, shortest word first (a stable sort): the lift of w_a at each
-    vertex a and of each relator of quandle.adjoint at every vertex,
-    about n + n^2 (|S| - 1) cells on S = quandle.adjoint.generators.
-    Edge (a, k) runs from a to a*S[k] and is numbered a*|S| + k; a word
-    is a tuple of signed 1-based edge numbers forming a closed edge
-    path.  Letter +k crosses edge (x, k-1) forwards from the current
-    vertex x, letter -k the edge into x backwards.  The lift of w_a
-    closes as a*a = a; it kills e_a, which is conjugate to e_q.
+    """The 2-cells at the given vertices as (step, cells), for
+    fpgroup.simplify_cells to lift as it reads them: cells yields pairs
+    (word, start), shortest word first (a stable sort), w_a at each
+    vertex a, then each relator of quandle.adjoint at every vertex, about
+    n + n^2 (|S| - 1) cells on S = quandle.adjoint.generators.  Edge
+    (a, k) runs from a to a*S[k] and is numbered a*|S| + k; step[x][v] is
+    the signed edge letter x crosses from vertex v (+k: edge (v, k-1),
+    -k: the edge into v, backwards) and the vertex it reaches.  Cells
+    lift to closed edge paths; w_a's closes as a*a = a and kills e_a.
     """
     adjoint = quandle.adjoint
     m = len(adjoint.generators)
-    # step[letter][x]: the signed edge that letter crosses from x, and
-    # the vertex it reaches
     step = [None] * (2 * m + 1)
     for k, s in enumerate(adjoint.generators, 1):
         step[k] = [(x * m + k, y) for x, y in enumerate(quandle.rho[s])]
         step[-k] = [(-(y * m + k), y) for y in quandle.rho_inv[s]]
-
-    def lift(a, word):
-        path = []
-        for letter in word:
-            e, a = step[letter][a]
-            path.append(e)
-        return tuple(path)
-
     cells = [(adjoint.words[a], (a,)) for a in vertices]
     cells += [(r, vertices) for r in adjoint.relators]
-    for word, starts in sorted(cells, key=lambda cell: len(cell[0])):
-        for a in starts:
-            yield lift(a, word)
+    return step, ((word, a) for word, starts in
+                  sorted(cells, key=lambda cell: len(cell[0]))
+                  for a in starts)
 
 
 @dataclass(frozen=True)
@@ -78,17 +67,14 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
                      ) -> Pi1Presentation:
     """pi_1 at the basepoint: the Reidemeister-Schreier rewrite of the
     adjoint presentation on its generating set S, Tietze-simplified as
-    it is built.
-
-    A BFS along the edges a -> a*s, s in S, crossed either way, builds a
-    spanning tree of the basepoint's component C: the orbit of the right
-    translations, which a coarse grading may merge with others.  The
-    generators are the edges of build_complex; fpgroup.simplify kills
-    the tree and the edges off C on entry, leaving |C||S| - (|C| - 1),
-    then reads C's cells, shortest first, as they are lifted, and stops
-    once no generator survives (dihedral(91): after 144 of 8372 cells).
-    The relators are simplify's survivors, not yet one per rotation
-    class: H2 reads them as they are.
+    it is built.  A BFS along the edges a -> a*s, s in S, crossed either
+    way, spans the basepoint's component C, the orbit of the right
+    translations (a coarse grading may merge it with others).  Of the
+    edges of build_complex, fpgroup.simplify_cells kills the tree and
+    those off C on entry, then lifts C's cells, shortest first, through
+    its live substitution as it reads them, and stops once no generator
+    survives (dihedral(91): after 144 of 8372 cells).  The relators are
+    its survivors, which H2 reads as they are.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -108,9 +94,9 @@ def pi1_presentation(quandle: FiniteQuandle, basepoint: int
                     queue.append(w)
     killed.update(e for a, path in enumerate(paths) if path is None
                   for e in range(a * m + 1, a * m + m + 1))
-    cells = build_complex(quandle, [a for a, path in enumerate(paths)
-                                    if path is not None])
-    pres, images = fpgroup.simplify(quandle.n * m, cells, killed)
+    step, cells = build_complex(quandle, [a for a, path in enumerate(paths)
+                                          if path is not None])
+    pres, images = fpgroup.simplify_cells(quandle.n * m, step, cells, killed)
     return fpgroup._unchecked(Pi1Presentation, **vars(pres), images=images,
                               paths=tuple(paths))
 
@@ -128,21 +114,16 @@ def _certify_finite(quandle: FiniteQuandle):
 
 def adj0_enumeration(quandle: FiniteQuandle, basepoint: int,
                      budget: int = fpgroup.DEFAULT_COSET_BUDGET):
-    """Cosets of <adj(q)> in Adj(Q), with the endpoint of each coset.
-
-    Each coset holds exactly one degree-zero element, so the table is a
-    faithful model of the degree-zero subgroup with its right action.
-    The enumeration runs on the |S| generators of quandle.adjoint,
-    modulo the word w_q, so the budget counts the live cosets of that
-    enumeration.  The table is then filled in for every other element
-    in BFS order of its definition x = y*s, by
-    c.e_x = ((c.e_s^-1).e_y).e_s, one lookup per coset.
-    The returned table has one generator per element, and its
-    representative words are written in element letters.  endpoint[c]
-    is the image of the basepoint under the representative word,
-    traced through the right translations.  H1(Q) is free abelian on
-    the orbits, so with k >= 2 of them the cosets map onto Z^(k-1):
-    InfiniteGroup is raised before anything is enumerated.
+    """Cosets of <adj(q)> in Adj(Q), one per degree-zero element, so a
+    faithful model of the degree-zero subgroup with its right action,
+    and the endpoint of each.  Todd-Coxeter runs on quandle.adjoint's
+    |S| generators modulo w_q, so the budget counts its live cosets;
+    every other element's column follows in BFS order of its
+    definition x = y*s, by c.e_x = ((c.e_s^-1).e_y).e_s.  The table has
+    one generator per element, its representative words in element
+    letters; endpoint[c] is the basepoint's image under the word.  H1(Q)
+    is free abelian on the orbits, so with two or more InfiniteGroup is
+    raised before anything is enumerated.
     """
     if not 0 <= basepoint < quandle.n:
         raise ValueError("basepoint out of range")
@@ -193,13 +174,13 @@ class FundamentalGroup:
     """pi_1(Q, q), computed only as far as it is read.
 
     presentation is pi1_presentation's.  regular, pi_1's right regular
-    representation, enumerates its rotation classes over the trivial
-    subgroup; coset g is the element its representative word reads.
-    Reading it raises InfiniteGroup for a disconnected quandle before
-    anything is built, or Todd-Coxeter's BudgetExceeded past the
-    budget, and order is then None; the error is kept, so every later
-    read raises it again at once.  Built from it: cayley[g][h] = gh,
-    the one group law every covering reads, and the cocycle f of the
+    representation, is _regular's on its rotation classes, canonicalised
+    as far as the rounds read; coset g is the element its representative
+    word reads.  Reading it raises InfiniteGroup for a disconnected
+    quandle before anything is built, or Todd-Coxeter's BudgetExceeded
+    past the budget, and order is then None; the error is kept, so every
+    later read raises it again at once.  Built from it: cayley[g][h] =
+    gh, the one group law every covering reads, and the cocycle f of the
     universal cover Q x pi_1.
     """
 
@@ -215,7 +196,8 @@ class FundamentalGroup:
     def _enumeration(self):  # regular, or the error reading it raises
         try:
             _certify_finite(self.quandle)
-            return _regular(fpgroup.relator_classes(self.presentation),
+            pres = self.presentation
+            return _regular(pres, fpgroup.rotation_classes(pres.relators),
                             self.budget)
         except BudgetExceeded as error:  # InfiniteGroup included
             return error.with_traceback(None)
@@ -266,31 +248,41 @@ class FundamentalGroup:
         return fpgroup.abelian_invariants(self.presentation)
 
 
-def _regular(pres: Presentation, budget: int) -> CosetTable:
-    """pi_1's right regular table, enumerated in rounds on the first k
-    relators R' over the trivial subgroup within min(cap, budget) live
-    cosets: a word is trivial in <X | R'> exactly when it fixes coset 0,
-    so a closed round is pi_1's once every other relator, traced from
-    coset 0, returns there.  k starts at 4|X| + 8, the cap at 1000; a
-    failed trace doubles k, a round over its cap doubles k and
-    quadruples the cap, as the peak grows with k (S10 transpositions:
-    k = 480 closes within 64000, k = 1920 not); the last round reads
-    all relators at the budget.  Each prefix is built unchecked, as its
-    relators are pres's."""
-    k, cap = 4 * pres.generator_count + 8, 1000
-    while k < len(pres.relators):
-        prefix = fpgroup._unchecked(Presentation, relators=pres.relators[:k],
+def _regular(pres: Presentation, classes, budget: int) -> CosetTable:
+    """pi_1's right regular table, enumerated over the trivial subgroup
+    in rounds on the first k of classes, relators with the normal
+    closure of pres's, read only as far as the rounds need, within
+    min(cap, budget) live cosets.  A word is trivial in <X | R'> exactly
+    when it fixes coset 0, so a closed round is pi_1's once each relator
+    of pres, traced from coset 0 through its columns, returns there.
+    k starts at 4|X| + 8, the cap at 1000; a failed trace doubles k, a
+    round over its cap doubles k and quadruples the cap, as the peak
+    grows with k (S10 transpositions: k = 480 closes within 64000,
+    k = 1920 not); once classes holds no more than k, the last round
+    reads them all at the budget.  Rounds are built unchecked."""
+    k, cap, classes, read = 4 * pres.generator_count + 8, 1000, iter(
+        classes), []
+    while True:
+        read += islice(classes, k + 1 - len(read))  # one more shows if k < all
+        prefix = fpgroup._unchecked(Presentation, relators=tuple(read[:k]),
                                     generator_count=pres.generator_count)
+        if len(read) <= k:
+            return fpgroup.todd_coxeter(prefix, [], budget=budget)
         try:
             table = fpgroup.todd_coxeter(prefix, [], budget=min(cap, budget))
         except BudgetExceeded:
             k, cap = 2 * k, 4 * cap
             continue
-        if all(reduce(table.apply_letter, r, 0) == 0
-               for r in pres.relators[k:]):
+        step = (None, *table.action, *reversed(table.action_inv))
+        for r in pres.relators:
+            c = 0
+            for x in r:
+                c = step[x][c]
+            if c:
+                k *= 2
+                break
+        else:
             return table
-        k *= 2
-    return fpgroup.todd_coxeter(pres, [], budget=budget)
 
 
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,

@@ -2,9 +2,12 @@
 way: brute-force versions of the checks it makes on a generating set
 (quandle axioms, homomorphisms, components and 2-cocycles), the
 Todd-Coxeter kernel as first written, the Smith normal form with its
-unimodular transforms, the full path 2-complex and H2 from it, the
+unimodular transforms, the full path 2-complex and H2 from it, free
+reduction letter by letter and the adjoint presentation built with it,
+the cells of pi_1's complex lifted before any Tietze move, the
 Reidemeister-Schreier rewrite of pi_1 before Tietze moves, the
 Tietze simplification that also kept one relator per rotation class,
+all the rotation classes of a presentation at once,
 the brute-force route to |H^2|, the universal cover and the covering
 census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
 deck group on its cosets, a Cayley table's left translations, and the
@@ -187,6 +190,72 @@ def validate_rowwise(op_table, grading=None, basepoints=None):
     return quandle
 
 
+def normalize(word):
+    """Freely reduce a word (cancel adjacent inverse pairs), letter by
+    letter."""
+    out = []
+    for letter in word:
+        if letter == 0:
+            raise ValueError("0 is not a valid letter")
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def adjoint_presentation_reference(quandle, gens):
+    """fpgroup.adjoint_presentation as first written: each w_{x*s} and
+    each relator s^-1 w_a s w_{a*s}^-1 freely reduced letter by letter
+    by normalize."""
+    rho, gens = quandle.rho, tuple(gens)
+    words = [None] * quandle.n
+    for k, s in enumerate(gens, 1):
+        words[s] = (k,)
+    tree = []
+    queue = list(gens)
+    for x in queue:  # grows while it is read
+        for k, s in enumerate(gens, 1):
+            y = rho[s][x]
+            if words[y] is None:
+                words[y] = normalize((-k,) + words[x] + (k,))
+                tree.append((y, x, s))
+                queue.append(y)
+    relators = []
+    seen = set()
+    for a in range(quandle.n):
+        for k, s in enumerate(gens, 1):
+            w = normalize((-k,) + words[a] + (k,)
+                          + fpgroup.inverse_word(words[rho[s][a]]))
+            if w and w not in seen:
+                seen.add(w)
+                relators.append(w)
+    return fpgroup.AdjointPresentation(
+        generator_count=len(gens), relators=tuple(relators),
+        generators=gens, words=tuple(words), tree=tuple(tree))
+
+
+def lift_cells(step, cells):
+    """Each pair (word, start) of cells lifted through the step table
+    of fundamental.build_complex, letter by letter, to its closed edge
+    path."""
+    lifted = []
+    for word, a in cells:
+        path = []
+        for letter in word:
+            e, a = step[letter][a]
+            path.append(e)
+        lifted.append(tuple(path))
+    return lifted
+
+
+def lifted_cells(quandle, vertices):
+    """The cells of fundamental.build_complex at the vertices, in its
+    order, each lifted whole before any Tietze move: the reference for
+    the lift fpgroup.simplify_cells makes while it reads them."""
+    return lift_cells(*fundamental.build_complex(quandle, vertices))
+
+
 def full_adjoint_presentation(quandle):
     """Adj(Q) with one relator b^-1 a b (a*b)^-1 for every ordered pair
     a != b, free-reduced and deduplicated."""
@@ -197,8 +266,8 @@ def full_adjoint_presentation(quandle):
         for b in range(n):
             if a == b:
                 continue
-            w = fpgroup.normalize((-(b + 1), a + 1, b + 1,
-                                   -(quandle.op[a][b] + 1)))
+            w = normalize((-(b + 1), a + 1, b + 1,
+                           -(quandle.op[a][b] + 1)))
             if w and w not in seen:
                 seen.add(w)
                 relators.append(w)
@@ -273,11 +342,20 @@ def reidemeister_schreier(quandle, basepoint, generators):
             letter[e + 1], letter[-(e + 1)] = count, -count
     cells = sorted(complex_cells_in_adjoint_order(quandle, vertices,
                                                   generators), key=len)
-    reduced = (fpgroup.normalize(filter(None, map(letter.__getitem__, w)))
+    reduced = (normalize(filter(None, map(letter.__getitem__, w)))
                for w in cells)
     return fpgroup.Presentation(
         generator_count=count,
         relators=tuple(dict.fromkeys(r for r in reduced if r)))
+
+
+def relator_classes(presentation):
+    """The presentation, of its own class, with all its
+    fpgroup.rotation_classes at once, as pi_1's enumeration read them
+    before it read them lazily."""
+    return fpgroup._unchecked(
+        type(presentation), **{**vars(presentation), "relators": tuple(
+            fpgroup.rotation_classes(presentation.relators))})
 
 
 def _cyclically_reduce(word):
@@ -285,7 +363,7 @@ def _cyclically_reduce(word):
     if (len(word) < 2 or word[0] + word[-1]) and 0 not in map(
             add, word, word[1:]):
         return word
-    word = fpgroup.normalize(word)
+    word = normalize(word)
     i, j = 0, len(word)
     while j - i > 1 and word[i] == -word[j - 1]:
         i, j = i + 1, j - 1
@@ -294,7 +372,7 @@ def _cyclically_reduce(word):
 
 def simplify_reference(generator_count, relators, killed=frozenset()):
     """fpgroup.simplify as it was written before its rotation classes
-    moved to fpgroup.relator_classes: the same Tietze moves, reading
+    moved to fpgroup.rotation_classes: the same Tietze moves, reading
     unsigned letters and reducing cyclically in a second step, and at
     the end each survivor kept as the least rotation of it or of its
     inverse, deduplicated, shorter relators first.  Returns

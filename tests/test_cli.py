@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import tracemalloc
@@ -103,17 +104,17 @@ def test_pi1_budget_exit(tmp_path):
 
 def test_pi1_abelianises_without_rotation_classes(tmp_path, monkeypatch):
     # pi_1 is abelianised as pi1_presentation leaves it, and only its
-    # enumeration reads the rotation classes: a disconnected input,
-    # never enumerated, builds none
-    classes, calls = fpgroup.relator_classes, []
-    monkeypatch.setattr(fpgroup, "relator_classes",
-                        lambda pres: calls.append(pres) or classes(pres))
+    # enumeration canonicalises relators into rotation classes: a
+    # disconnected input, never enumerated, canonicalises none
+    least, calls = fpgroup.least_rotation, []
+    monkeypatch.setattr(fpgroup, "least_rotation",
+                        lambda w: calls.append(w) or least(w))
     path = write_quandle(tmp_path, "t2.txt", qmod.trivial(2))
     assert run(["pi1", path]) == (
         2, "pi1 order=unknown(budget) ab=rank 1 torsion -\n", "")
     assert calls == []
     path = write_quandle(tmp_path, "s4.txt", transposition_quandle(4))
-    assert run(["pi1", path])[0] == 0 and len(calls) == 1
+    assert run(["pi1", path])[0] == 0 and len(calls) > 0
 
 
 def test_disconnected_exits_at_once_at_default_budget(tmp_path):
@@ -432,6 +433,33 @@ def test_cover_enumerate_s6_is_pinned(tmp_path):
                      for line in lines)
     assert fibres == {1: 1, 2: 1, 3: 3, 4: 4, 6: 7, 8: 4, 12: 9, 24: 1}
     assert out.count("galois=true") == 4
+
+
+@pytest.mark.parametrize("name, argv, digest", [
+    ("s6", ["cover", "--universal"],
+     "1c366303c6d8ec6cfe0913727ad966e232cfaf1504cab4674d0aef94aa1e1b66"),
+    ("c5", ["cover", "--universal"],
+     "f4f527821d4d37a820f077a22dc0b0611b60665c2ee336df852b741dc2e95b41"),
+    ("s5", ["cover", "--enumerate"],
+     "6bb4230e895eb242296a034e66b10f7189a6d778c7bc1201d7ca0ec629fd08dc"),
+    ("c5", ["cover", "--enumerate"],
+     "159c2671330f925f93afa6582cbaa6478d14487485644080c8567b3c9e076c6c"),
+    ("s7", ["pi1"],
+     "a4d432f64b93e08f6d5cb21ae24b5d64f376ad7595d972ec2d7d998ddda63612"),
+])
+def test_pi1_numbering_is_pinned_by_the_output_bytes(tmp_path, name, argv,
+                                                     digest):
+    # the SHA-256 of stdout: a change to pi_1's presentation, its rounds
+    # or its coset numbering that reaches the output fails here
+    quandle = {"s5": lambda: transposition_quandle(5),
+               "s6": lambda: transposition_quandle(6),
+               "s7": lambda: transposition_quandle(7),
+               "c5": lambda: qmod.conj_class(symmetric_group(5),
+                                             (1, 2, 0, 3, 4))}[name]()
+    path = write_quandle(tmp_path, f"{name}.txt", quandle)
+    code, out, err = run(argv[:1] + [path] + argv[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("quandle", [

@@ -6,9 +6,10 @@ import pytest
 from quandelier import fpgroup, quandle as qmod
 from quandelier.errors import BudgetExceeded
 from quandelier.fpgroup import AbelianInvariants, Presentation
-from conftest import cyclic_table
-from oracles import (count_homs_to_abelian, enumerate_homs,
-                     full_adjoint_presentation, simplify_reference,
+from conftest import cyclic_table, symmetric_group, transposition_quandle
+from oracles import (adjoint_presentation_reference, count_homs_to_abelian,
+                     enumerate_homs, full_adjoint_presentation, normalize,
+                     relator_classes, simplify_reference,
                      smith_normal_form_with_transforms,
                      todd_coxeter_reference, trace)
 
@@ -18,15 +19,15 @@ from oracles import (count_homs_to_abelian, enumerate_homs,
 
 
 def test_normalize_cancels_inverse_pairs():
-    assert fpgroup.normalize((1, -1)) == ()
-    assert fpgroup.normalize((2, 1, -1, -2, 3)) == (3,)
-    assert fpgroup.normalize((1, 2, -2, 2)) == (1, 2)
+    assert normalize((1, -1)) == ()
+    assert normalize((2, 1, -1, -2, 3)) == (3,)
+    assert normalize((1, 2, -2, 2)) == (1, 2)
 
 
 def test_inverse_word():
     w = (1, -2, 3)
     assert fpgroup.inverse_word(w) == (-3, 2, -1)
-    assert fpgroup.normalize(w + fpgroup.inverse_word(w)) == ()
+    assert normalize(w + fpgroup.inverse_word(w)) == ()
 
 
 def test_presentation_rejects_letters_out_of_range():
@@ -49,7 +50,7 @@ def _classes(generator_count, relators, killed=frozenset()):
     """simplify's result with one relator per rotation class, as pi_1's
     enumeration reads it."""
     pres, images = fpgroup.simplify(generator_count, relators, killed)
-    return fpgroup.relator_classes(pres), images
+    return relator_classes(pres), images
 
 
 def test_simplify_kills_and_eliminates():
@@ -84,7 +85,7 @@ def test_simplify_keeps_the_least_rotation_or_inverse():
     letters = [1, 2, 3, -1, -2, -3]
     words = []
     while len(words) < 300:
-        w = fpgroup.normalize(rng.choice(letters)
+        w = normalize(rng.choice(letters)
                               for _ in range(rng.randint(3, 9)))
         if len(w) >= 3 and w[0] != -w[-1]:
             words.append(w)
@@ -135,10 +136,10 @@ def test_simplify_returns_the_survivors_as_last_read():
     assert (pres, images) == (
         Presentation(generator_count=2, relators=(
             (1, 2, 2), (2, 1, 2), (-2, -2, -1), (2, 2))), (0, 1, 2))
-    assert fpgroup.relator_classes(pres) == Presentation(
+    assert relator_classes(pres) == Presentation(
         generator_count=2, relators=((-2, -2), (-2, -2, -1)))
     assert fpgroup.abelian_invariants(pres) == fpgroup.abelian_invariants(
-        fpgroup.relator_classes(pres))
+        relator_classes(pres))
 
 
 def test_simplify_matches_the_reference_on_random_streams():
@@ -158,11 +159,14 @@ def test_simplify_matches_the_reference_on_random_streams():
 
 
 def test_relator_classes_keep_the_other_fields():
-    # a subclass keeps its type and its other fields
+    # the rotation classes, shortest first, and the presentation of
+    # them keeps its type and its other fields
     pres = fpgroup.AdjointPresentation(
         generator_count=1, relators=((1, 1), (-1, -1), (1,)),
         generators=(0,), words=((1,),), tree=())
-    classes = fpgroup.relator_classes(pres)
+    assert tuple(fpgroup.rotation_classes(pres.relators)) == (
+        (-1,), (-1, -1))
+    classes = relator_classes(pres)
     assert type(classes) is fpgroup.AdjointPresentation
     assert classes == fpgroup.AdjointPresentation(
         generator_count=1, relators=((-1,), (-1, -1)), generators=(0,),
@@ -465,6 +469,26 @@ def test_adjoint_presentation_matches_the_full_one(corpus):
             for r in pres.relators:
                 assert trace(large, c, _element_letters(gens, r)) == c
     assert connected >= 30
+
+
+def test_adjoint_presentation_is_the_normalize_reference(corpus):
+    # the words, built with no reduction, and the relators, reduced by
+    # cutting a common suffix, are the letter-by-letter free reductions,
+    # field by field and in order, on validate's generating set and on
+    # the adjoint's own
+    inputs = corpus + [(f"conj(S{m},transposition)",
+                        transposition_quandle(m)) for m in (4, 5, 6, 7)]
+    inputs.append(("conj(S5,3-cycle)", qmod.conj_class(
+        symmetric_group(5), (1, 2, 0, 3, 4))))
+    inputs += [(f"dihedral({n})", qmod.dihedral(n)) for n in (45, 91)]
+    for name, quandle in inputs:
+        for gens in (quandle.generators, quandle.adjoint.generators):
+            got = fpgroup.adjoint_presentation(quandle, gens)
+            want = adjoint_presentation_reference(quandle, gens)
+            for field in ("generators", "words", "tree", "relators"):
+                assert getattr(got, field) == getattr(want, field), (
+                    name, gens, field)
+    assert len(inputs) == 95
 
 
 def _outcome(enumerate_, presentation, subgroup, budget):

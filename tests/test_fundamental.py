@@ -16,7 +16,8 @@ from oracles import (adjusted_deck_perm, census_by_orbits,
                      cocycle_violation, complex_cells_in_adjoint_order,
                      deck_group, full_adjoint_presentation,
                      generated_subquandle, is_normal, left_translations,
-                     path_complex_cells, reidemeister_schreier,
+                     lift_cells, lifted_cells, path_complex_cells,
+                     reidemeister_schreier, relator_classes,
                      right_action_on_cover, simplify_reference,
                      subgroups as oracle_subgroups, todd_coxeter_reference,
                      trace,
@@ -41,7 +42,9 @@ def test_complex_counts():
     # lifted at each of the 3 vertices, plus one loop per vertex, as
     # they are read
     assert len(quandle.adjoint.relators) == 3
-    assert len(tuple(fund.build_complex(quandle, range(3)))) == 3 * 3 + 3
+    step, cells = fund.build_complex(quandle, range(3))
+    assert len(tuple(cells)) == 3 * 3 + 3
+    assert len(lifted_cells(quandle, range(3))) == 3 * 3 + 3
 
 
 
@@ -74,13 +77,13 @@ def _edge_ends(quandle, width, column):
 
 
 def test_build_complex_yields_every_cell_once_shortest_first(corpus):
-    # the same cells as the lift in the adjoint presentation's order,
-    # read in order of length
+    # lifted through build_complex's step table, the same cells as the
+    # lift in the adjoint presentation's order, read in order of length
     for name, quandle in corpus:
         if not quandle.is_connected():
             continue
         vertices = range(quandle.n)
-        cells = list(fund.build_complex(quandle, vertices))
+        cells = lifted_cells(quandle, vertices)
         assert sorted(cells) == sorted(
             complex_cells_in_adjoint_order(
                 quandle, vertices, quandle.adjoint.generators)), name
@@ -96,7 +99,7 @@ def test_cell_boundaries_are_closed_loops():
         for cells, ends in (
                 (path_complex_cells(quandle.op),
                  _edge_ends(quandle, n, range(n))),
-                (fund.build_complex(quandle, range(n)),
+                (lifted_cells(quandle, range(n)),
                  _edge_ends(quandle, len(gens), gens))):
             for word in cells:
                 src, tgt = ends(abs(word[0]) - 1)
@@ -199,10 +202,11 @@ def test_pi1_presentation_builds_only_its_component(monkeypatch):
     build = fund.build_complex
 
     def recording(quandle, vertices):
-        cells = tuple(build(quandle, vertices))
+        step, cells = build(quandle, vertices)
+        cells = tuple(cells)
         calls.append(list(vertices))
-        built.extend(cells)
-        return cells
+        built.extend(lift_cells(step, cells))
+        return step, cells
 
     monkeypatch.setattr(fund, "build_complex", recording)
     quandle = qmod.trivial(30)
@@ -215,7 +219,8 @@ def test_pi1_presentation_builds_only_its_component(monkeypatch):
     starts = [ends(abs(w[0]) - 1)[0 if w[0] > 0 else 1] for w in built]
     per_vertex = len(quandle.adjoint.relators) + 1
     assert starts == [a for a in range(quandle.n) for _ in range(per_vertex)]
-    assert sorted(built) == sorted(build(quandle, range(quandle.n)))
+    assert sorted(built) == sorted(lift_cells(*build(quandle,
+                                                    range(quandle.n))))
 
 
 def test_pi1_presentation_stays_in_the_basepoint_orbit():
@@ -322,7 +327,7 @@ def test_relator_classes_of_simplify_are_the_reference(corpus):
                                             quandle.adjoint.generators)
             pres, images = fpgroup.simplify(rewrite.generator_count,
                                             rewrite.relators)
-            classes = fpgroup.relator_classes(pres)
+            classes = relator_classes(pres)
             assert (classes, images) == simplify_reference(
                 rewrite.generator_count, rewrite.relators), (name, q)
             assert (fpgroup.abelian_invariants(pres)
@@ -355,7 +360,7 @@ def test_pi1_presentation_checks_its_letters_once(monkeypatch):
     assert fg.order is None
     # simplify's only: the prefix round, on the first 20 of the 27
     # classes, and the last round read the checked classes as they are
-    assert (len(fpgroup.relator_classes(fg.presentation).relators),
+    assert (len(relator_classes(fg.presentation).relators),
             checked) == (27, [fpgroup.Presentation])
 
 
@@ -424,9 +429,13 @@ def test_pi1_presentation_stops_reading_once_no_generator_survives(
     build = fund.build_complex
 
     def counting(quandle, vertices):
-        for cell in build(quandle, vertices):
-            read.append(cell)
-            yield cell
+        step, cells = build(quandle, vertices)
+
+        def reading():
+            for cell in cells:
+                read.append(cell)
+                yield cell
+        return step, reading()
 
     monkeypatch.setattr(fund, "build_complex", counting)
     quandle = qmod.dihedral(45)
@@ -446,6 +455,51 @@ def test_pi1_presentation_stops_reading_once_no_generator_survives(
     assert fund.pi1_presentation(quandle, 0).generator_count == 10
     assert len(quandle.adjoint.relators) == 105
     assert len(read) == 21 + 105 * 21
+
+
+def test_pi1_presentation_is_simplify_of_the_lifted_cells(
+        corpus, monkeypatch):
+    # lifting each cell through simplify's live substitution gives what
+    # simplify gives on the same cells lifted first, with the same
+    # killed edges: the tree of paths and the edges off the component
+    killed = []
+    fused = fpgroup.simplify_cells
+
+    def spy(generator_count, step, cells, dead):
+        killed.append(set(dead))
+        return fused(generator_count, step, cells, dead)
+
+    monkeypatch.setattr(fpgroup, "simplify_cells", spy)
+    inputs = corpus + [(f"conj(S{m},transposition)", transposition_quandle(m))
+                       for m in (5, 6, 7)]
+    checked = 0
+    for name, quandle in inputs:
+        gens = quandle.adjoint.generators
+        m = len(gens)
+        for q in range(quandle.n):
+            killed.clear()
+            pres = fund.pi1_presentation(quandle, q)
+            tree = {a * m + k + 1 for a, path in enumerate(pres.paths)
+                    if path is None for k in range(m)}
+            for a, path in enumerate(pres.paths):
+                if path:  # its last letter crossed a tree edge into a
+                    s = abs(path[-1]) - 1
+                    start = quandle.rho_inv[s][a] if path[-1] > 0 else a
+                    tree.add(start * m + gens.index(s) + 1)
+                if path is not None:
+                    at = q
+                    for x in path:
+                        at = (quandle.rho if x > 0 else quandle.rho_inv)[
+                            abs(x) - 1][at]
+                    assert at == a, (name, q, a)
+            assert killed == [tree], (name, q)
+            vertices = [a for a, path in enumerate(pres.paths)
+                        if path is not None]
+            assert (_plain(pres), pres.images) == fpgroup.simplify(
+                quandle.n * m, lifted_cells(quandle, vertices), tree), (
+                    name, q)
+            checked += 1
+    assert checked == 383
 
 
 def test_pi1_coset_peak_is_pinned():
@@ -884,7 +938,7 @@ def test_pi1_model_is_the_enumeration_on_all_relators(corpus):
     for name, quandle in inputs:
         fg = fund.fundamental_group(quandle, quandle.basepoints[0])
         ref = todd_coxeter_reference(
-            _plain(fpgroup.relator_classes(fg.presentation)))
+            _plain(relator_classes(fg.presentation)))
         assert fg.order == ref.coset_count, name
         image = [trace(ref, 0, w) for w in fg.regular.representative_word]
         assert sorted(image) == list(range(fg.order)), name
@@ -926,7 +980,7 @@ def test_regular_grows_the_relators_until_every_one_is_traced(
         return table
 
     monkeypatch.setattr(fpgroup, "todd_coxeter", recorded)
-    table = fund._regular(pres, budget)
+    table = fund._regular(pres, pres.relators, budget)
     assert [tuple(call) for call in calls] == rounds
     ref = todd_coxeter_reference(pres)
     assert table.coset_count == ref.coset_count == order
@@ -941,10 +995,57 @@ def test_regular_raises_the_last_rounds_budget_error():
                                                         (1, 2) * 2]
     pres = fpgroup.Presentation(2, tuple(relators))
     with pytest.raises(BudgetExceeded) as got:
-        fund._regular(pres, 5)
+        fund._regular(pres, pres.relators, 5)
     with pytest.raises(BudgetExceeded) as want:
         fpgroup.todd_coxeter(pres, [], budget=5)
     assert str(got.value) == str(want.value)
+
+
+def _parent_regular(pres, budget):
+    """pi_1's regular table by the rounds over all of relator_classes,
+    each closed round verified on the classes beyond its prefix."""
+    classes = relator_classes(pres).relators
+    k, cap = 4 * pres.generator_count + 8, 1000
+    while k < len(classes):
+        prefix = fpgroup.Presentation(pres.generator_count, classes[:k])
+        try:
+            table = fpgroup.todd_coxeter(prefix, [], budget=min(cap, budget))
+        except BudgetExceeded:
+            k, cap = 2 * k, 4 * cap
+            continue
+        if all(trace(table, 0, r) == 0 for r in classes[k:]):
+            return table
+        k *= 2
+    return fpgroup.todd_coxeter(
+        fpgroup.Presentation(pres.generator_count, classes), [], budget=budget)
+
+
+def test_pi1_canonicalises_each_relator_once_as_far_as_its_rounds_read(
+        monkeypatch):
+    # the rotation classes are read lazily: the relators canonicalised
+    # are the first ones, shortest first, each once; S7 closes on a
+    # prefix, while conj(S5, 3-cycles)'s last round reads all 46; the
+    # table is the one the rounds over all classes give
+    read = []
+    least = fpgroup.least_rotation
+    monkeypatch.setattr(fpgroup, "least_rotation",
+                        lambda w: read.append(w) or least(w))
+    for quandle, relators, counts in ((transposition_quandle(7), 910,
+                                       range(200)),
+                                      (_three_cycles(5), 46, [46])):
+        read.clear()
+        fg = fund.fundamental_group(quandle, 0)
+        pres = fg.presentation
+        assert (len(pres.relators), read) == (relators, [])
+        table = fg.regular
+        canonicalised = list(read)
+        assert len(canonicalised) in counts
+        # the relators are distinct, so a prefix reads each once
+        assert canonicalised == sorted(pres.relators, key=len)[
+            :len(canonicalised)]
+        want = _parent_regular(pres, fpgroup.DEFAULT_COSET_BUDGET)
+        assert (table.coset_count, table.action, table.representative_word
+                ) == (want.coset_count, want.action, want.representative_word)
 
 
 def test_subgroups_match_the_permutation_search(corpus):
