@@ -203,11 +203,15 @@ def adjoint_presentation(quandle, gens) -> AdjointPresentation:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete collapsed coset table from a terminated enumeration.
+    """Complete collapsed coset table from a terminated enumeration, in
+    standard form: coset 0 is the subgroup coset, and the others are
+    numbered in BFS order of their representative words over the
+    letters 1, -1, 2, -2, ..., so the table depends only on the group,
+    the subgroup and the order of the generators.
 
     action[g] is the permutation of cosets induced by generator g,
-    action_inv[g] its inverse; coset 0 is the subgroup coset.
-    representative_word[c] is a Schreier word taking coset 0 to c.
+    action_inv[g] its inverse (the same tuple for an involution).
+    representative_word[c] is the BFS word taking coset 0 to c.
     """
 
     generator_count: int
@@ -226,23 +230,33 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
                  budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
     """HLT coset enumeration with immediate coincidence processing.
 
-    Enumerates the cosets of the subgroup generated by the given words.
-    Cosets are numbered in definition order and relators scanned in a
-    fixed order, so the result is deterministic.  Raises BudgetExceeded
-    with the live-coset count if the table grows past the budget.
+    Enumerates the cosets of the subgroup generated by the given words,
+    relators scanned in a fixed order, and returns the table in standard
+    form.  Raises BudgetExceeded with the live-coset count if the table
+    grows past the budget.
 
     The table is stored by column: table[x][c] is coset c times column
-    x, where column 2g is generator g and 2g + 1 its inverse, and all
-    columns grow together by doubling.  Each relator is resolved once
-    to the columns its letters read forwards and backwards.  A relator
-    whose forward scan already closes at a coset is passed over
-    without the full scan, which would change nothing there.
+    x.  A generator whose square (g g or -g -g) is a relator has one
+    column for g and g^-1 alike, and that relator is never scanned; any
+    other has one for each.  Only these columns are allocated, and they
+    grow together by doubling.  Each relator is resolved once to the
+    columns its letters read forwards and backwards, and one whose
+    forward scan already closes at a coset is passed over without the
+    full scan, which would change nothing there.  The BFS that finds
+    the representative words numbers the live cosets.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     ngens = presentation.generator_count
-    ncols = 2 * ngens
-    table = [[None] for _ in range(ncols)]
+    squares = {r for r in presentation.relators
+               if len(r) == 2 and r[0] == r[1]}
+    involutions = {abs(r[0]) for r in squares}
+    column_of, inverse_of = {}, []  # letter -> column, column -> inverse's
+    for g in range(1, ngens + 1):
+        x, shared = len(inverse_of), g in involutions
+        column_of[g], column_of[-g] = x, x + (not shared)
+        inverse_of += (x,) if shared else (x + 1, x)
+    table = [[None] for _ in inverse_of]
     capacity = 1
     size = 1  # cosets defined, dead ones included
     parent = [0]
@@ -251,13 +265,13 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
     def scans(words):
         out = []
         for w in words:
-            cols = tuple(2 * (abs(letter) - 1) + (letter < 0)
-                         for letter in w)
-            out.append((cols, tuple(table[x] for x in cols),
-                        tuple(table[x ^ 1] for x in cols)))
+            cols = tuple(map(column_of.__getitem__, w))
+            out.append((tuple(table[x] for x in cols),
+                        tuple(table[inverse_of[x]] for x in cols)))
         return out
 
-    relator_scans = scans(presentation.relators)
+    relator_scans = scans(r for r in presentation.relators
+                          if r not in squares)
     subgroup_scans = scans(subgroup_generators)
 
     def rep(c):
@@ -268,21 +282,20 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
             parent[c], c = r, parent[c]
         return r
 
-    def define(alpha, x):
+    def define(alpha, column, back):
         nonlocal live, size, capacity
         if live >= budget:
             raise BudgetExceeded(live, "coset enumeration")
         beta = size
         if beta == capacity:
-            for column in table:
-                column.extend([None] * capacity)
+            for each in table:
+                each.extend([None] * capacity)
             capacity *= 2
         size += 1
         parent.append(beta)
         live += 1
-        table[x][alpha] = beta
-        table[x ^ 1][beta] = alpha
-        return beta
+        column[alpha] = beta
+        back[beta] = alpha
 
     def merge(a, b, queue):
         nonlocal live
@@ -295,7 +308,7 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
         live -= 1
         queue.append(b)
 
-    pairs = [(table[x], table[x ^ 1]) for x in range(ncols)]
+    pairs = [(table[x], table[y]) for x, y in enumerate(inverse_of)]
 
     def coincidence(a, b):
         queue = []
@@ -318,9 +331,9 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
                     column[mu] = nu
                     back[nu] = mu
 
-    def scan_and_fill(alpha, cols, forward, backward):
+    def scan_and_fill(alpha, forward, backward):
         f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
+        b, j = alpha, len(forward) - 1
         while True:
             while i <= j and forward[i][f] is not None:
                 f = forward[i][f]
@@ -339,16 +352,16 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
                 forward[i][f] = b
                 backward[i][b] = f
                 return
-            define(f, cols[i])
+            define(f, forward[i], backward[i])
 
-    for cols, forward, backward in subgroup_scans:
-        scan_and_fill(0, cols, forward, backward)
+    for forward, backward in subgroup_scans:
+        scan_and_fill(0, forward, backward)
     alpha = 0
     while alpha < size:
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for cols, forward, backward in relator_scans:
+        for forward, backward in relator_scans:
             f = alpha
             try:
                 for column in forward:
@@ -358,41 +371,39 @@ def todd_coxeter(presentation: Presentation, subgroup_generators=(),
             else:
                 if f == alpha:
                     continue
-            scan_and_fill(alpha, cols, forward, backward)
+            scan_and_fill(alpha, forward, backward)
             if parent[alpha] != alpha:
                 break
         if parent[alpha] == alpha:
-            for x in range(ncols):
-                if table[x][alpha] is None:
-                    define(alpha, x)
+            for column, back in pairs:
+                if column[alpha] is None:
+                    define(alpha, column, back)
         alpha += 1
 
-    # compact to live cosets, keeping definition order
-    old_live = [c for c in range(size) if parent[c] == c]
-    renumber = [None] * size
-    for i, c in enumerate(old_live):
-        renumber[c] = i
-    n = len(old_live)
-    columns = [tuple(renumber[rep(column[c])] for c in old_live)
-               for column in table]
-    action, action_inv = columns[0::2], columns[1::2]
-
-    # Schreier representative words by BFS over generators in order
-    reps = [()] + [None] * (n - 1)
-    queue = [0]
-    for c in queue:  # grows while it is read
-        for g in range(ngens):
-            for letter, d in ((g + 1, action[g][c]),
-                              (-(g + 1), action_inv[g][c])):
-                if reps[d] is None:
-                    reps[d] = reps[c] + (letter,)
-                    queue.append(d)
-    if len(queue) < n:
+    # standard form: the live cosets in BFS order over 1, -1, 2, -2, ...,
+    # each new one reached by the word of its BFS parent and one letter
+    letters = [(letter, table[column_of[letter]]) for g in range(1, ngens + 1)
+               for letter in ((g,) if g in involutions else (g, -g))]
+    order, reps, number = [0], [()], [0] + [None] * (size - 1)
+    for c, word in zip(order, reps):  # both grow while they are read
+        for letter, column in letters:
+            d = rep(column[c])
+            if number[d] is None:
+                number[d] = len(order)
+                order.append(d)
+                reps.append(word + (letter,))
+    if len(order) < live:
         raise AssertionError("coset table is not transitive")
-
-    return CosetTable(generator_count=ngens, coset_count=n,
-                      action=tuple(action), action_inv=tuple(action_inv),
-                      representative_word=tuple(reps))
+    for c in range(size):  # the dead ones, as their live ones
+        if number[c] is None:
+            number[c] = number[rep(c)]
+    columns = [tuple(map(number.__getitem__, map(column.__getitem__, order)))
+               for column in table]
+    return CosetTable(
+        generator_count=ngens, coset_count=live,
+        action=tuple(columns[column_of[g]] for g in range(1, ngens + 1)),
+        action_inv=tuple(columns[column_of[-g]] for g in range(1, ngens + 1)),
+        representative_word=tuple(reps))
 
 
 # ---------------------------------------------------------------------------

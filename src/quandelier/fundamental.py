@@ -175,13 +175,15 @@ class FundamentalGroup:
 
     presentation is pi1_presentation's.  regular, pi_1's right regular
     representation, is _regular's on its rotation classes, canonicalised
-    as far as the rounds read; coset g is the element its representative
-    word reads.  Reading it raises InfiniteGroup for a disconnected
-    quandle before anything is built, or Todd-Coxeter's BudgetExceeded
-    past the budget, and order is then None; the error is kept, so every
-    later read raises it again at once.  Built from it: cayley[g][h] =
-    gh, the one group law every covering reads, and the cocycle f of the
-    universal cover Q x pi_1.
+    as far as the rounds read; it is in standard form, so coset g, the
+    element its representative word reads, is numbered by pi_1 and its
+    generators alone, whichever round closed.  Reading it raises
+    InfiniteGroup for a disconnected quandle before anything is built,
+    or Todd-Coxeter's BudgetExceeded past the budget, and order is then
+    None; the error is kept, so every later read raises it again at
+    once.  Built from it: cayley[g][h] = gh, the one group law every
+    covering reads, and the cocycle f of the universal cover Q x pi_1.
+    abelian_invariants reads the round that closed, once there is one.
     """
 
     quandle: FiniteQuandle
@@ -193,7 +195,7 @@ class FundamentalGroup:
         return pi1_presentation(self.quandle, self.basepoint)
 
     @cached_property
-    def _enumeration(self):  # regular, or the error reading it raises
+    def _enumeration(self):  # (regular, round), or the error it raises
         try:
             _certify_finite(self.quandle)
             pres = self.presentation
@@ -206,7 +208,7 @@ class FundamentalGroup:
     def regular(self) -> CosetTable:
         if isinstance(self._enumeration, BudgetExceeded):
             raise self._enumeration
-        return self._enumeration
+        return self._enumeration[0]
 
     @cached_property
     def cayley(self) -> tuple:
@@ -241,20 +243,29 @@ class FundamentalGroup:
 
     @property
     def order(self):
-        table = self._enumeration
-        return None if isinstance(table, BudgetExceeded) else table.coset_count
+        enumeration = self._enumeration
+        return (None if isinstance(enumeration, BudgetExceeded)
+                else enumeration[0].coset_count)
 
     def abelian_invariants(self) -> fpgroup.AbelianInvariants:
-        return fpgroup.abelian_invariants(self.presentation)
+        """pi_1^ab, from the round the model closed on once it has been
+        read, as that round presents pi_1 on fewer relators, and from
+        the presentation otherwise; it never enumerates."""
+        enumeration = vars(self).get("_enumeration")
+        return fpgroup.abelian_invariants(
+            enumeration[1] if isinstance(enumeration, tuple)
+            else self.presentation)
 
 
-def _regular(pres: Presentation, classes, budget: int) -> CosetTable:
-    """pi_1's right regular table, enumerated over the trivial subgroup
+def _regular(pres: Presentation, classes, budget: int):
+    """(table, round): pi_1's right regular table in standard form and
+    the presentation it closed on, enumerated over the trivial subgroup
     in rounds on the first k of classes, relators with the normal
     closure of pres's, read only as far as the rounds need, within
     min(cap, budget) live cosets.  A word is trivial in <X | R'> exactly
-    when it fixes coset 0, so a closed round is pi_1's once each relator
-    of pres, traced from coset 0 through its columns, returns there.
+    when it fixes coset 0, so a closed round presents pi_1 once each
+    relator of pres, traced from coset 0 through its columns, returns
+    there; its standard form depends on pi_1 alone, not on the round.
     k starts at 4|X| + 8, the cap at 1000; a failed trace doubles k, a
     round over its cap doubles k and quadruples the cap, as the peak
     grows with k (S10 transpositions: k = 480 closes within 64000,
@@ -267,7 +278,7 @@ def _regular(pres: Presentation, classes, budget: int) -> CosetTable:
         prefix = fpgroup._unchecked(Presentation, relators=tuple(read[:k]),
                                     generator_count=pres.generator_count)
         if len(read) <= k:
-            return fpgroup.todd_coxeter(prefix, [], budget=budget)
+            return fpgroup.todd_coxeter(prefix, [], budget=budget), prefix
         try:
             table = fpgroup.todd_coxeter(prefix, [], budget=min(cap, budget))
         except BudgetExceeded:
@@ -282,7 +293,7 @@ def _regular(pres: Presentation, classes, budget: int) -> CosetTable:
                 k *= 2
                 break
         else:
-            return table
+            return table, prefix
 
 
 def fundamental_group(quandle: FiniteQuandle, basepoint: int,

@@ -1,7 +1,8 @@
 """Second, independent computations of what the package computes one
 way: brute-force versions of the checks it makes on a generating set
 (quandle axioms, homomorphisms, components and 2-cocycles), the
-Todd-Coxeter kernel as first written, the Smith normal form with its
+Todd-Coxeter kernel as first written with its table put in standard
+form by sorting, the Smith normal form with its
 unimodular transforms, the full path 2-complex and H2 from it, free
 reduction letter by letter and the adjoint presentation built with it,
 the cells of pi_1's complex lifted before any Tietze move, the
@@ -584,6 +585,35 @@ def todd_coxeter_reference(presentation, subgroup_generators=(),
         action=tuple(tuple(row) for row in action),
         action_inv=tuple(tuple(row) for row in action_inv),
         representative_word=tuple(reps))
+
+
+def shortlex_key(word):
+    """A word's place in the order of length, then letter by letter in
+    the order 1, -1, 2, -2, ..."""
+    return len(word), tuple(2 * abs(x) - (x > 0) for x in word)
+
+
+def standard_form(table):
+    """The same table, cosets renumbered by the shortlex order of their
+    representative words (the BFS words over 1, -1, 2, -2, ..., each
+    the shortlex-least word reaching its coset)."""
+    words = table.representative_word
+    order = sorted(range(table.coset_count),
+                   key=lambda c: shortlex_key(words[c]))
+    number = [None] * table.coset_count
+    for i, c in enumerate(order):
+        number[c] = i
+
+    def renumbered(columns):
+        return tuple(tuple(number[column[c]] for c in order)
+                     for column in columns)
+
+    return fpgroup.CosetTable(
+        generator_count=table.generator_count,
+        coset_count=table.coset_count,
+        action=renumbered(table.action),
+        action_inv=renumbered(table.action_inv),
+        representative_word=tuple(words[c] for c in order))
 
 
 def smith_normal_form_with_transforms(matrix):

@@ -437,9 +437,9 @@ def test_cover_enumerate_s6_is_pinned(tmp_path):
 
 @pytest.mark.parametrize("name, argv, digest", [
     ("s6", ["cover", "--universal"],
-     "1c366303c6d8ec6cfe0913727ad966e232cfaf1504cab4674d0aef94aa1e1b66"),
+     "9290dcf561b13a0aabcb45a0e2a22fa87524c2b5a886170c5070174ea9f892f8"),
     ("c5", ["cover", "--universal"],
-     "f4f527821d4d37a820f077a22dc0b0611b60665c2ee336df852b741dc2e95b41"),
+     "56bfff7e4280f3694cfd2b27b1e9552f59bae467ea1cbe4505da735da2eda9f0"),
     ("s5", ["cover", "--enumerate"],
      "6bb4230e895eb242296a034e66b10f7189a6d778c7bc1201d7ca0ec629fd08dc"),
     ("c5", ["cover", "--enumerate"],

@@ -19,8 +19,8 @@ from oracles import (adjusted_deck_perm, census_by_orbits,
                      lift_cells, lifted_cells, path_complex_cells,
                      reidemeister_schreier, relator_classes,
                      right_action_on_cover, simplify_reference,
-                     subgroups as oracle_subgroups, todd_coxeter_reference,
-                     trace,
+                     standard_form, subgroups as oracle_subgroups,
+                     todd_coxeter_reference, trace,
                      universal_cover_by_columns)
 
 
@@ -504,11 +504,13 @@ def test_pi1_presentation_is_simplify_of_the_lifted_cells(
 
 def test_pi1_coset_peak_is_pinned():
     # the smallest budget that gives pi_1's finite model: a change to
-    # the presentation, or to the rounds of relators it is enumerated
-    # on, that moves the peak moves what the pi1 budget admits (S6 and
-    # S7 close on a verified prefix of their relators)
+    # the presentation, to the rounds of relators it is enumerated on,
+    # or to the columns the enumerator keeps, that moves the peak moves
+    # what the pi1 budget admits (S6 and S7 close on a verified prefix
+    # of their relators; each generator's square is a relator, so each
+    # has one column)
     inputs = [(transposition_quandle(m), peak)
-              for m, peak in ((5, 7), (6, 27), (7, 140))]
+              for m, peak in ((5, 6), (6, 26), (7, 140))]
     # conj(S5, 3-cycles) on the adjoint's 2 generators: its 6 cosets
     # never exceed 6 live
     inputs.append((_three_cycles(5), 6))
@@ -980,10 +982,12 @@ def test_regular_grows_the_relators_until_every_one_is_traced(
         return table
 
     monkeypatch.setattr(fpgroup, "todd_coxeter", recorded)
-    table = fund._regular(pres, pres.relators, budget)
+    table, closed = fund._regular(pres, pres.relators, budget)
     assert [tuple(call) for call in calls] == rounds
+    assert closed.relators == tuple(relators[:rounds[-1][0]])
     ref = todd_coxeter_reference(pres)
     assert table.coset_count == ref.coset_count == order
+    assert table == standard_form(ref)
     for r in relators:
         assert trace(table, 0, r) == 0
 
@@ -999,6 +1003,72 @@ def test_regular_raises_the_last_rounds_budget_error():
     with pytest.raises(BudgetExceeded) as want:
         fpgroup.todd_coxeter(pres, [], budget=5)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("quandle, prefix", [
+    (transposition_quandle(5), True), (transposition_quandle(6), True),
+    (transposition_quandle(7), True), (_three_cycles(5), False)],
+    ids=["S5", "S6", "S7", "conj(S5,3-cycle)"])
+def test_pi1_numbering_does_not_depend_on_the_round(quandle, prefix):
+    # the model is in standard form, so the round that closed, all the
+    # rotation classes and all the relators give the same CosetTable
+    # (S5, S6 and S7 close on a proper prefix of the classes)
+    fg = fund.fundamental_group(quandle, 0)
+    table, closed = fg._enumeration
+    pres = fg.presentation
+    classes = tuple(fpgroup.rotation_classes(pres.relators))
+    assert closed.relators == classes[:len(closed.relators)]
+    assert (len(closed.relators) < len(classes)) == prefix
+    for relators in (classes, pres.relators):
+        assert table == fpgroup.todd_coxeter(
+            fpgroup.Presentation(pres.generator_count, relators))
+
+
+def test_pi1_abelianisation_reads_the_round_that_closed(corpus, monkeypatch,
+                                                        tmp_path):
+    # once the model is read, pi_1^ab comes from the round it closed on,
+    # the same invariants as the whole presentation's; before, from the
+    # presentation; h2_integral, and pi1 on a disconnected input, run
+    # no enumeration at all
+    enumerations, abelianised = [], []
+    enumerate_, abelianise = fpgroup.todd_coxeter, fpgroup.abelian_invariants
+    monkeypatch.setattr(fpgroup, "todd_coxeter", lambda *args, **kwargs: (
+        enumerations.append(args) or enumerate_(*args, **kwargs)))
+    monkeypatch.setattr(fpgroup, "abelian_invariants", lambda pres: (
+        abelianised.append(pres) or abelianise(pres)))
+    inputs = [(name, quandle) for name, quandle in corpus
+              if quandle.is_connected()]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
+               for m in (4, 5, 6, 7)]
+    inputs.append(("conj(S5,3-cycle)", _three_cycles(5)))
+    for name, quandle in inputs:
+        q = quandle.basepoints[0]
+        enumerations.clear()
+        h2 = coh.h2_integral(quandle)
+        assert enumerations == [], name
+        fg = fund.fundamental_group(quandle, q)
+        abelianised.clear()
+        before = fg.abelian_invariants()
+        assert abelianised == [fg.presentation], name
+        assert fg.order is not None, name
+        abelianised.clear()
+        after = fg.abelian_invariants()
+        assert abelianised == [fg._enumeration[1]], name
+        assert after == before == abelianise(fg.presentation) == h2[0], name
+    assert len(inputs) >= 35
+    disconnected = 0
+    for name, quandle in corpus:
+        if not quandle.is_connected():
+            path = tmp_path / "q.txt"
+            text = io.StringIO()
+            cli.emit_quandle(quandle, text)
+            path.write_text(text.getvalue())
+            enumerations.clear()
+            assert cli.run(["pi1", str(path)], out=io.StringIO(),
+                           err=io.StringIO()) in (0, 2), name
+            assert enumerations == [], name
+            disconnected += 1
+    assert disconnected >= 40
 
 
 def _parent_regular(pres, budget):
