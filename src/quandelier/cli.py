@@ -462,10 +462,9 @@ def cmd_cover(args, out) -> int:
         emit_map(cover.projection.map, out)
         return EXIT_OK
     if args.enumerate:
-        coverings = fund.enumerate_connected_coverings(pi1)
-        for j, (_, projection, normal) in enumerate(coverings):
-            fibre = projection.source.n // quandle.n
-            galois = "true" if normal else "false"
+        for j, covering in enumerate(fund.enumerate_connected_coverings(pi1)):
+            fibre = pi1.order // len(covering.subgroup)
+            galois = "true" if covering.normal else "false"
             print(f"covering {j + 1}: fibre={fibre} galois={galois}",
                   file=out)
         return EXIT_OK

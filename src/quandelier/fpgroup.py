@@ -133,7 +133,9 @@ def least_rotation(word) -> Word:
 
 def rotation_classes(relators):
     """One relator per class of rotations and inversion, shorter first,
-    as coset enumeration fares better so; each canonicalised when read."""
+    each canonicalised when read: pi_1's rounds close on fewer of them
+    than of raw relators (S7: 48 against 96, S8: 136 against 272), if
+    not at a lower peak (S7 on all: 190 live cosets against 140)."""
     seen = set()
     for w in map(least_rotation, sorted(relators, key=len)):
         if w not in seen:

@@ -311,43 +311,56 @@ def fundamental_group(quandle: FiniteQuandle, basepoint: int,
 # coverings: Q x pi_1 and its quotients
 
 
-def _quotient(pi1: FundamentalGroup, cosets) -> QuandleHom:
-    """Q x pi_1 modulo a subgroup K acting from the left, given by its
-    right cosets K g, least element first.  Element i n + a is (a, K g)
-    for the i-th coset, over a.  Every element over b acts by column b:
-    (a, K g) -> (a*b, K g f(a,b)).  The covering theorem makes it a
+def _quotient(pi1: FundamentalGroup, subgroup) -> QuandleHom:
+    """Q x pi_1 modulo the subgroup K acting from the left.  Its right
+    cosets K h are numbered by their least elements h, each the first
+    not yet seen in increasing order; element i n + a is (a, K h) for
+    the i-th, over a.  Every element over b acts by column b:
+    (a, K h) -> (a*b, K h f(a,b)).  The covering theorem makes it a
     connected covering of Q."""
     mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
-    offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
+    offset, least = {}, []
+    for h in range(len(mul)):
+        if h not in offset:
+            offset.update((mul[k][h], len(least) * n) for k in subgroup)
+            least.append(h)
     values = set(chain.from_iterable(pi1.cocycle))
-    # shift[i][t] = n times the index of K cosets[i][0] t, t a value of f
-    shift = [{t: offset[mul[coset[0]][t]] for t in values}
-             for coset in cosets]
+    # shift[i][t] = n times the index of K least[i] t, t a value of f
+    shift = [{t: offset[mul[h][t]] for t in values} for h in least]
     columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
                                              rho_b) for row in shift))
                for f_b, rho_b in zip(zip(*pi1.cocycle), quandle.rho)]
-    over = tuple(range(n)) * len(cosets)
+    over = tuple(range(n)) * len(least)
     return qmod.from_columns(columns, quandle, over, (0,) * len(over), (0,))
 
 
 @dataclass(frozen=True)
-class UniversalCover:
-    """The universal covering quandle of a connected quandle: element
-    g n + a is (a, g) in Q x pi_1, over a.  Its deck group is pi_1
-    acting from the left, g sending (a, h) to (a, gh)."""
+class Covering:
+    """The connected pointed covering of pi1's base for the subgroup K
+    of pi_1, a sorted tuple of rows of pi1.cayley: Q x pi_1 modulo K on
+    the pairs (a, K h), its projection built when first read.  Its
+    fibre has [pi_1 : K] points; it is Galois exactly when K is normal."""
 
-    base: FiniteQuandle
-    cover: FiniteQuandle
-    projection: QuandleHom
     pi1: FundamentalGroup
+    subgroup: tuple
+    normal: bool
+
+    @cached_property
+    def projection(self) -> QuandleHom:
+        return _quotient(self.pi1, self.subgroup)
+
+    @property
+    def cover(self) -> FiniteQuandle:
+        return self.projection.source
 
 
-def universal_cover(pi1: FundamentalGroup) -> UniversalCover:
+def universal_cover(pi1: FundamentalGroup) -> Covering:
     """Q x pi_1 with (a,g)*(b,h) = (a*b, g f(a,b)), f the cocycle of
-    pi1; raises as FundamentalGroup.regular does."""
-    projection = _quotient(pi1, [(g,) for g in range(len(pi1.cayley))])
-    return UniversalCover(base=pi1.quandle, cover=projection.source,
-                          projection=projection, pi1=pi1)
+    pi1, element g n + a; its deck group is pi_1 acting from the left.
+    Built at the call, which raises as FundamentalGroup.regular does."""
+    covering = Covering(pi1, (0,), True)
+    covering.projection  # built here, so that every error raises here
+    return covering
 
 
 # ---------------------------------------------------------------------------
@@ -400,31 +413,14 @@ def check_lifting(f: QuandleHom, p: QuandleHom, lift_basepoint: int = None):
 def enumerate_connected_coverings(pi1: FundamentalGroup):
     """All pointed connected coverings of pi1's base, checked to be one
     orbit, whatever its grading says, before pi1 is read: an iterator
-    of triples (K, covering projection, normal), one per subgroup K of
-    pi_1, a sorted tuple of rows of pi1.cayley, in the order of
-    permgroup.subgroups.  Each projection, the universal cover modulo K
-    on the pairs (a, K h), is built when reached; normal says whether K
-    is normal, the covering Galois.  Every error raises from the call.
-    """
+    of Coverings, one per subgroup of pi_1, in the order of
+    permgroup.subgroups, normal where its conjugacy class has one
+    member.  The subgroups are found at the call, so every error raises
+    from it; no projection is built until it is read."""
     if len(qmod.components(pi1.quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
-    return ((sub, _quotient(pi1, cosets), normal)
-            for sub in permgroup.subgroups(pi1.cayley)
-            for cosets, normal in [_right_cosets(pi1.cayley, sub)])
-
-
-def _right_cosets(mul, sub):
-    """The right cosets K h = {k h}, each sorted, least element first,
-    and whether K is normal: K h = h K at one h per coset suffices, as
-    k h K = k K h = K h."""
-    cosets, normal, seen = [], True, set()
-    for h in range(len(mul)):
-        if h not in seen:
-            coset = sorted(mul[k][h] for k in sub)
-            seen.update(coset)
-            cosets.append(coset)
-            normal = normal and set(coset) == {mul[h][k] for k in sub}
-    return cosets, normal
+    return (Covering(pi1, sub, size == 1)
+            for sub, size in permgroup.subgroups(pi1.cayley))
 
 
 def monodromy(p: QuandleHom, pi1: FundamentalGroup):

@@ -109,7 +109,8 @@ def _close(column, sub, seeds) -> frozenset:
 
 def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
     """Every subgroup, not one per class, of the group with this Cayley
-    table and identity 0: sorted index tuples, by (order, tuple).
+    table and identity 0, with its class size |G : N(K)|: pairs (sorted
+    index tuple, number of conjugates), by (order, tuple).
 
     From each conjugacy class's first subgroup A, the trivial one first,
     closes <A, g> = <A, agb> for one g per double coset AgA; a new
@@ -123,7 +124,7 @@ def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
     column = tuple(zip(*cayley))
     conj = [tuple(map(column[h].__getitem__, cayley[row.index(0)]))
             for h, row in enumerate(cayley)]  # conj[h][x] = h^-1 x h
-    found, classes = {frozenset({0})}, [(frozenset({0}), ())]
+    found, classes = {frozenset({0}): 1}, [(frozenset({0}), ())]
     for a, seeds in classes:  # grows while it is read
         covered = set(a)
         for g in range(len(cayley)):
@@ -134,11 +135,12 @@ def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
                 if j not in found:
                     normaliser = [h for h, c in enumerate(conj)
                                   if j.issuperset(map(c.__getitem__, grown))]
-                    reached = set()
+                    size, reached = len(cayley) // len(normaliser), set()
                     for h, c in enumerate(conj):
                         if h not in reached:  # one h per coset N(J)h
                             reached.update(map(column[h].__getitem__,
                                                normaliser))
-                            found.add(frozenset(map(c.__getitem__, j)))
+                            found[frozenset(map(c.__getitem__, j))] = size
                     classes.append((j, grown))
-    return sorted(map(tuple, map(sorted, found)), key=lambda s: (len(s), s))
+    return sorted(((tuple(sorted(sub)), size) for sub, size in found.items()),
+                  key=lambda pair: (len(pair[0]), pair[0]))

@@ -54,6 +54,19 @@ def transposition_quandle(n):
     return qmod.conj_class(symmetric_group(n), seed)
 
 
+def transpositions_on_pairs(m):
+    """The transposition quandle of S_m on the pairs i < j: (i j)
+    conjugated by (k l) swaps k and l among its points."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def conj(a, b):
+        swap = {b[0]: b[1], b[1]: b[0]}
+        return index[tuple(sorted(swap.get(x, x) for x in a))]
+
+    return qmod.validate([[conj(a, b) for b in pairs] for a in pairs])
+
+
 def disjoint_union(first, second):
     """The two quandles side by side, each acting trivially on the
     other."""
@@ -150,6 +163,6 @@ def corpus_coverings(corpus):
         if quandle.is_connected():
             pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
             out.append((name, fund.universal_cover(pi1).projection))
-            out += [(name, p)
-                    for _, p, _ in fund.enumerate_connected_coverings(pi1)]
+            out += [(name, covering.projection) for covering
+                    in fund.enumerate_connected_coverings(pi1)]
     return out

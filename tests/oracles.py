@@ -13,7 +13,8 @@ the brute-force route to |H^2|, the universal cover and the covering
 census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
 deck group on its cosets, a Cayley table's left translations, and the
 orbits and subgroups of a permutation group found by multiplying
-permutations, the right action of adjoint words on a
+permutations, the right cosets of a subgroup of a Cayley table and
+the census quotient built from them, the right action of adjoint words on a
 cover, a word traced through a coset table and the degree-adjusted
 deck permutations, the least preimages
 of a map, the covering check on all pairs, table
@@ -877,6 +878,36 @@ def left_translations(cayley, copies=1):
     return permgroup.FiniteGroup(degree=copies * len(cayley),
                                  elements=perms, generators=perms,
                                  identity_index=0)
+
+
+def right_cosets(mul, sub):
+    """The right cosets K h = {k h} of a subgroup of the group with
+    Cayley table mul, each sorted, least element first, and whether K
+    is normal: K h = h K at one h per coset suffices, as
+    k h K = k K h = K h."""
+    cosets, normal, seen = [], True, set()
+    for h in range(len(mul)):
+        if h not in seen:
+            coset = sorted(mul[k][h] for k in sub)
+            seen.update(coset)
+            cosets.append(coset)
+            normal = normal and set(coset) == {mul[h][k] for k in sub}
+    return cosets, normal
+
+
+def quotient_by_right_cosets(pi1, sub):
+    """Q x pi_1 modulo the subgroup K acting from the left, from the
+    list of K's right cosets: element i n + a is (a, K g) for the i-th
+    coset, over a, and every element over b acts by column b,
+    (a, K g) -> (a*b, K g f(a,b))."""
+    mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
+    cosets, _ = right_cosets(mul, sub)
+    offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
+    columns = [tuple(offset[mul[coset[0]][pi1.cocycle[a][b]]] + rho_b[a]
+                     for coset in cosets for a in range(n))
+               for b, rho_b in enumerate(quandle.rho)]
+    over = tuple(range(n)) * len(cosets)
+    return qmod.from_columns(columns, quandle, over, (0,) * len(over), (0,))
 
 
 def orbits(group, points=None):

@@ -87,7 +87,8 @@ def test_theorem_built_tables_make_no_validate_call(monkeypatch):
     monkeypatch.setattr(qmod, "validate", refuse)
     pi1 = fund.fundamental_group(base, 0)
     universal = fund.universal_cover(pi1).projection
-    census = [p for _, p, _ in fund.enumerate_connected_coverings(pi1)]
+    census = [covering.projection
+              for covering in fund.enumerate_connected_coverings(pi1)]
     coh.extension_from_cocycle(base, z2, coh.trivial_cocycle(base, z2))
     qmod.pullback(census[-1], universal)
     qmod.union_coverings(census)

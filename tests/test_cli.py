@@ -10,8 +10,8 @@ from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         quandle as qmod)
 from quandelier.errors import NotACocycle
 from conftest import (relabelled_coeff, symmetric_group,
-                      transposition_quandle)
-from oracles import cohomology_classes
+                      transposition_quandle, transpositions_on_pairs)
+from oracles import cohomology_classes, right_cosets
 
 
 def write_quandle(tmp_path, name, quandle):
@@ -446,11 +446,13 @@ def test_cover_enumerate_s6_is_pinned(tmp_path):
      "159c2671330f925f93afa6582cbaa6478d14487485644080c8567b3c9e076c6c"),
     ("s7", ["pi1"],
      "a4d432f64b93e08f6d5cb21ae24b5d64f376ad7595d972ec2d7d998ddda63612"),
-])
+], ids=["s6-cover-universal", "c5-cover-universal", "s5-cover-enumerate",
+        "c5-cover-enumerate", "s7-pi1"])
 def test_pi1_numbering_is_pinned_by_the_output_bytes(tmp_path, name, argv,
                                                      digest):
     # the SHA-256 of stdout: a change to pi_1's presentation, its rounds
-    # or its coset numbering that reaches the output fails here
+    # or its coset numbering that reaches the output fails here; the ids
+    # name the input and command, so re-recording a digest keeps them
     quandle = {"s5": lambda: transposition_quandle(5),
                "s6": lambda: transposition_quandle(6),
                "s7": lambda: transposition_quandle(7),
@@ -469,41 +471,83 @@ def test_pi1_numbering_is_pinned_by_the_output_bytes(tmp_path, name, argv,
 def test_cover_enumerate_reads_fibre_sizes_off_the_orders(tmp_path,
                                                          monkeypatch,
                                                          quandle):
-    # a covering of a connected quandle has N/n points in every fibre,
-    # so the census prints each fibre's size without scanning one
-    q = quandle.basepoints[0]
-    expected = "".join(
-        f"covering {j + 1}: fibre={len(projection.fibre(q))} "
-        f"galois={'true' if normal else 'false'}\n"
-        for j, (_, projection, normal) in enumerate(
-            fund.enumerate_connected_coverings(
-                fund.fundamental_group(quandle, q))))
+    # a covering of a connected quandle has [pi_1 : K] points in every
+    # fibre, so the census prints each fibre's size, and whether K is
+    # normal, without building a quotient or scanning a fibre
+    expected = _census_by_quotients(quandle)
     path = write_quandle(tmp_path, "q.txt", quandle)
-
-    def no_scan(self, q):
-        raise AssertionError("a fibre was scanned")
-    monkeypatch.setattr(qmod.QuandleHom, "fibre", no_scan)
+    _refuse_quotients(monkeypatch)
     assert run(["cover", path, "--enumerate"]) == (0, expected, "")
 
 
+def _census_by_quotients(quandle):
+    """The lines of `cover --enumerate`, each fibre counted on its
+    covering's projection and normality read off the right cosets."""
+    q = quandle.basepoints[0]
+    pi1 = fund.fundamental_group(quandle, q)
+    lines = []
+    for j, covering in enumerate(fund.enumerate_connected_coverings(pi1)):
+        fibre = len(covering.projection.fibre(q))
+        normal = right_cosets(pi1.cayley, covering.subgroup)[1]
+        lines.append(f"covering {j + 1}: fibre={fibre} "
+                     f"galois={'true' if normal else 'false'}\n")
+    return "".join(lines)
+
+
+def _refuse_quotients(monkeypatch):
+    """Patch the quotient builder and the fibre scan to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient was built or a fibre scanned")
+    monkeypatch.setattr(fund, "_quotient", refuse)
+    monkeypatch.setattr(qmod.QuandleHom, "fibre", refuse)
+
+
+def test_cover_enumerate_builds_no_quotient_on_the_corpus(tmp_path, corpus,
+                                                          monkeypatch):
+    # every connected corpus quandle prints the lines its quotients give
+    expected = [(name, quandle, _census_by_quotients(quandle))
+                for name, quandle in corpus if quandle.is_connected()]
+    _refuse_quotients(monkeypatch)
+    for name, quandle, lines in expected:
+        path = write_quandle(tmp_path, "q.txt", quandle)
+        assert run(["cover", path, "--enumerate"]) == (0, lines, ""), name
+    assert len(expected) >= 30
+
+
+def test_s8_census_builds_no_quotient_within_32_mib(tmp_path, monkeypatch):
+    # 1455 coverings of the S8 transposition quandle, 3 of them Galois
+    # (pi_1 = S6: 1, A6, S6), from pi_1 and its subgroups alone: about
+    # 15 MiB, where the quotients would hold 4,668,608 elements
+    path = write_quandle(tmp_path, "s8.txt", transpositions_on_pairs(8))
+    _refuse_quotients(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["cover", path, "--enumerate"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1455
+    assert out.count("galois=true") == 3
+    assert peak < 32 * 2**20, peak
+
+
 def test_out_of_memory_ends_in_one_line(tmp_path, monkeypatch):
-    # the census writes each line as its covering is built, so the lines
-    # before the failing quotient stay; the error is one stderr line
-    quotient, calls = fund._quotient, []
+    # the census writes each line as it reaches its covering, so the
+    # lines before the failing one stay; the error is one stderr line
+    class ThirdLineFails(io.StringIO):
+        def write(self, text):
+            if text.startswith("covering 3:"):
+                raise MemoryError
+            return super().write(text)
 
-    def third_fails(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise MemoryError
-        return quotient(*args)
-
-    monkeypatch.setattr(fund, "_quotient", third_fails)
     path = write_quandle(tmp_path, "s5.txt", transposition_quandle(5))
-    code, out, err = run(["cover", path, "--enumerate"])
+    out, err = ThirdLineFails(), io.StringIO()
+    code = cli.run(["cover", path, "--enumerate"], out=out, err=err)
     assert code == cli.EXIT_BUDGET == 2
-    assert out == ("covering 1: fibre=6 galois=true\n"
-                   "covering 2: fibre=3 galois=false\n")
-    assert err == "budget exceeded: out of memory\n"
+    assert out.getvalue() == ("covering 1: fibre=6 galois=true\n"
+                              "covering 2: fibre=3 galois=false\n")
+    assert err.getvalue() == "budget exceeded: out of memory\n"
 
     def no_memory(*args, **kwargs):
         raise MemoryError

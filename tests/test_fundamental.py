@@ -11,13 +11,15 @@ import pytest
 from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
-from conftest import symmetric_group, transposition_quandle
+from conftest import (symmetric_group, transposition_quandle,
+                      transpositions_on_pairs)
 from oracles import (adjusted_deck_perm, census_by_orbits,
                      cocycle_violation, complex_cells_in_adjoint_order,
                      deck_group, full_adjoint_presentation,
                      generated_subquandle, is_normal, left_translations,
                      lift_cells, lifted_cells, path_complex_cells,
-                     reidemeister_schreier, relator_classes,
+                     quotient_by_right_cosets, reidemeister_schreier,
+                     relator_classes, right_cosets,
                      right_action_on_cover, simplify_reference,
                      standard_form, subgroups as oracle_subgroups,
                      todd_coxeter_reference, trace,
@@ -620,21 +622,8 @@ def test_pi1_of_s7_enumerates_its_own_cosets():
     assert len(fg.cayley) == 120
 
 
-def _transpositions_on_pairs(m):
-    """The transposition quandle of S_m on the pairs i < j: (i j)
-    conjugated by (k l) swaps k and l among its points."""
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    index = {p: k for k, p in enumerate(pairs)}
-
-    def conj(a, b):
-        swap = {b[0]: b[1], b[1]: b[0]}
-        return index[tuple(sorted(swap.get(x, x) for x in a))]
-
-    return qmod.validate([[conj(a, b) for b in pairs] for a in pairs])
-
-
 def test_pi1_of_the_s8_transposition_quandle():
-    quandle = _transpositions_on_pairs(8)
+    quandle = transpositions_on_pairs(8)
     assert quandle.n == 28 and quandle.is_connected()
     fg = fund.fundamental_group(quandle, 0)
     assert fg.order == 720
@@ -645,14 +634,14 @@ def test_pi1_of_the_s8_transposition_quandle():
 def test_pi1_of_the_s8_transposition_quandle_has_1455_subgroups():
     # pi_1 is S6 (OEIS A005432); symmetric_group(8) would pass
     # closure's element budget, so the quandle is built on pairs
-    fg = fund.fundamental_group(_transpositions_on_pairs(8), 0)
+    fg = fund.fundamental_group(transpositions_on_pairs(8), 0)
     assert len(permgroup.subgroups(fg.cayley)) == 1455
 
 
 def test_subgroups_are_closed_under_conjugation():
     # every h^-1 K h of every subgroup K of pi_1 (S5) is listed too
     mul = fund.fundamental_group(transposition_quandle(7), 0).cayley
-    found = permgroup.subgroups(mul)
+    found = [sub for sub, _ in permgroup.subgroups(mul)]
     assert len(found) == 156
     listed = set(found)
     for h, row in enumerate(mul):
@@ -819,11 +808,12 @@ def test_universal_cover_of_s7_quandle_has_one_column_per_base_element():
 def test_universal_cover_element_bookkeeping():
     # cover element g n + a is (a, g) in Q x pi_1, over a
     cover = _s4_cover()
-    n, order = cover.base.n, cover.pi1.order
+    base = cover.pi1.quandle
+    n, order = base.n, cover.pi1.order
     assert cover.cover.n == n * order
     for x in range(cover.cover.n):
         assert cover.projection.map[x] == x % n
-        assert cover.base.grading[cover.projection.map[x]] == 0
+        assert base.grading[cover.projection.map[x]] == 0
 
 
 def test_disconnected_quandle_has_infinite_enumeration():
@@ -836,8 +826,9 @@ def test_disconnected_quandle_has_infinite_enumeration():
 
 def test_deck_group_acts_freely_on_fibres():
     cover = _s4_cover()
-    deck = left_translations(cover.pi1.cayley, cover.base.n)
-    fibre = cover.projection.fibre(cover.base.basepoints[0])
+    base = cover.pi1.quandle
+    deck = left_translations(cover.pi1.cayley, base.n)
+    fibre = cover.projection.fibre(base.basepoints[0])
     for g in deck.elements:
         if g == deck.elements[deck.identity_index]:
             continue
@@ -850,7 +841,7 @@ def test_deck_commutes_with_inner_action():
     # with every right translation of the cover
     cover = _s4_cover()
     op = cover.cover.op
-    deck = left_translations(cover.pi1.cayley, cover.base.n)
+    deck = left_translations(cover.pi1.cayley, cover.pi1.quandle.n)
     for g in deck.elements:
         for x in range(cover.cover.n):
             for b in range(cover.cover.n):
@@ -922,8 +913,8 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
         assert fg.cayley == deck_group(
             fg.regular, (q,) * fg.order, q).elements, name
         coverings = fund.enumerate_connected_coverings(fg)
-        assert sorted((len(p.fibre(q)), normal)
-                      for _, p, normal in coverings) == sorted(
+        assert sorted((len(covering.projection.fibre(q)), covering.normal)
+                      for covering in coverings) == sorted(
             census_by_orbits(quandle, q)), name
         values = coh.Coeff.from_table(fg.cayley, 0)
         assert cocycle_violation(fg.cocycle, quandle, values) is None, name
@@ -1128,12 +1119,47 @@ def test_subgroups_match_the_permutation_search(corpus):
         group = left_translations(fg.cayley)
         index = {g: i for i, g in enumerate(group.elements)}
         want = oracle_subgroups(group)
-        assert permgroup.subgroups(fg.cayley) == [
+        assert [sub for sub, _ in permgroup.subgroups(fg.cayley)] == [
             tuple(sorted(index[g] for g in sub.elements))
             for sub in want], name
         census = fund.enumerate_connected_coverings(fg)
-        assert [normal for _, _, normal in census] == [
+        assert [covering.normal for covering in census] == [
             is_normal(sub, group) for sub in want], name
+
+
+def test_class_sizes_and_lazy_projections_match_the_references(corpus):
+    # each subgroup's class size is its number of distinct conjugates,
+    # found by conjugating it by every element of pi_1; a covering is
+    # normal exactly when the permutation search and the right cosets
+    # say K is; and each projection, read, is the quotient built from
+    # K's right cosets, field by field
+    inputs = [(name, quandle) for name, quandle in corpus
+              if quandle.is_connected()]
+    inputs += [(f"conj(S{m},transposition)", transposition_quandle(m))
+               for m in (4, 5, 6, 7)]
+    inputs.append(("conj(S5,3-cycle)", _three_cycles(5)))
+    checked = 0
+    for name, quandle in inputs:
+        pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
+        mul = pi1.cayley
+        group = left_translations(mul)
+        census = list(fund.enumerate_connected_coverings(pi1))
+        pairs = permgroup.subgroups(mul)
+        assert [c.subgroup for c in census] == [k for k, _ in pairs], name
+        for covering, (sub, size) in zip(census, pairs):
+            conjugates = {tuple(sorted(mul[mul[row.index(0)][k]][h]
+                                       for k in sub))
+                          for h, row in enumerate(mul)}
+            assert size == len(conjugates), name
+            elements = tuple(map(group.elements.__getitem__, sub))
+            perms = permgroup.FiniteGroup(group.degree, elements, elements, 0)
+            assert covering.normal == is_normal(perms, group) == (
+                right_cosets(mul, sub)[1]), name
+            assert "projection" not in vars(covering), name
+            assert covering.projection == quotient_by_right_cosets(
+                pi1, sub), name
+            checked += 1
+    assert len(inputs) >= 35 and checked >= 240
 
 
 def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
@@ -1245,29 +1271,31 @@ def test_enumerate_coverings_of_odd_dihedral():
 
 def test_enumerate_coverings_counts():
     # pi_1 of the S_m transposition quandle has as many subgroups as
-    # S_(m-2): 2, 6, 30 and 156 for m = 4..7 (OEIS A005432)
-    for m, count in ((4, 2), (5, 6), (6, 30)):
+    # S_(m-2): 2, 6, 30 and 156 for m = 4..7 (OEIS A005432); the census
+    # builds no quotient, so S7's is counted whole
+    for m, count in ((4, 2), (5, 6), (6, 30), (7, 156)):
         pi1 = fund.fundamental_group(transposition_quandle(m), 0)
         assert len(list(fund.enumerate_connected_coverings(pi1))) == count, m
-    # S7's full census would build 90825 quotient elements, so its
-    # subgroups are counted alone
-    pi1 = fund.fundamental_group(transposition_quandle(7), 0)
     assert len(permgroup.subgroups(pi1.cayley)) == 156
 
 
 def test_census_holds_one_covering_at_a_time():
-    # the S7 census builds 156 quotients, 90825 elements in all; read
-    # one at a time, it peaks near the largest one (the universal
-    # cover, N = 2520), where a list of them all holds about 50 MiB
+    # the S7 census's 156 quotients hold 90825 elements in all; each
+    # projection read and dropped in turn, it peaks near the largest
+    # one (the universal cover, N = 2520), where a list of them all
+    # holds about 50 MiB
     quandle = transposition_quandle(7)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in fund.enumerate_connected_coverings(
-            fund.fundamental_group(quandle, 0)))
+        count = elements = 0
+        for covering in fund.enumerate_connected_coverings(
+                fund.fundamental_group(quandle, 0)):
+            count += 1
+            elements += covering.cover.n
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 156
+    assert (count, elements) == (156, 90825)
     assert peak < 10 * 2**20, peak
 
 
@@ -1289,13 +1317,14 @@ def test_census_raises_from_the_call(monkeypatch):
 
 
 def test_enumerated_coverings_are_coverings():
-    for sub, projection, _ in fund.enumerate_connected_coverings(
+    for covering in fund.enumerate_connected_coverings(
             fund.fundamental_group(transposition_quandle(5), 0)):
+        projection = covering.projection
         assert qmod.is_covering(projection)[0]
         assert projection.source.is_connected()
         # fibre size is the subgroup index in pi_1
         fibre = projection.fibre(0)
-        assert len(fibre) * len(sub) == 6
+        assert len(fibre) * len(covering.subgroup) == 6
 
 
 def test_theorem_built_projections_pass_the_public_checks(
@@ -1312,7 +1341,7 @@ def test_theorem_built_projections_pass_the_public_checks(
     for quandle in (transposition_quandle(5), _three_cycles(5)):
         pi1 = fund.fundamental_group(quandle, 0)
         connected.append(fund.universal_cover(pi1).projection)
-        connected += [p for _, p, _ in
+        connected += [covering.projection for covering in
                       fund.enumerate_connected_coverings(pi1)]
     for p in connected:
         parts, index = qmod.components(p.source)
@@ -1360,7 +1389,8 @@ def test_theorem_built_projections_pass_the_public_checks(
 def test_universal_cover_projects_onto_every_covering():
     pi1 = fund.fundamental_group(transposition_quandle(4), 0)
     cover = fund.universal_cover(pi1)
-    for _, projection, _ in fund.enumerate_connected_coverings(pi1):
+    for covering in fund.enumerate_connected_coverings(pi1):
+        projection = covering.projection
         kind, lift = fund.check_lifting(cover.projection, projection)
         assert kind == "lift"
         morphism = qmod.QuandleHom(cover.cover, projection.source, lift.map)
@@ -1384,7 +1414,8 @@ def test_census_is_the_galois_correspondence(corpus):
         q = quandle.basepoints[0]
         pi1 = fund.fundamental_group(quandle, q)
         census = list(fund.enumerate_connected_coverings(pi1))
-        for sub, p, normal in census:
+        for covering in census:
+            sub, p = covering.subgroup, covering.projection
             fibre, perms = fund.monodromy(p, pi1)
             assert fibre[0] == q == p.source.basepoints[0], name
             stabilisers = {tuple(k for k, perm in enumerate(perms)
@@ -1399,11 +1430,14 @@ def test_census_is_the_galois_correspondence(corpus):
                     for i in range(len(fibre))} == {
                 frozenset(mul[k][h] for k in sub)
                 for h in range(pi1.order)}, name
-            assert normal == (len(stabilisers) == 1), name
-        for sub, p, _ in census:
-            for other, p_other, _ in census:
-                kind, _ = fund.check_lifting(p, p_other, lift_basepoint=q)
-                assert (kind == "lift") == set(sub).issubset(other), name
+            assert covering.normal == (len(stabilisers) == 1), name
+        for covering in census:
+            for other in census:
+                kind, _ = fund.check_lifting(covering.projection,
+                                             other.projection,
+                                             lift_basepoint=q)
+                assert (kind == "lift") == set(covering.subgroup).issubset(
+                    other.subgroup), name
                 pairs += 1
     assert len(inputs) >= 30 and pairs >= 1000
 
@@ -1418,7 +1452,8 @@ def test_coverings_build_no_square_table():
     cli.emit_quandle(cover.cover, io.StringIO())
     cli.emit_map(cover.projection.map, io.StringIO())
     built = [cover.cover]
-    for _, p, _ in fund.enumerate_connected_coverings(pi1):
+    for covering in fund.enumerate_connected_coverings(pi1):
+        p = covering.projection
         assert len(p.fibre(0)) * p.target.n == p.source.n
         built.append(p.source)
     assert len(built) == 31 and cover.cover.n == 360
@@ -1493,7 +1528,7 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
         q = quandle.basepoints[0]
         group = fund.fundamental_group(quandle, q)
         coverings = [fund.universal_cover(group).projection]
-        coverings += [p for _, p, _ in
+        coverings += [covering.projection for covering in
                       fund.enumerate_connected_coverings(group)]
         table, ends = fund.adj0_enumeration(quandle, q)
         stabilizer = [w for w, e in zip(table.representative_word, ends)

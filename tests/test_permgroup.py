@@ -74,26 +74,30 @@ def test_orbits_sorted_by_minimum():
 def test_subgroups_of_prime_cyclic():
     # a cyclic group of prime order has exactly two subgroups
     for p in (2, 3, 5, 7):
-        assert len(permgroup.subgroups(cayley_table(cyclic_group(p)))) == 2
+        subs = permgroup.subgroups(cayley_table(cyclic_group(p)))
+        assert [size for _, size in subs] == [1, 1]
 
 
 def test_subgroups_of_s3():
     # S3: trivial, three of order 2, one of order 3, S3 itself
-    subs = permgroup.subgroups(cayley_table(symmetric_group(3)))
+    subs, sizes = zip(*permgroup.subgroups(cayley_table(symmetric_group(3))))
     assert [len(s) for s in subs] == [1, 2, 2, 2, 3, 6]
+    # the three of order 2 are conjugate, the others normal
+    assert sizes == (1, 3, 3, 3, 1, 1)
     assert subs[0] == (0,) and subs[-1] == tuple(range(6))
 
 
 def test_subgroups_of_klein_four():
     group = permgroup.closure([(1, 0, 3, 2), (2, 3, 0, 1)])
     subs = permgroup.subgroups(cayley_table(group))
-    assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 4]
+    assert sorted(len(s) for s, _ in subs) == [1, 2, 2, 2, 4]
+    assert {size for _, size in subs} == {1}
 
 
 def test_subgroups_are_closed():
     for group in (symmetric_group(3), cyclic_group(6)):
         table = cayley_table(group)
-        for sub in permgroup.subgroups(table):
+        for sub, _ in permgroup.subgroups(table):
             members = set(sub)
             assert list(sub) == sorted(members)
             for a in sub:

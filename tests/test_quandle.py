@@ -194,8 +194,8 @@ def test_theorem_built_tables_search_no_generating_set(monkeypatch):
     for base in bases:
         pi1 = fund.fundamental_group(base, base.basepoints[0])
         built.append(fund.universal_cover(pi1).cover)
-        built += [p.source
-                  for _, p, _ in fund.enumerate_connected_coverings(pi1)]
+        built += [covering.cover
+                  for covering in fund.enumerate_connected_coverings(pi1)]
         lam = coh.Coeff.from_invariants([3])
         g = tuple(a % 3 for a in range(base.n))
         built.append(coh.extension_from_cocycle(
