@@ -146,7 +146,8 @@ def trivial_cocycle(quandle: FiniteQuandle, coeffs) -> tuple:
 
 
 def is_cocycle(f, quandle: FiniteQuandle, coeffs):
-    """2-cocycle check on the generating set; returns (bool, witness).
+    """2-cocycle check on the generating set; returns (bool, witness),
+    or raises ValueError at an f(a, b) outside a's component's group.
 
     The condition at (a, b, c) says that rho_c: (u,a) -> (u f(a,c), a*c)
     respects (u,a)*(v,b) = (u f(a,b), a*b) on Lambda x Q.  If rho_c and
@@ -156,7 +157,11 @@ def is_cocycle(f, quandle: FiniteQuandle, coeffs):
     coeffs = graded_coefficients(quandle, coeffs)
     n, rho, gr = quandle.n, quandle.rho, quandle.grading
     for a in range(n):
-        if f[a][a] != coeffs[gr[a]].identity:
+        lam, row = coeffs[gr[a]], f[a]
+        if not 0 <= min(row) <= max(row) < lam.order:
+            b = next(b for b, u in enumerate(row) if not 0 <= u < lam.order)
+            raise ValueError(f"f{a, b} = {row[b]} is outside its group")
+        if row[a] != lam.identity:
             return False, (a, a, a)
     for a in range(n):
         lam = coeffs[gr[a]]
@@ -348,13 +353,12 @@ def cocycle_from_extension(ext: Extension) -> tuple:
 def cocycle_from_hom(pi1: fundamental.FundamentalGroup, coeffs, hom) -> tuple:
     """Cocycle of the extension classified by hom: pi_1 -> Lambda.
 
-    The base must be connected.  hom sends pi1's element indices (the
-    rows of pi1.cayley) to Lambda elements, and the cocycle is
-    hom(f(a,b)) for pi1's own cocycle f, with no cover table built.
-    Raises ValueError if hom has not pi1.order entries.
-    """
+    The base must be connected.  hom sends the elements of pi_1 to those
+    of Lambda, and the cocycle is hom(f(a,b)) for pi1's own cocycle f,
+    with no cover table built.  Raises ValueError unless hom is a map
+    of pi1.order entries into Lambda that respects the relators."""
     coeffs = graded_coefficients(pi1.quandle, coeffs)
-    if len(hom) != len(pi1.cayley):
+    if len(hom) != len(pi1.right):
         raise ValueError("hom needs one value per element of pi_1")
     f = tuple(tuple(map(hom.__getitem__, row)) for row in pi1.cocycle)
     ok, wit = is_cocycle(f, pi1.quandle, coeffs)
@@ -366,10 +370,8 @@ def cocycle_from_hom(pi1: fundamental.FundamentalGroup, coeffs, hom) -> tuple:
 def hom_from_extension(ext: Extension, pi1: fundamental.FundamentalGroup):
     """Monodromy of an extension as the map pi1 -> Lambda, pi1 of its
     connected base (monodromy raises ValueError or InfiniteGroup
-    otherwise): entry k is the Lambda element by which the k-th element,
-    row k of pi1.cayley, shifts the basepoint's least lift, the fibre's
-    first element.
-    """
+    otherwise): entry k is the Lambda element by which element k of
+    pi_1 shifts the basepoint's least lift, the fibre's first element."""
     fibre, perms = fundamental.monodromy(ext.projection, pi1)
     shift = {ext.action[0][k][fibre[0]]: k
              for k in range(ext.coeffs[0].order)}

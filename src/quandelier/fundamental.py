@@ -6,10 +6,10 @@ the adjoint presentation on its own generating set S over the Schreier
 graph of q's component, Tietze-simplified while each cell is lifted,
 shortest first, until no generator survives; its abelianisation is H2,
 and its enumeration over the trivial subgroup its finite model, whence
-pi_1's Cayley table and a pi_1-valued cocycle f on Q.  Every covering
-reads that model: the universal cover is Q x pi_1 with (a,g)*(b,h) =
-(a*b, g f(a,b)) and deck group pi_1 acting from the left, and the
-connected coverings are its quotients by the subgroups of pi_1.
+pi_1's right translations and a pi_1-valued cocycle f on Q.  Every
+covering reads that model: the universal cover is Q x pi_1 with
+(a,g)*(b,h) = (a*b, g f(a,b)) and deck group pi_1 acting from the left,
+and the connected coverings are its quotients by the subgroups of pi_1.
 """
 
 from dataclasses import dataclass
@@ -166,7 +166,7 @@ def _right_action(table: CosetTable, step, start):
         x = words[c][-1]
         parent = images[table.apply_letter(c, -x)]
         images[c] = tuple(map(step[x].__getitem__, parent))
-    return images
+    return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class FundamentalGroup:
     InfiniteGroup for a disconnected quandle before anything is built,
     or Todd-Coxeter's BudgetExceeded past the budget, and order is then
     None; the error is kept, so every later read raises it again at
-    once.  Built from it: cayley[g][h] = gh, the one group law every
+    once.  Built from it: right[h][g] = gh, the one group law every
     covering reads, and the cocycle f of the universal cover Q x pi_1.
     abelian_invariants reads the round that closed, once there is one.
     """
@@ -211,11 +211,10 @@ class FundamentalGroup:
         return self._enumeration[0]
 
     @cached_property
-    def cayley(self) -> tuple:
+    def right(self) -> tuple:
         table = self.regular
         step = (None, *table.action, *reversed(table.action_inv))
-        return tuple(zip(*_right_action(table, step,
-                                        tuple(range(table.coset_count)))))
+        return _right_action(table, step, tuple(range(table.coset_count)))
 
     @cached_property
     def cocycle(self) -> tuple:
@@ -224,11 +223,11 @@ class FundamentalGroup:
         y = x*s of quandle.adjoint.tree, rho_y = rho_s^-1 rho_x rho_s in
         the cover, so with a' = a/s,
         f(a, y) = f(a', s)^-1 f(a', x) f(a'*x, s)."""
-        quandle, table, mul = self.quandle, self.regular, self.cayley
+        quandle, table, right = self.quandle, self.regular, self.right
         rho, rho_inv, n = quandle.rho, quandle.rho_inv, quandle.n
         images, adjoint = self.presentation.images, quandle.adjoint
         m = len(adjoint.generators)
-        inverse = [row.index(0) for row in mul]
+        inv = [column.index(0) for column in right]
         label = (0, *(g[0] for g in table.action),
                  *(g[0] for g in reversed(table.action_inv)))
         f = [[0] * n for _ in range(n)]
@@ -238,7 +237,7 @@ class FundamentalGroup:
         for y, x, s in adjoint.tree:
             for a in range(n):
                 b = rho_inv[s][a]
-                f[a][y] = mul[mul[inverse[f[b][s]]][f[b][x]]][f[rho[x][b]][s]]
+                f[a][y] = right[f[rho[x][b]][s]][right[f[b][x]][inv[f[b][s]]]]
         return tuple(map(tuple, f))
 
     @property
@@ -318,15 +317,15 @@ def _quotient(pi1: FundamentalGroup, subgroup) -> QuandleHom:
     the i-th, over a.  Every element over b acts by column b:
     (a, K h) -> (a*b, K h f(a,b)).  The covering theorem makes it a
     connected covering of Q."""
-    mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
+    right, quandle, n = pi1.right, pi1.quandle, pi1.quandle.n
     offset, least = {}, []
-    for h in range(len(mul)):
+    for h, column in enumerate(right):
         if h not in offset:
-            offset.update((mul[k][h], len(least) * n) for k in subgroup)
+            offset.update((column[k], len(least) * n) for k in subgroup)
             least.append(h)
     values = set(chain.from_iterable(pi1.cocycle))
     # shift[i][t] = n times the index of K least[i] t, t a value of f
-    shift = [{t: offset[mul[h][t]] for t in values} for h in least]
+    shift = [{t: offset[right[t][h]] for t in values} for h in least]
     columns = [tuple(chain.from_iterable(map(add, map(row.__getitem__, f_b),
                                              rho_b) for row in shift))
                for f_b, rho_b in zip(zip(*pi1.cocycle), quandle.rho)]
@@ -337,7 +336,7 @@ def _quotient(pi1: FundamentalGroup, subgroup) -> QuandleHom:
 @dataclass(frozen=True)
 class Covering:
     """The connected pointed covering of pi1's base for the subgroup K
-    of pi_1, a sorted tuple of rows of pi1.cayley: Q x pi_1 modulo K on
+    of pi_1, a sorted tuple of its elements: Q x pi_1 modulo K on
     the pairs (a, K h), its projection built when first read.  Its
     fibre has [pi_1 : K] points; it is Galois exactly when K is normal."""
 
@@ -415,24 +414,23 @@ def enumerate_connected_coverings(pi1: FundamentalGroup):
     orbit, whatever its grading says, before pi1 is read: an iterator
     of Coverings, one per subgroup of pi_1, in the order of
     permgroup.subgroups, normal where its conjugacy class has one
-    member.  The subgroups are found at the call, so every error raises
-    from it; no projection is built until it is read."""
+    member.  Subgroups are found at the call within pi1.budget closures,
+    so every error raises there; a projection is built when it is read."""
     if len(qmod.components(pi1.quandle)[0]) > 1:
         raise ValueError("covering census needs a connected base")
     return (Covering(pi1, sub, size == 1)
-            for sub, size in permgroup.subgroups(pi1.cayley))
+            for sub, size in permgroup.subgroups(pi1.right, pi1.budget))
 
 
 def monodromy(p: QuandleHom, pi1: FundamentalGroup):
     """Action of pi1 = pi_1(Q, q) on the fibre of p over q.
 
     Returns (fibre tuple, permutations): permutations[k] sends fibre
-    position i to that of fibre[i] times pi_1's k-th element, the k-th
-    row of pi1.cayley.
+    position i to that of fibre[i] times pi_1's element k.
     A generator of pi_1 is an edge (a, s), whose loop runs along the tree
     to a, across the edge and back, each base element lifting to its
     section element.  Raises ValueError if pi1 is not of p's base, and
-    as FundamentalGroup.regular does; builds no Cayley table.
+    as FundamentalGroup.regular does; reads no pi1.right.
     """
     if not qmod.is_covering(p)[0]:
         raise ValueError("p is not a covering")
@@ -456,5 +454,4 @@ def monodromy(p: QuandleHom, pi1: FundamentalGroup):
                               images))
         step.append(tuple(map(pos.__getitem__, images)))
     step = (None, *step, *map(permgroup.inverse, reversed(step)))
-    perms = _right_action(table, step, tuple(range(len(fibre))))
-    return fibre, tuple(perms)
+    return fibre, _right_action(table, step, tuple(range(len(fibre))))

@@ -1,5 +1,5 @@
 """Finite groups: permutation groups as explicit element lists, and
-the subgroups of a group given by its Cayley table.
+the subgroups of a group given by its right translations.
 
 Permutations are tuples of images on {0,...,d-1}.  mul(p, q) applies p
 first, then q; this matches reading words left to right.  Permutation
@@ -11,13 +11,13 @@ table.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import BudgetExceeded
 
 Perm = tuple
 
 DEFAULT_GROUP_BUDGET = 10_000
-DEFAULT_SUBGROUP_BUDGET = 2_000
 
 
 def mul(p: Perm, q: Perm) -> Perm:
@@ -92,25 +92,25 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
                        generators=generators, identity_index=0)
 
 
-def _close(column, sub, seeds) -> frozenset:
+def _close(right, sub, seeds) -> frozenset:
     """The subgroup the seeds generate, given a subgroup sub of it and
-    column[y][x] = xy: the right cosets sub r reached from 1 by right
+    right[y][x] = xy: the right cosets sub r reached from 1 by right
     products with the seeds, as h r s lies in sub rs (Dimino).  In a
     finite group that monoid is already closed under inverses."""
     members, reps = set(sub), [0]
     for r in reps:  # grows while it is read
         for s in seeds:
-            y = column[s][r]
+            y = right[s][r]
             if y not in members:
-                members.update(map(column[y].__getitem__, sub))
+                members.update(map(right[y].__getitem__, sub))
                 reps.append(y)
     return frozenset(members)
 
 
-def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
-    """Every subgroup, not one per class, of the group with this Cayley
-    table and identity 0, with its class size |G : N(K)|: pairs (sorted
-    index tuple, number of conjugates), by (order, tuple).
+def subgroups(right, budget: int):
+    """Every subgroup of the group right[h][x] = xh, identity 0, not one
+    per class, with its class size |G : N(K)|, as (sorted index tuple,
+    size) pairs by (order, tuple), within budget closures tried.
 
     From each conjugacy class's first subgroup A, the trivial one first,
     closes <A, g> = <A, agb> for one g per double coset AgA; a new
@@ -119,26 +119,26 @@ def subgroups(cayley, budget: int = DEFAULT_SUBGROUP_BUDGET):
     the h with every h^-1 s h in J.  Every subgroup is <1, g1, ..., gk>
     and the found set is a union of classes, so none is missed.
     """
-    if len(cayley) > budget:
-        raise BudgetExceeded(len(cayley), "subgroup search")
-    column = tuple(zip(*cayley))
-    conj = [tuple(map(column[h].__getitem__, cayley[row.index(0)]))
-            for h, row in enumerate(cayley)]  # conj[h][x] = h^-1 x h
-    found, classes = {frozenset({0}): 1}, [(frozenset({0}), ())]
+    conj = [tuple(map(col.__getitem__, map(itemgetter(col.index(0)), right)))
+            for col in right]  # conj[h][x] = h^-1 x h
+    found, classes, tried = {frozenset({0}): 1}, [(frozenset({0}), ())], 0
     for a, seeds in classes:  # grows while it is read
         covered = set(a)
-        for g in range(len(cayley)):
+        for g in range(len(right)):
             if g not in covered:  # one g per double coset AgA
-                covered.update(column[b][column[g][x]] for x in a for b in a)
+                covered.update(right[b][right[g][x]] for x in a for b in a)
+                tried += 1
+                if tried > budget:
+                    raise BudgetExceeded(tried, "subgroup search")
                 grown = seeds + (g,)
-                j = _close(column, a, grown)
+                j = _close(right, a, grown)
                 if j not in found:
                     normaliser = [h for h, c in enumerate(conj)
                                   if j.issuperset(map(c.__getitem__, grown))]
-                    size, reached = len(cayley) // len(normaliser), set()
+                    size, reached = len(right) // len(normaliser), set()
                     for h, c in enumerate(conj):
                         if h not in reached:  # one h per coset N(J)h
-                            reached.update(map(column[h].__getitem__,
+                            reached.update(map(right[h].__getitem__,
                                                normaliser))
                             found[frozenset(map(c.__getitem__, j))] = size
                     classes.append((j, grown))

@@ -30,6 +30,12 @@ def cayley_table(group):
             for p in group.elements]
 
 
+def right_translations(group):
+    """The right translations of a permutation group in its element
+    order: entry [j][i] indexes elements[i] followed by elements[j]."""
+    return tuple(zip(*cayley_table(group)))
+
+
 def cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 

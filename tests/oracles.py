@@ -867,6 +867,12 @@ def universal_cover_by_columns(quandle):
     return qmod.QuandleHom(cover, quandle, ends), table, ends
 
 
+def cayley(pi1):
+    """pi_1's Cayley table, mul[g][h] = gh: the transpose of its right
+    translations right[h][g] = gh, the orientation the package keeps."""
+    return tuple(zip(*pi1.right))
+
+
 def left_translations(cayley, copies=1):
     """A group given by its Cayley table, identity 0, acting from the
     left on copies of itself: g sends element h copies + c to
@@ -900,7 +906,7 @@ def quotient_by_right_cosets(pi1, sub):
     list of K's right cosets: element i n + a is (a, K g) for the i-th
     coset, over a, and every element over b acts by column b,
     (a, K g) -> (a*b, K g f(a,b))."""
-    mul, quandle, n = pi1.cayley, pi1.quandle, pi1.quandle.n
+    mul, quandle, n = cayley(pi1), pi1.quandle, pi1.quandle.n
     cosets, _ = right_cosets(mul, sub)
     offset = {g: i * n for i, coset in enumerate(cosets) for g in coset}
     columns = [tuple(offset[mul[coset[0]][pi1.cocycle[a][b]]] + rho_b[a]
@@ -962,7 +968,7 @@ def _close_set(seed, group, index):
     return frozenset(members)
 
 
-def subgroups(group, budget=permgroup.DEFAULT_SUBGROUP_BUDGET):
+def subgroups(group, budget=2_000):
     """All subgroups of a permutation group, each a FiniteGroup: the
     cyclic subgroups joined pairwise, round after round, until a round
     finds nothing new.  Ordered by (order, sorted element indices)."""

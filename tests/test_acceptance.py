@@ -14,7 +14,7 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
                         permgroup, quandle as qmod)
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import transposition_quandle
-from oracles import (cohomology_classes, count_homs_to_abelian,
+from oracles import (cayley, cohomology_classes, count_homs_to_abelian,
                      left_translations, path_complex_h2)
 
 Z2 = coh.Coeff.from_invariants([2])
@@ -39,7 +39,7 @@ def test_criterion_1_odd_dihedral_simply_connected():
             quandle = qmod.dihedral(n)
             fg = fund.fundamental_group(quandle, 0)
             # both pipelines: the stabilizer model and the presentation
-            assert len(fg.cayley) == 1
+            assert len(fg.right) == 1
             assert fpgroup.todd_coxeter(fg.presentation, []).coset_count == 1
             cover = fund.universal_cover(fg)
             assert cover.cover.n == n
@@ -201,7 +201,7 @@ def test_criterion_8_universal_cover_axioms(corpus):
             parts, _ = qmod.components(cover.cover)
             assert len(parts) == 1, name
             # pi_1 from the left on the pairs (a, g), a permutation each
-            deck = left_translations(cover.pi1.cayley, quandle.n)
+            deck = left_translations(cayley(cover.pi1), quandle.n)
             fibre = cover.projection.fibre(quandle.basepoints[0])
             # free and transitive on the basepoint fibre
             assert len(fibre) == deck.order, name

@@ -11,7 +11,7 @@ from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
 from quandelier.errors import NotACocycle
 from conftest import (relabelled_coeff, symmetric_group,
                       transposition_quandle, transpositions_on_pairs)
-from oracles import cohomology_classes, right_cosets
+from oracles import cayley, cohomology_classes, right_cosets
 
 
 def write_quandle(tmp_path, name, quandle):
@@ -488,7 +488,7 @@ def _census_by_quotients(quandle):
     lines = []
     for j, covering in enumerate(fund.enumerate_connected_coverings(pi1)):
         fibre = len(covering.projection.fibre(q))
-        normal = right_cosets(pi1.cayley, covering.subgroup)[1]
+        normal = right_cosets(cayley(pi1), covering.subgroup)[1]
         lines.append(f"covering {j + 1}: fibre={fibre} "
                      f"galois={'true' if normal else 'false'}\n")
     return "".join(lines)
@@ -530,6 +530,29 @@ def test_s8_census_builds_no_quotient_within_32_mib(tmp_path, monkeypatch):
     assert len(out.splitlines()) == 1455
     assert out.count("galois=true") == 3
     assert peak < 32 * 2**20, peak
+
+
+def test_cover_enumerate_needs_262_closures_on_s7(tmp_path):
+    # --budget bounds pi_1's enumeration in live cosets (S7: 140), then
+    # the subgroup search in closures tried (S7: 262), so 262 is the
+    # least budget at which S7's census succeeds
+    path = write_quandle(tmp_path, "s7.txt", transposition_quandle(7))
+    code, out, err = run(["cover", path, "--enumerate", "--budget", "262"])
+    assert (code, len(out.splitlines()), err) == (0, 156, "")
+    assert run(["cover", path, "--enumerate", "--budget", "261"]) == (
+        2, "", "budget exceeded: subgroup search exceeded budget at size "
+               "262\n")
+
+
+def test_s8_census_past_its_budget_exits_from_the_call(tmp_path):
+    # 1000 live cosets enumerate S8's pi_1 (806 needed), but 1000
+    # closures do not find its subgroups (2290 needed): the census
+    # raises before its first line
+    path = write_quandle(tmp_path, "s8.txt", transpositions_on_pairs(8))
+    assert run(["pi1", path, "--budget", "1000"])[0] == 0
+    code, out, err = run(["cover", path, "--enumerate", "--budget", "1000"])
+    assert (code, out) == (2, "")
+    assert "subgroup search" in err and len(err.splitlines()) == 1
 
 
 def test_out_of_memory_ends_in_one_line(tmp_path, monkeypatch):

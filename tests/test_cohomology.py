@@ -9,7 +9,7 @@ from quandelier import (cohomology as coh, fpgroup, fundamental as fund,
 from quandelier.errors import BudgetExceeded
 from conftest import (cayley_table, disjoint_union, relabelled_coeff,
                       symmetric_group, transposition_quandle)
-from oracles import (cocycle_violation, cohomology_classes,
+from oracles import (cayley, cocycle_violation, cohomology_classes,
                      count_homs_to_abelian, enumerate_cocycles,
                      equivalence_by_propagation, path_complex_h2,
                      pullback_cocycle)
@@ -205,6 +205,31 @@ def test_is_cocycle_witness():
     assert witness is not None
 
 
+def test_is_cocycle_rejects_entries_outside_the_group():
+    # a "hom" into Z2 with values -1 or 3 gives rows outside Z2: -1
+    # would read Z2's last element and 3 fall off its table, so the
+    # check raises ValueError at the first such (a, b), row by row, and
+    # neither a cocycle nor an extension is built from them
+    pi1 = fund.fundamental_group(transposition_quandle(5), 0)
+    for hom in ([0, -1, -1, -1, 0, 0], [0, 3, 3, 3, 0, 0]):
+        f = tuple(tuple(map(hom.__getitem__, row)) for row in pi1.cocycle)
+        a, b = next((a, b) for a, row in enumerate(f)
+                    for b, u in enumerate(row) if u not in (0, 1))
+        message = rf"^f\({a}, {b}\) = {f[a][b]} is outside its group$"
+        with pytest.raises(ValueError, match=message):
+            coh.is_cocycle(f, pi1.quandle, Z2)
+        with pytest.raises(ValueError, match=message):
+            coh.cocycle_from_hom(pi1, Z2, hom)
+        with pytest.raises(ValueError, match=message):
+            coh.extension_from_cocycle(pi1.quandle, Z2, f)
+    # each row is checked against its own component's group: 2 lies in
+    # Z3, the second point's, and not in Z2, the first's
+    quandle = qmod.trivial(2)
+    assert coh.is_cocycle(((0, 1), (2, 0)), quandle, (Z2, Z3)) == (True, None)
+    with pytest.raises(ValueError, match=r"^f\(0, 1\) = 2 is outside"):
+        coh.is_cocycle(((0, 2), (2, 0)), quandle, (Z2, Z3))
+
+
 def _s3():
     group = symmetric_group(3)
     return coh.Coeff.from_table(cayley_table(group), group.identity_index)
@@ -296,7 +321,7 @@ def _homs_to_cyclic(pi1, k):
     """Every hom pi_1 -> Z_k on pi_1's elements: each choice of images
     of its generators, read along the representative words, that
     respects the Cayley table."""
-    table, mul = pi1.regular, pi1.cayley
+    table, mul = pi1.regular, cayley(pi1)
     out = []
     for images in product(range(k), repeat=table.generator_count):
         hom = [sum(images[x - 1] if x > 0 else -images[-x - 1]
@@ -406,7 +431,7 @@ def test_cocycle_is_read_back_off_its_extension(corpus):
         g = tuple(a % 3 for a in range(quandle.n))
         pairs = [(Z2, coh.trivial_cocycle(quandle, Z2)),
                  (Z3, coh.coboundary(quandle, Z3, g)),
-                 (coh.Coeff.from_table(pi1.cayley, 0), pi1.cocycle)]
+                 (coh.Coeff.from_table(cayley(pi1), 0), pi1.cocycle)]
         pairs += [(Z2, coh.cocycle_from_hom(pi1, Z2, hom))
                   for hom in _homs_to_cyclic(pi1, 2)]
         for lam, f in pairs:
@@ -615,7 +640,7 @@ def test_check_extension_rejects_an_action_reversed_on_one_fibre():
 
 
 def test_cocycle_from_hom_builds_no_universal_cover(monkeypatch):
-    # the cocycle needs pi_1's Cayley table and cocycle, not the
+    # the cocycle needs pi_1's right translations and cocycle, not the
     # cover's N x N table
     pi1, f, hom = _nontrivial_s4_cocycle()
     fresh = fund.fundamental_group(pi1.quandle, 0)  # nothing cached
@@ -639,7 +664,7 @@ def test_the_roundtrip_enumerates_pi1_once(monkeypatch):
 
     monkeypatch.setattr(fpgroup, "todd_coxeter", counted)
     pi1 = fund.fundamental_group(transposition_quandle(5), 0)
-    mul = fund.universal_cover(pi1).pi1.cayley
+    mul = cayley(fund.universal_cover(pi1).pi1)
     # pi_1 = S3: the sign sends its three involutions to 1
     sign = [int(g != 0 and mul[g][g] == 0) for g in range(pi1.order)]
     assert sum(sign) == 3

@@ -13,7 +13,7 @@ from quandelier import (cli, cohomology as coh, fpgroup, fundamental as fund,
 from quandelier.errors import BudgetExceeded, InfiniteGroup
 from conftest import (symmetric_group, transposition_quandle,
                       transpositions_on_pairs)
-from oracles import (adjusted_deck_perm, census_by_orbits,
+from oracles import (adjusted_deck_perm, cayley, census_by_orbits,
                      cocycle_violation, complex_cells_in_adjoint_order,
                      deck_group, full_adjoint_presentation,
                      generated_subquandle, is_normal, left_translations,
@@ -526,14 +526,14 @@ def test_pi1_coset_peak_is_pinned():
 
 
 def test_an_unenumerated_pi1_has_no_model():
-    # regular, cayley and cocycle raise InfiniteGroup on a disconnected
+    # regular, right and cocycle raise InfiniteGroup on a disconnected
     # quandle, todd_coxeter's BudgetExceeded otherwise
     for fg, error in ((fund.fundamental_group(qmod.trivial(2), 0),
                        InfiniteGroup),
                       (fund.fundamental_group(transposition_quandle(4), 0,
                                               budget=1), BudgetExceeded)):
         assert fg.order is None
-        for name in ("regular", "cayley", "cocycle"):
+        for name in ("regular", "right", "cocycle"):
             with pytest.raises(error) as info:
                 getattr(fg, name)
             assert type(info.value) is error, name
@@ -543,7 +543,7 @@ def test_an_unenumerated_pi1_has_no_model():
 def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
     # the presentation alone enumerates nothing; the covering consumers
     # read the model first, so a disconnected base builds no
-    # presentation, and monodromy builds no Cayley table; past the
+    # presentation, and monodromy reads no right translations; past the
     # budget, regular raises todd_coxeter's own error
     enumerate_ = fpgroup.todd_coxeter
 
@@ -571,7 +571,7 @@ def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
     cover = fund.universal_cover(fund.fundamental_group(quandle, 0))
     pi1 = fund.fundamental_group(quandle, 0)
     fund.monodromy(cover.projection, pi1)
-    assert pi1.order == 6 and "cayley" not in vars(pi1)
+    assert pi1.order == 6 and "right" not in vars(pi1)
 
     fg = fund.fundamental_group(transposition_quandle(4), 0, budget=1)
     with pytest.raises(BudgetExceeded) as got:
@@ -583,7 +583,7 @@ def test_pi1_is_computed_as_far_as_it_is_read(monkeypatch):
 
 def test_a_failed_pi1_enumeration_runs_once(monkeypatch):
     # at budget 139 every round on S7's transpositions runs out; order,
-    # regular, cayley and cocycle then read the one failure, so the
+    # regular, right and cocycle then read the one failure, so the
     # rounds run once, not once per read, and the error is the same
     calls = []
     enumerate_ = fpgroup.todd_coxeter
@@ -596,7 +596,7 @@ def test_a_failed_pi1_enumeration_runs_once(monkeypatch):
     fg = fund.fundamental_group(transposition_quandle(7), 0, budget=139)
     assert fg.order is None
     errors = []
-    for read in ("regular", "cayley", "cocycle", "regular"):
+    for read in ("regular", "right", "cocycle", "regular"):
         with pytest.raises(BudgetExceeded) as got:
             getattr(fg, read)
         errors.append(got.value)
@@ -610,7 +610,7 @@ def test_a_failed_pi1_enumeration_runs_once(monkeypatch):
     fg = fund.fundamental_group(qmod.trivial(2), 0)
     for _ in range(3):
         with pytest.raises(InfiniteGroup):
-            fg.cayley
+            fg.right
     assert fg.order is None and len(certified) == 1
 
 
@@ -619,7 +619,7 @@ def test_pi1_of_s7_enumerates_its_own_cosets():
     # 2520 cosets would not fit this budget
     fg = fund.fundamental_group(transposition_quandle(7), 0, budget=1000)
     assert fg.order == 120
-    assert len(fg.cayley) == 120
+    assert len(fg.right) == 120
 
 
 def test_pi1_of_the_s8_transposition_quandle():
@@ -633,15 +633,45 @@ def test_pi1_of_the_s8_transposition_quandle():
 
 def test_pi1_of_the_s8_transposition_quandle_has_1455_subgroups():
     # pi_1 is S6 (OEIS A005432); symmetric_group(8) would pass
-    # closure's element budget, so the quandle is built on pairs
+    # closure's element budget, so the quandle is built on pairs; the
+    # search takes 2290 closures, and one fewer raises at the last
     fg = fund.fundamental_group(transpositions_on_pairs(8), 0)
-    assert len(permgroup.subgroups(fg.cayley)) == 1455
+    assert len(permgroup.subgroups(fg.right, 2290)) == 1455
+    with pytest.raises(BudgetExceeded, match="subgroup search exceeded "
+                                             "budget at size 2290$"):
+        permgroup.subgroups(fg.right, 2289)
+
+
+def test_the_subgroup_search_is_bounded_in_closures():
+    # pi_1 of the S_m transposition quandle takes 7, 51 and 262
+    # closures for m = 5..7, and one fewer raises at the last (the
+    # census reads pi1.budget: see test_cli's S7 and S8 budget tests)
+    for m, tried in ((5, 7), (6, 51), (7, 262)):
+        pi1 = fund.fundamental_group(transposition_quandle(m), 0)
+        permgroup.subgroups(pi1.right, tried)
+        with pytest.raises(BudgetExceeded) as info:
+            permgroup.subgroups(pi1.right, tried - 1)
+        assert (info.value.reached, info.value.what) == (
+            tried, "subgroup search"), m
+
+
+def test_right_translations_trace_the_representative_words():
+    # right[h][x] = xh is coset x traced along h's representative word,
+    # letter by letter through the regular table, whatever order
+    # _right_action builds the translations in
+    for quandle in (*map(transposition_quandle, (5, 6, 7)), _three_cycles(5)):
+        fg = fund.fundamental_group(quandle, 0)
+        table = fg.regular
+        assert fg.right == tuple(
+            tuple(trace(table, x, word) for x in range(fg.order))
+            for word in table.representative_word)
 
 
 def test_subgroups_are_closed_under_conjugation():
     # every h^-1 K h of every subgroup K of pi_1 (S5) is listed too
-    mul = fund.fundamental_group(transposition_quandle(7), 0).cayley
-    found = [sub for sub, _ in permgroup.subgroups(mul)]
+    pi1 = fund.fundamental_group(transposition_quandle(7), 0)
+    mul = cayley(pi1)
+    found = [sub for sub, _ in permgroup.subgroups(pi1.right, pi1.budget)]
     assert len(found) == 156
     listed = set(found)
     for h, row in enumerate(mul):
@@ -711,8 +741,8 @@ def test_fundamental_group_two_pipelines_agree():
         assert fg.order == order
         # pi_1 acts on itself: a row of its Cayley table per element,
         # each a permutation of the order elements
-        assert len(fg.cayley) == order
-        assert all(sorted(row) == list(range(order)) for row in fg.cayley)
+        assert len(cayley(fg)) == order
+        assert all(sorted(row) == list(range(order)) for row in cayley(fg))
         # the adjoint enumeration: the cosets that end at the basepoint
         _, ends = fund.adj0_enumeration(quandle, 0)
         assert ends.count(0) == order
@@ -724,7 +754,7 @@ def test_order_counts_the_cosets_ending_at_the_basepoint(corpus):
             q = quandle.basepoints[0]
             fg = fund.fundamental_group(quandle, q)
             _, ends = fund.adj0_enumeration(quandle, q)
-            assert fg.order == ends.count(q) == len(fg.cayley), name
+            assert fg.order == ends.count(q) == len(fg.right), name
 
 
 def test_pi1_and_coverings_multiply_no_permutations(monkeypatch, tmp_path):
@@ -827,7 +857,7 @@ def test_disconnected_quandle_has_infinite_enumeration():
 def test_deck_group_acts_freely_on_fibres():
     cover = _s4_cover()
     base = cover.pi1.quandle
-    deck = left_translations(cover.pi1.cayley, base.n)
+    deck = left_translations(cayley(cover.pi1), base.n)
     fibre = cover.projection.fibre(base.basepoints[0])
     for g in deck.elements:
         if g == deck.elements[deck.identity_index]:
@@ -841,7 +871,7 @@ def test_deck_commutes_with_inner_action():
     # with every right translation of the cover
     cover = _s4_cover()
     op = cover.cover.op
-    deck = left_translations(cover.pi1.cayley, cover.pi1.quandle.n)
+    deck = left_translations(cayley(cover.pi1), cover.pi1.quandle.n)
     for g in deck.elements:
         for x in range(cover.cover.n):
             for b in range(cover.cover.n):
@@ -910,13 +940,13 @@ def test_covering_model_matches_the_adjoint_enumeration(corpus):
         assert kind == "lift", name
         assert sorted(lift.map) == list(range(cover.cover.n)), name
         fg = cover.pi1
-        assert fg.cayley == deck_group(
+        assert cayley(fg) == deck_group(
             fg.regular, (q,) * fg.order, q).elements, name
         coverings = fund.enumerate_connected_coverings(fg)
         assert sorted((len(covering.projection.fibre(q)), covering.normal)
                       for covering in coverings) == sorted(
             census_by_orbits(quandle, q)), name
-        values = coh.Coeff.from_table(fg.cayley, 0)
+        values = coh.Coeff.from_table(cayley(fg), 0)
         assert cocycle_violation(fg.cocycle, quandle, values) is None, name
     assert len(inputs) >= 30
 
@@ -937,10 +967,10 @@ def test_pi1_model_is_the_enumeration_on_all_relators(corpus):
         assert sorted(image) == list(range(fg.order)), name
         ref_mul = [[trace(ref, c, w) for w in ref.representative_word]
                    for c in range(ref.coset_count)]
-        for g, row in enumerate(fg.cayley):
+        for g, row in enumerate(cayley(fg)):
             assert [ref_mul[image[g]][image[h]] for h in range(fg.order)
                     ] == [image[gh] for gh in row], name
-        values = coh.Coeff.from_table(fg.cayley, 0)
+        values = coh.Coeff.from_table(cayley(fg), 0)
         assert cocycle_violation(fg.cocycle, quandle, values) is None, name
     assert len(inputs) >= 30
 
@@ -1116,10 +1146,11 @@ def test_subgroups_match_the_permutation_search(corpus):
     for name, quandle in _census_inputs(corpus):
         q = quandle.basepoints[0]
         fg = fund.fundamental_group(quandle, q)
-        group = left_translations(fg.cayley)
+        group = left_translations(cayley(fg))
         index = {g: i for i, g in enumerate(group.elements)}
         want = oracle_subgroups(group)
-        assert [sub for sub, _ in permgroup.subgroups(fg.cayley)] == [
+        found = permgroup.subgroups(fg.right, fg.budget)
+        assert [sub for sub, _ in found] == [
             tuple(sorted(index[g] for g in sub.elements))
             for sub in want], name
         census = fund.enumerate_connected_coverings(fg)
@@ -1141,10 +1172,10 @@ def test_class_sizes_and_lazy_projections_match_the_references(corpus):
     checked = 0
     for name, quandle in inputs:
         pi1 = fund.fundamental_group(quandle, quandle.basepoints[0])
-        mul = pi1.cayley
+        mul = cayley(pi1)
         group = left_translations(mul)
         census = list(fund.enumerate_connected_coverings(pi1))
-        pairs = permgroup.subgroups(mul)
+        pairs = permgroup.subgroups(pi1.right, pi1.budget)
         assert [c.subgroup for c in census] == [k for k, _ in pairs], name
         for covering, (sub, size) in zip(census, pairs):
             conjugates = {tuple(sorted(mul[mul[row.index(0)][k]][h]
@@ -1175,7 +1206,7 @@ def test_covering_consumers_enumerate_no_adjoint_cosets(monkeypatch):
     fibre, _ = fund.monodromy(cover.projection, pi1)
     assert pi1.order == len(fibre) == 6
     # pi_1 = S3: the sign sends its three involutions to 1
-    mul = cover.pi1.cayley
+    mul = cayley(cover.pi1)
     sign = [int(g != 0 and mul[g][g] == 0) for g in range(6)]
     assert sum(sign) == 3
     z2 = coh.Coeff.from_invariants([2])
@@ -1276,7 +1307,7 @@ def test_enumerate_coverings_counts():
     for m, count in ((4, 2), (5, 6), (6, 30), (7, 156)):
         pi1 = fund.fundamental_group(transposition_quandle(m), 0)
         assert len(list(fund.enumerate_connected_coverings(pi1))) == count, m
-    assert len(permgroup.subgroups(pi1.cayley)) == 156
+    assert len(permgroup.subgroups(pi1.right, pi1.budget)) == 156
 
 
 def test_census_holds_one_covering_at_a_time():
@@ -1362,7 +1393,7 @@ def test_theorem_built_projections_pass_the_public_checks(
         if quandle.is_connected():
             fg = fund.fundamental_group(quandle, quandle.basepoints[0])
             extensions.append(coh.extension_from_cocycle(
-                quandle, coh.Coeff.from_table(fg.cayley, 0),
+                quandle, coh.Coeff.from_table(cayley(fg), 0),
                 fg.cocycle).projection)
     assert any(p.source.component_count > 1 for p in extensions)
     # each corpus covering pulled back along its base's universal
@@ -1424,7 +1455,7 @@ def test_census_is_the_galois_correspondence(corpus):
             assert tuple(k for k, perm in enumerate(perms)
                          if perm[0] == 0) == sub, name
             assert len(fibre) * len(sub) == pi1.order, name
-            mul = pi1.cayley
+            mul = cayley(pi1)
             assert {frozenset(g for g, perm in enumerate(perms)
                               if perm[0] == i)
                     for i in range(len(fibre))} == {
@@ -1550,7 +1581,7 @@ def test_monodromy_is_unchanged_on_corpus_covers(corpus):
             got_fibre, perms = fund.monodromy(p, group)
             assert got_fibre == fibre
             assert sorted(perms) == sorted(want), name
-            mul = group.cayley
+            mul = cayley(group)
             assert group.order == len(perms) == len(mul)
             for g, row in enumerate(mul):
                 for h, gh in enumerate(row):

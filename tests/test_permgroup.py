@@ -4,7 +4,8 @@ import pytest
 
 from quandelier import permgroup
 from quandelier.errors import BudgetExceeded
-from conftest import cayley_table, cyclic_group, symmetric_group
+from conftest import (cayley_table, cyclic_group, right_translations,
+                      symmetric_group)
 from oracles import orbits
 
 
@@ -74,13 +75,14 @@ def test_orbits_sorted_by_minimum():
 def test_subgroups_of_prime_cyclic():
     # a cyclic group of prime order has exactly two subgroups
     for p in (2, 3, 5, 7):
-        subs = permgroup.subgroups(cayley_table(cyclic_group(p)))
+        subs = permgroup.subgroups(right_translations(cyclic_group(p)), p)
         assert [size for _, size in subs] == [1, 1]
 
 
 def test_subgroups_of_s3():
     # S3: trivial, three of order 2, one of order 3, S3 itself
-    subs, sizes = zip(*permgroup.subgroups(cayley_table(symmetric_group(3))))
+    subs, sizes = zip(*permgroup.subgroups(
+        right_translations(symmetric_group(3)), 100))
     assert [len(s) for s in subs] == [1, 2, 2, 2, 3, 6]
     # the three of order 2 are conjugate, the others normal
     assert sizes == (1, 3, 3, 3, 1, 1)
@@ -89,23 +91,38 @@ def test_subgroups_of_s3():
 
 def test_subgroups_of_klein_four():
     group = permgroup.closure([(1, 0, 3, 2), (2, 3, 0, 1)])
-    subs = permgroup.subgroups(cayley_table(group))
+    subs = permgroup.subgroups(right_translations(group), 100)
     assert sorted(len(s) for s, _ in subs) == [1, 2, 2, 2, 4]
     assert {size for _, size in subs} == {1}
 
 
 def test_subgroups_are_closed():
     for group in (symmetric_group(3), cyclic_group(6)):
-        table = cayley_table(group)
-        for sub, _ in permgroup.subgroups(table):
+        right = right_translations(group)
+        for sub, _ in permgroup.subgroups(right, 100):
             members = set(sub)
             assert list(sub) == sorted(members)
             for a in sub:
-                assert table[a].index(0) in members
+                assert right[a].index(0) in members
                 for b in sub:
-                    assert table[a][b] in members
+                    assert right[b][a] in members
 
 
-def test_subgroups_budget():
-    with pytest.raises(BudgetExceeded):
-        permgroup.subgroups(cayley_table(symmetric_group(4)), budget=10)
+def test_subgroups_budget_counts_closures(monkeypatch):
+    # the budget bounds the closures tried, one _close call each: S4's
+    # 30 subgroups take 51, and at 50 the 51st raises
+    right = right_translations(symmetric_group(4))
+    calls, close = [], permgroup._close
+    monkeypatch.setattr(permgroup, "_close",
+                        lambda *args: calls.append(args) or close(*args))
+    subs = permgroup.subgroups(right, 1000)
+    monkeypatch.undo()
+    assert (len(subs), len(calls)) == (30, 51)
+    assert permgroup.subgroups(right, 51) == subs
+    with pytest.raises(BudgetExceeded) as info:
+        permgroup.subgroups(right, 50)
+    assert (info.value.reached, info.value.what) == (51, "subgroup search")
+    # it does not bound the order: C7 needs 6 closures, from 1 to
+    # each of its generators
+    assert len(permgroup.subgroups(right_translations(cyclic_group(7)),
+                                   6)) == 2
