@@ -11,7 +11,6 @@ table.
 """
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import BudgetExceeded
 
@@ -119,8 +118,7 @@ def subgroups(right, budget: int):
     the h with every h^-1 s h in J.  Every subgroup is <1, g1, ..., gk>
     and the found set is a union of classes, so none is missed.
     """
-    conj = [tuple(map(col.__getitem__, map(itemgetter(col.index(0)), right)))
-            for col in right]  # conj[h][x] = h^-1 x h
+    inv = [c.index(0) for c in right]  # h^-1xh = right[h][right[x][inv[h]]]
     found, classes, tried = {frozenset({0}): 1}, [(frozenset({0}), ())], 0
     for a, seeds in classes:  # grows while it is read
         covered = set(a)
@@ -133,14 +131,14 @@ def subgroups(right, budget: int):
                 grown = seeds + (g,)
                 j = _close(right, a, grown)
                 if j not in found:
-                    normaliser = [h for h, c in enumerate(conj)
-                                  if j.issuperset(map(c.__getitem__, grown))]
+                    normaliser = [h for h, i in enumerate(inv) if j.issuperset(
+                        right[h][right[s][i]] for s in grown)]
                     size, reached = len(right) // len(normaliser), set()
-                    for h, c in enumerate(conj):
+                    for h, i in enumerate(inv):
                         if h not in reached:  # one h per coset N(J)h
-                            reached.update(map(right[h].__getitem__,
-                                               normaliser))
-                            found[frozenset(map(c.__getitem__, j))] = size
+                            c = right[h]
+                            reached.update(map(c.__getitem__, normaliser))
+                            found[frozenset(c[right[x][i]] for x in j)] = size
                     classes.append((j, grown))
     return sorted(((tuple(sorted(sub)), size) for sub, size in found.items()),
                   key=lambda pair: (len(pair[0]), pair[0]))

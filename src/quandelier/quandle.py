@@ -27,9 +27,9 @@ class FiniteQuandle:
     read.  A covering of an n-element quandle has at most n distinct
     columns, so it costs O(n N); the N x N tables op[a][b] = a*b and
     inv_op[a][b] = a/b are built only when read, and so is generators,
-    the greedy generating set S, one closure: the rho_s with s in S
-    generate Inn(Q), so Q3, homomorphisms, coverings, lifting and
-    cocycles are checked on S.  grading maps each element
+    the greedy generating set S, unless validate found it for Q3: the
+    rho_s with s in S generate Inn(Q), so Q3, homomorphisms, coverings,
+    lifting and cocycles are checked on S.  grading maps each element
     to a component index (default: its connected component); basepoints
     picks one element per grading class (default: the minimum of each
     class).  adjoint is Adj(Q) with its words w_x, built on first use
@@ -261,8 +261,10 @@ def validate(op_table, grading=None, basepoints=None) -> FiniteQuandle:
         for i, q in enumerate(basepoints):
             if not 0 <= q < n or grading[q] != i:
                 raise ValueError(f"basepoint {q} not in class {i}")
-    return FiniteQuandle(columns=tuple(distinct), column_id=tuple(column_id),
-                         grading=grading, basepoints=basepoints)
+    quandle = FiniteQuandle(tuple(distinct), tuple(column_id), grading,
+                            basepoints)
+    quandle.__dict__["generators"] = gens  # S, where generators caches it
+    return quandle
 
 
 def from_columns(columns, base, over, grading=None, basepoints=None

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
-from quandelier import permgroup
+from quandelier import fundamental as fund, permgroup
 from quandelier.errors import BudgetExceeded
 from conftest import (cayley_table, cyclic_group, right_translations,
-                      symmetric_group)
+                      symmetric_group, transpositions_on_pairs)
 from oracles import orbits
 
 
@@ -126,3 +127,20 @@ def test_subgroups_budget_counts_closures(monkeypatch):
     # each of its generators
     assert len(permgroup.subgroups(right_translations(cyclic_group(7)),
                                    6)) == 2
+
+
+def test_subgroups_hold_no_second_table_of_the_group():
+    # S8 transpositions: pi_1 = S6, whose right translations take about
+    # 4 MiB; the search conjugates through them, so a second 720 x 720
+    # table of conjugates (about 4 MiB more) would break the bound
+    quandle = transpositions_on_pairs(8)
+    pi1 = fund.fundamental_group(quandle, 0)
+    right = pi1.right
+    tracemalloc.start()
+    try:
+        subs = permgroup.subgroups(right, pi1.budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == 1455
+    assert peak < 3 * 2**20, peak

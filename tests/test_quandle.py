@@ -208,6 +208,18 @@ def test_theorem_built_tables_search_no_generating_set(monkeypatch):
                                      q.basepoints).generators
 
 
+def test_validate_keeps_the_generating_set_of_its_q3_check(monkeypatch):
+    # validate searches S once for Q3 and hands it to the quandle, so
+    # reading generators searches no second time
+    table = transposition_quandle(5).op
+    search, calls = qmod._generating_set, []
+    monkeypatch.setattr(qmod, "_generating_set",
+                        lambda rho: calls.append(rho) or search(rho))
+    quandle = qmod.validate(table)
+    assert quandle.generators == search(quandle.rho)
+    assert len(calls) == 1
+
+
 def test_validate_finds_the_rowwise_witness_on_broken_coverings(
         covering_tables):
     # once a check fails, the witness is the one the row-by-row scan
