@@ -2,7 +2,8 @@
 the subgroups of a group given by its right translations.
 
 Permutations are tuples of images on {0,...,d-1}.  mul(p, q) applies p
-first, then q; this matches reading words left to right.  Permutation
+first, then q; this matches reading words left to right, and
+gather(p)(q) = mul(p, q) computes it as one C-level gather.  Permutation
 groups are the input of the quandle constructors conj_class and core,
 materialized by BFS closure, so element order is deterministic and all
 downstream enumerations are reproducible.  Past those inputs, every
@@ -11,6 +12,8 @@ table.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from .errors import BudgetExceeded
 
@@ -22,6 +25,12 @@ DEFAULT_GROUP_BUDGET = 10_000
 def mul(p: Perm, q: Perm) -> Perm:
     """p followed by q: x -> q[p[x]]."""
     return tuple(q[i] for i in p)
+
+
+def gather(p: Perm):
+    """The map q -> mul(p, q), as itemgetter(*p) from degree 2 on; at
+    degree 1 that would return a scalar, and at degree 0 raise."""
+    return itemgetter(*p) if len(p) > 1 else partial(mul, p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -80,8 +89,9 @@ def closure(generators, budget: int = DEFAULT_GROUP_BUDGET,
     ident = tuple(range(degree))
     elements, seen = [ident], {ident}
     for e in elements:  # grows while it is read
+        at_e = gather(e)
         for g in generators:
-            f = mul(e, g)
+            f = at_e(g)
             if f not in seen:
                 if len(elements) >= budget:
                     raise BudgetExceeded(len(elements) + 1, "group closure")

@@ -279,7 +279,8 @@ def from_columns(columns, base, over, grading=None, basepoints=None
     A grading given, with its basepoints, is trusted, as the theorems
     pull it back or make the total connected; by default it is the
     components, with their least elements, the one case that searches
-    the generating set, which is otherwise found when first read."""
+    the generating set, and keeps it; otherwise it is found when first
+    read."""
     over = tuple(over)
     number = {}  # distinct column -> id, by first occurrence in x
     ids = [None] * len(columns)
@@ -287,12 +288,15 @@ def from_columns(columns, base, over, grading=None, basepoints=None
         ids[b] = number.setdefault(columns[b], len(number))
     column_id = tuple(map(ids.__getitem__, over))
     distinct = tuple(number)
+    found = {}  # S, where generators caches it, once searched here
     if grading is None:
         rho = tuple(map(distinct.__getitem__, column_id))
-        parts, grading = _orbits(rho, _generating_set(rho))
+        found["generators"] = _generating_set(rho)
+        parts, grading = _orbits(rho, found["generators"])
         basepoints = tuple(part[0] for part in parts)
     source = FiniteQuandle(distinct, column_id, tuple(grading),
                            tuple(basepoints))
+    source.__dict__.update(found)
     return fpgroup._unchecked(QuandleHom, source=source, target=base, map=over)
 
 
@@ -334,30 +338,37 @@ def conj_class(group: FiniteGroup, seed: Perm) -> FiniteQuandle:
     """Conjugation quandle on the conjugacy class of the seed element.
 
     Elements are ordered by BFS discovery (conjugating by the group's
-    generators in order); x * y is y^-1 x y.
+    generators in order); x * y is y^-1 x y, computed as two gathers,
+    y^-1 (x y), with each y inverted once.
     """
     seed = tuple(seed)
     if seed not in group:
         raise ValueError("seed does not belong to the group")
+    steps = [(g, permgroup.gather(permgroup.inverse(g)))
+             for g in group.generators]
     elements, seen = [seed], {seed}
     for x in elements:  # grows while it is read
-        for g in group.generators:
-            y = permgroup.mul(permgroup.mul(permgroup.inverse(g), x), g)
+        at_x = permgroup.gather(x)
+        for g, at_g_inv in steps:
+            y = at_g_inv(at_x(g))
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
     index = {x: i for i, x in enumerate(elements)}
-    pairs = [(y, permgroup.inverse(y)) for y in elements]
-    return validate([[index[permgroup.mul(permgroup.mul(y_inv, x), y)]
-                      for y, y_inv in pairs] for x in elements])
+    pairs = [(y, permgroup.gather(permgroup.inverse(y))) for y in elements]
+    return validate([[index[at_y_inv(at_x(y))] for y, at_y_inv in pairs]
+                     for at_x in map(permgroup.gather, elements)])
 
 
 def core(group: FiniteGroup) -> FiniteQuandle:
-    """Core quandle of a group: a * b = b a^-1 b."""
+    """Core quandle of a group: a * b = b a^-1 b, computed as two
+    gathers, b (a^-1 b), with each a inverted once per row."""
     elements = group.elements
     index = {x: i for i, x in enumerate(elements)}
-    table = [[index[permgroup.mul(permgroup.mul(b, permgroup.inverse(a)), b)]
-              for b in elements] for a in elements]
+    pairs = [(b, permgroup.gather(b)) for b in elements]
+    table = [[index[at_b(at_a_inv(b))] for b, at_b in pairs]
+             for at_a_inv in map(permgroup.gather,
+                                 map(permgroup.inverse, elements))]
     return validate(table)
 
 

@@ -22,6 +22,19 @@ def cyclic_group(n):
                              degree=n)
 
 
+def small_permutation_groups():
+    """S3-S6 and C3-C6, then three random 2-generator groups of degree
+    at most 7, seeded, as (name, group) pairs."""
+    groups = [(f"S{n}", symmetric_group(n)) for n in range(3, 7)]
+    groups += [(f"C{n}", cyclic_group(n)) for n in range(3, 7)]
+    rng = random.Random(2026)
+    for _ in range(3):
+        d = rng.randint(3, 7)
+        gens = [tuple(rng.sample(range(d), d)) for _ in range(2)]
+        groups.append((f"random{gens}", permgroup.closure(gens)))
+    return groups
+
+
 def cayley_table(group):
     """The multiplication table of a permutation group in its element
     order: entry [i][j] indexes elements[i] followed by elements[j]."""

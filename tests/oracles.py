@@ -13,8 +13,10 @@ the brute-force route to |H^2|, the universal cover and the covering
 census as the enumeration of Adj(Q) modulo <e_q> gives them, with the
 deck group on its cosets, a Cayley table's left translations, and the
 orbits and subgroups of a permutation group found by multiplying
-permutations, the right cosets of a subgroup of a Cayley table and
-the census quotient built from them, the right action of adjoint words on a
+permutations, a group's BFS closure and its conjugation and core
+tables built product by product with mul and inverse, the right
+cosets of a subgroup of a Cayley table and the census quotient built
+from them, the right action of adjoint words on a
 cover, a word traced through a coset table and the degree-adjusted
 deck permutations, the least preimages
 of a map, the covering check on all pairs, table
@@ -1007,6 +1009,49 @@ def is_normal(sub, group):
     members = set(sub.elements)
     return all(permgroup.mul(permgroup.mul(permgroup.inverse(g), k), g)
                in members for g in group.elements for k in sub.elements)
+
+
+def closure_elements(generators, degree):
+    """The elements of the group the permutations generate, in the BFS
+    order closure gives them: each element e, in turn, times each
+    generator g, in order, by mul(e, g)."""
+    ident = tuple(range(degree))
+    elements, seen = [ident], {ident}
+    for e in elements:
+        for g in generators:
+            f = permgroup.mul(e, g)
+            if f not in seen:
+                seen.add(f)
+                elements.append(f)
+    return tuple(elements)
+
+
+def conj_class_table(group, seed):
+    """The class of conj_class(group, seed), in BFS order of conjugation
+    by the generators, and its table, x * y = y^-1 x y by mul and
+    inverse for each pair."""
+    def conjugate(x, y):
+        return permgroup.mul(permgroup.mul(permgroup.inverse(y), x), y)
+
+    elements, index = [tuple(seed)], {tuple(seed): 0}
+    for x in elements:
+        for g in group.generators:
+            y = conjugate(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return tuple(elements), tuple(
+        tuple(index[conjugate(x, y)] for y in elements) for x in elements)
+
+
+def core_table(group):
+    """The table of core(group), a * b = b a^-1 b by mul and inverse for
+    each pair, in the group's element order."""
+    elements = group.elements
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[permgroup.mul(
+        permgroup.mul(b, permgroup.inverse(a)), b)] for b in elements)
+        for a in elements)
 
 
 def census_by_orbits(quandle, basepoint):

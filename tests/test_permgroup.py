@@ -6,8 +6,9 @@ import pytest
 from quandelier import fundamental as fund, permgroup
 from quandelier.errors import BudgetExceeded
 from conftest import (cayley_table, cyclic_group, right_translations,
-                      symmetric_group, transpositions_on_pairs)
-from oracles import orbits
+                      small_permutation_groups, symmetric_group,
+                      transpositions_on_pairs)
+from oracles import closure_elements, orbits
 
 
 def test_mul_is_left_to_right():
@@ -41,6 +42,21 @@ def test_closure_contains_identity_first():
     group = symmetric_group(3)
     assert group.elements[0] == (0, 1, 2)
     assert group.identity_index == 0
+
+
+def test_closure_keeps_the_bfs_order_of_products_by_mul():
+    # conj_class and core number elements in closure's order, so the
+    # order is compared, not the set
+    for name, group in small_permutation_groups():
+        assert group.elements == closure_elements(group.generators,
+                                                  group.degree), name
+
+
+def test_closure_at_degrees_0_1_and_2():
+    # at degree 1 a one-index itemgetter returns a scalar, at 0 it raises
+    assert permgroup.closure([], degree=0).elements == ((),)
+    assert permgroup.closure([(0,)]).elements == ((0,),)
+    assert permgroup.closure([(1, 0)]).elements == ((0, 1), (1, 0))
 
 
 def test_closure_idempotent():

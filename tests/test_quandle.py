@@ -8,7 +8,8 @@ from quandelier import (cohomology as coh, fundamental as fund, permgroup,
                         quandle as qmod)
 from quandelier.errors import (EmptyUnion, NotAHomomorphism, NotAQuandle,
                                NotRightInvertible)
-from conftest import cyclic_group, symmetric_group, transposition_quandle
+from conftest import (cyclic_group, small_permutation_groups,
+                      symmetric_group, transposition_quandle)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,22 @@ def test_validate_keeps_the_generating_set_of_its_q3_check(monkeypatch):
     assert len(calls) == 1
 
 
+def test_from_columns_keeps_the_generating_set_it_searched(monkeypatch):
+    # with no grading, from_columns searches S for the components and
+    # hands it to the quandle, so reading generators searches no second
+    # time
+    base = transposition_quandle(4)
+    pi1 = fund.fundamental_group(base, 0)
+    coverings = [fund.universal_cover(pi1).projection,
+                 qmod.identity_hom(base)]
+    search, calls = qmod._generating_set, []
+    monkeypatch.setattr(qmod, "_generating_set",
+                        lambda rho: calls.append(rho) or search(rho))
+    union = qmod.union_coverings(coverings)
+    assert union.source.generators == search(union.source.rho)
+    assert len(calls) == 1
+
+
 def test_validate_finds_the_rowwise_witness_on_broken_coverings(
         covering_tables):
     # once a check fails, the witness is the one the row-by-row scan
@@ -301,6 +318,37 @@ def test_core_of_cyclic_group_is_dihedral():
         # elements of the closure are rotations i -> i+k, in BFS order
         # 0, 1, ..., so the tables agree up to that labeling
         assert core.op == dihedral.op
+
+
+def test_conj_class_and_core_match_the_tables_built_by_mul():
+    # every class, from its first element in closure's order, and the
+    # core; above order 720, where the core has over half a million
+    # entries, the classes of the generators alone
+    for name, group in small_permutation_groups():
+        small = group.order <= 720
+        covered = set()
+        for seed in group.elements if small else group.generators:
+            if seed not in covered:
+                elements, table = oracles.conj_class_table(group, seed)
+                assert qmod.conj_class(group, seed).op == table, (name, seed)
+                covered.update(elements)
+        if small:
+            assert qmod.core(group).op == oracles.core_table(group), name
+    s4 = symmetric_group(4)  # the corpus's S4 classes, from its seeds
+    for seed in ((1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0)):
+        assert qmod.conj_class(s4, seed).op == oracles.conj_class_table(
+            s4, seed)[1]
+
+
+def test_conj_class_and_core_at_degrees_0_1_and_2():
+    for group, seed in ((permgroup.closure([], degree=0), ()),
+                        (permgroup.closure([(0,)]), (0,))):
+        assert qmod.conj_class(group, seed).op == ((0,),)
+        assert qmod.core(group).op == ((0,),)
+    s2 = permgroup.closure([(1, 0)])
+    for seed in s2.elements:
+        assert qmod.conj_class(s2, seed).op == ((0,),)
+    assert qmod.core(s2).op == ((0, 0), (1, 1))
 
 
 def test_alexander_negative_one_is_dihedral():
